@@ -62,8 +62,6 @@ _DEFAULTS = {
     "seed": 0,
     "jobs": 1,
     "normalize": False,
-    "burn_in": "auto",
-    "tol": 1e-10,
 }
 
 
@@ -142,8 +140,6 @@ def _study_config(args, model) -> MonteCarloConfig:
         n_x=_positive("nx", nx),
         seed=int(_resolve(args, "seed")),
         n_g=_positive("n_g", _resolve(args, "n_g")),
-        burn_in=_resolve(args, "burn_in"),
-        tol=float(_resolve(args, "tol")),
     )
 
 
@@ -153,15 +149,12 @@ def _cmd_simulate(args) -> int:
     J = _resolve(args, "J")
     if J is None:
         J = 10 * model.P
-    burn_in = _resolve(args, "burn_in")
     ensemble = collect_ensemble(
         model,
         J=_positive("J", J),
         N=_positive("N", _resolve(args, "N")),
         sigma=float(_resolve(args, "sigma")),
         master_seed=int(_resolve(args, "seed")),
-        burn_in=burn_in if burn_in == "auto" else int(burn_in),
-        tol=float(_resolve(args, "tol")),
     )
     manifest = fileio.save_ensemble(ensemble, out)
     print(f"wrote {ensemble.J} experiments and manifest to {manifest}")
@@ -305,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, help="periods per record (default 50)")
     p.add_argument("--J", type=int, help="number of experiments (default 10*P)")
     p.add_argument("--sigma", type=float, help="output noise std (default 1.0)")
-    p.add_argument("--burn-in", dest="burn_in", help="'auto' or repetition count")
-    p.add_argument("--tol", type=float, help="steady-state tolerance (default 1e-10)")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 

@@ -44,10 +44,6 @@ class LengthNotDivisible(ConfigError):
     """Signal length is not a multiple of the period."""
 
 
-class TransientNotConverged(NumericalPipelineError):
-    """Steady-state burn-in hit the repetition cap without converging."""
-
-
 class RankDeficient(NumericalPipelineError):
     """Lifted input spectrum loses row rank at some frequency."""
 

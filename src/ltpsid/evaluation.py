@@ -125,8 +125,6 @@ class MonteCarloConfig:
     n_x: int
     seed: int
     n_g: int = 50
-    burn_in: int | str = "auto"
-    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -213,8 +211,6 @@ def _run_one_trial(
             N=config.N,
             sigma=config.sigma,
             master_seed=seed,
-            burn_in=config.burn_in,
-            tol=config.tol,
         )
         result = identify(ensemble, q=config.q, r=config.r, n_x=config.n_x)
         return fit_metric(model, result.model, n_g=config.n_g), None
@@ -399,12 +395,10 @@ def holdout_fit_score(est_model: LtpModel, holdout: Ensemble) -> float:
     """
     if not is_stable(est_model).stable:
         return float("-inf")
-    num = 0.0
-    den = 0.0
-    for exp in holdout.experiments:
-        pred = simulate_steady_state(est_model, exp.u).y
-        num += float(np.sum((exp.y - pred) ** 2))
-        den += float(np.sum((exp.y - np.mean(exp.y)) ** 2))
+    u = np.stack([exp.u for exp in holdout.experiments])
+    y = np.stack([exp.y for exp in holdout.experiments])
+    num = float(np.sum((y - simulate_steady_state(est_model, u)) ** 2))
+    den = float(np.sum((y - np.mean(y, axis=(1, 2), keepdims=True)) ** 2))
     if den < 1e-30:
         raise DegenerateReference("held-out outputs are constant; score undefined")
     return float(100.0 * (1.0 - np.sqrt(num / den)))

@@ -150,6 +150,11 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         raise DataError(
             f"{manifest_path}: manifest lists {len(files)} files but J={J}"
         )
+    if not (isinstance(seeds, list) and len(seeds) == J
+            and all(isinstance(entry, dict) for entry in seeds)):
+        raise DataError(
+            f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})"
+        )
     experiments = []
     for i, name in enumerate(files):
         path = manifest_path.parent / name
@@ -168,22 +173,25 @@ def _load_experiment_csv(path: Path, seed_entry: dict, sigma: float) -> Experime
             ny = sum(1 for h in header if h.startswith("y_"))
             if nu == 0 or ny == 0 or len(header) != 1 + nu + ny:
                 raise DataError(f"{path}:1: header must be t, u_1..u_nu, y_1..y_ny")
-            u_rows, y_rows = [], []
+            rows = []
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise DataError(
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
                 try:
-                    u_rows.append([float(v) for v in row[1 : 1 + nu]])
-                    y_rows.append([float(v) for v in row[1 + nu :]])
+                    rows.append([float(v) for v in row[1:]])
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
     except OSError as exc:
         raise DataError(f"{path}: cannot read experiment CSV: {exc}") from exc
+    data = np.array(rows).reshape(-1, nu + ny)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{bad[0] + 2}: non-finite sample")
     return Experiment(
-        u=np.array(u_rows),
-        y=np.array(y_rows),
+        u=data[:, :nu],
+        y=data[:, nu:],
         input_seed=seed_entry.get("input"),
         noise_seed=seed_entry.get("noise"),
         sigma=sigma,

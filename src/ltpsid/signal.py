@@ -1,8 +1,9 @@
 """Excitation, simulation, and spectral preprocessing of periodic experiments.
 
 An experiment drives the system with a periodic input of length ``N*P``
-(N periods of the system's period P), waits out the transient, and records
-one full repetition of the steady-state response plus measurement noise.
+(N periods of the system's period P) and records one full repetition of
+the steady-state response plus measurement noise; the steady state is
+computed exactly from the periodic fixed point of the state.
 Ensembles bundle J such experiments; lifting and the DFT turn them into
 the per-frequency data matrices consumed by the frequency-response
 estimator.
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LengthNotDivisible, TransientNotConverged
-from .model import LtpModel, is_stable
+from .errors import ConfigError, DataError, LengthNotDivisible
+from .model import LtpModel, _inverse_of_identity_minus, is_stable, monodromy
 
 __all__ = [
     "Experiment",
@@ -34,8 +35,6 @@ __all__ = [
     "dft_lifted",
     "assemble_spectra",
 ]
-
-BURN_IN_CAP = 10_000
 
 _ROLE_CODES = {"input": 0, "noise": 1}
 
@@ -59,7 +58,6 @@ class Experiment:
     input_seed: int | None = None
     noise_seed: int | None = None
     sigma: float = 0.0
-    burn_in_used: int = 0
 
     def __post_init__(self) -> None:
         u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
@@ -68,6 +66,8 @@ class Experiment:
             raise ConfigError(
                 f"input and output lengths differ: {u.shape[0]} vs {y.shape[0]}"
             )
+        if not (np.isfinite(u).all() and np.isfinite(y).all()):
+            raise DataError("experiment holds non-finite samples")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 
@@ -145,60 +145,54 @@ def simulate(
 def _simulate_with_state(
     model: LtpModel, u: np.ndarray, x0: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    T = u.shape[0]
-    if u.shape[1] != model.nu:
-        raise ConfigError(f"input has {u.shape[1]} channels, model expects {model.nu}")
-    x = np.zeros(model.nx) if x0 is None else np.asarray(x0, float).reshape(model.nx)
+    """Step the model over the time axis of ``u`` (..., T, n_u).
+
+    Leading axes are a batch of independent runs. Returns the outputs
+    (..., T, n_y) and the final state (..., n_x).
+    """
+    if u.shape[-1] != model.nu:
+        raise ConfigError(f"input has {u.shape[-1]} channels, model expects {model.nu}")
+    batch, T = u.shape[:-2], u.shape[-2]
+    shape = batch + (model.nx,)
+    x = np.zeros(shape) if x0 is None else np.asarray(x0, float).reshape(shape)
     A, B, C, P = model.A, model.B, model.C, model.P
-    y = np.empty((T, model.ny))
+    y = np.empty(batch + (T, model.ny))
     for t in range(T):
         i = t % P
-        y[t] = C[i] @ x
-        x = A[i] @ x + B[i] @ u[t]
+        y[..., t, :] = x @ C[i].T
+        x = x @ A[i].T + u[..., t, :] @ B[i].T
     return y, x
 
 
-def simulate_steady_state(
-    model: LtpModel,
-    pattern: np.ndarray,
-    burn_in: int | str = "auto",
-    tol: float = 1e-10,
-) -> Experiment:
-    """Steady-state response to a periodically repeated input pattern.
+def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
+    """Steady-state output of a stable model under periodically repeated input.
 
-    Repeats ``pattern`` from the zero state until the state at pattern
-    start settles (``burn_in="auto"``, change below ``tol`` in Euclidean
-    norm between consecutive repetitions, capped at 10^4) or a fixed
-    number of repetitions, then records one further repetition.
+    ``patterns`` is one (T, n_u) pattern or a (J, T, n_u) stack, with T a
+    multiple of P. The state at pattern start is the periodic fixed point
+    ``x0 = (I - Psi^(T/P))^{-1} x_T``, where ``x_T`` ends a pass from the
+    zero state and ``Psi`` is the monodromy at t=0; one pass from ``x0``
+    then gives the returned (T, n_y) or (J, T, n_y) outputs.
     """
-    pattern = np.atleast_2d(np.asarray(pattern, dtype=np.float64))
-    if pattern.shape[0] % model.P != 0:
-        raise LengthNotDivisible(
-            f"pattern length {pattern.shape[0]} not divisible by P={model.P}"
+    u = np.asarray(patterns, dtype=np.float64)
+    if u.ndim not in (2, 3):
+        raise ConfigError(
+            f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}"
         )
-    x = np.zeros(model.nx)
-    if burn_in == "auto":
-        reps = 0
-        while True:
-            _, x_next = _simulate_with_state(model, pattern, x)
-            reps += 1
-            if float(np.linalg.norm(x_next - x)) < tol:
-                x = x_next
-                break
-            x = x_next
-            if reps >= BURN_IN_CAP:
-                raise TransientNotConverged(
-                    f"state at pattern start did not settle within {BURN_IN_CAP} "
-                    f"repetitions (tol={tol:g})"
-                )
-    else:
-        reps = int(burn_in)
-        if reps < 0:
-            raise ConfigError(f"burn_in must be >= 0, got {reps}")
-        for _ in range(reps):
-            _, x = _simulate_with_state(model, pattern, x)
-    y, _ = _simulate_with_state(model, pattern, x)
-    return Experiment(u=pattern, y=y, sigma=0.0, burn_in_used=reps)
+    if u.shape[-2] % model.P != 0:
+        raise LengthNotDivisible(
+            f"pattern length {u.shape[-2]} not divisible by P={model.P}"
+        )
+    stab = is_stable(model)
+    if not stab.stable:
+        raise ConfigError(
+            f"model is not stable (spectral radius {stab.spectral_radius:.4f}); "
+            "steady-state data collection requires stability"
+        )
+    _, x_T = _simulate_with_state(model, u, None)
+    psi_pow = np.linalg.matrix_power(monodromy(model, 0), u.shape[-2] // model.P)
+    x0 = x_T @ _inverse_of_identity_minus(psi_pow).T
+    y, _ = _simulate_with_state(model, u, x0)
+    return y
 
 
 def add_noise(
@@ -233,8 +227,6 @@ def collect_ensemble(
     N: int,
     sigma: float,
     master_seed: int,
-    burn_in: int | str = "auto",
-    tol: float = 1e-10,
     shared_input: bool = False,
     ma_theta: float = 0.0,
 ) -> Ensemble:
@@ -250,30 +242,25 @@ def collect_ensemble(
         raise ConfigError(
             f"need J >= P*n_u = {model.P * model.nu} experiments, got J={J}"
         )
-    stab = is_stable(model)
-    if not stab.stable:
-        raise ConfigError(
-            f"model is not stable (spectral radius {stab.spectral_radius:.4f}); "
-            "steady-state data collection requires stability"
+    input_seeds = [
+        derive_seed(master_seed, 0 if shared_input else i, "input") for i in range(J)
+    ]
+    noise_seeds = [derive_seed(master_seed, i, "noise") for i in range(J)]
+    patterns = np.stack(
+        [generate_periodic_input(model.P, N, model.nu, seed) for seed in input_seeds]
+    )
+    clean = simulate_steady_state(model, patterns)
+    experiments = tuple(
+        Experiment(
+            u=u,
+            y=add_noise(y, sigma, noise_seed, ma_theta=ma_theta),
+            input_seed=input_seed,
+            noise_seed=noise_seed,
+            sigma=sigma,
         )
-    experiments = []
-    for i in range(J):
-        input_seed = derive_seed(master_seed, 0 if shared_input else i, "input")
-        noise_seed = derive_seed(master_seed, i, "noise")
-        pattern = generate_periodic_input(model.P, N, model.nu, input_seed)
-        clean = simulate_steady_state(model, pattern, burn_in=burn_in, tol=tol)
-        y = add_noise(clean.y, sigma, noise_seed, ma_theta=ma_theta)
-        experiments.append(
-            Experiment(
-                u=pattern,
-                y=y,
-                input_seed=input_seed,
-                noise_seed=noise_seed,
-                sigma=sigma,
-                burn_in_used=clean.burn_in_used,
-            )
-        )
-    return Ensemble(experiments=tuple(experiments), P=model.P, N=N)
+        for u, y, input_seed, noise_seed in zip(patterns, clean, input_seeds, noise_seeds)
+    )
+    return Ensemble(experiments=experiments, P=model.P, N=N)
 
 
 def lift_signal(x: np.ndarray, P: int) -> np.ndarray:

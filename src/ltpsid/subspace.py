@@ -59,6 +59,8 @@ __all__ = [
 # enforces the extra completeness and realness invariants.
 AliasedImpulseResponse = ImpulseResponseTable
 
+# Largest imaginary part the IDFT blocks may keep, relative to max|blocks| so
+# the verdict does not depend on the units of the data.
 IMAG_RESIDUE_TOL = 1e-6
 REGRESSOR_COND_LIMIT = 1e12
 
@@ -94,9 +96,10 @@ def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> ImpulseResponseTable
     ny = blocks.shape[1] // P
     nu = blocks.shape[2] // P
     max_imag = float(np.max(np.abs(blocks.imag))) if np.iscomplexobj(blocks) else 0.0
-    if max_imag > IMAG_RESIDUE_TOL:
+    limit = IMAG_RESIDUE_TOL * float(np.max(np.abs(blocks), initial=0.0))
+    if max_imag > limit:
         raise NonRealResidue(
-            f"imaginary residue {max_imag:.3e} exceeds {IMAG_RESIDUE_TOL:g}; "
+            f"imaginary residue {max_imag:.3e} exceeds {limit:.3e}; "
             "the frequency response is not conjugate symmetric"
         )
     max_lag = N * P

@@ -43,7 +43,7 @@ def noise_free_runs(example1_norm, example2_norm):
     for name, model in (("example1", example1_norm), ("example2", example2_norm)):
         start = time.perf_counter()
         ensemble = collect_ensemble(
-            model, J=10 * model.P, N=50, sigma=0.0, master_seed=7, tol=1e-12
+            model, J=10 * model.P, N=50, sigma=0.0, master_seed=7
         )
         result = identify(ensemble, q=10, r=10, n_x=2)
         runs[name] = (model, result, time.perf_counter() - start)
@@ -181,7 +181,7 @@ def test_criterion_6_lti_reduction():
         A=(np.array([[0.5]]),), B=(np.array([[1.0]]),), C=(np.array([[1.0]]),)
     )
     N = 50
-    ensemble = collect_ensemble(model, J=3, N=N, sigma=0.0, master_seed=1, tol=1e-13)
+    ensemble = collect_ensemble(model, J=3, N=N, sigma=0.0, master_seed=1)
     result = identify(ensemble, q=10, r=10, n_x=1)
     closed = aliased_impulse_response_true(model, N)
     worst_h = max(
@@ -210,7 +210,7 @@ def test_criterion_7_similarity_transform_invariance(example1_norm):
         B=tuple(T[(t + 1) % 2] @ example1_norm.B[t] for t in range(2)),
         C=tuple(example1_norm.C[t] @ np.linalg.inv(T[t]) for t in range(2)),
     )
-    kwargs = dict(J=20, N=50, sigma=0.0, master_seed=7, tol=1e-12)
+    kwargs = dict(J=20, N=50, sigma=0.0, master_seed=7)
     res_ref = identify(collect_ensemble(example1_norm, **kwargs), q=10, r=10, n_x=2)
     res_tr = identify(collect_ensemble(transformed, **kwargs), q=10, r=10, n_x=2)
     worst = max(

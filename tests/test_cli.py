@@ -36,7 +36,7 @@ def test_identify_and_evaluate_round_trip(tmp_path, capsys):
     ens_dir = tmp_path / "ens"
     assert run(
         ["simulate", "--model", "example1", "--normalize", "--N", 50, "--J", 20,
-         "--sigma", 0, "--tol", 1e-12, "--seed", 7, "--out", ens_dir]
+         "--sigma", 0, "--seed", 7, "--out", ens_dir]
     ) == 0
     id_dir = tmp_path / "id"
     assert run(
@@ -56,15 +56,16 @@ def test_identify_and_evaluate_round_trip(tmp_path, capsys):
 
 def test_identify_corrupt_csv_exits_3(tmp_path, capsys, example1_norm):
     ens = collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=1)
-    manifest = save_ensemble(ens, tmp_path / "ens")
-    csv_path = tmp_path / "ens" / "experiment_0000.csv"
-    text = csv_path.read_text().splitlines()
-    text[2] = "garbage_line_without_commas"
-    csv_path.write_text("\n".join(text) + "\n")
-    code = run(["identify", manifest, "--q", 3, "--r", 3, "--order", 2,
-                "--out", tmp_path / "id"])
-    assert code == 3
-    assert "experiment_0000.csv:3" in capsys.readouterr().err
+    for i, bad_line in enumerate(["garbage_line_without_commas", "2,0.5,nan"]):
+        manifest = save_ensemble(ens, tmp_path / f"ens{i}")
+        csv_path = tmp_path / f"ens{i}" / "experiment_0000.csv"
+        text = csv_path.read_text().splitlines()
+        text[2] = bad_line
+        csv_path.write_text("\n".join(text) + "\n")
+        code = run(["identify", manifest, "--q", 3, "--r", 3, "--order", 2,
+                    "--out", tmp_path / "id"])
+        assert code == 3
+        assert "experiment_0000.csv:3" in capsys.readouterr().err
 
 
 def test_identify_numerical_failure_exits_4(tmp_path, capsys, example1_norm):

@@ -9,7 +9,7 @@ from ltpsid.signal import LiftedSpectra, assemble_spectra, collect_ensemble
 
 
 def _noise_free_spectra(model, J, N, seed=7):
-    ens = collect_ensemble(model, J=J, N=N, sigma=0.0, master_seed=seed, tol=1e-12)
+    ens = collect_ensemble(model, J=J, N=N, sigma=0.0, master_seed=seed)
     return assemble_spectra(ens)
 
 

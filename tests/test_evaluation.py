@@ -210,8 +210,8 @@ def test_etfe_error_stats_unbiased_under_ma_noise(example1_norm):
 
 
 def test_holdout_score_and_hankel_selection(example1_norm):
-    train = collect_ensemble(example1_norm, J=10, N=16, sigma=0.0, master_seed=1, tol=1e-12)
-    holdout = collect_ensemble(example1_norm, J=4, N=16, sigma=0.0, master_seed=2, tol=1e-12)
+    train = collect_ensemble(example1_norm, J=10, N=16, sigma=0.0, master_seed=1)
+    holdout = collect_ensemble(example1_norm, J=4, N=16, sigma=0.0, master_seed=2)
     best, scores = select_hankel_size(train, holdout, q_grid=[4, 8], n_x=2)
     assert best in (4, 8)
     assert scores[best] > 99.9

@@ -91,6 +91,16 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
         load_ensemble(manifest)
 
 
+def test_ensemble_manifest_bad_seed_list(example1_norm, tmp_path):
+    ens = collect_ensemble(example1_norm, J=2, N=3, sigma=0.0, master_seed=1)
+    manifest = save_ensemble(ens, tmp_path / "ens")
+    doc = json.loads(manifest.read_text())
+    for seeds in (doc["seeds"][:1], [1, 2], 7):
+        manifest.write_text(json.dumps({**doc, "seeds": seeds}))
+        with pytest.raises(DataError, match="'seeds' must hold one object"):
+            load_ensemble(manifest)
+
+
 def test_frequency_response_export(example1_norm, tmp_path):
     resp = true_lifted_frequency_response(example1_norm, 4)
     path = export_frequency_response(resp, tmp_path / "resp.csv")
@@ -102,7 +112,7 @@ def test_frequency_response_export(example1_norm, tmp_path):
 
 
 def test_identification_result_files(example1_norm, tmp_path):
-    ens = collect_ensemble(example1_norm, J=8, N=16, sigma=0.0, master_seed=3, tol=1e-12)
+    ens = collect_ensemble(example1_norm, J=8, N=16, sigma=0.0, master_seed=3)
     result = identify(ens, q=6, r=6, n_x=2)
     save_identification_result(
         result, tmp_path / "model.json", tmp_path / "diag.json"

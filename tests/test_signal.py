@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_stable_model
-from ltpsid.errors import ConfigError, LengthNotDivisible, TransientNotConverged
+from ltpsid.errors import ConfigError, DataError, LengthNotDivisible
+import ltpsid.signal as signal_module
 from ltpsid.model import LtpModel, impulse_response
 from ltpsid.signal import (
     Ensemble,
@@ -78,14 +81,28 @@ def test_simulate_linearity(seed):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def test_steady_state_periodic_under_extra_repetition(example1_norm):
-    pattern = generate_periodic_input(2, 8, 1, seed=3)
-    tol = 1e-10
-    exp = simulate_steady_state(example1_norm, pattern, tol=tol)
-    again = simulate_steady_state(
-        example1_norm, pattern, burn_in=exp.burn_in_used + 1, tol=tol
-    )
-    assert np.max(np.abs(exp.y - again.y)) < 10 * tol
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 5), J=st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_steady_state_periodic_under_extra_repetition(seed, N, J):
+    m = random_stable_model(seed)
+    patterns = np.random.default_rng(seed + 1).standard_normal((J, N * m.P, m.nu))
+    kernel = signal_module._simulate_with_state
+    final_states = []
+
+    def recording_kernel(model, u, x0):
+        y, x_end = kernel(model, u, x0)
+        final_states.append(x_end)
+        return y, x_end
+
+    with mock.patch.object(signal_module, "_simulate_with_state", recording_kernel):
+        stacked = simulate_steady_state(m, patterns)
+    assert stacked.shape == (J, N * m.P, m.ny)
+    for u, y, x_end in zip(patterns, stacked, final_states[-1]):
+        # A stacked call matches the per-pattern call.
+        np.testing.assert_allclose(simulate_steady_state(m, u), y, rtol=0, atol=1e-12)
+        # One more repetition from the final state reproduces the outputs.
+        again = simulate(m, u, x_end)
+        np.testing.assert_allclose(again, y, rtol=0, atol=1e-10 * np.max(np.abs(y)))
 
 
 def test_steady_state_memoryless_single_repetition():
@@ -93,10 +110,10 @@ def test_steady_state_memoryless_single_repetition():
         A=(np.zeros((1, 1)),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),)
     )
     pattern = generate_periodic_input(1, 5, 1, seed=9)
-    exp = simulate_steady_state(m, pattern, burn_in=1)
-    # With A = 0 one repetition reaches steady state exactly.
-    again = simulate_steady_state(m, pattern, burn_in=7)
-    np.testing.assert_array_equal(exp.y, again.y)
+    # With A = 0 the steady-state output is the input delayed by one sample,
+    # wrapping around the pattern.
+    y = simulate_steady_state(m, pattern)
+    np.testing.assert_array_equal(y, np.roll(pattern, 1, axis=0))
 
 
 def test_steady_state_matches_direct_fixed_point(example1):
@@ -116,16 +133,25 @@ def test_steady_state_matches_direct_fixed_point(example1):
     for t in range(pattern.shape[0]):
         y_exact.append(example1.C_at(t) @ xs)
         xs = example1.A_at(t) @ xs + example1.B_at(t) @ pattern[t]
-    exp = simulate_steady_state(example1, pattern, tol=1e-12)
-    np.testing.assert_allclose(exp.y, np.array(y_exact), atol=1e-9)
+    y = simulate_steady_state(example1, pattern)
+    np.testing.assert_allclose(y, np.array(y_exact), atol=1e-9)
 
 
-def test_steady_state_transient_cap():
-    m = LtpModel(
-        A=(np.array([[1.0 - 1e-9]]),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),)
-    )
-    with pytest.raises(TransientNotConverged):
-        simulate_steady_state(m, np.ones((1, 1)), tol=1e-10)
+def test_steady_state_near_unit_root_exactly_periodic():
+    a = 1.0 - 1e-9
+    m = LtpModel(A=(np.array([[a]]),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
+    # Constant unit input: the fixed point of x -> a x + 1 is 1 / (1 - a).
+    y = simulate_steady_state(m, np.ones((1, 1)))
+    np.testing.assert_allclose(y, 1.0 / (1.0 - a), rtol=1e-12)
+    # Starting from it, further repetitions stay on it.
+    again = simulate(m, np.ones((30, 1)), x0=y[0])
+    np.testing.assert_allclose(again, 1.0 / (1.0 - a), rtol=1e-12)
+
+
+def test_steady_state_unstable_model_rejected():
+    m = LtpModel(A=(np.array([[1.5]]),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
+    with pytest.raises(ConfigError, match="not stable"):
+        simulate_steady_state(m, np.ones((4, 1)))
 
 
 def test_steady_state_rejects_bad_length(example1):
@@ -174,14 +200,11 @@ def test_collect_ensemble_rank_requirement_boundary(example1_norm):
 
 
 def test_collect_ensemble_noise_free_outputs_periodic(example1_norm):
-    ens = collect_ensemble(
-        example1_norm, J=2, N=6, sigma=0.0, master_seed=5, tol=1e-12
-    )
+    ens = collect_ensemble(example1_norm, J=2, N=6, sigma=0.0, master_seed=5)
     for exp in ens.experiments:
-        extended = simulate_steady_state(
-            example1_norm, exp.u, burn_in=exp.burn_in_used + 1, tol=1e-12
-        )
-        assert np.max(np.abs(extended.y - exp.y)) < 1e-10
+        # The steady state of the pattern played twice is the record twice.
+        doubled = simulate_steady_state(example1_norm, np.concatenate([exp.u, exp.u]))
+        assert np.max(np.abs(doubled - np.concatenate([exp.y, exp.y]))) < 1e-10
 
 
 def test_collect_ensemble_unstable_model_rejected():
@@ -311,6 +334,15 @@ def test_assemble_spectra_conjugate_symmetry(seed):
         np.testing.assert_allclose(
             spectra.Y[k], np.conj(spectra.Y[(N - k) % N]), atol=1e-9
         )
+
+
+def test_experiment_rejects_non_finite_samples():
+    from ltpsid.signal import Experiment
+
+    with pytest.raises(DataError, match="non-finite"):
+        Experiment(u=np.ones((4, 1)), y=np.array([[0.0], [np.inf], [1.0], [2.0]]))
+    with pytest.raises(DataError, match="non-finite"):
+        Experiment(u=np.array([[np.nan], [0.0]]), y=np.ones((2, 1)))
 
 
 def test_ensemble_rejects_mixed_lengths(example1):
