@@ -18,7 +18,7 @@ import numpy as np
 
 from ltpsid import fixtures
 from ltpsid.evaluation import fit_metric
-from ltpsid.model import impulse_response, normalize_gain
+from ltpsid.model import impulse_table, normalize_gain
 from ltpsid.signal import collect_ensemble
 from ltpsid.subspace import identify
 
@@ -30,6 +30,8 @@ def run(name: str, sigma: float, seed: int, outdir: Path, n_g: int = 50) -> None
     )
     result = identify(ensemble, q=10, r=10, n_x=2)
     report = fit_metric(model, result.model, n_g=n_g)
+    g_true = impulse_table(model, n_g)[:, :, 0, 0]
+    g_est = impulse_table(result.model, n_g)[:, :, 0, 0]
 
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{name}_errors.csv"
@@ -38,8 +40,7 @@ def run(name: str, sigma: float, seed: int, outdir: Path, n_g: int = 50) -> None
         writer.writerow(["tau", "r", "g_true", "g_est", "abs_error"])
         for tau in range(model.P):
             for r in range(1, n_g + 1):
-                g = impulse_response(model, tau, r)[0, 0]
-                g_hat = impulse_response(result.model, tau, r)[0, 0]
+                g, g_hat = float(g_true[tau, r - 1]), float(g_est[tau, r - 1])
                 writer.writerow(
                     [tau, r, repr(g), repr(g_hat), repr(abs(g - g_hat))]
                 )

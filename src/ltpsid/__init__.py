@@ -44,7 +44,6 @@ from .signal import (
     lift_signal,
     simulate,
     simulate_steady_state,
-    unlift_signal,
 )
 from .subspace import (
     IdentificationResult,

@@ -27,7 +27,6 @@ from .errors import (
     LtpsidError,
     NumericalPipelineError,
 )
-from .etfe import etfe
 from .evaluation import (
     MonteCarloConfig,
     consistency_sweep,
@@ -35,7 +34,7 @@ from .evaluation import (
     monte_carlo,
 )
 from .model import dc_gain, is_stable
-from .signal import assemble_spectra, collect_ensemble
+from .signal import collect_ensemble
 from .subspace import identify
 
 __all__ = ["main"]
@@ -177,10 +176,7 @@ def _cmd_identify(args) -> int:
         result, out / "model.json", out / "diagnostics.json"
     )
     if args.export_response:
-        response = etfe(
-            assemble_spectra(ensemble), rank_tol=float(_resolve(args, "rank_tol"))
-        )
-        fileio.export_frequency_response(response, out / "response.csv")
+        fileio.export_frequency_response(result.response, out / "response.csv")
     print(
         f"identified order {result.order_used} model "
         f"(q={result.q}, r={result.r}); wrote {out / 'model.json'}"

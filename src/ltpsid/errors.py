@@ -57,10 +57,6 @@ class RankDeficient(NumericalPipelineError):
         )
 
 
-class IndexCollision(NumericalPipelineError):
-    """Aliasing index map hit the same (tag, lag) twice; implementation fault."""
-
-
 class NonRealResidue(NumericalPipelineError):
     """IDFT of the frequency response left a non-negligible imaginary part."""
 

@@ -24,7 +24,7 @@ from .errors import ConfigError, DegenerateReference, DimensionMismatch, LtpsidE
 from .etfe import etfe
 from .model import (
     LtpModel,
-    impulse_response,
+    impulse_table,
     is_stable,
     true_lifted_frequency_response,
 )
@@ -50,14 +50,6 @@ __all__ = [
 FAILURE_RATE_LIMIT = 0.10
 
 
-def _impulse_table(model: LtpModel, n_g: int) -> np.ndarray:
-    out = np.empty((model.P, n_g, model.ny, model.nu))
-    for t in range(model.P):
-        for r in range(1, n_g + 1):
-            out[t, r - 1] = impulse_response(model, t, r)
-    return out
-
-
 def _check_comparable(true_model: LtpModel, est_model: LtpModel) -> None:
     if (true_model.P, true_model.ny, true_model.nu) != (
         est_model.P,
@@ -76,7 +68,7 @@ def impulse_errors(
 ) -> np.ndarray:
     """Per-(tag time, lag) Frobenius errors of the estimated impulse response."""
     _check_comparable(true_model, est_model)
-    diff = _impulse_table(true_model, n_g) - _impulse_table(est_model, n_g)
+    diff = impulse_table(true_model, n_g) - impulse_table(est_model, n_g)
     return np.linalg.norm(diff, axis=(2, 3))
 
 
@@ -98,8 +90,8 @@ def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = 50) -> FitR
     response makes the score undefined and raises ``DegenerateReference``.
     """
     _check_comparable(true_model, est_model)
-    g_true = _impulse_table(true_model, n_g)
-    g_est = _impulse_table(est_model, n_g)
+    g_true = impulse_table(true_model, n_g)
+    g_est = impulse_table(est_model, n_g)
     errors = np.linalg.norm(g_true - g_est, axis=(2, 3))
     g_bar = float(np.mean(g_true))
     num = float(np.sum((g_true - g_est) ** 2))

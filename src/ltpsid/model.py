@@ -14,6 +14,9 @@ This module provides the model type plus the quantities the identification
 pipeline is checked against: the monodromy matrix, periodic impulse
 responses, their time-aliased closed form, the lifted LTI realization, and
 the exact frequency response of the lifted system.
+Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package, plain or
+aliased, comes from one kernel, ``markov_rows``; ``impulse_response`` stays
+as the per-entry reference.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ __all__ = [
     "monodromy",
     "is_stable",
     "impulse_response",
+    "markov_rows",
+    "impulse_table",
     "aliased_impulse_response_true",
     "lift_model",
     "true_lifted_frequency_response",
@@ -142,10 +147,22 @@ def monodromy(model: LtpModel, t: int = 0) -> np.ndarray:
     is P-periodic in ``t`` and its eigenvalue multiset is the same for
     every ``t``.
     """
-    M = np.eye(model.nx)
-    for s in range(1, model.P + 1):
-        M = M @ model.A_at(t - s)
-    return M
+    return _monodromies(np.asarray(model.A))[t % model.P]
+
+
+def _shifted(A: np.ndarray) -> np.ndarray:
+    """``out[j, t] = A_{t-j}`` (cyclic) from the (P, n, n) stack ``A``."""
+    P = A.shape[0]
+    return A[(np.arange(P)[None, :] - np.arange(P)[:, None]) % P]
+
+
+def _monodromies(A: np.ndarray) -> np.ndarray:
+    """Monodromy matrices ``Psi_t = A_{t-1} ... A_{t-P}`` for t = 0..P-1, stacked."""
+    shifted = _shifted(A)
+    psi = np.broadcast_to(np.eye(A.shape[1]), A.shape)
+    for s in range(1, A.shape[0] + 1):
+        psi = psi @ shifted[s % A.shape[0]]
+    return psi
 
 
 class Stability(NamedTuple):
@@ -215,17 +232,58 @@ class ImpulseResponseTable:
 
 
 def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
-    """Invert (I - M), raising ``SingularMatrix`` when it is numerically singular."""
-    resolvent = np.eye(M.shape[0]) - M
-    if M.shape[0] == 0:
+    """Invert (I - M) for one matrix or a stack, raising ``SingularMatrix`` if singular."""
+    resolvent = np.eye(M.shape[-1]) - M
+    if M.shape[-1] == 0:
         return resolvent
-    cond = np.linalg.cond(resolvent)
+    cond = float(np.max(np.linalg.cond(resolvent)))
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularMatrix(
-            "I - monodromy^N is singular to working precision; "
-            "the model is not stable"
+            f"I - monodromy^N has condition number {cond:.3e}: an eigenvalue of "
+            "the monodromy power is within rounding of 1"
         )
     return np.linalg.inv(resolvent)
+
+
+def markov_rows(A, C, max_lag: int, N: int | None = None) -> np.ndarray:
+    """Rows ``C_t [(I - Psi_t^N)^{-1}] A_{t-1} ... A_{t-r+1}`` for all tags and lags.
+
+    ``A`` and ``C`` hold the P state and output matrices; entry ``[t, r-1]``
+    of the (P, max_lag, n_y, n_x) result is tag t, lag r. The aliasing
+    resolvent is applied only when ``N`` is given. The running product is
+    batched over tag times, loops over lag, and multiplies left to right as
+    ``impulse_response`` does, so the two agree bit for bit.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    P = A.shape[0]
+    shifted = _shifted(A)
+    rows = np.empty((max_lag, P, C.shape[1], A.shape[1]))
+    if max_lag:
+        if N is None:
+            rows[0] = C
+        else:
+            psi_pow = np.linalg.matrix_power(_monodromies(A), N)
+            rows[0] = C @ _inverse_of_identity_minus(psi_pow)
+        for r in range(1, max_lag):
+            np.matmul(rows[r - 1], shifted[r % P], out=rows[r])
+    return rows.swapaxes(0, 1)
+
+
+def _input_times(P: int, max_lag: int) -> np.ndarray:
+    """(P, max_lag) array: the time ``(t - r) mod P`` of the input behind tag t, lag r."""
+    return (np.arange(P)[:, None] - np.arange(1, max_lag + 1)[None, :]) % P
+
+
+def _with_inputs(rows: np.ndarray, B) -> np.ndarray:
+    """Coefficients ``rows[t, r-1] @ B_{t-r}`` for the rows of ``markov_rows``."""
+    B = np.asarray(B, dtype=np.float64)
+    return rows @ B[_input_times(*rows.shape[:2])]
+
+
+def impulse_table(model: LtpModel, max_lag: int, N: int | None = None) -> np.ndarray:
+    """(P, max_lag, n_y, n_u) table of ``impulse_response(model, t, r)``, aliased with ``N``."""
+    return _with_inputs(markov_rows(model.A, model.C, max_lag, N), model.B)
 
 
 def aliased_impulse_response_true(model: LtpModel, N: int) -> ImpulseResponseTable:
@@ -238,15 +296,10 @@ def aliased_impulse_response_true(model: LtpModel, N: int) -> ImpulseResponseTab
     """
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
-    P, max_lag = model.P, N * model.P
-    values = np.empty((P, max_lag, model.ny, model.nu))
-    for t in range(P):
-        psi_pow = np.linalg.matrix_power(monodromy(model, t), N)
-        left = model.C_at(t) @ _inverse_of_identity_minus(psi_pow)
-        for r in range(1, max_lag + 1):
-            values[t, r - 1] = left @ model.B_at(t - r)
-            left = left @ model.A_at(t - r)
-    return ImpulseResponseTable(P=P, max_lag=max_lag, values=values)
+    max_lag = N * model.P
+    return ImpulseResponseTable(
+        P=model.P, max_lag=max_lag, values=impulse_table(model, max_lag, N)
+    )
 
 
 @dataclass(frozen=True)
@@ -286,12 +339,11 @@ def lift_model(model: LtpModel) -> LiftedLtiModel:
     C_lift = np.zeros((P * ny, nx))
     for l in range(P):
         C_lift[l * ny : (l + 1) * ny, :] = model.C_at(l) @ phi[l]
-    D_lift = np.zeros((P * ny, P * nu))
-    for l in range(P):
-        for m in range(l):
-            D_lift[l * ny : (l + 1) * ny, m * nu : (m + 1) * nu] = impulse_response(
-                model, l, l - m
-            )
+    # Block (l, m) of the feedthrough is the impulse response at tag l, lag l - m.
+    D_blocks = np.zeros((P, P, ny, nu))
+    l, m = np.tril_indices(P, -1)
+    D_blocks[l, m] = impulse_table(model, P - 1)[l, l - m - 1]
+    D_lift = D_blocks.transpose(0, 2, 1, 3).reshape(P * ny, P * nu)
     return LiftedLtiModel(A=A_lift, B=B_lift, C=C_lift, D=D_lift)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "add_noise",
     "collect_ensemble",
     "lift_signal",
-    "unlift_signal",
     "dft_lifted",
     "assemble_spectra",
 ]
@@ -275,16 +274,6 @@ def lift_signal(x: np.ndarray, P: int) -> np.ndarray:
             f"sequence length {x.shape[0]} not divisible by P={P}"
         )
     return x.reshape(x.shape[0] // P, P * x.shape[1])
-
-
-def unlift_signal(xl: np.ndarray, P: int) -> np.ndarray:
-    """Inverse of ``lift_signal``: (N, P*n_c) back to (N*P, n_c)."""
-    xl = np.atleast_2d(np.asarray(xl))
-    if xl.shape[1] % P != 0:
-        raise LengthNotDivisible(
-            f"lifted width {xl.shape[1]} not divisible by P={P}"
-        )
-    return xl.reshape(xl.shape[0] * P, xl.shape[1] // P)
 
 
 def dft_lifted(xl: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ The pipeline runs in fixed stages:
 5. shift-invariance recovery of the A_t and C_t matrices,
 6. least-squares fit of the B_t matrices to the aliased impulse response.
 
-``identify`` chains the stages from an ensemble of experiments and tags
-any stage failure with the stage name.
+Stages 2 and 3 are single fancy-index scatters and gathers; the B fit
+takes its regressors from ``model.markov_rows``, the one periodic Markov
+kernel. ``identify`` chains the stages from an ensemble of experiments and
+tags any stage failure with the stage name.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     BlockRangeExceeded,
     ConfigError,
     IllConditioned,
-    IndexCollision,
     NonRealResidue,
     OrderTooLarge,
     PipelineError,
@@ -37,12 +38,14 @@ from .model import (
     ImpulseResponseTable,
     LiftedFrequencyResponse,
     LtpModel,
-    aliased_impulse_response_true,
+    _input_times,
+    _monodromies,
+    _with_inputs,
+    markov_rows,
 )
 from .signal import Ensemble, assemble_spectra
 
 __all__ = [
-    "AliasedImpulseResponse",
     "PeriodicHankelSet",
     "OrderSelection",
     "IdentificationResult",
@@ -54,10 +57,6 @@ __all__ = [
     "estimate_B",
     "identify",
 ]
-
-# The assembled estimate reuses the impulse-response container; assembly
-# enforces the extra completeness and realness invariants.
-AliasedImpulseResponse = ImpulseResponseTable
 
 # Largest imaginary part the IDFT blocks may keep, relative to max|blocks| so
 # the verdict does not depend on the units of the data.
@@ -75,14 +74,19 @@ def idft_blocks(response: LiftedFrequencyResponse) -> np.ndarray:
     return np.fft.ifft(response.G, axis=0)
 
 
+def _aliased_lags(P: int, N: int) -> np.ndarray:
+    """Lag in 1..N*P where IDFT block (l, m) at index n lands, as a (P, N, P) array."""
+    l, n, m = np.ix_(np.arange(P), np.arange(N), np.arange(P))
+    return (n * P + l - m - 1) % (N * P) + 1
+
+
 def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> ImpulseResponseTable:
     """Rearrange IDFT blocks into the time-aliased periodic impulse response.
 
     Block (l, m) at IDFT index n lands at tag time l and lag
     ``n*P + l - m``, shifted up by one record length ``N*P`` when that lag
-    is not positive. The map is a bijection onto tag times {0..P-1} and
-    lags {1..N*P}; hitting a slot twice or leaving one empty indicates an
-    implementation fault and raises ``IndexCollision``.
+    is not positive. For each tag time the N*P pairs (n, m) map onto the
+    N*P lags one to one, so a single scatter fills the whole table.
     """
     blocks = np.asarray(blocks)
     if blocks.ndim != 3 or blocks.shape[0] != N:
@@ -102,29 +106,12 @@ def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> ImpulseResponseTable
             f"imaginary residue {max_imag:.3e} exceeds {limit:.3e}; "
             "the frequency response is not conjugate symmetric"
         )
-    max_lag = N * P
-    values = np.zeros((P, max_lag, ny, nu))
-    filled = np.zeros((P, max_lag), dtype=bool)
-    for l in range(P):
-        rows = slice(l * ny, (l + 1) * ny)
-        for m in range(P):
-            cols = slice(m * nu, (m + 1) * nu)
-            for n in range(N):
-                lag = n * P + l - m
-                if lag <= 0:
-                    lag += max_lag
-                if filled[l, lag - 1]:
-                    raise IndexCollision(
-                        f"(tag={l}, lag={lag}) assigned twice during assembly"
-                    )
-                filled[l, lag - 1] = True
-                values[l, lag - 1] = blocks[n, rows, cols].real
-    if not filled.all():
-        missing = np.argwhere(~filled)[0]
-        raise IndexCollision(
-            f"(tag={missing[0]}, lag={missing[1] + 1}) never assigned during assembly"
-        )
-    return ImpulseResponseTable(P=P, max_lag=max_lag, values=values)
+    values = np.empty((P, N * P, ny, nu))
+    tags = np.arange(P)[:, None, None]
+    values[tags, _aliased_lags(P, N) - 1] = (
+        blocks.real.reshape(N, P, ny, P, nu).transpose(1, 0, 3, 2, 4)
+    )
+    return ImpulseResponseTable(P=P, max_lag=N * P, values=values)
 
 
 @dataclass(frozen=True)
@@ -153,15 +140,9 @@ def build_hankels(h: ImpulseResponseTable, q: int, r: int) -> PeriodicHankelSet:
             f"q+r-1 = {q + r - 1} exceeds available lags N*P = {h.max_lag}"
         )
     P, ny, nu = h.P, h.ny, h.nu
-    matrices = []
-    for tau in range(P):
-        H = np.empty((q * ny, r * nu))
-        for i in range(q):
-            for j in range(r):
-                H[i * ny : (i + 1) * ny, j * nu : (j + 1) * nu] = h.entry(
-                    tau + i, i + j + 1
-                )
-        matrices.append(H)
+    tau, i, j = np.ix_(np.arange(P), np.arange(q), np.arange(r))
+    stack = h.values[(tau + i) % P, i + j].transpose(0, 1, 3, 2, 4)
+    matrices = stack.reshape(P, q * ny, r * nu)
     return PeriodicHankelSet(q=q, r=r, P=P, ny=ny, nu=nu, matrices=tuple(matrices))
 
 
@@ -245,52 +226,33 @@ def estimate_B(
     C_est: list[np.ndarray],
     h: ImpulseResponseTable,
     N: int,
-) -> tuple[list[np.ndarray], float]:
+) -> tuple[list[np.ndarray], float, ImpulseResponseTable]:
     """Least-squares fit of the input matrices to the aliased impulse response.
 
     Each (tag time, lag) coefficient is linear in exactly one B matrix,
-    the one at time index ``tag - lag`` mod P, so the objective splits
-    into P independent least-squares problems. The regressors are built
-    by the running product of estimated state matrices behind the
-    resolvent of the estimated monodromy.
+    the one at time index ``beta = tag - lag`` mod P, so the objective
+    splits into P independent least-squares problems whose regressors are
+    the aliased ``markov_rows`` of the estimated A, C. Returns the B
+    matrices, the total squared residual, and the fitted aliased response.
     """
     P = len(A_est)
-    nx = A_est[0].shape[0]
-    ny = C_est[0].shape[0]
-    max_lag = h.max_lag
-
-    def A_at(t: int) -> np.ndarray:
-        return A_est[t % P]
-
-    psi0 = np.eye(nx)
-    for s in range(1, P + 1):
-        psi0 = psi0 @ A_at(-s)
-    rho = float(np.max(np.abs(np.linalg.eigvals(psi0)))) if nx else 0.0
+    A = np.asarray(A_est, dtype=np.float64)
+    nx = A.shape[1]
+    rho = float(np.max(np.abs(np.linalg.eigvals(_monodromies(A)[0])))) if nx else 0.0
     if rho >= 1.0:
         raise UnstableEstimate(
             f"estimated monodromy has spectral radius {rho:.4f} >= 1; "
             "cannot form the aliasing resolvent"
         )
 
-    regressors: list[list[np.ndarray]] = [[] for _ in range(P)]
-    targets: list[list[np.ndarray]] = [[] for _ in range(P)]
-    for tau in range(P):
-        psi_tau = np.eye(nx)
-        for s in range(1, P + 1):
-            psi_tau = psi_tau @ A_at(tau - s)
-        resolvent = np.linalg.inv(np.eye(nx) - np.linalg.matrix_power(psi_tau, N))
-        Q = C_est[tau] @ resolvent
-        for lag in range(1, max_lag + 1):
-            beta = (tau - lag) % P
-            regressors[beta].append(Q)
-            targets[beta].append(h.entry(tau, lag))
-            Q = Q @ A_at(tau - lag)
-
+    rows = markov_rows(A, C_est, h.max_lag, N)
+    beta_of = _input_times(P, h.max_lag)
     B_est: list[np.ndarray] = []
     total_residual = 0.0
     for beta in range(P):
-        G = np.vstack(regressors[beta])
-        T = np.vstack(targets[beta])
+        mask = beta_of == beta
+        G = rows[mask].reshape(-1, nx)
+        T = h.values[mask].reshape(-1, h.nu)
         svals = np.linalg.svd(G, compute_uv=False)
         if svals[-1] <= 0 or svals[0] / svals[-1] > REGRESSOR_COND_LIMIT:
             raise IllConditioned(
@@ -300,7 +262,8 @@ def estimate_B(
         sol, _, _, _ = np.linalg.lstsq(G, T, rcond=None)
         B_est.append(sol)
         total_residual += float(np.sum((T - G @ sol) ** 2))
-    return B_est, total_residual
+    fitted = ImpulseResponseTable(P=P, max_lag=h.max_lag, values=_with_inputs(rows, B_est))
+    return B_est, total_residual, fitted
 
 
 @dataclass(frozen=True)
@@ -310,7 +273,8 @@ class IdentificationResult:
     ``singular_values[tau]`` is the descending Hankel spectrum at each
     starting tag time. ``h_reconstruction_error[t, r-1]`` is the Frobenius
     distance between the assembled aliased response and the one implied by
-    the estimated model.
+    the estimated model. ``response`` is the estimated lifted frequency
+    response the model was realized from.
     """
 
     model: LtpModel
@@ -320,6 +284,7 @@ class IdentificationResult:
     r: int
     b_residual: float
     h_reconstruction_error: np.ndarray = field(repr=False)
+    response: LiftedFrequencyResponse = field(repr=False)
     threshold_counts: tuple[int, ...] | None = None
 
 
@@ -366,11 +331,10 @@ def identify(
     hankels = run("build_hankels", build_hankels, h_est, q, r)
     selection = run("svd_order", svd_order, hankels, n_x, order_threshold)
     A_est, C_est = run("estimate_AC", estimate_AC, selection.bases, ensemble.ny)
-    B_est, b_residual = run("estimate_B", estimate_B, A_est, C_est, h_est, ensemble.N)
+    B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est, ensemble.N)
 
     est_model = LtpModel(A=tuple(A_est), B=tuple(B_est), C=tuple(C_est))
-    h_model = aliased_impulse_response_true(est_model, ensemble.N)
-    recon_err = np.linalg.norm(h_model.values - h_est.values, axis=(2, 3))
+    recon_err = np.linalg.norm(h_fit.values - h_est.values, axis=(2, 3))
     return IdentificationResult(
         model=est_model,
         singular_values=selection.singular_values,
@@ -379,5 +343,6 @@ def identify(
         r=r,
         b_residual=b_residual,
         h_reconstruction_error=recon_err,
+        response=response,
         threshold_counts=selection.threshold_counts,
     )

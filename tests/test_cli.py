@@ -41,9 +41,12 @@ def test_identify_and_evaluate_round_trip(tmp_path, capsys):
     id_dir = tmp_path / "id"
     assert run(
         ["identify", ens_dir / "manifest.json", "--q", 10, "--r", 10,
-         "--order", "auto", "--order-tol", 1e-8, "--out", id_dir]
+         "--order", "auto", "--order-tol", 1e-8, "--export-response",
+         "--out", id_dir]
     ) == 0
     assert "order 2" in capsys.readouterr().out
+    # One row per (grid point, block row, block column) for SISO blocks.
+    assert len((id_dir / "response.csv").read_text().splitlines()) == 1 + 50 * 2 * 2
     ev_dir = tmp_path / "ev"
     assert run(
         ["evaluate", "--true", "example1", "--normalize",

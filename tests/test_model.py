@@ -10,6 +10,7 @@ from ltpsid.model import (
     aliased_impulse_response_true,
     dc_gain,
     impulse_response,
+    impulse_table,
     is_stable,
     lift_model,
     monodromy,
@@ -156,16 +157,41 @@ def test_aliased_closed_form_vs_series_example1(example1):
     np.testing.assert_allclose(table.values, expected, atol=1e-9)
 
 
-@given(seed=st.integers(0, 2**32 - 1))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    P=st.integers(1, 4),
+    nx=st.integers(1, 4),
+    nu=st.integers(1, 3),
+    ny=st.integers(1, 3),
+)
 @settings(max_examples=25, deadline=None)
-def test_aliased_closed_form_vs_series_random(seed):
-    m = random_stable_model(seed, rho_max=0.9)
+def test_aliased_closed_form_vs_series_random(seed, P, nx, nu, ny):
+    m = random_stable_model(seed, P=P, nx=nx, nu=nu, ny=ny, rho_max=0.9)
     N = 4
     rho = max(is_stable(m).spectral_radius, 1e-6)
     K = max(2, int(np.ceil(np.log(1e-12) / (N * np.log(rho)))) + 1)
     expected = _aliased_series_oracle(m, N, K)
     table = aliased_impulse_response_true(m, N)
     np.testing.assert_allclose(table.values, expected, atol=1e-9)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    P=st.integers(1, 4),
+    nx=st.integers(1, 4),
+    nu=st.integers(1, 3),
+    ny=st.integers(1, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_impulse_table_matches_per_entry_response(seed, P, nx, nu, ny):
+    # The batched kernel against the per-entry product it replaces.
+    m = random_stable_model(seed, P=P, nx=nx, nu=nu, ny=ny, rho_max=0.9)
+    n_g = 3 * P + 2
+    reference = np.array(
+        [[impulse_response(m, t, r) for r in range(1, n_g + 1)] for t in range(P)]
+    )
+    scale = max(np.max(np.abs(reference)), 1e-300)
+    np.testing.assert_allclose(impulse_table(m, n_g), reference, rtol=0, atol=1e-13 * scale)
 
 
 def test_aliased_zero_input_map(example2):

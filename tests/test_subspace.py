@@ -24,6 +24,7 @@ from ltpsid.model import (
 )
 from ltpsid.signal import collect_ensemble, generate_periodic_input
 from ltpsid.subspace import (
+    _aliased_lags,
     assemble_aliased,
     build_hankels,
     estimate_AC,
@@ -127,8 +128,12 @@ def test_assemble_index_arithmetic_p2_marker():
 @pytest.mark.parametrize("P", [1, 2, 3, 5])
 @pytest.mark.parametrize("N", [2, 4, 8])
 def test_assemble_bijection_exhaustive(P, N):
-    # Every (l, m, n) must land on a distinct (tag, lag) and cover the range;
-    # markers make the mapping observable from outside.
+    # For every tag the index map sends the N*P pairs (n, m) onto the lags
+    # 1..N*P one to one, so the single scatter fills every slot exactly once.
+    lags = _aliased_lags(P, N)
+    for l in range(P):
+        np.testing.assert_array_equal(np.sort(lags[l].ravel()), np.arange(1, N * P + 1))
+    # Markers make the mapping observable from outside.
     blocks = np.empty((N, P, P), dtype=complex)
     for n in range(N):
         for l in range(P):
@@ -304,7 +309,7 @@ def test_estimate_B_exact_inputs(fixture, request):
     model = request.getfixturevalue(fixture)
     N = 10
     h = aliased_impulse_response_true(model, N)
-    B_est, residual = estimate_B(list(model.A), list(model.C), h, N)
+    B_est, residual, _ = estimate_B(list(model.A), list(model.C), h, N)
     for tau in range(model.P):
         np.testing.assert_allclose(B_est[tau], model.B[tau], atol=1e-8)
     assert residual < 1e-16
@@ -318,7 +323,7 @@ def test_estimate_B_zero_target(example2_norm):
         max_lag=N * model.P,
         values=np.zeros((model.P, N * model.P, model.ny, model.nu)),
     )
-    B_est, residual = estimate_B(list(model.A), list(model.C), zero, N)
+    B_est, residual, _ = estimate_B(list(model.A), list(model.C), zero, N)
     for b in B_est:
         np.testing.assert_allclose(b, 0, atol=1e-12)
     assert residual == 0.0
@@ -409,6 +414,22 @@ def test_identify_deterministic(example2_norm):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
         r1.h_reconstruction_error, r2.h_reconstruction_error
+    )
+
+
+@pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
+def test_identify_reconstruction_error_from_fitted_model(fixture, request):
+    model = request.getfixturevalue(fixture)
+    N = 20
+    ens = collect_ensemble(model, J=10 * model.P, N=N, sigma=0.3, master_seed=9)
+    result = identify(ens, q=8, r=8, n_x=2)
+    h_est = assemble_aliased(idft_blocks(result.response), model.P, N)
+    expected = np.linalg.norm(
+        aliased_impulse_response_true(result.model, N).values - h_est.values,
+        axis=(2, 3),
+    )
+    np.testing.assert_allclose(
+        result.h_reconstruction_error, expected, rtol=0, atol=1e-12 * np.max(expected)
     )
 
 
