@@ -19,7 +19,6 @@ from .evaluation import (
     monte_carlo,
 )
 from .model import (
-    ImpulseResponseTable,
     LiftedFrequencyResponse,
     LiftedLtiModel,
     LtpModel,
@@ -39,9 +38,7 @@ from .signal import (
     add_noise,
     assemble_spectra,
     collect_ensemble,
-    dft_lifted,
     generate_periodic_input,
-    lift_signal,
     simulate,
     simulate_steady_state,
 )

@@ -57,10 +57,6 @@ class RankDeficient(NumericalPipelineError):
         )
 
 
-class NonRealResidue(NumericalPipelineError):
-    """IDFT of the frequency response left a non-negligible imaginary part."""
-
-
 class BlockRangeExceeded(ConfigError):
     """Hankel block sizes need lags beyond the available record length."""
 

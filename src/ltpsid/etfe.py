@@ -5,7 +5,9 @@ form (P*n_u, J) and (P*n_y, J) matrices; the frequency response estimate
 is the least-squares solution G_hat = Y_tilde @ pinv(U_tilde). It is exact
 when J = P*n_u and the minimum-residual fit when J is larger. The spectra
 come from real signals, so only the half grid k = 0..N//2 is estimated and
-``G[N-k] = conj(G[k])`` fills the rest: conjugate symmetric by construction.
+``G[N-k] = conj(G[k])`` fills the rest: conjugate symmetric by construction,
+which is what lets ``subspace.idft_blocks`` invert the half grid to a real
+impulse response.
 """
 
 from __future__ import annotations

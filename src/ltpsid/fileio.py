@@ -201,7 +201,11 @@ def _load_experiment_csv(path: Path, seed_entry: dict, sigma: float) -> Experime
 def export_frequency_response(
     response: LiftedFrequencyResponse, path: str | Path
 ) -> Path:
-    """Flat CSV of the response: one row per (grid point, block, entry)."""
+    """Flat CSV of the response: one row per (grid point, block, entry).
+
+    Rows run over grid point k, output slot l, input slot m, then entry
+    (a, b) of the (n_y, n_u) block ``G[k, l*n_y + a, m*n_u + b]``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -210,24 +214,13 @@ def export_frequency_response(
             ["k", "omega", "block_row", "block_col", "out_row", "in_col", "real", "imag"]
         )
         omega = response.frequencies
-        for k in range(response.N):
-            for l in range(response.P):
-                for m in range(response.P):
-                    block = response.block(k, l, m)
-                    for a in range(response.ny):
-                        for b in range(response.nu):
-                            writer.writerow(
-                                [
-                                    str(k),
-                                    _fmt(omega[k]),
-                                    str(l),
-                                    str(m),
-                                    str(a),
-                                    str(b),
-                                    _fmt(block[a, b].real),
-                                    _fmt(block[a, b].imag),
-                                ]
-                            )
+        N, P, ny, nu = response.N, response.P, response.ny, response.nu
+        blocks = response.G.reshape(N, P, ny, P, nu).transpose(0, 1, 3, 2, 4)
+        writer.writerows(
+            [str(k), _fmt(omega[k]), str(l), str(m), str(a), str(b),
+             _fmt(g.real), _fmt(g.imag)]
+            for (k, l, m, a, b), g in np.ndenumerate(blocks)
+        )
     return path
 
 

@@ -16,7 +16,9 @@ responses, their time-aliased closed form, the lifted LTI realization, and
 the exact frequency response of the lifted system.
 Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package, plain or
 aliased, comes from one kernel, ``markov_rows``; ``impulse_response`` stays
-as the per-entry reference.
+as the per-entry reference. Impulse-response tables, plain or aliased, are
+bare (P, max_lag, n_y, n_u) float arrays whose entry ``[t, r-1]`` is tag
+time t, lag r.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
 
 __all__ = [
     "LtpModel",
-    "ImpulseResponseTable",
     "LiftedLtiModel",
     "LiftedFrequencyResponse",
     "Stability",
@@ -195,42 +196,6 @@ def impulse_response(model: LtpModel, t: int, r: int) -> np.ndarray:
     return M @ model.B_at(t - r)
 
 
-@dataclass(frozen=True)
-class ImpulseResponseTable:
-    """Periodic impulse-response coefficients for lags ``1..max_lag``.
-
-    ``values[t, r-1]`` holds the (n_y, n_u) coefficient for tag time ``t``
-    and lag ``r``; tag times are cyclic with period ``P``.
-    """
-
-    P: int
-    max_lag: int
-    values: np.ndarray = field(repr=False)  # (P, max_lag, n_y, n_u)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 4 or arr.shape[:2] != (self.P, self.max_lag):
-            raise ConfigError(
-                f"impulse table values must have shape (P, max_lag, ny, nu), got {arr.shape}"
-            )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def ny(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def nu(self) -> int:
-        return self.values.shape[3]
-
-    def entry(self, t: int, r: int) -> np.ndarray:
-        if not 1 <= r <= self.max_lag:
-            raise ConfigError(f"lag {r} outside table range 1..{self.max_lag}")
-        return self.values[t % self.P, r - 1]
-
-
 def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
     """Invert (I - M) for one matrix or a stack, raising ``SingularMatrix`` if singular."""
     resolvent = np.eye(M.shape[-1]) - M
@@ -286,20 +251,18 @@ def impulse_table(model: LtpModel, max_lag: int, N: int | None = None) -> np.nda
     return _with_inputs(markov_rows(model.A, model.C, max_lag, N), model.B)
 
 
-def aliased_impulse_response_true(model: LtpModel, N: int) -> ImpulseResponseTable:
+def aliased_impulse_response_true(model: LtpModel, N: int) -> np.ndarray:
     """Impulse response folded over records of ``N`` periods.
 
-    Entry (t, r) is the sum of the impulse response over all lags congruent
-    to ``r`` modulo ``N*P``, which has the closed form
+    Entry ``[t, r-1]`` of the (P, N*P, n_y, n_u) result is the sum of the
+    impulse response at tag time t over all lags congruent to ``r`` modulo
+    ``N*P``, which has the closed form
     ``C_t (I - Psi_t^N)^{-1} A_{t-1} ... A_{t-r+1} B_{t-r}`` for a stable
     model with monodromy ``Psi_t``.
     """
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
-    max_lag = N * model.P
-    return ImpulseResponseTable(
-        P=model.P, max_lag=max_lag, values=impulse_table(model, max_lag, N)
-    )
+    return impulse_table(model, N * model.P, N)
 
 
 @dataclass(frozen=True)
@@ -378,12 +341,6 @@ class LiftedFrequencyResponse:
         """Angular frequencies 2*pi*k/N of the grid."""
         return 2.0 * np.pi * np.arange(self.N) / self.N
 
-    def block(self, k: int, l: int, m: int) -> np.ndarray:
-        """(n_y, n_u) block of the response at grid point k, output slot l, input slot m."""
-        return self.G[
-            k, l * self.ny : (l + 1) * self.ny, m * self.nu : (m + 1) * self.nu
-        ]
-
 
 def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyResponse:
     """Exact frequency response of the lifted system on the N-point grid.
@@ -410,11 +367,15 @@ def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyRe
     return LiftedFrequencyResponse(P=model.P, ny=model.ny, nu=model.nu, G=G)
 
 
+def _lifted_dc_response(model: LtpModel) -> np.ndarray:
+    """Lifted frequency response at z=1, the steady-state gain of each slot pair."""
+    lifted = lift_model(model)
+    return lifted.C @ _inverse_of_identity_minus(lifted.A) @ lifted.B + lifted.D
+
+
 def dc_gain(model: LtpModel) -> float:
     """Average steady-state gain: mean of all entries of the lifted response at z=1."""
-    lifted = lift_model(model)
-    G0 = lifted.C @ _inverse_of_identity_minus(lifted.A) @ lifted.B + lifted.D
-    return float(np.mean(G0))
+    return float(np.mean(_lifted_dc_response(model)))
 
 
 def normalize_gain(model: LtpModel) -> LtpModel:
@@ -422,10 +383,13 @@ def normalize_gain(model: LtpModel) -> LtpModel:
 
     The gain is the arithmetic mean of all entries of the lifted response
     at z=1; it is linear in B, so dividing each ``B_t`` by it is an
-    idempotent normalization.
+    idempotent normalization. The gain counts as zero when it is below
+    1e-12 of the mean entry magnitude, so the verdict does not depend on
+    the units of B.
     """
-    gamma = dc_gain(model)
-    if abs(gamma) < 1e-12:
+    G0 = _lifted_dc_response(model)
+    gamma = float(np.mean(G0))
+    if abs(gamma) <= 1e-12 * float(np.mean(np.abs(G0))):
         raise DegenerateGain(
             f"average steady-state gain {gamma:.3e} too small to normalize"
         )

@@ -4,9 +4,9 @@ An experiment drives the system with a periodic input of length ``N*P``
 (N periods of the system's period P) and records one full repetition of
 the steady-state response plus measurement noise; the steady state is
 computed exactly from the periodic fixed point of the state.
-Ensembles bundle J such experiments; lifting and the DFT turn them into
-the per-frequency data matrices consumed by the frequency-response
-estimator.
+Ensembles bundle J such experiments; ``assemble_spectra`` lifts them over
+one period and runs one stacked DFT to give the per-frequency data
+matrices consumed by the frequency-response estimator.
 
 All randomized operations are pure functions of their seeds.
 """
@@ -30,8 +30,6 @@ __all__ = [
     "simulate_steady_state",
     "add_noise",
     "collect_ensemble",
-    "lift_signal",
-    "dft_lifted",
     "assemble_spectra",
 ]
 
@@ -262,26 +260,6 @@ def collect_ensemble(
     return Ensemble(experiments=experiments, P=model.P, N=N)
 
 
-def lift_signal(x: np.ndarray, P: int) -> np.ndarray:
-    """Stack each run of P consecutive samples into one tall sample.
-
-    Maps an (N*P, n_c) sequence to (N, P*n_c); sample k concatenates the
-    original samples ``kP .. kP+P-1``.
-    """
-    x = np.atleast_2d(np.asarray(x))
-    if x.shape[0] % P != 0:
-        raise LengthNotDivisible(
-            f"sequence length {x.shape[0]} not divisible by P={P}"
-        )
-    return x.reshape(x.shape[0] // P, P * x.shape[1])
-
-
-def dft_lifted(xl: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT of each lifted channel over the N samples."""
-    xl = np.atleast_2d(np.asarray(xl))
-    return np.fft.fft(xl, axis=0)
-
-
 @dataclass(frozen=True)
 class LiftedSpectra:
     """Per-frequency data matrices of a lifted ensemble.
@@ -320,12 +298,20 @@ class LiftedSpectra:
 
 
 def assemble_spectra(ensemble: Ensemble) -> LiftedSpectra:
-    """Lift and DFT every experiment; stack the spectra as columns per frequency."""
-    P = ensemble.P
-    U = np.stack(
-        [dft_lifted(lift_signal(e.u, P)) for e in ensemble.experiments], axis=-1
+    """Lift every experiment over one period and DFT it, all in one transform.
+
+    Lifted sample n of an experiment stacks its samples ``nP .. nP+P-1``;
+    ``U[k]`` holds, column per experiment, the unnormalized DFT
+    ``sum_n u_lifted[n] * exp(-2j*pi*n*k/N)``, and likewise ``Y[k]``.
+    """
+    J, N, P = ensemble.J, ensemble.N, ensemble.P
+
+    def spectra(signals) -> np.ndarray:
+        lifted = np.stack(signals).reshape(J, N, -1)
+        return np.ascontiguousarray(np.fft.fft(lifted, axis=1).transpose(1, 2, 0))
+
+    return LiftedSpectra(
+        P=P,
+        U=spectra([e.u for e in ensemble.experiments]),
+        Y=spectra([e.y for e in ensemble.experiments]),
     )
-    Y = np.stack(
-        [dft_lifted(lift_signal(e.y, P)) for e in ensemble.experiments], axis=-1
-    )
-    return LiftedSpectra(P=P, U=U, Y=Y)

@@ -3,8 +3,11 @@
 The pipeline runs in fixed stages:
 
 1. inverse DFT of every (output slot, input slot) block of the response,
+   taken from the half grid k = 0..N//2 as a real inverse, since the
+   response of real data is conjugate symmetric,
 2. rearrangement of the blocks into the time-aliased periodic impulse
-   response (tag time t in 0..P-1, lag r in 1..N*P),
+   response, a plain (P, N*P, n_y, n_u) array with tag time t and lag r
+   at entry ``[t, r-1]``,
 3. periodic block-Hankel assembly, one matrix per starting tag time,
 4. SVD of each Hankel matrix; the leading left singular vectors span the
    extended observability matrix up to an unknown coordinate change,
@@ -27,7 +30,6 @@ from .errors import (
     BlockRangeExceeded,
     ConfigError,
     IllConditioned,
-    NonRealResidue,
     OrderTooLarge,
     PipelineError,
     ShiftRankDeficient,
@@ -35,7 +37,6 @@ from .errors import (
 )
 from .etfe import DEFAULT_RANK_TOL, etfe
 from .model import (
-    ImpulseResponseTable,
     LiftedFrequencyResponse,
     LtpModel,
     _input_times,
@@ -58,20 +59,18 @@ __all__ = [
     "identify",
 ]
 
-# Largest imaginary part the IDFT blocks may keep, relative to max|blocks| so
-# the verdict does not depend on the units of the data.
-IMAG_RESIDUE_TOL = 1e-6
 REGRESSOR_COND_LIMIT = 1e12
 
 
 def idft_blocks(response: LiftedFrequencyResponse) -> np.ndarray:
-    """Inverse DFT of the response over the frequency grid.
+    """Inverse DFT of a conjugate-symmetric response over the frequency grid.
 
-    Returns the complex (N, P*n_y, P*n_u) array w with
-    ``w[n] = (1/N) * sum_k G[k] * exp(2j*pi*n*k/N)``; imaginary parts are
-    kept so the caller can check they are negligible.
+    Returns the real (N, P*n_y, P*n_u) array w with
+    ``w[n] = (1/N) * sum_k G[k] * exp(2j*pi*n*k/N)``, computed from the
+    half grid k = 0..N//2 alone.
     """
-    return np.fft.ifft(response.G, axis=0)
+    N = response.N
+    return np.fft.irfft(response.G[: N // 2 + 1], n=N, axis=0)
 
 
 def _aliased_lags(P: int, N: int) -> np.ndarray:
@@ -80,15 +79,18 @@ def _aliased_lags(P: int, N: int) -> np.ndarray:
     return (n * P + l - m - 1) % (N * P) + 1
 
 
-def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> ImpulseResponseTable:
-    """Rearrange IDFT blocks into the time-aliased periodic impulse response.
+def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> np.ndarray:
+    """Rearrange real IDFT blocks into the time-aliased periodic impulse response.
 
     Block (l, m) at IDFT index n lands at tag time l and lag
     ``n*P + l - m``, shifted up by one record length ``N*P`` when that lag
     is not positive. For each tag time the N*P pairs (n, m) map onto the
-    N*P lags one to one, so a single scatter fills the whole table.
+    N*P lags one to one, so a single scatter fills the whole
+    (P, N*P, n_y, n_u) table.
     """
     blocks = np.asarray(blocks)
+    if np.iscomplexobj(blocks):
+        raise ConfigError("blocks must be real; take them from idft_blocks")
     if blocks.ndim != 3 or blocks.shape[0] != N:
         raise ConfigError(
             f"blocks must have shape (N, P*ny, P*nu) with N={N}, got {blocks.shape}"
@@ -99,19 +101,12 @@ def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> ImpulseResponseTable
         )
     ny = blocks.shape[1] // P
     nu = blocks.shape[2] // P
-    max_imag = float(np.max(np.abs(blocks.imag))) if np.iscomplexobj(blocks) else 0.0
-    limit = IMAG_RESIDUE_TOL * float(np.max(np.abs(blocks), initial=0.0))
-    if max_imag > limit:
-        raise NonRealResidue(
-            f"imaginary residue {max_imag:.3e} exceeds {limit:.3e}; "
-            "the frequency response is not conjugate symmetric"
-        )
-    values = np.empty((P, N * P, ny, nu))
+    h = np.empty((P, N * P, ny, nu))
     tags = np.arange(P)[:, None, None]
-    values[tags, _aliased_lags(P, N) - 1] = (
-        blocks.real.reshape(N, P, ny, P, nu).transpose(1, 0, 3, 2, 4)
+    h[tags, _aliased_lags(P, N) - 1] = (
+        blocks.reshape(N, P, ny, P, nu).transpose(1, 0, 3, 2, 4)
     )
-    return ImpulseResponseTable(P=P, max_lag=N * P, values=values)
+    return h
 
 
 @dataclass(frozen=True)
@@ -131,17 +126,20 @@ class PeriodicHankelSet:
     matrices: tuple[np.ndarray, ...] = field(repr=False)
 
 
-def build_hankels(h: ImpulseResponseTable, q: int, r: int) -> PeriodicHankelSet:
-    """Assemble the q-by-r block-Hankel matrix for every starting tag time."""
+def build_hankels(h: np.ndarray, q: int, r: int) -> PeriodicHankelSet:
+    """Assemble the q-by-r block-Hankel matrix for every starting tag time.
+
+    ``h`` is the (P, max_lag, n_y, n_u) aliased impulse response.
+    """
     if q < 1 or r < 1:
         raise ConfigError(f"block counts must be >= 1, got q={q}, r={r}")
-    if q + r - 1 > h.max_lag:
+    P, max_lag, ny, nu = h.shape
+    if q + r - 1 > max_lag:
         raise BlockRangeExceeded(
-            f"q+r-1 = {q + r - 1} exceeds available lags N*P = {h.max_lag}"
+            f"q+r-1 = {q + r - 1} exceeds available lags N*P = {max_lag}"
         )
-    P, ny, nu = h.P, h.ny, h.nu
     tau, i, j = np.ix_(np.arange(P), np.arange(q), np.arange(r))
-    stack = h.values[(tau + i) % P, i + j].transpose(0, 1, 3, 2, 4)
+    stack = h[(tau + i) % P, i + j].transpose(0, 1, 3, 2, 4)
     matrices = stack.reshape(P, q * ny, r * nu)
     return PeriodicHankelSet(q=q, r=r, P=P, ny=ny, nu=nu, matrices=tuple(matrices))
 
@@ -214,7 +212,8 @@ def estimate_AC(
         U_next = bases[(tau + 1) % P]
         top = U_next[:-ny, :]
         svals = np.linalg.svd(top, compute_uv=False)
-        if svals.size < order or svals[order - 1] <= 1e-12 * max(svals[0], 1.0):
+        # top is part of an orthonormal basis, so svals[0] <= 1: an absolute bound.
+        if svals.size < order or svals[order - 1] <= 1e-12:
             raise ShiftRankDeficient(tau)
         A_est.append(np.linalg.pinv(top) @ U_now[ny:, :])
         C_est.append(U_now[:ny, :])
@@ -224,16 +223,17 @@ def estimate_AC(
 def estimate_B(
     A_est: list[np.ndarray],
     C_est: list[np.ndarray],
-    h: ImpulseResponseTable,
+    h: np.ndarray,
     N: int,
-) -> tuple[list[np.ndarray], float, ImpulseResponseTable]:
+) -> tuple[list[np.ndarray], float, np.ndarray]:
     """Least-squares fit of the input matrices to the aliased impulse response.
 
-    Each (tag time, lag) coefficient is linear in exactly one B matrix,
-    the one at time index ``beta = tag - lag`` mod P, so the objective
-    splits into P independent least-squares problems whose regressors are
-    the aliased ``markov_rows`` of the estimated A, C. Returns the B
-    matrices, the total squared residual, and the fitted aliased response.
+    ``h`` is the (P, N*P, n_y, n_u) aliased response. Each (tag time, lag)
+    coefficient is linear in exactly one B matrix, the one at time index
+    ``beta = tag - lag`` mod P, so the objective splits into P independent
+    least-squares problems whose regressors are the aliased ``markov_rows``
+    of the estimated A, C. Returns the B matrices, the total squared
+    residual, and the fitted aliased response in the layout of ``h``.
     """
     P = len(A_est)
     A = np.asarray(A_est, dtype=np.float64)
@@ -245,14 +245,15 @@ def estimate_B(
             "cannot form the aliasing resolvent"
         )
 
-    rows = markov_rows(A, C_est, h.max_lag, N)
-    beta_of = _input_times(P, h.max_lag)
+    max_lag, nu = h.shape[1], h.shape[3]
+    rows = markov_rows(A, C_est, max_lag, N)
+    beta_of = _input_times(P, max_lag)
     B_est: list[np.ndarray] = []
     total_residual = 0.0
     for beta in range(P):
         mask = beta_of == beta
         G = rows[mask].reshape(-1, nx)
-        T = h.values[mask].reshape(-1, h.nu)
+        T = h[mask].reshape(-1, nu)
         svals = np.linalg.svd(G, compute_uv=False)
         if svals[-1] <= 0 or svals[0] / svals[-1] > REGRESSOR_COND_LIMIT:
             raise IllConditioned(
@@ -262,8 +263,7 @@ def estimate_B(
         sol, _, _, _ = np.linalg.lstsq(G, T, rcond=None)
         B_est.append(sol)
         total_residual += float(np.sum((T - G @ sol) ** 2))
-    fitted = ImpulseResponseTable(P=P, max_lag=h.max_lag, values=_with_inputs(rows, B_est))
-    return B_est, total_residual, fitted
+    return B_est, total_residual, _with_inputs(rows, B_est)
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ def identify(
     B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est, ensemble.N)
 
     est_model = LtpModel(A=tuple(A_est), B=tuple(B_est), C=tuple(C_est))
-    recon_err = np.linalg.norm(h_fit.values - h_est.values, axis=(2, 3))
+    recon_err = np.linalg.norm(h_fit - h_est, axis=(2, 3))
     return IdentificationResult(
         model=est_model,
         singular_values=selection.singular_values,

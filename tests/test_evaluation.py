@@ -8,10 +8,8 @@ from ltpsid.evaluation import (
     consistency_sweep,
     etfe_error_stats,
     fit_metric,
-    holdout_fit_score,
     impulse_errors,
     monte_carlo,
-    select_hankel_size,
 )
 from ltpsid.model import LtpModel, impulse_response
 from ltpsid.signal import collect_ensemble
@@ -81,6 +79,26 @@ def test_fit_metric_degenerate_reference():
     )
     with pytest.raises(DegenerateReference):
         fit_metric(silent, silent, n_g=10)
+    # A = 1 makes every coefficient equal to B; the rounding left in the
+    # mean must not pass for a spread, however large or small the level.
+    for level in (1e-20, 0.3, 1 / 3, 123.456, 1e10):
+        constant = _scalar_lti(a=1.0, b=level)
+        for n_g in (7, 50, 333):
+            with pytest.raises(DegenerateReference):
+                fit_metric(constant, constant, n_g=n_g)
+
+
+def test_fit_metric_invariant_to_units(example1):
+    # W is a ratio of squared impulse-response errors, so rescaling B in
+    # both models leaves it unchanged at any scale.
+    def scaled(model, s):
+        return LtpModel(A=model.A, B=tuple(s * b for b in model.B), C=model.C)
+
+    estimate = LtpModel(A=tuple(0.98 * a for a in example1.A), B=example1.B, C=example1.C)
+    W = fit_metric(example1, estimate).W
+    for s in (1e-20, 1e-10, 1e10):
+        W_s = fit_metric(scaled(example1, s), scaled(estimate, s)).W
+        np.testing.assert_allclose(W_s, W, rtol=0, atol=1e-10)
 
 
 def test_fit_metric_invariant_under_similarity_transform(example1_norm):
@@ -208,11 +226,3 @@ def test_etfe_error_stats_unbiased_under_ma_noise(example1_norm):
     assert stats.bias_pass_fraction >= 0.9
     assert np.all(np.abs(stats.pair_correlations) < 0.3)
 
-
-def test_holdout_score_and_hankel_selection(example1_norm):
-    train = collect_ensemble(example1_norm, J=10, N=16, sigma=0.0, master_seed=1)
-    holdout = collect_ensemble(example1_norm, J=4, N=16, sigma=0.0, master_seed=2)
-    best, scores = select_hankel_size(train, holdout, q_grid=[4, 8], n_x=2)
-    assert best in (4, 8)
-    assert scores[best] > 99.9
-    assert holdout_fit_score(example1_norm, holdout) > 99.999

@@ -15,7 +15,7 @@ from ltpsid.fileio import (
     save_model,
     write_montecarlo_csv,
 )
-from ltpsid.model import true_lifted_frequency_response
+from ltpsid.model import LiftedFrequencyResponse, true_lifted_frequency_response
 from ltpsid.signal import collect_ensemble
 from ltpsid.subspace import identify
 
@@ -109,6 +109,31 @@ def test_frequency_response_export(example1_norm, tmp_path):
     assert len(lines) == 1 + 4 * 2 * 2  # N * P * P entries for SISO blocks
     first = lines[1].split(",")
     np.testing.assert_allclose(float(first[6]), resp.G[0, 0, 0].real)
+
+
+def test_frequency_response_export_mimo_row_order(tmp_path):
+    # Rows run over k, then output slot l, input slot m, then block entry
+    # (a, b); each holds G[k, l*ny + a, m*nu + b] written exactly.
+    N, P, ny, nu = 3, 2, 2, 3
+    rng = np.random.default_rng(8)
+    shape = (N, P * ny, P * nu)
+    G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    resp = LiftedFrequencyResponse(P=P, ny=ny, nu=nu, G=G)
+    path = export_frequency_response(resp, tmp_path / "resp.csv")
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    expected_order = [
+        (k, l, m, a, b)
+        for k in range(N)
+        for l in range(P)
+        for m in range(P)
+        for a in range(ny)
+        for b in range(nu)
+    ]
+    assert [tuple(int(v) for v in row[:1] + row[2:6]) for row in rows] == expected_order
+    for row, (k, l, m, a, b) in zip(rows, expected_order):
+        value = G[k, l * ny + a, m * nu + b]
+        assert float(row[1]) == 2 * np.pi * k / N
+        assert float(row[6]) == value.real and float(row[7]) == value.imag
 
 
 def test_identification_result_files(example1_norm, tmp_path):

@@ -154,7 +154,7 @@ def test_aliased_closed_form_vs_series_example1(example1):
         K += 1
     expected = _aliased_series_oracle(example1, N, K)
     table = aliased_impulse_response_true(example1, N)
-    np.testing.assert_allclose(table.values, expected, atol=1e-9)
+    np.testing.assert_allclose(table, expected, atol=1e-9)
 
 
 @given(
@@ -172,7 +172,7 @@ def test_aliased_closed_form_vs_series_random(seed, P, nx, nu, ny):
     K = max(2, int(np.ceil(np.log(1e-12) / (N * np.log(rho)))) + 1)
     expected = _aliased_series_oracle(m, N, K)
     table = aliased_impulse_response_true(m, N)
-    np.testing.assert_allclose(table.values, expected, atol=1e-9)
+    np.testing.assert_allclose(table, expected, atol=1e-9)
 
 
 @given(
@@ -199,7 +199,7 @@ def test_aliased_zero_input_map(example2):
         A=example2.A, B=tuple(np.zeros_like(b) for b in example2.B), C=example2.C
     )
     table = aliased_impulse_response_true(zeroed, 5)
-    assert np.all(table.values == 0)
+    assert np.all(table == 0)
 
 
 def test_aliased_scalar_geometric_by_hand():
@@ -208,7 +208,7 @@ def test_aliased_scalar_geometric_by_hand():
     table = aliased_impulse_response_true(m, 4)
     for r in range(1, 5):
         np.testing.assert_allclose(
-            table.entry(0, r), [[0.5 ** (r - 1) / (1 - 0.5**4)]], atol=1e-14
+            table[0, r - 1], [[0.5 ** (r - 1) / (1 - 0.5**4)]], atol=1e-14
         )
 
 
@@ -358,3 +358,22 @@ def test_normalize_gain_degenerate():
     m = LtpModel(A=(np.array([[0.5]]),), B=(np.array([[1.0]]),), C=(np.array([[0.0]]),))
     with pytest.raises(DegenerateGain):
         normalize_gain(m)
+    zero_b = LtpModel(A=m.A, B=(np.zeros((1, 1)),), C=(np.array([[1.0]]),))
+    with pytest.raises(DegenerateGain):
+        normalize_gain(zero_b)
+    # The two inputs' steady-state gains cancel exactly: a zero average
+    # gain at every scale of B, though no entry of the response is zero.
+    for scale in (1e-20, 1e-10, 1.0, 1e10):
+        cancelling = LtpModel(A=m.A, B=(scale * np.array([[1.0, -1.0]]),), C=zero_b.C)
+        with pytest.raises(DegenerateGain):
+            normalize_gain(cancelling)
+
+
+@pytest.mark.parametrize("fixture", ["example1", "example2"])
+def test_normalize_gain_invariant_to_units(fixture, request):
+    model = request.getfixturevalue(fixture)
+    expected = normalize_gain(model)
+    for s in (1e-20, 1e-10, 1e10):
+        scaled = LtpModel(A=model.A, B=tuple(s * b for b in model.B), C=model.C)
+        for b, b_ref in zip(normalize_gain(scaled).B, expected.B):
+            np.testing.assert_allclose(b, b_ref, rtol=1e-10, atol=0)

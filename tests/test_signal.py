@@ -11,13 +11,12 @@ import ltpsid.signal as signal_module
 from ltpsid.model import LtpModel, impulse_response, is_stable
 from ltpsid.signal import (
     Ensemble,
+    Experiment,
     add_noise,
     assemble_spectra,
     collect_ensemble,
     derive_seed,
-    dft_lifted,
     generate_periodic_input,
-    lift_signal,
     simulate,
     simulate_steady_state,
 )
@@ -249,60 +248,84 @@ def test_derive_seed_roles_and_indices_distinct():
     assert derive_seed(0, 3, "input") == derive_seed(0, 3, "input")
 
 
+def _spectra(u, P, y=None):
+    """``assemble_spectra`` of experiments with inputs u[i] and outputs y[i] (default u)."""
+    u = np.asarray(u, dtype=float)
+    y = u if y is None else y
+    experiments = tuple(Experiment(u=a, y=b) for a, b in zip(u, y))
+    return assemble_spectra(Ensemble(experiments=experiments, P=P, N=u.shape[1] // P))
+
+
 def test_lift_p1_identity():
-    x = np.arange(8.0).reshape(8, 1)
-    np.testing.assert_array_equal(lift_signal(x, 1), x)
+    # With P=1 the lifted signal is the signal itself: plain per-experiment DFTs.
+    x = np.random.default_rng(5).standard_normal((2, 8, 2))
+    spectra = _spectra(x, P=1)
+    for i in range(2):
+        np.testing.assert_allclose(spectra.U[:, :, i], np.fft.fft(x[i], axis=0), atol=1e-12)
 
 
 def test_lift_p2_scalar_example():
+    # Samples 1, 2, 3, 4 lift to [1, 2], [3, 4], whose two-point DFT is
+    # [4, 6] at k=0 and [-2, -2] at k=1.
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
-    np.testing.assert_array_equal(lift_signal(x, 2), [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_lift_rejects_bad_length():
-    with pytest.raises(LengthNotDivisible):
-        lift_signal(np.ones((7, 1)), 2)
+    spectra = _spectra([x, 10 * x], P=2)
+    np.testing.assert_array_equal(spectra.U[:, :, 0], [[4.0, 6.0], [-2.0, -2.0]])
+    np.testing.assert_array_equal(spectra.U[:, :, 1], [[40.0, 60.0], [-20.0, -20.0]])
 
 
 def test_dft_constant_sequence():
     c = np.array([2.5, -1.0])
-    x = np.tile(c, (6, 1))
-    X = dft_lifted(x)
-    np.testing.assert_allclose(X[0], 6 * c, atol=1e-12)
-    np.testing.assert_allclose(X[1:], 0, atol=1e-12)
+    x = np.tile(c, 6).reshape(12, 1)  # lifted over P=2: c in every sample
+    spectra = _spectra([x, -x], P=2)
+    np.testing.assert_allclose(spectra.U[0, :, 0], 6 * c, atol=1e-12)
+    np.testing.assert_allclose(spectra.U[0, :, 1], -6 * c, atol=1e-12)
+    np.testing.assert_allclose(spectra.U[1:], 0, atol=1e-12)
 
 
 def test_dft_unit_sample_flat_spectrum():
-    x = np.zeros((5, 1))
-    x[0] = 3.0
-    np.testing.assert_allclose(dft_lifted(x), 3.0, atol=1e-13)
+    x = np.zeros((1, 5, 1))
+    x[0, 0] = 3.0
+    np.testing.assert_allclose(_spectra(x, P=1).U, 3.0, atol=1e-13)
 
 
 def test_dft_matches_naive_summation():
+    # Oracle: lift by hand (sample n stacks samples nP..nP+P-1, channels
+    # innermost) and sum exp(-2j*pi*n*k/N) directly, one experiment at a time.
+    P, N, J = 2, 8, 4
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((8, 2))
-    X = dft_lifted(x)
-    # Oracle: direct O(N^2) summation.
-    naive = np.zeros((8, 2), dtype=complex)
-    for k in range(8):
-        for n in range(8):
-            naive[k] += x[n] * np.exp(-2j * np.pi * n * k / 8)
-    np.testing.assert_allclose(X, naive, atol=1e-10)
+    u = rng.standard_normal((J, N * P, 2))
+    y = rng.standard_normal((J, N * P, 3))
+    spectra = _spectra(u, P, y)
+    for x, X in ((u, spectra.U), (y, spectra.Y)):
+        n_c = x.shape[2]
+        assert X.shape == (N, P * n_c, J)
+        for i in range(J):
+            lifted = np.array([np.concatenate(x[i, n * P : (n + 1) * P]) for n in range(N)])
+            naive = np.zeros((N, P * n_c), dtype=complex)
+            for k in range(N):
+                for n in range(N):
+                    naive[k] += lifted[n] * np.exp(-2j * np.pi * n * k / N)
+            np.testing.assert_allclose(X[:, :, i], naive, atol=1e-10)
 
 
 def test_dft_inverse_recovers_input():
+    P, N = 3, 16
     rng = np.random.default_rng(23)
-    x = rng.standard_normal((16, 3))
-    np.testing.assert_allclose(np.fft.ifft(dft_lifted(x), axis=0).real, x, atol=1e-10)
+    u = rng.standard_normal((3, N * P, 1))
+    y = rng.standard_normal((3, N * P, 2))
+    spectra = _spectra(u, P, y)
+    recovered = np.fft.ifft(spectra.Y, axis=0).real
+    for i in range(3):
+        np.testing.assert_allclose(recovered[:, :, i], y[i].reshape(N, P * 2), atol=1e-10)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_dft_parseval(seed):
-    x = np.random.default_rng(seed).standard_normal((12, 2))
-    X = dft_lifted(x)
+    x = np.random.default_rng(seed).standard_normal((4, 24, 2))
+    spectra = _spectra(x, P=2)
     energy_time = np.sum(x**2)
-    energy_freq = np.sum(np.abs(X) ** 2) / 12
+    energy_freq = np.sum(np.abs(spectra.U) ** 2) / spectra.N
     np.testing.assert_allclose(energy_freq, energy_time, rtol=1e-8)
 
 
@@ -338,8 +361,6 @@ def test_assemble_spectra_conjugate_symmetry(seed):
 
 
 def test_experiment_rejects_non_finite_samples():
-    from ltpsid.signal import Experiment
-
     with pytest.raises(DataError, match="non-finite"):
         Experiment(u=np.ones((4, 1)), y=np.array([[0.0], [np.inf], [1.0], [2.0]]))
     with pytest.raises(DataError, match="non-finite"):
@@ -347,8 +368,6 @@ def test_experiment_rejects_non_finite_samples():
 
 
 def test_ensemble_rejects_mixed_lengths(example1):
-    from ltpsid.signal import Experiment
-
     e1 = Experiment(u=np.ones((4, 1)), y=np.ones((4, 1)))
     e2 = Experiment(u=np.ones((6, 1)), y=np.ones((6, 1)))
     with pytest.raises(ConfigError):

@@ -6,23 +6,30 @@ from hypothesis import strategies as st
 from conftest import impulse_series_oracle, random_stable_model
 from ltpsid.errors import (
     BlockRangeExceeded,
+    ConfigError,
     IllConditioned,
-    NonRealResidue,
     OrderTooLarge,
     PipelineError,
     ShiftRankDeficient,
     UnstableEstimate,
 )
+from ltpsid.etfe import etfe
 from ltpsid.evaluation import fit_metric
 from ltpsid.model import (
-    ImpulseResponseTable,
+    LiftedFrequencyResponse,
     LtpModel,
     aliased_impulse_response_true,
     impulse_response,
+    impulse_table,
     monodromy,
     true_lifted_frequency_response,
 )
-from ltpsid.signal import collect_ensemble, generate_periodic_input
+from ltpsid.signal import (
+    Ensemble,
+    assemble_spectra,
+    collect_ensemble,
+    generate_periodic_input,
+)
 from ltpsid.subspace import (
     _aliased_lags,
     assemble_aliased,
@@ -62,21 +69,29 @@ def test_idft_inverts_dft_of_random_blocks():
     rng = np.random.default_rng(4)
     w_true = rng.standard_normal((8, 2, 2))
     G = np.fft.fft(w_true, axis=0)
-    from ltpsid.model import LiftedFrequencyResponse
-
     resp = LiftedFrequencyResponse(P=2, ny=1, nu=1, G=G)
     w = idft_blocks(resp)
-    np.testing.assert_allclose(w.real, w_true, atol=1e-10)
-    np.testing.assert_allclose(w.imag, 0, atol=1e-10)
+    assert w.dtype == np.float64
+    np.testing.assert_allclose(w, w_true, atol=1e-10)
+
+
+@pytest.mark.parametrize("N", [9, 10])
+def test_idft_half_grid_matches_full_inverse(N, example2_norm):
+    # The real half-grid inverse against the full complex inverse of the
+    # conjugate-symmetric ETFE, at odd and even N.
+    ens = collect_ensemble(example2_norm, J=6, N=N, sigma=1.0, master_seed=3)
+    resp = etfe(assemble_spectra(ens))
+    w = idft_blocks(resp)
+    full = np.fft.ifft(resp.G, axis=0)
+    assert w.dtype == np.float64 and w.shape == full.shape
+    np.testing.assert_allclose(w, full.real, rtol=0, atol=1e-14 * np.max(np.abs(full)))
 
 
 def test_idft_constant_response_all_in_first_block():
-    from ltpsid.model import LiftedFrequencyResponse
-
     G0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     resp = LiftedFrequencyResponse(P=2, ny=1, nu=1, G=np.tile(G0, (5, 1, 1)))
     w = idft_blocks(resp)
-    np.testing.assert_allclose(w[0].real, G0, atol=1e-12)
+    np.testing.assert_allclose(w[0], G0, atol=1e-12)
     np.testing.assert_allclose(w[1:], 0, atol=1e-12)
 
 
@@ -97,7 +112,7 @@ def test_idft_example1_matches_folded_series(example1_norm):
                     base += N * m.P
                 expected = g[base - 1 :: N * m.P][: K + 1].sum(axis=0)
                 np.testing.assert_allclose(
-                    w[n, l : l + 1, mm : mm + 1].real, expected, atol=1e-8
+                    w[n, l : l + 1, mm : mm + 1], expected, atol=1e-8
                 )
 
 
@@ -109,20 +124,21 @@ def test_idft_example1_matches_folded_series(example1_norm):
 def test_assemble_p1_reduces_to_lti_map():
     # For P=1 the lag is n for n > 0 and N for n = 0.
     N = 6
-    blocks = np.arange(N, dtype=float).reshape(N, 1, 1) + 0j
+    blocks = np.arange(N, dtype=float).reshape(N, 1, 1)
     table = assemble_aliased(blocks, P=1, N=N)
+    assert table.shape == (1, N, 1, 1) and table.dtype == np.float64
     for n in range(1, N):
-        assert table.entry(0, n)[0, 0] == n
-    assert table.entry(0, N)[0, 0] == 0.0  # block at n=0 lands at lag N
+        assert table[0, n - 1, 0, 0] == n
+    assert table[0, N - 1, 0, 0] == 0.0  # block at n=0 lands at lag N
 
 
 def test_assemble_index_arithmetic_p2_marker():
     # P=2, N=3, l=0, m=1, n=0: lag = 0*2+0-1 = -1 <= 0 -> (0+3)*2+0-1 = 5.
     P, N = 2, 3
-    blocks = np.zeros((N, 2, 2), dtype=complex)
+    blocks = np.zeros((N, 2, 2))
     blocks[0, 0, 1] = 42.0
     table = assemble_aliased(blocks, P=P, N=N)
-    assert table.entry(0, 5)[0, 0] == 42.0
+    assert table[0, 4, 0, 0] == 42.0
 
 
 @pytest.mark.parametrize("P", [1, 2, 3, 5])
@@ -134,7 +150,7 @@ def test_assemble_bijection_exhaustive(P, N):
     for l in range(P):
         np.testing.assert_array_equal(np.sort(lags[l].ravel()), np.arange(1, N * P + 1))
     # Markers make the mapping observable from outside.
-    blocks = np.empty((N, P, P), dtype=complex)
+    blocks = np.empty((N, P, P))
     for n in range(N):
         for l in range(P):
             for m in range(P):
@@ -148,11 +164,11 @@ def test_assemble_bijection_exhaustive(P, N):
                 if lag <= 0:
                     lag += N * P
                 assert 1 <= lag <= N * P
-                value = table.entry(l, lag)[0, 0]
+                value = table[l, lag - 1, 0, 0]
                 assert value == 1 + n * P * P + l * P + m
                 seen.add((l, lag))
     assert len(seen) == P * N * P  # all slots hit exactly once across (l, m, n)
-    assert np.all(table.values != 0)
+    assert np.all(table != 0)
 
 
 def test_assemble_pipeline_matches_closed_form(example1_norm):
@@ -160,16 +176,15 @@ def test_assemble_pipeline_matches_closed_form(example1_norm):
     resp = true_lifted_frequency_response(example1_norm, N)
     assembled = assemble_aliased(idft_blocks(resp), P=example1_norm.P, N=N)
     expected = aliased_impulse_response_true(example1_norm, N)
-    np.testing.assert_allclose(assembled.values, expected.values, atol=1e-7)
+    np.testing.assert_allclose(assembled, expected, atol=1e-7)
 
 
-def test_assemble_rejects_imaginary_residue():
-    # The verdict does not depend on units: a residue far above rounding
-    # level fails, one far below the block magnitude passes.
-    for scale in (1e-3, 1.0, 1e10):
-        with pytest.raises(NonRealResidue):
-            assemble_aliased(scale * np.full((4, 1, 1), 1.0 + 1e-3j), P=1, N=4)
-        assemble_aliased(scale * np.full((4, 1, 1), 1.0 + 1e-9j), P=1, N=4)
+def test_assemble_rejects_complex_blocks():
+    # Blocks come real from idft_blocks; a complex array, even one with a
+    # zero imaginary part, is a caller error.
+    for blocks in (np.full((4, 1, 1), 1.0 + 1e-3j), np.zeros((4, 1, 1), dtype=complex)):
+        with pytest.raises(ConfigError):
+            assemble_aliased(blocks, P=1, N=4)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +196,7 @@ def test_hankel_single_block_is_first_lag(example2_norm):
     h = aliased_impulse_response_true(example2_norm, 4)
     hankels = build_hankels(h, q=1, r=1)
     for tau in range(3):
-        np.testing.assert_array_equal(hankels.matrices[tau], h.entry(tau, 1))
+        np.testing.assert_array_equal(hankels.matrices[tau], h[tau, 0])
 
 
 def test_hankel_rank_two_noise_free(example1_norm):
@@ -318,11 +333,7 @@ def test_estimate_B_exact_inputs(fixture, request):
 def test_estimate_B_zero_target(example2_norm):
     model = example2_norm
     N = 6
-    zero = ImpulseResponseTable(
-        P=model.P,
-        max_lag=N * model.P,
-        values=np.zeros((model.P, N * model.P, model.ny, model.nu)),
-    )
+    zero = np.zeros((model.P, N * model.P, model.ny, model.nu))
     B_est, residual, _ = estimate_B(list(model.A), list(model.C), zero, N)
     for b in B_est:
         np.testing.assert_allclose(b, 0, atol=1e-12)
@@ -330,13 +341,13 @@ def test_estimate_B_zero_target(example2_norm):
 
 
 def test_estimate_B_unstable_estimate():
-    h = ImpulseResponseTable(P=1, max_lag=4, values=np.zeros((1, 4, 1, 1)))
+    h = np.zeros((1, 4, 1, 1))
     with pytest.raises(UnstableEstimate):
         estimate_B([np.array([[1.1]])], [np.array([[1.0]])], h, 4)
 
 
 def test_estimate_B_ill_conditioned_zero_output_map():
-    h = ImpulseResponseTable(P=1, max_lag=4, values=np.zeros((1, 4, 1, 1)))
+    h = np.zeros((1, 4, 1, 1))
     with pytest.raises(IllConditioned):
         estimate_B([np.array([[0.5]])], [np.array([[0.0]])], h, 4)
 
@@ -418,6 +429,22 @@ def test_identify_deterministic(example2_norm):
 
 
 @pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
+def test_identify_invariant_under_experiment_order(fixture, request):
+    # Reordering the experiments permutes the columns of every U_k and Y_k,
+    # which leaves the least-squares response and so the estimate unchanged
+    # up to rounding.
+    model = request.getfixturevalue(fixture)
+    ens = collect_ensemble(model, J=10 * model.P, N=50, sigma=1.0, master_seed=7)
+    order = np.random.default_rng(1).permutation(ens.J)
+    permuted = Ensemble(
+        experiments=tuple(ens.experiments[i] for i in order), P=ens.P, N=ens.N
+    )
+    h = impulse_table(identify(ens, q=10, r=10, n_x=2).model, 50)
+    h_perm = impulse_table(identify(permuted, q=10, r=10, n_x=2).model, 50)
+    np.testing.assert_allclose(h_perm, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
+
+@pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
 def test_identify_reconstruction_error_from_fitted_model(fixture, request):
     model = request.getfixturevalue(fixture)
     N = 20
@@ -425,7 +452,7 @@ def test_identify_reconstruction_error_from_fitted_model(fixture, request):
     result = identify(ens, q=8, r=8, n_x=2)
     h_est = assemble_aliased(idft_blocks(result.response), model.P, N)
     expected = np.linalg.norm(
-        aliased_impulse_response_true(result.model, N).values - h_est.values,
+        aliased_impulse_response_true(result.model, N) - h_est,
         axis=(2, 3),
     )
     np.testing.assert_allclose(
@@ -444,9 +471,6 @@ def _transform(model, T_seq):
 
 
 def test_identify_invariant_under_similarity_transform(example1_norm):
-    from ltpsid.etfe import etfe
-    from ltpsid.signal import assemble_spectra
-
     T_seq = [
         np.array([[1.0, 0.3], [-0.2, 1.1]]),
         np.array([[0.9, -0.1], [0.4, 1.2]]),
@@ -458,7 +482,7 @@ def test_identify_invariant_under_similarity_transform(example1_norm):
     # The assembled aliased response is already transform invariant.
     h_a = assemble_aliased(idft_blocks(etfe(assemble_spectra(ens_a))), P=2, N=16)
     h_b = assemble_aliased(idft_blocks(etfe(assemble_spectra(ens_b))), P=2, N=16)
-    np.testing.assert_allclose(h_a.values, h_b.values, atol=1e-8)
+    np.testing.assert_allclose(h_a, h_b, atol=1e-8)
     res_a = identify(ens_a, q=8, r=8, n_x=2)
     res_b = identify(ens_b, q=8, r=8, n_x=2)
     for t in range(2):
@@ -476,15 +500,12 @@ def test_p1_pipeline_reduces_to_lti_algorithm():
     m = LtpModel(A=(np.array([[0.5]]),), B=(np.array([[1.0]]),), C=(np.array([[1.0]]),))
     N = 16
     ens = collect_ensemble(m, J=3, N=N, sigma=0.0, master_seed=1)
-    from ltpsid.etfe import etfe
-    from ltpsid.signal import assemble_spectra
-
     h_est = assemble_aliased(
         idft_blocks(etfe(assemble_spectra(ens))), P=1, N=N
     )
     for r in range(1, N + 1):
         np.testing.assert_allclose(
-            h_est.entry(0, r), [[0.5 ** (r - 1) / (1 - 0.5**N)]], atol=1e-9
+            h_est[0, r - 1], [[0.5 ** (r - 1) / (1 - 0.5**N)]], atol=1e-9
         )
     result = identify(ens, q=4, r=4, n_x=1)
     G_est = true_lifted_frequency_response(result.model, N).G
