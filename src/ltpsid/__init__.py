@@ -44,7 +44,6 @@ from .signal import (
 )
 from .subspace import (
     IdentificationResult,
-    PeriodicHankelSet,
     assemble_aliased,
     build_hankels,
     estimate_AC,

@@ -99,10 +99,23 @@ def _resolve(args, key: str):
     return _DEFAULTS.get(key)
 
 
-def _positive(name: str, value: int) -> int:
-    if value is None or int(value) < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value}")
-    return int(value)
+def _integer(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``; "abc", 2.5 or None raise ``ConfigError``."""
+    try:
+        number = int(value)
+        valid = (isinstance(value, str) or number == value) and number >= minimum
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
+def _real(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
 def _get_model(args):
@@ -115,11 +128,8 @@ def _get_model(args):
 def _parse_order(args) -> tuple[int | None, float | None]:
     order = _resolve(args, "order")
     if order == "auto":
-        return None, float(_resolve(args, "order_tol"))
-    try:
-        return int(order), None
-    except (TypeError, ValueError):
-        raise ConfigError(f"--order must be an integer or 'auto', got {order!r}")
+        return None, _real("order_tol", _resolve(args, "order_tol"))
+    return _integer("order (an integer or 'auto')", order), None
 
 
 def _study_config(args, model) -> MonteCarloConfig:
@@ -130,15 +140,15 @@ def _study_config(args, model) -> MonteCarloConfig:
     if nx is None:
         raise ConfigError("studies need a known order; pass --nx")
     return MonteCarloConfig(
-        J=_positive("J", J),
-        N=_positive("N", _resolve(args, "N")),
-        sigma=float(_resolve(args, "sigma")),
-        trials=_positive("trials", _resolve(args, "trials")),
-        q=_positive("q", _resolve(args, "q")),
-        r=_positive("r", _resolve(args, "r")),
-        n_x=_positive("nx", nx),
-        seed=int(_resolve(args, "seed")),
-        n_g=_positive("n_g", _resolve(args, "n_g")),
+        J=_integer("J", J),
+        N=_integer("N", _resolve(args, "N")),
+        sigma=_real("sigma", _resolve(args, "sigma")),
+        trials=_integer("trials", _resolve(args, "trials")),
+        q=_integer("q", _resolve(args, "q")),
+        r=_integer("r", _resolve(args, "r")),
+        n_x=_integer("nx", nx),
+        seed=_integer("seed", _resolve(args, "seed"), minimum=0),
+        n_g=_integer("n_g", _resolve(args, "n_g")),
     )
 
 
@@ -150,10 +160,10 @@ def _cmd_simulate(args) -> int:
         J = 10 * model.P
     ensemble = collect_ensemble(
         model,
-        J=_positive("J", J),
-        N=_positive("N", _resolve(args, "N")),
-        sigma=float(_resolve(args, "sigma")),
-        master_seed=int(_resolve(args, "seed")),
+        J=_integer("J", J),
+        N=_integer("N", _resolve(args, "N")),
+        sigma=_real("sigma", _resolve(args, "sigma")),
+        master_seed=_integer("seed", _resolve(args, "seed"), minimum=0),
     )
     manifest = fileio.save_ensemble(ensemble, out)
     print(f"wrote {ensemble.J} experiments and manifest to {manifest}")
@@ -166,11 +176,11 @@ def _cmd_identify(args) -> int:
     n_x, threshold = _parse_order(args)
     result = identify(
         ensemble,
-        q=_resolve(args, "q"),
-        r=_resolve(args, "r"),
+        q=_integer("q", _resolve(args, "q")),
+        r=_integer("r", _resolve(args, "r")),
         n_x=n_x,
         order_threshold=threshold,
-        rank_tol=float(_resolve(args, "rank_tol")),
+        rank_tol=_real("rank_tol", _resolve(args, "rank_tol")),
     )
     fileio.save_identification_result(
         result, out / "model.json", out / "diagnostics.json"
@@ -188,7 +198,7 @@ def _cmd_evaluate(args) -> int:
     true_model = fixtures.resolve_model(args.true, normalize=bool(_resolve(args, "normalize")))
     est_model = fixtures.resolve_model(args.est)
     out = _out_dir(args, "evaluate")
-    report = fit_metric(true_model, est_model, n_g=_positive("n_g", _resolve(args, "n_g")))
+    report = fit_metric(true_model, est_model, n_g=_integer("n_g", _resolve(args, "n_g")))
     fileio.write_json(
         {"W": report.W, "mse": report.mse, "n_g": report.n_g,
          "max_error": float(np.max(report.errors))},
@@ -208,7 +218,7 @@ def _cmd_montecarlo(args) -> int:
     model = _get_model(args)
     out = _out_dir(args, "montecarlo")
     config = _study_config(args, model)
-    result = monte_carlo(model, config, jobs=_positive("jobs", _resolve(args, "jobs")))
+    result = monte_carlo(model, config, jobs=_integer("jobs", _resolve(args, "jobs")))
     fileio.write_montecarlo_csv(result, out / "trials.csv")
     fileio.write_json(result.summary(), out / "summary.json")
     print(
@@ -225,16 +235,17 @@ def _cmd_sweep(args) -> int:
     if Ns is None:
         raise ConfigError("sweep needs --Ns, a comma-separated list of record lengths")
     if isinstance(Ns, str):
-        grid = [int(s) for s in Ns.split(",") if s.strip()]
-    else:
-        grid = [int(n) for n in Ns]
+        Ns = [s for s in Ns.split(",") if s.strip()]
+    if not isinstance(Ns, list):
+        raise ConfigError(f"Ns must be a comma-separated string or a list, got {Ns!r}")
+    grid = [_integer("Ns entry", n) for n in Ns]
     config = _study_config(args, model)
     sweep = consistency_sweep(
         model,
         grid,
         trials=config.trials,
         config=config,
-        jobs=_positive("jobs", _resolve(args, "jobs")),
+        jobs=_integer("jobs", _resolve(args, "jobs")),
     )
     fileio.write_sweep_csv(sweep, out / "sweep.csv")
     fileio.write_json(

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficient
-from .model import LiftedFrequencyResponse
+from .errors import ConfigError, RankDeficient
+from .model import LiftedFrequencyResponse, _mirror_half_grid
 from .signal import LiftedSpectra
 
 __all__ = ["etfe", "residual_energy", "LiftedFrequencyResponse"]
@@ -43,12 +43,7 @@ def etfe(spectra: LiftedSpectra, rank_tol: float = DEFAULT_RANK_TOL) -> LiftedFr
         k = int(np.argmax(deficient))
         raise RankDeficient(k, float(s[k, -1]))
     pinv = vt.swapaxes(-1, -2) @ ((1 / s)[..., None] * u.swapaxes(-1, -2))
-    G = np.empty((N, spectra.Y.shape[1], rows_u), dtype=np.complex128)
-    G[:half] = spectra.Y[:half] @ pinv
-    G[half:] = G[1 : N - half + 1][::-1].conj()
-    # Grid points 0 and N/2 are their own mirror images, so real for real data.
-    own_mirror = [0, N // 2] if N % 2 == 0 else [0]
-    G[own_mirror] = G[own_mirror].real
+    G = _mirror_half_grid(spectra.Y[:half] @ pinv, N)
     return LiftedFrequencyResponse(P=P, ny=spectra.Y.shape[1] // P, nu=rows_u // P, G=G)
 
 
@@ -61,7 +56,7 @@ def residual_energy(
     particular for J = P*n_u and for noise-free steady-state data.
     """
     if response.N != spectra.N:
-        raise ValueError(
+        raise ConfigError(
             f"grid sizes differ: response N={response.N}, spectra N={spectra.N}"
         )
     return np.linalg.norm(spectra.Y - response.G @ spectra.U, axis=(1, 2))

@@ -233,10 +233,10 @@ def save_identification_result(
         "order_used": result.order_used,
         "q": result.q,
         "r": result.r,
-        "singular_values": [[float(s) for s in sv] for sv in result.singular_values],
-        "threshold_counts": list(result.threshold_counts)
-        if result.threshold_counts is not None
-        else None,
+        "singular_values": result.singular_values.tolist(),
+        "threshold_counts": None
+        if result.threshold_counts is None
+        else result.threshold_counts.tolist(),
         "b_residual": float(result.b_residual),
         "h_reconstruction_error_max": float(np.max(result.h_reconstruction_error)),
         "h_reconstruction_error": [

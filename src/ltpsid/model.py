@@ -342,29 +342,43 @@ class LiftedFrequencyResponse:
         return 2.0 * np.pi * np.arange(self.N) / self.N
 
 
+def _mirror_half_grid(half: np.ndarray, N: int) -> np.ndarray:
+    """Full N-point grid from k = 0..N//2 of a real response: ``G[N-k] = conj(G[k])``.
+
+    Grid points 0 and N/2 are their own mirror images, so they keep only their real part.
+    """
+    G = np.empty((N,) + half.shape[1:], dtype=np.complex128)
+    G[: N // 2 + 1] = half
+    G[N // 2 + 1 :] = G[1 : (N + 1) // 2][::-1].conj()
+    own_mirror = [0, N // 2] if N % 2 == 0 else [0]
+    G[own_mirror] = G[own_mirror].real
+    return G
+
+
 def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyResponse:
     """Exact frequency response of the lifted system on the N-point grid.
 
     Evaluates ``C (zI - A)^{-1} B + D`` of the lifted realization at
-    ``z = exp(2*pi*j*k/N)`` for ``k = 0..N-1``.
+    ``z = exp(2*pi*j*k/N)`` for ``k = 0..N//2`` in one batched solve; the
+    realization is real, so conjugation fills the rest of the grid.
     """
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     lifted = lift_model(model)
     nx = lifted.A.shape[0]
-    G = np.empty((N, lifted.C.shape[0], lifted.B.shape[1]), dtype=np.complex128)
-    eye = np.eye(nx)
-    for k in range(N):
-        z = np.exp(2j * np.pi * k / N)
-        zIA = z * eye - lifted.A
-        cond = np.linalg.cond(zIA) if nx else 1.0
-        if not np.isfinite(cond) or cond > 1e14:
+    z = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    zIA = z[:, None, None] * np.eye(nx) - lifted.A
+    if nx:
+        singular = ~(np.linalg.cond(zIA) <= 1e14)  # true for nan as well
+        if singular.any():
             raise SingularMatrix(
-                f"zI - A singular at grid point {k}; the lifted state matrix "
-                "has an eigenvalue on the unit circle"
+                f"zI - A singular at grid point {int(np.argmax(singular))}; the "
+                "lifted state matrix has an eigenvalue on the unit circle"
             )
-        G[k] = lifted.C @ np.linalg.solve(zIA, lifted.B) + lifted.D
-    return LiftedFrequencyResponse(P=model.P, ny=model.ny, nu=model.nu, G=G)
+    half = lifted.C @ np.linalg.solve(zIA, lifted.B[None]) + lifted.D
+    return LiftedFrequencyResponse(
+        P=model.P, ny=model.ny, nu=model.nu, G=_mirror_half_grid(half, N)
+    )
 
 
 def _lifted_dc_response(model: LtpModel) -> np.ndarray:

@@ -288,14 +288,6 @@ class LiftedSpectra:
     def N(self) -> int:
         return self.U.shape[0]
 
-    @property
-    def J(self) -> int:
-        return self.U.shape[2]
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.N) / self.N
-
 
 def assemble_spectra(ensemble: Ensemble) -> LiftedSpectra:
     """Lift every experiment over one period and DFT it, all in one transform.

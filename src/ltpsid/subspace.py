@@ -8,16 +8,21 @@ The pipeline runs in fixed stages:
 2. rearrangement of the blocks into the time-aliased periodic impulse
    response, a plain (P, N*P, n_y, n_u) array with tag time t and lag r
    at entry ``[t, r-1]``,
-3. periodic block-Hankel assembly, one matrix per starting tag time,
-4. SVD of each Hankel matrix; the leading left singular vectors span the
+3. periodic block-Hankel assembly, a (P, q*n_y, r*n_u) stack with one
+   matrix per starting tag time,
+4. SVD of the Hankel stack; the leading left singular vectors span the
    extended observability matrix up to an unknown coordinate change,
-5. shift-invariance recovery of the A_t and C_t matrices,
-6. least-squares fit of the B_t matrices to the aliased impulse response.
+5. shift-invariance recovery of the (P, n_x, n_x) A and (P, n_y, n_x) C
+   stacks,
+6. least-squares fit of the (P, n_x, n_u) B stack to the aliased impulse
+   response.
 
-Stages 2 and 3 are single fancy-index scatters and gathers; the B fit
-takes its regressors from ``model.markov_rows``, the one periodic Markov
-kernel. ``identify`` chains the stages from an ensemble of experiments and
-tags any stage failure with the stage name.
+Stages 2 and 3 are single fancy-index scatters and gathers, and stages 4
+to 6 run batched SVDs and pseudo-inverses over all tag times or input
+times, with no loop; the B fit takes its regressors from
+``model.markov_rows``, the one periodic Markov kernel. ``identify`` chains
+the stages from an ensemble of experiments and tags any numerical stage
+failure with the stage name.
 """
 
 from __future__ import annotations
@@ -47,8 +52,6 @@ from .model import (
 from .signal import Ensemble, assemble_spectra
 
 __all__ = [
-    "PeriodicHankelSet",
-    "OrderSelection",
     "IdentificationResult",
     "idft_blocks",
     "assemble_aliased",
@@ -109,27 +112,12 @@ def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class PeriodicHankelSet:
-    """Block-Hankel matrices of the aliased impulse response, one per tag time.
+def build_hankels(h: np.ndarray, q: int, r: int) -> np.ndarray:
+    """Stack the q-by-r block-Hankel matrix of every starting tag time.
 
-    ``matrices[tau]`` has block (i, j) equal to the response at tag time
-    ``tau + i`` (cyclic) and lag ``i + j + 1``, giving shape
-    (q*n_y, r*n_u).
-    """
-
-    q: int
-    r: int
-    P: int
-    ny: int
-    nu: int
-    matrices: tuple[np.ndarray, ...] = field(repr=False)
-
-
-def build_hankels(h: np.ndarray, q: int, r: int) -> PeriodicHankelSet:
-    """Assemble the q-by-r block-Hankel matrix for every starting tag time.
-
-    ``h`` is the (P, max_lag, n_y, n_u) aliased impulse response.
+    ``h`` is the (P, max_lag, n_y, n_u) aliased impulse response. Matrix
+    ``tau`` of the (P, q*n_y, r*n_u) result has block (i, j) equal to the
+    response at tag time ``tau + i`` (cyclic) and lag ``i + j + 1``.
     """
     if q < 1 or r < 1:
         raise ConfigError(f"block counts must be >= 1, got q={q}, r={r}")
@@ -139,105 +127,72 @@ def build_hankels(h: np.ndarray, q: int, r: int) -> PeriodicHankelSet:
             f"q+r-1 = {q + r - 1} exceeds available lags N*P = {max_lag}"
         )
     tau, i, j = np.ix_(np.arange(P), np.arange(q), np.arange(r))
-    stack = h[(tau + i) % P, i + j].transpose(0, 1, 3, 2, 4)
-    matrices = stack.reshape(P, q * ny, r * nu)
-    return PeriodicHankelSet(q=q, r=r, P=P, ny=ny, nu=nu, matrices=tuple(matrices))
-
-
-@dataclass(frozen=True)
-class OrderSelection:
-    """Leading left singular bases of the Hankel set at a common order.
-
-    ``bases[tau]`` is (q*n_y, order) with orthonormal columns;
-    ``singular_values[tau]`` is the full descending spectrum.
-    ``threshold_counts`` records the per-tag-time order suggested by the
-    threshold (None in fixed-order mode); when the counts disagree the
-    maximum is used.
-    """
-
-    order: int
-    bases: tuple[np.ndarray, ...]
-    singular_values: tuple[np.ndarray, ...]
-    threshold_counts: tuple[int, ...] | None = None
+    return h[(tau + i) % P, i + j].transpose(0, 1, 3, 2, 4).reshape(P, q * ny, r * nu)
 
 
 def svd_order(
-    hankels: PeriodicHankelSet,
-    n_x: int | None = None,
-    threshold: float | None = None,
-) -> OrderSelection:
-    """Pick the state order and observability bases from the Hankel SVDs.
+    hankels: np.ndarray, n_x: int | None = None, threshold: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Pick the state order and observability bases from one SVD of the Hankel stack.
 
-    Exactly one of ``n_x`` (fixed order) or ``threshold`` (relative to the
-    largest singular value, order shared across tag times as the maximum
-    count) must be given.
+    Exactly one of ``n_x`` (fixed order) or ``threshold`` (relative to each
+    matrix's largest singular value; the order is the maximum count over tag
+    times) must be given. Returns the (P, q*n_y, order) leading left singular
+    vectors, the (P, min(q*n_y, r*n_u)) descending spectra, and the
+    per-tag-time counts above the threshold (None at a fixed order).
     """
     if (n_x is None) == (threshold is None):
         raise ConfigError("specify exactly one of n_x or threshold")
-    max_order = min(hankels.q * hankels.ny, hankels.r * hankels.nu)
-    svd_results = [np.linalg.svd(H, full_matrices=False) for H in hankels.matrices]
-    svals = tuple(s for _, s, _ in svd_results)
+    U, s, _ = np.linalg.svd(hankels, full_matrices=False)
     counts = None
     if threshold is not None:
-        counts = tuple(int(np.sum(s > threshold * s[0])) for s in svals)
-        order = max(counts)
+        counts = np.sum(s > threshold * s[:, :1], axis=1)
+        order = int(counts.max())
     else:
         order = int(n_x)
-    if order < 1 or order > max_order:
-        raise OrderTooLarge(
-            f"order {order} outside 1..min(q*ny, r*nu) = {max_order}"
-        )
-    bases = tuple(U[:, :order] for U, _, _ in svd_results)
-    return OrderSelection(
-        order=order, bases=bases, singular_values=svals, threshold_counts=counts
-    )
+    if order < 1 or order > s.shape[1]:
+        raise OrderTooLarge(f"order {order} outside 1..min(q*ny, r*nu) = {s.shape[1]}")
+    return U[..., :order], s, counts
 
 
-def estimate_AC(
-    bases: tuple[np.ndarray, ...], ny: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def estimate_AC(bases: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray]:
     """Recover the state and output matrices by shift invariance.
 
-    For each tag time, the basis with its last block row dropped, advanced
-    one tag time (wrapping the last back to the first), maps onto the
-    basis with its first block row dropped; the transition matrix is the
-    least-squares solution of that relation. The output matrix is the
-    first block row of the basis.
+    For each of the (P, q*n_y, order) bases, the next tag time's basis (the
+    last wrapping back to the first) with its last block row dropped maps
+    onto this basis with its first block row dropped; the transition matrix
+    is the least-squares solution of that relation, and the output matrix
+    is the first block row. Returns the A and C stacks, (P, order, order)
+    and (P, n_y, order).
     """
-    P = len(bases)
-    order = bases[0].shape[1]
-    A_est, C_est = [], []
-    for tau in range(P):
-        U_now = bases[tau]
-        U_next = bases[(tau + 1) % P]
-        top = U_next[:-ny, :]
-        svals = np.linalg.svd(top, compute_uv=False)
-        # top is part of an orthonormal basis, so svals[0] <= 1: an absolute bound.
-        if svals.size < order or svals[order - 1] <= 1e-12:
-            raise ShiftRankDeficient(tau)
-        A_est.append(np.linalg.pinv(top) @ U_now[ny:, :])
-        C_est.append(U_now[:ny, :])
-    return A_est, C_est
+    bases = np.asarray(bases)
+    top = np.roll(bases, -1, axis=0)[:, :-ny]
+    if top.shape[1] < bases.shape[2]:
+        raise ShiftRankDeficient(0)
+    # top is part of an orthonormal basis, so its singular values are <= 1.
+    deficient = np.linalg.svd(top, compute_uv=False)[:, -1] <= 1e-12
+    if deficient.any():
+        raise ShiftRankDeficient(int(np.argmax(deficient)))
+    return np.linalg.pinv(top) @ bases[:, ny:], bases[:, :ny]
 
 
 def estimate_B(
-    A_est: list[np.ndarray],
-    C_est: list[np.ndarray],
-    h: np.ndarray,
-    N: int,
-) -> tuple[list[np.ndarray], float, np.ndarray]:
+    A_est: np.ndarray, C_est: np.ndarray, h: np.ndarray, N: int
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Least-squares fit of the input matrices to the aliased impulse response.
 
     ``h`` is the (P, N*P, n_y, n_u) aliased response. Each (tag time, lag)
     coefficient is linear in exactly one B matrix, the one at time index
     ``beta = tag - lag`` mod P, so the objective splits into P independent
     least-squares problems whose regressors are the aliased ``markov_rows``
-    of the estimated A, C. Returns the B matrices, the total squared
-    residual, and the fitted aliased response in the layout of ``h``.
+    of the estimated A, C. Every beta owns one entry per lag, so the P
+    problems stack, and one SVD of the stacked regressors serves both the
+    condition check and the solve. Returns the (P, n_x, n_u) B stack, the
+    total squared residual, and the fitted aliased response in the layout
+    of ``h``.
     """
-    P = len(A_est)
     A = np.asarray(A_est, dtype=np.float64)
-    nx = A.shape[1]
+    P, nx = A.shape[:2]
     rho = float(np.max(np.abs(np.linalg.eigvals(_monodromies(A)[0])))) if nx else 0.0
     if rho >= 1.0:
         raise UnstableEstimate(
@@ -247,45 +202,43 @@ def estimate_B(
 
     max_lag, nu = h.shape[1], h.shape[3]
     rows = markov_rows(A, C_est, max_lag, N)
-    beta_of = _input_times(P, max_lag)
-    B_est: list[np.ndarray] = []
-    total_residual = 0.0
-    for beta in range(P):
-        mask = beta_of == beta
-        G = rows[mask].reshape(-1, nx)
-        T = h[mask].reshape(-1, nu)
-        svals = np.linalg.svd(G, compute_uv=False)
-        if svals[-1] <= 0 or svals[0] / svals[-1] > REGRESSOR_COND_LIMIT:
-            raise IllConditioned(
-                f"regressor for input matrix at time {beta} has condition number "
-                f"above {REGRESSOR_COND_LIMIT:g}"
-            )
-        sol, _, _, _ = np.linalg.lstsq(G, T, rcond=None)
-        B_est.append(sol)
-        total_residual += float(np.sum((T - G @ sol) ** 2))
-    return B_est, total_residual, _with_inputs(rows, B_est)
+    # A stable sort keeps each beta's (tag, lag) entries in C order.
+    by_beta = np.argsort(_input_times(P, max_lag), axis=None, kind="stable")
+    G = rows.reshape(P * max_lag, -1)[by_beta].reshape(P, -1, nx)
+    T = h.reshape(P * max_lag, -1)[by_beta].reshape(P, -1, nu)
+    u, s, vt = np.linalg.svd(G, full_matrices=False)
+    bad = (s[:, -1] <= 0) | (s[:, 0] > REGRESSOR_COND_LIMIT * s[:, -1])
+    if bad.any():
+        raise IllConditioned(
+            f"regressor for input matrix at time {int(np.argmax(bad))} has "
+            f"condition number above {REGRESSOR_COND_LIMIT:g}"
+        )
+    B = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ T) / s[..., None])
+    return B, float(np.sum((T - G @ B) ** 2)), _with_inputs(rows, B)
 
 
 @dataclass(frozen=True)
 class IdentificationResult:
     """Estimated model plus the order-revealing diagnostics.
 
-    ``singular_values[tau]`` is the descending Hankel spectrum at each
-    starting tag time. ``h_reconstruction_error[t, r-1]`` is the Frobenius
+    ``singular_values`` is the (P, min(q*n_y, r*n_u)) array whose row tau is
+    the descending Hankel spectrum at starting tag time tau, and
+    ``threshold_counts`` the (P,) counts above the order threshold (None at
+    a fixed order). ``h_reconstruction_error[t, r-1]`` is the Frobenius
     distance between the assembled aliased response and the one implied by
     the estimated model. ``response`` is the estimated lifted frequency
     response the model was realized from.
     """
 
     model: LtpModel
-    singular_values: tuple[np.ndarray, ...]
+    singular_values: np.ndarray
     order_used: int
     q: int
     r: int
     b_residual: float
     h_reconstruction_error: np.ndarray = field(repr=False)
     response: LiftedFrequencyResponse = field(repr=False)
-    threshold_counts: tuple[int, ...] | None = None
+    threshold_counts: np.ndarray | None = None
 
 
 def default_block_counts(N: int, P: int) -> tuple[int, int]:
@@ -306,8 +259,9 @@ def identify(
 
     Stages: lift and transform the data, estimate the lifted frequency
     response, invert it to the aliased impulse response, build the
-    periodic Hankel set, select the order, and recover A, C by shift
-    invariance and B by least squares. Any stage error is re-raised as a
+    periodic Hankel stack, select the order, and recover A, C by shift
+    invariance and B by least squares. A ``ConfigError`` (bad block counts
+    or order) propagates as it is; any other stage error is re-raised as a
     ``PipelineError`` naming the stage. Deterministic given its inputs.
     """
     qd, rd = default_block_counts(ensemble.N, ensemble.P)
@@ -318,9 +272,11 @@ def identify(
             f"q+r-1 = {q + r - 1} exceeds record length N*P = {ensemble.N * ensemble.P}"
         )
 
-    def run(stage: str, fn, *args, **kwargs):
+    def run(stage: str, fn, *args):
         try:
-            return fn(*args, **kwargs)
+            return fn(*args)
+        except ConfigError:
+            raise
         except Exception as exc:
             raise PipelineError(stage, exc) from exc
 
@@ -329,20 +285,17 @@ def identify(
     blocks = run("idft_blocks", idft_blocks, response)
     h_est = run("assemble_aliased", assemble_aliased, blocks, ensemble.P, ensemble.N)
     hankels = run("build_hankels", build_hankels, h_est, q, r)
-    selection = run("svd_order", svd_order, hankels, n_x, order_threshold)
-    A_est, C_est = run("estimate_AC", estimate_AC, selection.bases, ensemble.ny)
+    bases, svals, counts = run("svd_order", svd_order, hankels, n_x, order_threshold)
+    A_est, C_est = run("estimate_AC", estimate_AC, bases, ensemble.ny)
     B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est, ensemble.N)
-
-    est_model = LtpModel(A=tuple(A_est), B=tuple(B_est), C=tuple(C_est))
-    recon_err = np.linalg.norm(h_fit - h_est, axis=(2, 3))
     return IdentificationResult(
-        model=est_model,
-        singular_values=selection.singular_values,
-        order_used=selection.order,
+        model=LtpModel(A=A_est, B=B_est, C=C_est),
+        singular_values=svals,
+        order_used=bases.shape[-1],
         q=q,
         r=r,
         b_residual=b_residual,
-        h_reconstruction_error=recon_err,
+        h_reconstruction_error=np.linalg.norm(h_fit - h_est, axis=(2, 3)),
         response=response,
-        threshold_counts=selection.threshold_counts,
+        threshold_counts=counts,
     )

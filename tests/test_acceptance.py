@@ -145,7 +145,7 @@ def test_criterion_5_oracle_equivalences(example1_norm, example2_norm):
             )
             direct = np.vstack(obs) @ resolvent @ np.hstack(ctrb)
             worst_b = max(
-                worst_b, float(np.max(np.abs(hankels.matrices[tau] - direct)))
+                worst_b, float(np.max(np.abs(hankels[tau] - direct)))
             )
 
     # (c) the aliasing index map is a bijection for every (P, N) combination.

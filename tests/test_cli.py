@@ -82,6 +82,61 @@ def test_identify_numerical_failure_exits_4(tmp_path, capsys, example1_norm):
     assert "etfe" in capsys.readouterr().err
 
 
+def _assert_config_exit(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--q", 0], "q must be"),
+        (["--order", 50], "order 50 outside"),
+        (["--order", 0], "order"),
+        (["--order", "2.5"], "order"),
+    ],
+)
+def test_identify_bad_blocks_or_order_exits_2(tmp_path, capsys, example1_norm, flags, needle):
+    ens = collect_ensemble(example1_norm, J=4, N=10, sigma=0.0, master_seed=2)
+    manifest = save_ensemble(ens, tmp_path / "ens")
+    capsys.readouterr()
+    code = run(["identify", manifest, *flags, "--out", tmp_path / "id"])
+    _assert_config_exit(code, capsys, needle)
+
+
+def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
+    code = run(["sweep", "--model", "example1", "--Ns", "25,abc", "--nx", 2,
+                "--out", tmp_path])
+    _assert_config_exit(code, capsys, "'abc'")
+
+
+@pytest.mark.parametrize(
+    "command, config, needle",
+    [
+        ("simulate", {"N": "abc"}, "N must be"),
+        ("simulate", {"sigma": "x"}, "sigma must be"),
+        ("simulate", {"J": 2.5}, "J must be"),
+        ("identify", {"order": 2.5}, "order"),
+        ("identify", {"order_tol": "x"}, "order_tol must be"),
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command, config, needle):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if command == "simulate":
+        argv = ["simulate", "--model", "example1"]
+    else:
+        ens = collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=2)
+        argv = ["identify", save_ensemble(ens, tmp_path / "ens"), "--q", 4, "--r", 4]
+        if "order" not in config:
+            argv += ["--order", "auto"]
+    capsys.readouterr()
+    code = run(argv + ["--config", path, "--out", tmp_path / "o"])
+    _assert_config_exit(code, capsys, needle)
+
+
 def test_evaluate_same_fixture_scores_perfect(tmp_path):
     code = run(["evaluate", "--true", "example1", "--est", "example1",
                 "--out", tmp_path])

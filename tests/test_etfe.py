@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_model
-from ltpsid.errors import RankDeficient
+from ltpsid.errors import ConfigError, RankDeficient
 from ltpsid.etfe import etfe, residual_energy
 from ltpsid.model import true_lifted_frequency_response
 from ltpsid.signal import LiftedSpectra, assemble_spectra, collect_ensemble
@@ -99,3 +99,14 @@ def test_residual_energy_matches_per_frequency_norm(example1_norm):
     np.testing.assert_allclose(
         residual_energy(spectra, response), reference, rtol=1e-14
     )
+
+
+def test_residual_energy_rejects_mismatched_grid(example1_norm):
+    spectra = assemble_spectra(
+        collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=1)
+    )
+    other = etfe(
+        assemble_spectra(collect_ensemble(example1_norm, J=4, N=6, sigma=0.0, master_seed=1))
+    )
+    with pytest.raises(ConfigError, match="grid sizes differ"):
+        residual_energy(spectra, other)

@@ -316,6 +316,24 @@ def test_frequency_response_zero_input_map(example1):
     assert np.all(true_lifted_frequency_response(zeroed, 6).G == 0)
 
 
+@pytest.mark.parametrize("N", [9, 10])
+@pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
+def test_frequency_response_exactly_conjugate_symmetric(fixture, N, request):
+    G = true_lifted_frequency_response(request.getfixturevalue(fixture), N).G
+    for k in range(N):
+        np.testing.assert_array_equal(G[(N - k) % N], np.conj(G[k]))
+
+
+def test_frequency_response_names_lowest_singular_grid_point():
+    # Eigenvalues -1 and +-j lie on the 8-point grid at k = 4, 2 and 6.
+    A = np.zeros((3, 3))
+    A[0, 0] = -1.0
+    A[1:, 1:] = [[0.0, -1.0], [1.0, 0.0]]
+    m = LtpModel(A=(A,), B=(np.ones((3, 1)),), C=(np.ones((1, 3)),))
+    with pytest.raises(SingularMatrix, match="grid point 2;"):
+        true_lifted_frequency_response(m, 8)
+
+
 def test_frequency_response_unit_delay():
     m = LtpModel(A=(np.zeros((1, 1)),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
     resp = true_lifted_frequency_response(m, 8)

@@ -18,9 +18,11 @@ from ltpsid.evaluation import fit_metric
 from ltpsid.model import (
     LiftedFrequencyResponse,
     LtpModel,
+    _input_times,
     aliased_impulse_response_true,
     impulse_response,
     impulse_table,
+    markov_rows,
     monodromy,
     true_lifted_frequency_response,
 )
@@ -196,13 +198,13 @@ def test_hankel_single_block_is_first_lag(example2_norm):
     h = aliased_impulse_response_true(example2_norm, 4)
     hankels = build_hankels(h, q=1, r=1)
     for tau in range(3):
-        np.testing.assert_array_equal(hankels.matrices[tau], h[tau, 0])
+        np.testing.assert_array_equal(hankels[tau], h[tau, 0])
 
 
 def test_hankel_rank_two_noise_free(example1_norm):
     h = aliased_impulse_response_true(example1_norm, 10)
     hankels = build_hankels(h, q=4, r=4)
-    for H in hankels.matrices:
+    for H in hankels:
         s = np.linalg.svd(H, compute_uv=False)
         assert s[2] / s[0] < 1e-10
         assert s[1] / s[0] > 1e-8  # genuinely rank 2, not rank 1
@@ -221,7 +223,7 @@ def test_hankel_factorization_against_direct_product(fixture, request):
         K = np.linalg.inv(
             np.eye(model.nx) - np.linalg.matrix_power(monodromy(model, tau), N)
         )
-        np.testing.assert_allclose(hankels.matrices[tau], O @ K @ Ctrb, atol=1e-9)
+        np.testing.assert_allclose(hankels[tau], O @ K @ Ctrb, atol=1e-9)
 
 
 def test_hankel_block_range_guard(example1_norm):
@@ -236,13 +238,11 @@ def test_hankel_block_range_guard(example1_norm):
 
 
 def test_svd_order_rank_one_synthetic():
-    from ltpsid.subspace import PeriodicHankelSet
-
     u = np.array([[1.0], [2.0], [-1.0]])
     v = np.array([[3.0, 0.5]])
-    hankels = PeriodicHankelSet(q=3, r=2, P=1, ny=1, nu=1, matrices=(u @ v,))
-    sel = svd_order(hankels, n_x=1)
-    basis = sel.bases[0]
+    hankels = (u @ v)[None]  # (1, 3, 2): P=1, q=3, r=2, n_y=n_u=1
+    bases, _, _ = svd_order(hankels, n_x=1)
+    basis = bases[0]
     # The basis must span the column space of H exactly.
     proj = basis @ basis.T @ u
     np.testing.assert_allclose(proj, u, atol=1e-12)
@@ -251,17 +251,17 @@ def test_svd_order_rank_one_synthetic():
 def test_svd_order_threshold_finds_two(example1_norm):
     h = aliased_impulse_response_true(example1_norm, 10)
     hankels = build_hankels(h, q=6, r=6)
-    sel = svd_order(hankels, threshold=1e-8)
-    assert sel.order == 2
-    assert sel.threshold_counts == (2, 2)
+    bases, _, counts = svd_order(hankels, threshold=1e-8)
+    assert bases.shape[-1] == 2
+    assert counts.tolist() == [2, 2]
 
 
 def test_svd_order_bases_orthonormal(example2_norm):
     h = aliased_impulse_response_true(example2_norm, 8)
-    sel = svd_order(build_hankels(h, q=5, r=5), n_x=2)
-    for basis in sel.bases:
+    bases, svals, _ = svd_order(build_hankels(h, q=5, r=5), n_x=2)
+    for basis in bases:
         np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
-        assert np.all(np.diff(sel.singular_values[0]) <= 1e-15)
+        assert np.all(np.diff(svals[0]) <= 1e-15)
 
 
 def test_svd_order_too_large(example1_norm):
@@ -269,6 +269,33 @@ def test_svd_order_too_large(example1_norm):
     hankels = build_hankels(h, q=3, r=3)
     with pytest.raises(OrderTooLarge):
         svd_order(hankels, n_x=4)
+
+
+def _noisy_aliased_response(model, N, seed):
+    h = aliased_impulse_response_true(model, N)
+    return h + 1e-2 * np.random.default_rng(seed).standard_normal(h.shape)
+
+
+@pytest.mark.parametrize("threshold", [None, 1e-3])
+@pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
+def test_svd_order_matches_per_matrix_svd(fixture, threshold, request):
+    # Reference: one SVD per Hankel matrix, as before the batched stage.
+    model = request.getfixturevalue(fixture)
+    hankels = build_hankels(_noisy_aliased_response(model, 10, 3), q=6, r=5)
+    n_x = 2 if threshold is None else None
+    bases, svals, counts = svd_order(hankels, n_x=n_x, threshold=threshold)
+    per_matrix = [np.linalg.svd(H, full_matrices=False) for H in hankels]
+    np.testing.assert_array_equal(svals, [s for _, s, _ in per_matrix])
+    if threshold is None:
+        assert counts is None
+        order = 2
+    else:
+        ref_counts = [int(np.sum(s > threshold * s[0])) for _, s, _ in per_matrix]
+        np.testing.assert_array_equal(counts, ref_counts)
+        order = max(ref_counts)
+    assert bases.shape == (model.P, 6 * model.ny, order)
+    for tau, (U, _, _) in enumerate(per_matrix):
+        assert np.array_equal(bases[tau], U[:, :order])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +341,32 @@ def test_estimate_AC_shift_rank_deficient():
         estimate_AC(bases, ny=1)
 
 
+@pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
+def test_estimate_AC_matches_per_tag_pinv(fixture, request):
+    # Reference: the per-tag-time rank check and pinv loop the stage replaced.
+    model = request.getfixturevalue(fixture)
+    bases, _, _ = svd_order(
+        build_hankels(_noisy_aliased_response(model, 10, 4), q=6, r=6), n_x=2
+    )
+    A_est, C_est = estimate_AC(bases, ny=model.ny)
+    assert A_est.shape == (model.P, 2, 2) and C_est.shape == (model.P, model.ny, 2)
+    for tau in range(model.P):
+        top = bases[(tau + 1) % model.P][: -model.ny]
+        assert np.linalg.svd(top, compute_uv=False)[-1] > 1e-12
+        assert np.array_equal(A_est[tau], np.linalg.pinv(top) @ bases[tau][model.ny :])
+        assert np.array_equal(C_est[tau], bases[tau][: model.ny])
+
+
+def test_estimate_AC_names_first_deficient_tag():
+    # Tag time tau reads the basis of tau + 1: bases 2 and 0 have a rank-one
+    # top part, so tags 1 and 2 are both deficient and tag 1 is reported.
+    good = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    bad = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ShiftRankDeficient) as excinfo:
+        estimate_AC(np.stack([bad, good, bad]), ny=1)
+    assert excinfo.value.tag == 1
+
+
 # ---------------------------------------------------------------------------
 # B recovery
 # ---------------------------------------------------------------------------
@@ -350,6 +403,50 @@ def test_estimate_B_ill_conditioned_zero_output_map():
     h = np.zeros((1, 4, 1, 1))
     with pytest.raises(IllConditioned):
         estimate_B([np.array([[0.5]])], [np.array([[0.0]])], h, 4)
+
+
+def test_estimate_B_names_first_ill_conditioned_beta():
+    # With A = 0 only lag 1 survives, so the regressor of B_beta is C_{beta+1}
+    # alone: C_2 = C_0 = 0 leaves betas 1 and 2 singular, and 1 is reported.
+    A = [np.zeros((1, 1))] * 3
+    C = [np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1))]
+    with pytest.raises(IllConditioned, match="at time 1 "):
+        estimate_B(A, C, np.zeros((3, 12, 1, 1)), 4)
+
+
+def _estimate_B_per_beta(A, C, h, N):
+    # Reference: the per-beta boolean mask and lstsq loop the stage replaced.
+    P, max_lag, _, nu = h.shape
+    rows = markov_rows(A, C, max_lag, N)
+    beta_of = _input_times(P, max_lag)
+    B, residual = [], 0.0
+    for beta in range(P):
+        G = rows[beta_of == beta].reshape(-1, rows.shape[-1])
+        T = h[beta_of == beta].reshape(-1, nu)
+        sol = np.linalg.lstsq(G, T, rcond=None)[0]
+        B.append(sol)
+        residual += float(np.sum((T - G @ sol) ** 2))
+    return np.array(B), residual
+
+
+@pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm", "random"])
+def test_estimate_B_matches_per_beta_lstsq(fixture, request):
+    if fixture == "random":
+        model = random_stable_model(23, P=3, nx=3, ny=2, nu=2)
+    else:
+        model = request.getfixturevalue(fixture)
+    N = 10
+    h = _noisy_aliased_response(model, N, 5)
+    B, residual, fitted = estimate_B(model.A, model.C, h, N)
+    B_ref, residual_ref = _estimate_B_per_beta(model.A, model.C, h, N)
+    assert B.shape == (model.P, model.nx, model.nu)
+    np.testing.assert_allclose(B, B_ref, rtol=0, atol=1e-12 * np.max(np.abs(B_ref)))
+    assert residual > 0
+    np.testing.assert_allclose(residual, residual_ref, rtol=1e-12)
+    fitted_ref = impulse_table(LtpModel(A=model.A, B=tuple(B_ref), C=model.C), N * model.P, N)
+    np.testing.assert_allclose(
+        fitted, fitted_ref, rtol=0, atol=1e-12 * np.max(np.abs(fitted_ref))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +506,16 @@ def test_identify_stage_annotation_on_rank_failure(example1_norm):
     with pytest.raises(PipelineError) as excinfo:
         identify(ens, q=4, r=4, n_x=2)
     assert excinfo.value.stage == "etfe"
+
+
+def test_identify_config_errors_not_wrapped(example1_norm):
+    # Bad block counts or orders are configuration errors, not numerical
+    # failures of a stage.
+    ens = collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=3)
+    for kwargs in (dict(q=0, r=4, n_x=2), dict(q=4, r=4, n_x=5), dict(q=4, r=4, n_x=0)):
+        with pytest.raises(ConfigError) as excinfo:
+            identify(ens, **kwargs)
+        assert not isinstance(excinfo.value, PipelineError)
 
 
 def test_identify_infeasible_blocks(example1_norm):
