@@ -86,6 +86,8 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(data) - set(_DEFAULTS) - {"model", "Ns", "out"}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    if not isinstance(data.get("normalize", False), bool):
+        raise ConfigError(f"{path}: normalize must be true or false, got {data['normalize']!r}")
     return data
 
 
@@ -100,29 +102,31 @@ def _resolve(args, key: str):
 
 
 def _integer(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int >= ``minimum``; "abc", 2.5 or None raise ``ConfigError``."""
+    """``value`` as an int >= ``minimum``; "abc", 2.5, true or None raise ``ConfigError``."""
     try:
         number = int(value)
         valid = (isinstance(value, str) or number == value) and number >= minimum
     except (TypeError, ValueError, OverflowError):
         valid = False
-    if not valid:
+    if not valid or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return number
 
 
 def _real(name: str, value) -> float:
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _get_model(args):
     source = _resolve(args, "model")
     if source is None:
         raise ConfigError("no model given; use --model FIXTURE_NAME_OR_PATH")
-    return fixtures.resolve_model(str(source), normalize=bool(_resolve(args, "normalize")))
+    return fixtures.resolve_model(str(source), normalize=_resolve(args, "normalize"))
 
 
 def _parse_order(args) -> tuple[int | None, float | None]:
@@ -195,7 +199,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    true_model = fixtures.resolve_model(args.true, normalize=bool(_resolve(args, "normalize")))
+    true_model = fixtures.resolve_model(args.true, normalize=_resolve(args, "normalize"))
     est_model = fixtures.resolve_model(args.est)
     out = _out_dir(args, "evaluate")
     report = fit_metric(true_model, est_model, n_g=_integer("n_g", _resolve(args, "n_g")))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, LengthNotDivisible
-from .model import LtpModel, _inverse_of_identity_minus, is_stable, monodromy
+from .model import LtpModel, _inverse_of_identity_minus, is_stable, lift_model
 
 __all__ = [
     "Experiment",
@@ -128,53 +128,41 @@ def generate_periodic_input(P: int, N: int, n_u: int, seed: int) -> np.ndarray:
     return rng.standard_normal((N * P, n_u))
 
 
-def simulate(
-    model: LtpModel, u: np.ndarray, x0: np.ndarray | None = None
-) -> np.ndarray:
+def simulate(model: LtpModel, u: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
     """Noise-free response to ``u`` from initial state ``x0`` (default zero).
 
     Time starts at t=0, so ``u[t]`` meets the matrices at index ``t mod P``.
+    Steps one sample at a time: the time-domain reference for the lifted steady state.
     """
-    y, _ = _simulate_with_state(model, np.atleast_2d(np.asarray(u, float)), x0)
-    return y
-
-
-def _simulate_with_state(
-    model: LtpModel, u: np.ndarray, x0: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step the model over the time axis of ``u`` (..., T, n_u).
-
-    Leading axes are a batch of independent runs. Returns the outputs
-    (..., T, n_y) and the final state (..., n_x).
-    """
+    u = np.atleast_2d(np.asarray(u, float))
     if u.shape[-1] != model.nu:
         raise ConfigError(f"input has {u.shape[-1]} channels, model expects {model.nu}")
-    batch, T = u.shape[:-2], u.shape[-2]
-    shape = batch + (model.nx,)
-    x = np.zeros(shape) if x0 is None else np.asarray(x0, float).reshape(shape)
-    A, B, C, P = model.A, model.B, model.C, model.P
-    y = np.empty(batch + (T, model.ny))
-    for t in range(T):
-        i = t % P
-        y[..., t, :] = x @ C[i].T
-        x = x @ A[i].T + u[..., t, :] @ B[i].T
-    return y, x
+    x = np.zeros(model.nx) if x0 is None else np.asarray(x0, float).reshape(model.nx)
+    y = np.empty((u.shape[0], model.ny))
+    for t in range(u.shape[0]):
+        i = t % model.P
+        y[t] = x @ model.C[i].T
+        x = x @ model.A[i].T + u[t] @ model.B[i].T
+    return y
 
 
 def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     """Steady-state output of a stable model under periodically repeated input.
 
     ``patterns`` is one (T, n_u) pattern or a (J, T, n_u) stack, with T a
-    multiple of P. The state at pattern start is the periodic fixed point
-    ``x0 = (I - Psi^(T/P))^{-1} x_T``, where ``x_T`` ends a pass from the
-    zero state and ``Psi`` is the monodromy at t=0; one pass from ``x0``
-    then gives the returned (T, n_y) or (J, T, n_y) outputs.
+    multiple of P. Each pattern is lifted to N = T/P samples of one period
+    and run, batched over J, through ``lift_model``: a pass of the lifted
+    step from the zero state ends in ``x_N``, the periodic fixed point is
+    ``x0 = (I - A_L^N)^{-1} x_N``, and a pass from ``x0`` records the N
+    period-start states that give the (T, n_y) or (J, T, n_y) outputs.
     """
     u = np.asarray(patterns, dtype=np.float64)
     if u.ndim not in (2, 3):
         raise ConfigError(
             f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}"
         )
+    if u.shape[-1] != model.nu:
+        raise ConfigError(f"input has {u.shape[-1]} channels, model expects {model.nu}")
     if u.shape[-2] % model.P != 0:
         raise LengthNotDivisible(
             f"pattern length {u.shape[-2]} not divisible by P={model.P}"
@@ -185,11 +173,20 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
             f"model is not stable (spectral radius {stab.spectral_radius:.4f}); "
             "steady-state data collection requires stability"
         )
-    _, x_T = _simulate_with_state(model, u, None)
-    psi_pow = np.linalg.matrix_power(monodromy(model, 0), u.shape[-2] // model.P)
-    x0 = x_T @ _inverse_of_identity_minus(psi_pow).T
-    y, _ = _simulate_with_state(model, u, x0)
-    return y
+    lifted = lift_model(model)
+    N = u.shape[-2] // model.P
+    u_lifted = u.reshape(u.shape[:-2] + (N, -1))
+    drive = u_lifted @ lifted.B.T
+    x = np.zeros(drive.shape[:-2] + (model.nx,))
+    for n in range(N):
+        x = x @ lifted.A.T + drive[..., n, :]
+    x = x @ _inverse_of_identity_minus(np.linalg.matrix_power(lifted.A, N)).T
+    X = np.empty(drive.shape)
+    for n in range(N):
+        X[..., n, :] = x
+        x = x @ lifted.A.T + drive[..., n, :]
+    y = X @ lifted.C.T + u_lifted @ lifted.D.T
+    return y.reshape(u.shape[:-1] + (model.ny,))
 
 
 def add_noise(

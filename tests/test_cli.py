@@ -120,6 +120,12 @@ def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
         ("simulate", {"J": 2.5}, "J must be"),
         ("identify", {"order": 2.5}, "order"),
         ("identify", {"order_tol": "x"}, "order_tol must be"),
+        ("simulate", {"N": True}, "N must be"),
+        ("simulate", {"sigma": True}, "sigma must be"),
+        ("simulate", {"normalize": "false"}, "normalize must be"),
+        ("simulate", {"normalize": 0}, "normalize must be"),
+        ("evaluate", {"normalize": "false"}, "normalize must be"),
+        ("evaluate", {"n_g": True}, "n_g must be"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command, config, needle):
@@ -127,6 +133,8 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command
     path.write_text(json.dumps(config))
     if command == "simulate":
         argv = ["simulate", "--model", "example1"]
+    elif command == "evaluate":
+        argv = ["evaluate", "--true", "example1", "--est", "example1"]
     else:
         ens = collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=2)
         argv = ["identify", save_ensemble(ens, tmp_path / "ens"), "--q", 4, "--r", 4]
@@ -135,6 +143,19 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command
     capsys.readouterr()
     code = run(argv + ["--config", path, "--out", tmp_path / "o"])
     _assert_config_exit(code, capsys, needle)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_config_boolean_matches_flag(tmp_path, normalize):
+    # JSON true/false in a config file acts as the --normalize flag does.
+    base = ["simulate", "--model", "example1", "--N", 4, "--J", 2, "--sigma", 0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"normalize": normalize}))
+    assert run(base + ["--config", path, "--out", tmp_path / "config"]) == 0
+    flag = ["--normalize"] if normalize else []
+    assert run(base + flag + ["--out", tmp_path / "flag"]) == 0
+    name = "experiment_0000.csv"
+    assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
 
 def test_evaluate_same_fixture_scores_perfect(tmp_path):

@@ -13,6 +13,7 @@ from ltpsid.model import (
     impulse_table,
     is_stable,
     lift_model,
+    markov_rows,
     monodromy,
     normalize_gain,
     true_lifted_frequency_response,
@@ -192,6 +193,42 @@ def test_impulse_table_matches_per_entry_response(seed, P, nx, nu, ny):
     )
     scale = max(np.max(np.abs(reference)), 1e-300)
     np.testing.assert_allclose(impulse_table(m, n_g), reference, rtol=0, atol=1e-13 * scale)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    P=st.integers(1, 5),
+    nx=st.integers(1, 4),
+    ny=st.integers(1, 3),
+    N=st.integers(1, 4),
+)
+@settings(max_examples=30, deadline=None)
+def test_markov_rows_period_edges_match_per_entry_product(seed, P, nx, ny, N):
+    # The kernel steps lag by lag over the first period and a whole period at
+    # a time after it; check every edge of that split against per-entry
+    # products: fewer lags than P, exactly P, a multiple of P, one past it,
+    # and a partial last period, plain and aliased over N periods.
+    m = random_stable_model(seed, P=P, nx=nx, ny=ny, nu=1, rho_max=0.9)
+    eye = np.eye(nx)
+    state = LtpModel(A=m.A, B=(eye,) * P, C=(eye,) * P)
+    resolvent = [
+        np.linalg.inv(eye - np.linalg.matrix_power(monodromy(m, t), N)) for t in range(P)
+    ]
+    for max_lag in sorted({max(P - 1, 1), P, P + 1, 3 * P, 3 * P + 2, N * P}):
+        transitions = [
+            [impulse_response(state, t, r) for r in range(1, max_lag + 1)] for t in range(P)
+        ]
+        for aliased in (False, True):
+            reference = np.array(
+                [
+                    [m.C[t] @ (resolvent[t] if aliased else eye) @ M for M in transitions[t]]
+                    for t in range(P)
+                ]
+            )
+            rows = markov_rows(m.A, m.C, max_lag, N if aliased else None)
+            assert rows.shape == (P, max_lag, ny, nx)
+            scale = max(np.max(np.abs(reference)), 1e-300)
+            np.testing.assert_allclose(rows, reference, rtol=0, atol=1e-13 * scale)
 
 
 def test_aliased_zero_input_map(example2):

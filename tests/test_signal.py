@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import random_stable_model
 from ltpsid.errors import ConfigError, DataError, LengthNotDivisible, SingularMatrix
-import ltpsid.signal as signal_module
 from ltpsid.model import LtpModel, impulse_response, is_stable
 from ltpsid.signal import (
     Ensemble,
@@ -79,28 +76,50 @@ def test_simulate_linearity(seed):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def _fixed_point_state(model, pattern):
+    # Oracle: solve (I - Phi) x* = x_T for the state at pattern start, where
+    # Phi and x_T come from stepping the basis and the zero state over one
+    # pattern sample by sample.
+    Phi = np.eye(model.nx)
+    x = np.zeros(model.nx)
+    for t in range(pattern.shape[0]):
+        Phi = model.A_at(t) @ Phi
+        x = model.A_at(t) @ x + model.B_at(t) @ pattern[t]
+    return np.linalg.solve(np.eye(model.nx) - Phi, x)
+
+
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 5), J=st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_steady_state_periodic_under_extra_repetition(seed, N, J):
     m = random_stable_model(seed)
     patterns = np.random.default_rng(seed + 1).standard_normal((J, N * m.P, m.nu))
-    kernel = signal_module._simulate_with_state
-    final_states = []
-
-    def recording_kernel(model, u, x0):
-        y, x_end = kernel(model, u, x0)
-        final_states.append(x_end)
-        return y, x_end
-
-    with mock.patch.object(signal_module, "_simulate_with_state", recording_kernel):
-        stacked = simulate_steady_state(m, patterns)
+    stacked = simulate_steady_state(m, patterns)
     assert stacked.shape == (J, N * m.P, m.ny)
-    for u, y, x_end in zip(patterns, stacked, final_states[-1]):
+    for u, y in zip(patterns, stacked):
         # A stacked call matches the per-pattern call.
         np.testing.assert_allclose(simulate_steady_state(m, u), y, rtol=0, atol=1e-12)
-        # One more repetition from the final state reproduces the outputs.
-        again = simulate(m, u, x_end)
-        np.testing.assert_allclose(again, y, rtol=0, atol=1e-10 * np.max(np.abs(y)))
+        # From the fixed point, two more repetitions reproduce the outputs twice.
+        again = simulate(m, np.concatenate([u, u]), _fixed_point_state(m, u))
+        np.testing.assert_allclose(
+            again, np.concatenate([y, y]), rtol=0, atol=1e-10 * np.max(np.abs(y))
+        )
+
+
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 4), J=st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_steady_state_matches_long_transient(seed, N, J):
+    # The lifted steady state against the last repetition of a transient
+    # run from the zero state, long enough for the start to die out.
+    m = random_stable_model(seed, rho_max=0.9)
+    patterns = np.random.default_rng(seed + 1).standard_normal((J, N * m.P, m.nu))
+    rho = max(is_stable(m).spectral_radius, 1e-6)
+    reps = int(np.ceil(np.log(1e-14) / (N * np.log(rho)))) + 1
+    stacked = simulate_steady_state(m, patterns)
+    for u, y in zip(patterns, stacked):
+        transient = simulate(m, np.tile(u, (reps, 1)))
+        np.testing.assert_allclose(
+            transient[-N * m.P :], y, rtol=0, atol=1e-9 * np.max(np.abs(y))
+        )
 
 
 def test_steady_state_memoryless_single_repetition():
@@ -115,19 +134,9 @@ def test_steady_state_memoryless_single_repetition():
 
 
 def test_steady_state_matches_direct_fixed_point(example1):
-    # Oracle: solve (I - Phi) x* = f for the state at pattern start, where
-    # Phi and f come from propagating the basis/zero state over one pattern.
     pattern = generate_periodic_input(2, 10, 1, seed=21)
-    nx = example1.nx
-    Phi = np.eye(nx)
-    for t in range(pattern.shape[0]):
-        Phi = example1.A_at(t) @ Phi
-    x = np.zeros(nx)
-    for t in range(pattern.shape[0]):
-        x = example1.A_at(t) @ x + example1.B_at(t) @ pattern[t]
-    x_star = np.linalg.solve(np.eye(nx) - Phi, x)
+    xs = _fixed_point_state(example1, pattern)
     y_exact = []
-    xs = x_star.copy()
     for t in range(pattern.shape[0]):
         y_exact.append(example1.C_at(t) @ xs)
         xs = example1.A_at(t) @ xs + example1.B_at(t) @ pattern[t]

@@ -28,6 +28,7 @@ from ltpsid.model import (
 )
 from ltpsid.signal import (
     Ensemble,
+    Experiment,
     assemble_spectra,
     collect_ensemble,
     generate_periodic_input,
@@ -549,6 +550,29 @@ def test_identify_invariant_under_experiment_order(fixture, request):
     h = impulse_table(identify(ens, q=10, r=10, n_x=2).model, 50)
     h_perm = impulse_table(identify(permuted, q=10, r=10, n_x=2).model, 50)
     np.testing.assert_allclose(h_perm, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_identify_covariant_under_period_rotation(sigma, example2):
+    # Delaying every input and output record by s samples (cyclically, so
+    # the records stay periodic steady states) turns the response at tag t
+    # into the one at tag t - s, so the estimated impulse table rolls by s
+    # tags. The lifted re-blocking is an invertible map at each frequency.
+    ens = collect_ensemble(example2, J=30, N=50, sigma=sigma, master_seed=11)
+    h = impulse_table(identify(ens, q=10, r=10, n_x=2).model, 50)
+    for s in (1, 2, 3):
+        rotated = Ensemble(
+            experiments=tuple(
+                Experiment(u=np.roll(e.u, s, axis=0), y=np.roll(e.y, s, axis=0))
+                for e in ens.experiments
+            ),
+            P=ens.P,
+            N=ens.N,
+        )
+        h_rot = impulse_table(identify(rotated, q=10, r=10, n_x=2).model, 50)
+        np.testing.assert_allclose(
+            h_rot, np.roll(h, s, axis=0), rtol=0, atol=1e-12 * np.max(np.abs(h))
+        )
 
 
 @pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
