@@ -98,7 +98,7 @@ def test_steady_state_periodic_under_extra_repetition(seed, N, J):
     for u, y in zip(patterns, stacked):
         # A stacked call matches the per-pattern call.
         np.testing.assert_allclose(simulate_steady_state(m, u), y, rtol=0, atol=1e-12)
-        # From the fixed point, two more repetitions reproduce the outputs twice.
+        # From the fixed point, two repetitions reproduce the outputs twice.
         again = simulate(m, np.concatenate([u, u]), _fixed_point_state(m, u))
         np.testing.assert_allclose(
             again, np.concatenate([y, y]), rtol=0, atol=1e-10 * np.max(np.abs(y))
