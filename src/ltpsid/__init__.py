@@ -33,7 +33,6 @@ from .model import (
 )
 from .signal import (
     Ensemble,
-    Experiment,
     LiftedSpectra,
     add_noise,
     assemble_spectra,

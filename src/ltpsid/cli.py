@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 configuration or validation error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
@@ -208,12 +208,7 @@ def _cmd_evaluate(args) -> int:
          "max_error": float(np.max(report.errors))},
         out / "fit.json",
     )
-    with open(out / "errors.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "r", "error"])
-        for tau in range(report.errors.shape[0]):
-            for r in range(report.errors.shape[1]):
-                writer.writerow([str(tau), str(r + 1), repr(float(report.errors[tau, r]))])
+    fileio.write_errors_csv(report.errors, out / "errors.csv")
     print(f"W = {report.W!r}, mse = {report.mse!r}; wrote {out / 'fit.json'}")
     return _EXIT_OK
 
@@ -297,7 +292,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ltpsid`` parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ltpsid",
         description="Frequency-domain subspace identification of linear time-periodic systems.",

@@ -9,15 +9,16 @@ and location.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .evaluation import MonteCarloResult, SweepResult
 from .model import LiftedFrequencyResponse, LtpModel
-from .signal import Ensemble, Experiment
+from .signal import Ensemble
 from .subspace import IdentificationResult
 
 __all__ = [
@@ -31,12 +32,34 @@ __all__ = [
     "save_identification_result",
     "write_montecarlo_csv",
     "write_sweep_csv",
+    "write_errors_csv",
     "write_json",
 ]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _number_rows(rows: list) -> str:
+    """CSV lines of rows of Python ints and floats, joined by CRLF.
+
+    One ``repr`` of the whole list builds the text; the ``repr`` of an int
+    or a float holds no ``[``, ``]`` or ``, ``.
+    """
+    return repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",")
+
+
+def _text_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted if it holds ``,``, ``"`` or a line end."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
+    """Write ``header`` and the CRLF-joined rows ``body`` as ``csv.writer`` would, at once."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + (body and body + "\r\n"))
+    return path
 
 
 def _matrix_list(mats) -> list:
@@ -92,40 +115,28 @@ def load_model(path: str | Path) -> LtpModel:
     return model_from_dict(data, source=str(path))
 
 
-def _experiment_csv_name(index: int) -> str:
-    return f"experiment_{index:04d}.csv"
-
-
 def save_ensemble(ensemble: Ensemble, directory: str | Path) -> Path:
     """Write one CSV per experiment plus ``manifest.json``; returns the manifest path."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i, exp in enumerate(ensemble.experiments):
-        name = _experiment_csv_name(i)
-        files.append(name)
-        with open(directory / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (
-                ["t"]
-                + [f"u_{j + 1}" for j in range(exp.u.shape[1])]
-                + [f"y_{j + 1}" for j in range(exp.y.shape[1])]
-            )
-            writer.writerow(header)
-            for t in range(exp.length):
-                writer.writerow(
-                    [str(t)]
-                    + [_fmt(v) for v in exp.u[t]]
-                    + [_fmt(v) for v in exp.y[t]]
-                )
+    header = (
+        ["t"]
+        + [f"u_{j + 1}" for j in range(ensemble.nu)]
+        + [f"y_{j + 1}" for j in range(ensemble.ny)]
+    )
+    files = [f"experiment_{i:04d}.csv" for i in range(ensemble.J)]
+    for name, samples in zip(files, np.concatenate([ensemble.u, ensemble.y], axis=2)):
+        rows = samples.tolist()
+        for t, row in enumerate(rows):
+            row.insert(0, t)
+        _write_csv(directory / name, header, _number_rows(rows))
     manifest = {
         "P": ensemble.P,
         "N": ensemble.N,
         "J": ensemble.J,
-        "sigma": ensemble.experiments[0].sigma,
+        "sigma": ensemble.sigma,
         "seeds": [
-            {"input": exp.input_seed, "noise": exp.noise_seed}
-            for exp in ensemble.experiments
+            {"input": input_seed, "noise": noise_seed}
+            for input_seed, noise_seed in zip(ensemble.input_seeds, ensemble.noise_seeds)
         ],
         "files": files,
     }
@@ -155,47 +166,80 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         raise DataError(
             f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})"
         )
-    experiments = []
-    for i, name in enumerate(files):
-        path = manifest_path.parent / name
-        experiments.append(_load_experiment_csv(path, seeds[i], sigma))
-    return Ensemble(experiments=tuple(experiments), P=P, N=N)
+    records = [_read_experiment_csv(manifest_path.parent / name) for name in files]
+    try:
+        u, y = (np.stack(signals) for signals in zip(*records))
+    except ValueError as exc:
+        raise ConfigError(
+            f"{manifest_path}: experiments differ in length or channel counts, "
+            f"or there are none: {exc}"
+        ) from exc
+    input_seeds = tuple(entry.get("input") for entry in seeds)
+    noise_seeds = tuple(entry.get("noise") for entry in seeds)
+    return Ensemble(u, y, P, N, input_seeds, noise_seeds, sigma)
 
 
-def _load_experiment_csv(path: Path, seed_entry: dict, sigma: float) -> Experiment:
+def _input_count(header: list[str]) -> int:
+    """n_u of a ``t, u_1..u_nu, y_1..y_ny`` header, or 0 if it is not one."""
+    nu = sum(1 for h in header if h.startswith("u_"))
+    ny = sum(1 for h in header if h.startswith("y_"))
+    return nu if header[0] == "t" and nu and ny and len(header) == 1 + nu + ny else 0
+
+
+def _read_experiment_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs (N*P, n_u) and outputs (N*P, n_y) of one experiment CSV."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[0] != "t":
-                raise DataError(f"{path}:1: expected header starting with 't'")
-            nu = sum(1 for h in header if h.startswith("u_"))
-            ny = sum(1 for h in header if h.startswith("y_"))
-            if nu == 0 or ny == 0 or len(header) != 1 + nu + ny:
-                raise DataError(f"{path}:1: header must be t, u_1..u_nu, y_1..y_ny")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: cannot read experiment CSV: {exc}") from exc
-    data = np.array(rows).reshape(-1, nu + ny)
+    data, nu = _parse_plain_csv(text) or _parse_csv(text, path)
+    return data[:, :nu], data[:, nu:]
+
+
+def _parse_plain_csv(text: str) -> tuple[np.ndarray, int] | None:
+    """Fast path of ``_parse_csv``: unquoted fields, one row per line, finite numbers.
+
+    Returns None for any other text; ``_parse_csv`` then accepts or rejects
+    it as the csv module parses it, and names the file:line of a fault.
+    """
+    lines = text.replace("\r\n", "\n").removesuffix("\n")
+    if '"' in lines or "\r" in lines:
+        return None
+    rows = [line.split(",") for line in lines.split("\n")]
+    nu = _input_count(rows[0])
+    if not nu or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    try:
+        data = np.array([float(v) for row in rows[1:] for v in row[1:]])
+    except ValueError:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    return data.reshape(len(rows) - 1, len(rows[0]) - 1), nu
+
+
+def _parse_csv(text: str, path: Path) -> tuple[np.ndarray, int]:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header or header[0] != "t":
+        raise DataError(f"{path}:1: expected header starting with 't'")
+    nu = _input_count(header)
+    if not nu:
+        raise DataError(f"{path}:1: header must be t, u_1..u_nu, y_1..y_ny")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
+    data = np.array(rows).reshape(-1, len(header) - 1)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{bad[0] + 2}: non-finite sample")
-    return Experiment(
-        u=data[:, :nu],
-        y=data[:, nu:],
-        input_seed=seed_entry.get("input"),
-        noise_seed=seed_entry.get("noise"),
-        sigma=sigma,
-    )
+    return data, nu
 
 
 def export_frequency_response(
@@ -206,22 +250,19 @@ def export_frequency_response(
     Rows run over grid point k, output slot l, input slot m, then entry
     (a, b) of the (n_y, n_u) block ``G[k, l*n_y + a, m*n_u + b]``.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "omega", "block_row", "block_col", "out_row", "in_col", "real", "imag"]
-        )
-        omega = response.frequencies
-        N, P, ny, nu = response.N, response.P, response.ny, response.nu
-        blocks = response.G.reshape(N, P, ny, P, nu).transpose(0, 1, 3, 2, 4)
-        writer.writerows(
-            [str(k), _fmt(omega[k]), str(l), str(m), str(a), str(b),
-             _fmt(g.real), _fmt(g.imag)]
-            for (k, l, m, a, b), g in np.ndenumerate(blocks)
-        )
-    return path
+    N, P, ny, nu = response.N, response.P, response.ny, response.nu
+    blocks = response.G.reshape(N, P, ny, P, nu).transpose(0, 1, 3, 2, 4)
+    index = np.indices(blocks.shape).reshape(5, -1).T.tolist()
+    omega = response.frequencies.tolist()
+    rows = [
+        [k, omega[k], l, m, a, b, g.real, g.imag]
+        for (k, l, m, a, b), g in zip(index, blocks.ravel().tolist())
+    ]
+    return _write_csv(
+        path,
+        ["k", "omega", "block_row", "block_col", "out_row", "in_col", "real", "imag"],
+        _number_rows(rows),
+    )
 
 
 def save_identification_result(
@@ -239,48 +280,36 @@ def save_identification_result(
         else result.threshold_counts.tolist(),
         "b_residual": float(result.b_residual),
         "h_reconstruction_error_max": float(np.max(result.h_reconstruction_error)),
-        "h_reconstruction_error": [
-            [float(v) for v in row] for row in result.h_reconstruction_error
-        ],
+        "h_reconstruction_error": result.h_reconstruction_error.tolist(),
     }
     Path(diagnostics_path).write_text(json.dumps(diagnostics, indent=2) + "\n")
 
 
 def write_montecarlo_csv(result: MonteCarloResult, path: str | Path) -> Path:
     """One row per trial: seed, W, MSE, failed flag (empty metrics on failure)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "W", "mse", "failed", "error"])
-        for rec in result.trials:
-            if rec.report is None:
-                writer.writerow([str(rec.trial), str(rec.seed), "", "", "1", rec.error or ""])
-            else:
-                writer.writerow(
-                    [
-                        str(rec.trial),
-                        str(rec.seed),
-                        _fmt(rec.report.W),
-                        _fmt(rec.report.mse),
-                        "0",
-                        "",
-                    ]
-                )
-    return path
+    lines = [
+        f"{rec.trial},{rec.seed},,,1,{_text_field(rec.error or '')}"
+        if rec.report is None
+        else f"{rec.trial},{rec.seed},{float(rec.report.W)!r},{float(rec.report.mse)!r},0,"
+        for rec in result.trials
+    ]
+    return _write_csv(path, ["trial", "seed", "W", "mse", "failed", "error"], "\r\n".join(lines))
 
 
 def write_sweep_csv(sweep: SweepResult, path: str | Path) -> Path:
     """One row per (record length, trial) with the trial's impulse-response MSE."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "trial", "mse"])
-        for N, mses in zip(sweep.N_grid, sweep.mses):
-            for t, mse in enumerate(mses):
-                writer.writerow([str(N), str(t), _fmt(mse)])
-    return path
+    rows = [
+        [int(N), t, float(mse)]
+        for N, mses in zip(sweep.N_grid, sweep.mses)
+        for t, mse in enumerate(mses)
+    ]
+    return _write_csv(path, ["N", "trial", "mse"], _number_rows(rows))
+
+
+def write_errors_csv(errors: np.ndarray, path: str | Path) -> Path:
+    """One row per (tag tau, lag r) of the (P, n_g) impulse-response errors of ``fit_metric``."""
+    rows = [[tau, r, e] for tau, row in enumerate(errors.tolist()) for r, e in enumerate(row, 1)]
+    return _write_csv(path, ["tau", "r", "error"], _number_rows(rows))
 
 
 def write_json(data: dict, path: str | Path) -> Path:

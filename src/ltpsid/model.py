@@ -172,13 +172,17 @@ class Stability(NamedTuple):
     spectral_radius: float
 
 
-def is_stable(model: LtpModel) -> Stability:
-    """Stability verdict from the spectral radius of the monodromy matrix."""
+def _spectral_radius(monodromy_matrix: np.ndarray) -> float:
     try:
-        eigs = np.linalg.eigvals(monodromy(model, 0))
+        eigs = np.linalg.eigvals(monodromy_matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on monodromy matrix: {exc}")
-    rho = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+
+
+def is_stable(model: LtpModel) -> Stability:
+    """Stability verdict from the spectral radius of the monodromy matrix."""
+    rho = _spectral_radius(monodromy(model, 0))
     return Stability(stable=rho < 1.0, spectral_radius=rho)
 
 

@@ -4,9 +4,9 @@ An experiment drives the system with a periodic input of length ``N*P``
 (N periods of the system's period P) and records one full repetition of
 the steady-state response plus measurement noise; the steady state is
 computed exactly from the periodic fixed point of the state.
-Ensembles bundle J such experiments; ``assemble_spectra`` lifts them over
-one period and runs one stacked DFT to give the per-frequency data
-matrices consumed by the frequency-response estimator.
+Ensembles stack J such experiments in two arrays; ``assemble_spectra``
+lifts them over one period and runs one stacked DFT to give the
+per-frequency data matrices consumed by the frequency-response estimator.
 
 All randomized operations are pure functions of their seeds.
 """
@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, LengthNotDivisible
-from .model import LtpModel, _inverse_of_identity_minus, is_stable, lift_model
+from .model import LtpModel, _inverse_of_identity_minus, _spectral_radius, lift_model
 
 __all__ = [
-    "Experiment",
     "Ensemble",
     "LiftedSpectra",
     "derive_seed",
@@ -43,81 +42,65 @@ def derive_seed(master_seed: int, index: int, role: str) -> int:
 
 
 @dataclass(frozen=True)
-class Experiment:
-    """One input-output record of length N*P.
+class Ensemble:
+    """J experiments sharing the same period P and record length N*P, stacked.
 
-    ``u`` has shape (N*P, n_u) and ``y`` shape (N*P, n_y). The meta fields
-    record how the experiment was produced.
+    ``u`` has shape (J, N*P, n_u) and ``y`` shape (J, N*P, n_y); experiment
+    i is ``u[i], y[i]``. The seeds (one per experiment, ``None`` when
+    unknown) and ``sigma`` record how the experiments were produced.
+    Requires ``J >= P * n_u`` so the lifted input spectrum can have full
+    row rank at every frequency.
     """
 
-    u: np.ndarray
-    y: np.ndarray
-    input_seed: int | None = None
-    noise_seed: int | None = None
+    u: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    P: int
+    N: int
+    input_seeds: tuple[int | None, ...] | None = None
+    noise_seeds: tuple[int | None, ...] | None = None
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
-        if u.shape[0] != y.shape[0]:
+        u = np.asarray(self.u, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64)
+        if u.ndim != 3 or y.ndim != 3 or u.shape[:2] != y.shape[:2]:
             raise ConfigError(
-                f"input and output lengths differ: {u.shape[0]} vs {y.shape[0]}"
+                f"u and y must have shapes (J, N*P, n_u) and (J, N*P, n_y), "
+                f"got {u.shape} and {y.shape}"
+            )
+        if u.shape[0] == 0:
+            raise ConfigError("ensemble needs at least one experiment")
+        if u.shape[1] != self.N * self.P:
+            raise ConfigError(
+                f"records have length {u.shape[1]}, expected N*P={self.N * self.P}"
             )
         if not (np.isfinite(u).all() and np.isfinite(y).all()):
             raise DataError("experiment holds non-finite samples")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
-
-    @property
-    def length(self) -> int:
-        return self.u.shape[0]
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """J experiments sharing the same period P and record length N*P.
-
-    Requires ``J >= P * n_u`` so the lifted input spectrum can have full
-    row rank at every frequency.
-    """
-
-    experiments: tuple[Experiment, ...]
-    P: int
-    N: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "experiments", tuple(self.experiments))
-        if not self.experiments:
-            raise ConfigError("ensemble needs at least one experiment")
-        length = self.N * self.P
-        nu, ny = self.nu, self.ny
-        for i, exp in enumerate(self.experiments):
-            if exp.length != length:
-                raise ConfigError(
-                    f"experiment {i} has length {exp.length}, expected N*P={length}"
-                )
-            if exp.u.shape[1] != nu or exp.y.shape[1] != ny:
-                raise ConfigError(
-                    f"experiment {i} has channel counts "
-                    f"({exp.u.shape[1]}, {exp.y.shape[1]}), expected ({nu}, {ny})"
-                )
-        if self.J < self.P * nu:
+        for name in ("input_seeds", "noise_seeds"):
+            seeds = getattr(self, name)
+            seeds = (None,) * self.J if seeds is None else tuple(seeds)
+            if len(seeds) != self.J:
+                raise ConfigError(f"{name} holds {len(seeds)} entries, expected J={self.J}")
+            object.__setattr__(self, name, seeds)
+        if self.J < self.P * self.nu:
             raise ConfigError(
-                f"need J >= P*n_u = {self.P * nu} experiments for full row-rank "
+                f"need J >= P*n_u = {self.P * self.nu} experiments for full row-rank "
                 f"excitation, got J={self.J}"
             )
 
     @property
     def J(self) -> int:
-        return len(self.experiments)
+        return self.u.shape[0]
 
     @property
     def nu(self) -> int:
-        return self.experiments[0].u.shape[1]
+        return self.u.shape[2]
 
     @property
     def ny(self) -> int:
-        return self.experiments[0].y.shape[1]
+        return self.y.shape[2]
 
 
 def generate_periodic_input(P: int, N: int, n_u: int, seed: int) -> np.ndarray:
@@ -167,13 +150,13 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
         raise LengthNotDivisible(
             f"pattern length {u.shape[-2]} not divisible by P={model.P}"
         )
-    stab = is_stable(model)
-    if not stab.stable:
+    lifted = lift_model(model)
+    rho = _spectral_radius(lifted.A)
+    if not rho < 1.0:
         raise ConfigError(
-            f"model is not stable (spectral radius {stab.spectral_radius:.4f}); "
+            f"model is not stable (spectral radius {rho:.4f}); "
             "steady-state data collection requires stability"
         )
-    lifted = lift_model(model)
     N = u.shape[-2] // model.P
     u_lifted = u.reshape(u.shape[:-2] + (N, -1))
     drive = u_lifted @ lifted.B.T
@@ -236,25 +219,17 @@ def collect_ensemble(
         raise ConfigError(
             f"need J >= P*n_u = {model.P * model.nu} experiments, got J={J}"
         )
-    input_seeds = [
+    input_seeds = tuple(
         derive_seed(master_seed, 0 if shared_input else i, "input") for i in range(J)
-    ]
-    noise_seeds = [derive_seed(master_seed, i, "noise") for i in range(J)]
-    patterns = np.stack(
+    )
+    noise_seeds = tuple(derive_seed(master_seed, i, "noise") for i in range(J))
+    u = np.stack(
         [generate_periodic_input(model.P, N, model.nu, seed) for seed in input_seeds]
     )
-    clean = simulate_steady_state(model, patterns)
-    experiments = tuple(
-        Experiment(
-            u=u,
-            y=add_noise(y, sigma, noise_seed, ma_theta=ma_theta),
-            input_seed=input_seed,
-            noise_seed=noise_seed,
-            sigma=sigma,
-        )
-        for u, y, input_seed, noise_seed in zip(patterns, clean, input_seeds, noise_seeds)
-    )
-    return Ensemble(experiments=experiments, P=model.P, N=N)
+    y = simulate_steady_state(model, u)
+    for i, seed in enumerate(noise_seeds):
+        y[i] = add_noise(y[i], sigma, seed, ma_theta=ma_theta)
+    return Ensemble(u, y, model.P, N, input_seeds, noise_seeds, sigma)
 
 
 @dataclass(frozen=True)
@@ -293,14 +268,10 @@ def assemble_spectra(ensemble: Ensemble) -> LiftedSpectra:
     ``U[k]`` holds, column per experiment, the unnormalized DFT
     ``sum_n u_lifted[n] * exp(-2j*pi*n*k/N)``, and likewise ``Y[k]``.
     """
-    J, N, P = ensemble.J, ensemble.N, ensemble.P
+    J, N = ensemble.J, ensemble.N
 
-    def spectra(signals) -> np.ndarray:
-        lifted = np.stack(signals).reshape(J, N, -1)
+    def spectra(signals: np.ndarray) -> np.ndarray:
+        lifted = signals.reshape(J, N, -1)
         return np.ascontiguousarray(np.fft.fft(lifted, axis=1).transpose(1, 2, 0))
 
-    return LiftedSpectra(
-        P=P,
-        U=spectra([e.u for e in ensemble.experiments]),
-        Y=spectra([e.y for e in ensemble.experiments]),
-    )
+    return LiftedSpectra(P=ensemble.P, U=spectra(ensemble.u), Y=spectra(ensemble.y))

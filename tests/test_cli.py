@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ltpsid import cli
 from ltpsid.cli import main
 from ltpsid.fileio import load_model, save_ensemble, save_model
 from ltpsid.signal import collect_ensemble
@@ -244,3 +245,23 @@ def test_model_file_path_source(tmp_path, example2_norm):
     ) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["P"] == 3
+
+
+def test_cached_parser_keeps_runs_apart(tmp_path):
+    # Two main() calls in one process share the parser; the config file and
+    # --normalize of the first must not reach the second.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sigma": 0.25, "seed": 3}))
+    base = ["simulate", "--model", "example1", "--N", 5, "--J", 4]
+    first = base + ["--config", config, "--normalize"]
+
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    assert run(first + ["--out", tmp_path / "first"]) == 0
+    assert run(base + ["--out", tmp_path / "second"]) == 0
+    for argv, name in ((first, "first"), (base, "second")):
+        cli.build_parser.cache_clear()
+        assert run(argv + ["--out", tmp_path / f"{name}_alone"]) == 0
+        assert files(tmp_path / name) == files(tmp_path / f"{name}_alone")
+    assert files(tmp_path / "first") != files(tmp_path / "second")

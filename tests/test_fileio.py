@@ -1,10 +1,20 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from ltpsid.errors import DataError
-from ltpsid.evaluation import MonteCarloConfig, monte_carlo
+from ltpsid import fileio
+from ltpsid.errors import ConfigError, DataError
+from ltpsid.evaluation import (
+    FitReport,
+    MonteCarloConfig,
+    MonteCarloResult,
+    SweepResult,
+    TrialRecord,
+    monte_carlo,
+)
 from ltpsid.fileio import (
     export_frequency_response,
     load_ensemble,
@@ -13,10 +23,12 @@ from ltpsid.fileio import (
     save_ensemble,
     save_identification_result,
     save_model,
+    write_errors_csv,
     write_montecarlo_csv,
+    write_sweep_csv,
 )
 from ltpsid.model import LiftedFrequencyResponse, true_lifted_frequency_response
-from ltpsid.signal import collect_ensemble
+from ltpsid.signal import Ensemble, collect_ensemble
 from ltpsid.subspace import identify
 
 
@@ -59,10 +71,11 @@ def test_ensemble_round_trip_exact(example2_norm, tmp_path):
     manifest = save_ensemble(ens, tmp_path / "ens")
     loaded = load_ensemble(manifest)
     assert loaded.J == 3 and loaded.N == 4 and loaded.P == 3
-    for a, b in zip(ens.experiments, loaded.experiments):
-        np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.y, b.y)
-        assert a.input_seed == b.input_seed
+    np.testing.assert_array_equal(ens.u, loaded.u)
+    np.testing.assert_array_equal(ens.y, loaded.y)
+    assert loaded.input_seeds == ens.input_seeds
+    assert loaded.noise_seeds == ens.noise_seeds
+    assert loaded.sigma == ens.sigma
     # Round trip preserves identification output exactly.
     r1 = identify(ens, q=4, r=4, n_x=2)
     r2 = identify(loaded, q=4, r=4, n_x=2)
@@ -78,6 +91,51 @@ def test_ensemble_corrupt_csv_reports_location(example1_norm, tmp_path):
     lines[3] = lines[3].replace(lines[3].split(",")[1], "oops", 1)
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=r"experiment_0001\.csv:4"):
+        load_ensemble(manifest)
+
+
+def test_ensemble_field_counts_checked_per_line(example1_norm, tmp_path):
+    # One line too long and a later one too short keep the total field
+    # count; the first bad line is still named.
+    ens = collect_ensemble(example1_norm, J=2, N=3, sigma=0.0, master_seed=1)
+    manifest = save_ensemble(ens, tmp_path / "ens")
+    csv_path = tmp_path / "ens" / "experiment_0000.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[2] += ",0.5"
+    lines[4] = lines[4].rsplit(",", 1)[0]
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"experiment_0000\.csv:3: expected 3 fields, got 4"):
+        load_ensemble(manifest)
+
+
+def test_ensemble_loader_matches_csv_reader(example2_norm, tmp_path):
+    # LF line ends and quoted numbers load to the arrays the csv-module
+    # reader gives, which are the saved ones.
+    ens = collect_ensemble(example2_norm, J=3, N=4, sigma=0.7, master_seed=11)
+    manifest = save_ensemble(ens, tmp_path)
+    lf = tmp_path / "experiment_0000.csv"
+    lf.write_bytes(lf.read_bytes().replace(b"\r\n", b"\n"))
+    quoted = tmp_path / "experiment_0001.csv"
+    header, *rows = quoted.read_bytes().decode().split("\r\n")
+    quoted.write_text(
+        "\r\n".join([header] + [",".join(f'"{v}"' for v in row.split(",")) for row in rows[:-1]])
+    )
+    for path in (lf, quoted):
+        data, nu = fileio._parse_csv(path.read_bytes().decode(), path)
+        u, y = fileio._read_experiment_csv(path)
+        np.testing.assert_array_equal(u, data[:, :nu])
+        np.testing.assert_array_equal(y, data[:, nu:])
+    loaded = load_ensemble(manifest)
+    np.testing.assert_array_equal(loaded.u, ens.u)
+    np.testing.assert_array_equal(loaded.y, ens.y)
+
+
+def test_ensemble_files_must_agree_in_shape(example1_norm, tmp_path):
+    ens = collect_ensemble(example1_norm, J=2, N=3, sigma=0.0, master_seed=1)
+    manifest = save_ensemble(ens, tmp_path)
+    path = tmp_path / "experiment_0001.csv"
+    path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")
+    with pytest.raises(ConfigError, match="differ in length or channel counts"):
         load_ensemble(manifest)
 
 
@@ -160,3 +218,83 @@ def test_montecarlo_csv_rows(example1_norm, tmp_path):
     # Byte-identical on rewrite.
     again = write_montecarlo_csv(result, tmp_path / "trials2.csv")
     assert path.read_bytes() == again.read_bytes()
+
+
+def _csv_bytes(header, rows) -> bytes:
+    """The bytes ``csv.writer`` writes for ``header`` and ``rows``."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def test_ensemble_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((2, 5, 2))
+    y = rng.standard_normal((2, 5, 2))
+    u[0, :3, 0] = [-0.0, 1.0, 5e-324]
+    u[1, 4, 1] = 1e-300
+    y[0, 1] = [1e300, -1.5e-05]
+    y[1, 0, 0] = -0.0
+    save_ensemble(Ensemble(u=u, y=y, P=1, N=5), tmp_path)
+    for i in range(2):
+        rows = [
+            [str(t)] + [repr(float(v)) for v in u[i, t]] + [repr(float(v)) for v in y[i, t]]
+            for t in range(5)
+        ]
+        expected = _csv_bytes(["t", "u_1", "u_2", "y_1", "y_2"], rows)
+        assert (tmp_path / f"experiment_{i:04d}.csv").read_bytes() == expected
+
+
+def test_frequency_response_csv_bytes_match_csv_writer(tmp_path):
+    N, P, ny, nu = 3, 2, 2, 3
+    rng = np.random.default_rng(9)
+    G = rng.standard_normal((N, P * ny, P * nu)) + 1j * rng.standard_normal((N, P * ny, P * nu))
+    G[0, 0, 0] = complex(-0.0, 5e-324)
+    G[2, 3, 5] = complex(1e300, -1.5e-05)
+    resp = LiftedFrequencyResponse(P=P, ny=ny, nu=nu, G=G)
+    path = export_frequency_response(resp, tmp_path / "resp.csv")
+    blocks = G.reshape(N, P, ny, P, nu).transpose(0, 1, 3, 2, 4)
+    rows = [
+        [str(k), repr(float(resp.frequencies[k])), str(l), str(m), str(a), str(b),
+         repr(float(g.real)), repr(float(g.imag))]
+        for (k, l, m, a, b), g in np.ndenumerate(blocks)
+    ]
+    header = ["k", "omega", "block_row", "block_col", "out_row", "in_col", "real", "imag"]
+    assert path.read_bytes() == _csv_bytes(header, rows)
+
+
+def test_study_csv_bytes_match_csv_writer(tmp_path):
+    # Error messages holding commas, quotes and line ends are quoted as the
+    # csv module quotes them.
+    errors = np.array([[0.5, -0.0, 5e-324], [1e300, 1.0, -1.5e-05]])
+    report = FitReport(W=97.25, errors=errors, n_g=3, mse=1e-300)
+    cfg = MonteCarloConfig(J=8, N=16, sigma=0.5, trials=5, q=6, r=6, n_x=2, seed=0)
+    messages = ["need J >= 6, got J=2", 'bad "value"', "two\nlines", "plain; no quotes"]
+    result = MonteCarloResult(
+        trials=(TrialRecord(0, 11, report),)
+        + tuple(TrialRecord(t + 1, 20 + t, None, m) for t, m in enumerate(messages)),
+        config=cfg,
+    )
+    path = write_montecarlo_csv(result, tmp_path / "trials.csv")
+    rows = [["0", "11", repr(97.25), repr(1e-300), "0", ""]] + [
+        [str(t + 1), str(20 + t), "", "", "1", m] for t, m in enumerate(messages)
+    ]
+    assert path.read_bytes() == _csv_bytes(["trial", "seed", "W", "mse", "failed", "error"], rows)
+
+    sweep = SweepResult(
+        N_grid=(25, 50), mses=((0.5, 5e-324), (-0.0,)), failures=(), slope=-1.0,
+        median_mse=(0.25, 0.0),
+    )
+    path = write_sweep_csv(sweep, tmp_path / "sweep.csv")
+    rows = [["25", "0", "0.5"], ["25", "1", "5e-324"], ["50", "0", "-0.0"]]
+    assert path.read_bytes() == _csv_bytes(["N", "trial", "mse"], rows)
+
+    path = write_errors_csv(errors, tmp_path / "errors.csv")
+    rows = [
+        [str(tau), str(r + 1), repr(float(errors[tau, r]))]
+        for tau in range(errors.shape[0])
+        for r in range(errors.shape[1])
+    ]
+    assert path.read_bytes() == _csv_bytes(["tau", "r", "error"], rows)

@@ -8,7 +8,6 @@ from ltpsid.errors import ConfigError, DataError, LengthNotDivisible, SingularMa
 from ltpsid.model import LtpModel, impulse_response, is_stable
 from ltpsid.signal import (
     Ensemble,
-    Experiment,
     add_noise,
     assemble_spectra,
     collect_ensemble,
@@ -212,7 +211,7 @@ def test_add_noise_ma1_variance_and_lag_correlation():
 def test_collect_ensemble_example1_shapes(example1_norm):
     ens = collect_ensemble(example1_norm, J=20, N=50, sigma=1.0, master_seed=7)
     assert ens.J == 20
-    assert all(e.length == 100 for e in ens.experiments)
+    assert ens.u.shape == (20, 100, 1) and ens.y.shape == (20, 100, 1)
 
 
 def test_collect_ensemble_rank_requirement_boundary(example1_norm):
@@ -222,10 +221,10 @@ def test_collect_ensemble_rank_requirement_boundary(example1_norm):
 
 def test_collect_ensemble_noise_free_outputs_periodic(example1_norm):
     ens = collect_ensemble(example1_norm, J=2, N=6, sigma=0.0, master_seed=5)
-    for exp in ens.experiments:
+    for u, y in zip(ens.u, ens.y):
         # The steady state of the pattern played twice is the record twice.
-        doubled = simulate_steady_state(example1_norm, np.concatenate([exp.u, exp.u]))
-        assert np.max(np.abs(doubled - np.concatenate([exp.y, exp.y]))) < 1e-10
+        doubled = simulate_steady_state(example1_norm, np.concatenate([u, u]))
+        assert np.max(np.abs(doubled - np.concatenate([y, y]))) < 1e-10
 
 
 def test_collect_ensemble_unstable_model_rejected():
@@ -238,15 +237,14 @@ def test_collect_ensemble_shared_input_switch(example1_norm):
     ens = collect_ensemble(
         example1_norm, J=3, N=4, sigma=0.0, master_seed=1, shared_input=True
     )
-    for exp in ens.experiments[1:]:
-        np.testing.assert_array_equal(exp.u, ens.experiments[0].u)
+    for u in ens.u[1:]:
+        np.testing.assert_array_equal(u, ens.u[0])
 
 
 def test_collect_ensemble_deterministic(example2_norm):
     a = collect_ensemble(example2_norm, J=3, N=4, sigma=0.5, master_seed=9)
     b = collect_ensemble(example2_norm, J=3, N=4, sigma=0.5, master_seed=9)
-    for ea, eb in zip(a.experiments, b.experiments):
-        np.testing.assert_array_equal(ea.y, eb.y)
+    np.testing.assert_array_equal(a.y, b.y)
 
 
 def test_derive_seed_roles_and_indices_distinct():
@@ -261,8 +259,7 @@ def _spectra(u, P, y=None):
     """``assemble_spectra`` of experiments with inputs u[i] and outputs y[i] (default u)."""
     u = np.asarray(u, dtype=float)
     y = u if y is None else y
-    experiments = tuple(Experiment(u=a, y=b) for a, b in zip(u, y))
-    return assemble_spectra(Ensemble(experiments=experiments, P=P, N=u.shape[1] // P))
+    return assemble_spectra(Ensemble(u=u, y=y, P=P, N=u.shape[1] // P))
 
 
 def test_lift_p1_identity():
@@ -371,13 +368,20 @@ def test_assemble_spectra_conjugate_symmetry(seed):
 
 def test_experiment_rejects_non_finite_samples():
     with pytest.raises(DataError, match="non-finite"):
-        Experiment(u=np.ones((4, 1)), y=np.array([[0.0], [np.inf], [1.0], [2.0]]))
+        Ensemble(u=np.ones((1, 4, 1)), y=np.array([[[0.0], [np.inf], [1.0], [2.0]]]), P=1, N=4)
     with pytest.raises(DataError, match="non-finite"):
-        Experiment(u=np.array([[np.nan], [0.0]]), y=np.ones((2, 1)))
+        Ensemble(u=np.array([[[np.nan], [0.0]]]), y=np.ones((1, 2, 1)), P=1, N=2)
+
+
+def test_ensemble_seeds_one_per_experiment():
+    ens = Ensemble(u=np.ones((2, 4, 1)), y=np.ones((2, 4, 1)), P=2, N=2)
+    assert ens.input_seeds == ens.noise_seeds == (None, None)
+    with pytest.raises(ConfigError, match="expected J=2"):
+        Ensemble(u=np.ones((2, 4, 1)), y=np.ones((2, 4, 1)), P=2, N=2, input_seeds=(1,))
 
 
 def test_ensemble_rejects_mixed_lengths(example1):
-    e1 = Experiment(u=np.ones((4, 1)), y=np.ones((4, 1)))
-    e2 = Experiment(u=np.ones((6, 1)), y=np.ones((6, 1)))
-    with pytest.raises(ConfigError):
-        Ensemble(experiments=(e1, e2), P=2, N=2)
+    with pytest.raises(ConfigError, match="expected N\\*P=4"):
+        Ensemble(u=np.ones((2, 6, 1)), y=np.ones((2, 6, 1)), P=2, N=2)
+    with pytest.raises(ConfigError, match="must have shapes"):
+        Ensemble(u=np.ones((2, 4, 1)), y=np.ones((2, 6, 1)), P=2, N=2)

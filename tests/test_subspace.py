@@ -28,7 +28,6 @@ from ltpsid.model import (
 )
 from ltpsid.signal import (
     Ensemble,
-    Experiment,
     assemble_spectra,
     collect_ensemble,
     generate_periodic_input,
@@ -544,9 +543,7 @@ def test_identify_invariant_under_experiment_order(fixture, request):
     model = request.getfixturevalue(fixture)
     ens = collect_ensemble(model, J=10 * model.P, N=50, sigma=1.0, master_seed=7)
     order = np.random.default_rng(1).permutation(ens.J)
-    permuted = Ensemble(
-        experiments=tuple(ens.experiments[i] for i in order), P=ens.P, N=ens.N
-    )
+    permuted = Ensemble(u=ens.u[order], y=ens.y[order], P=ens.P, N=ens.N)
     h = impulse_table(identify(ens, q=10, r=10, n_x=2).model, 50)
     h_perm = impulse_table(identify(permuted, q=10, r=10, n_x=2).model, 50)
     np.testing.assert_allclose(h_perm, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
@@ -562,12 +559,7 @@ def test_identify_covariant_under_period_rotation(sigma, example2):
     h = impulse_table(identify(ens, q=10, r=10, n_x=2).model, 50)
     for s in (1, 2, 3):
         rotated = Ensemble(
-            experiments=tuple(
-                Experiment(u=np.roll(e.u, s, axis=0), y=np.roll(e.y, s, axis=0))
-                for e in ens.experiments
-            ),
-            P=ens.P,
-            N=ens.N,
+            u=np.roll(ens.u, s, axis=1), y=np.roll(ens.y, s, axis=1), P=ens.P, N=ens.N
         )
         h_rot = impulse_table(identify(rotated, q=10, r=10, n_x=2).model, 50)
         np.testing.assert_allclose(
