@@ -54,7 +54,7 @@ def _text_field(text: str) -> str:
 
 
 def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
-    """Write ``header`` and the CRLF-joined rows ``body`` as ``csv.writer`` would, at once."""
+    """Write ``header`` and the CRLF-joined rows ``body`` in one write, as ``csv.writer`` would."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:

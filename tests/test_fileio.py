@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,25 +110,35 @@ def test_ensemble_field_counts_checked_per_line(example1_norm, tmp_path):
 
 
 def test_ensemble_loader_matches_csv_reader(example2_norm, tmp_path):
-    # LF line ends and quoted numbers load to the arrays the csv-module
-    # reader gives, which are the saved ones.
+    # Files with LF or CR line ends, quoted numbers, or a quoted field that
+    # runs over two lines load as the csv module parses them; a lone CR
+    # inside a line ends the record there, as it does for the csv module.
     ens = collect_ensemble(example2_norm, J=3, N=4, sigma=0.7, master_seed=11)
-    manifest = save_ensemble(ens, tmp_path)
-    lf = tmp_path / "experiment_0000.csv"
+    manifest = save_ensemble(ens, tmp_path / "ens")
+    lf, quoted, cr = (tmp_path / "ens" / f"experiment_{i:04d}.csv" for i in range(3))
+    lines = lf.read_bytes().decode().split("\r\n")
     lf.write_bytes(lf.read_bytes().replace(b"\r\n", b"\n"))
-    quoted = tmp_path / "experiment_0001.csv"
-    header, *rows = quoted.read_bytes().decode().split("\r\n")
-    quoted.write_text(
-        "\r\n".join([header] + [",".join(f'"{v}"' for v in row.split(",")) for row in rows[:-1]])
+    cr.write_bytes(cr.read_bytes().replace(b"\r\n", b"\r"))
+    quoted.write_bytes(re.sub(rb"([^,\r\n]+)", rb'"\1"', quoted.read_bytes()))
+    spanning = tmp_path / "spanning.csv"
+    spanning.write_text(
+        "\r\n".join(lines[:2] + ['"' + lines[2], lines[3].replace(",", '",', 1)] + lines[4:]),
+        newline="",
     )
-    for path in (lf, quoted):
+    for path in (lf, quoted, cr, spanning):
         data, nu = fileio._parse_csv(path.read_bytes().decode(), path)
         u, y = fileio._read_experiment_csv(path)
         np.testing.assert_array_equal(u, data[:, :nu])
         np.testing.assert_array_equal(y, data[:, nu:])
+    assert data.shape == (11, 2)  # the spanning field joins two records into one
     loaded = load_ensemble(manifest)
     np.testing.assert_array_equal(loaded.u, ens.u)
     np.testing.assert_array_equal(loaded.y, ens.y)
+    stray = tmp_path / "stray.csv"
+    t, u, y = lines[2].split(",")
+    stray.write_text("\r\n".join(lines[:2] + [f"{t},{u}\r,{y}"] + lines[3:]), newline="")
+    with pytest.raises(DataError, match=r"stray\.csv:3: expected 3 fields, got 2"):
+        fileio._read_experiment_csv(stray)
 
 
 def test_ensemble_files_must_agree_in_shape(example1_norm, tmp_path):
