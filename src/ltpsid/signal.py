@@ -5,8 +5,8 @@ An experiment drives the system with a periodic input of length ``N*P``
 the steady-state response plus measurement noise; the steady state is
 computed exactly from the periodic fixed point of the state.
 Ensembles stack J such experiments in two arrays; ``assemble_spectra``
-lifts them over one period and runs one stacked DFT to give the
-per-frequency data matrices consumed by the frequency-response estimator.
+lifts them over one period and runs one stacked real DFT to give the
+half-grid data matrices consumed by the frequency-response estimator.
 
 All randomized operations are pure functions of their seeds.
 """
@@ -234,44 +234,42 @@ def collect_ensemble(
 
 @dataclass(frozen=True)
 class LiftedSpectra:
-    """Per-frequency data matrices of a lifted ensemble.
+    """Per-frequency data matrices of a lifted ensemble on the half grid.
 
     ``U[k]`` is (P*n_u, J) and ``Y[k]`` is (P*n_y, J): column i holds
     experiment i's lifted input/output spectrum at grid frequency
-    ``2*pi*k/N``. Real time-domain data makes the grid conjugate
-    symmetric.
+    ``2*pi*k/N`` for k = 0..N//2; the rest of the grid of real data is the
+    conjugate mirror ``U[N-k] = conj(U[k])`` and is not stored.
     """
 
     P: int
-    U: np.ndarray = field(repr=False)  # (N, P*nu, J) complex
-    Y: np.ndarray = field(repr=False)  # (N, P*ny, J) complex
+    N: int
+    U: np.ndarray = field(repr=False)  # (N//2+1, P*nu, J) complex
+    Y: np.ndarray = field(repr=False)  # (N//2+1, P*ny, J) complex
 
     def __post_init__(self) -> None:
         U = np.asarray(self.U, dtype=np.complex128)
         Y = np.asarray(self.Y, dtype=np.complex128)
-        if U.ndim != 3 or Y.ndim != 3 or U.shape[0] != Y.shape[0] or U.shape[2] != Y.shape[2]:
+        half = self.N // 2 + 1
+        if U.ndim != 3 or Y.ndim != 3 or U.shape[2] != Y.shape[2] or {len(U), len(Y)} != {half}:
             raise ConfigError(
-                f"spectra shapes incompatible: U {U.shape}, Y {Y.shape}"
+                f"spectra shapes incompatible with N={self.N}: U {U.shape}, Y {Y.shape}; "
+                "expected (N//2+1, P*nu, J) and (N//2+1, P*ny, J)"
             )
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Y", Y)
 
-    @property
-    def N(self) -> int:
-        return self.U.shape[0]
-
 
 def assemble_spectra(ensemble: Ensemble) -> LiftedSpectra:
-    """Lift every experiment over one period and DFT it, all in one transform.
+    """Lift every experiment over one period and DFT it, one real transform per signal.
 
     Lifted sample n of an experiment stacks its samples ``nP .. nP+P-1``;
     ``U[k]`` holds, column per experiment, the unnormalized DFT
-    ``sum_n u_lifted[n] * exp(-2j*pi*n*k/N)``, and likewise ``Y[k]``.
+    ``sum_n u_lifted[n] * exp(-2j*pi*n*k/N)`` for k = 0..N//2, and likewise ``Y[k]``.
     """
     J, N = ensemble.J, ensemble.N
 
     def spectra(signals: np.ndarray) -> np.ndarray:
-        lifted = signals.reshape(J, N, -1)
-        return np.ascontiguousarray(np.fft.fft(lifted, axis=1).transpose(1, 2, 0))
+        return np.fft.rfft(signals.reshape(J, N, -1), axis=1).transpose(1, 2, 0)
 
-    return LiftedSpectra(P=ensemble.P, U=spectra(ensemble.u), Y=spectra(ensemble.y))
+    return LiftedSpectra(P=ensemble.P, N=N, U=spectra(ensemble.u), Y=spectra(ensemble.y))

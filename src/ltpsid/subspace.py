@@ -46,7 +46,6 @@ from .model import (
     LtpModel,
     _input_times,
     _monodromies,
-    _with_inputs,
     markov_rows,
 )
 from .signal import Ensemble, assemble_spectra
@@ -214,7 +213,9 @@ def estimate_B(
             f"condition number above {REGRESSOR_COND_LIMIT:g}"
         )
     B = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ T) / s[..., None])
-    return B, float(np.sum((T - G @ B) ** 2)), _with_inputs(rows, B)
+    h_fit = np.empty(h.shape)
+    h_fit.reshape(P * max_lag, -1)[by_beta] = (G @ B).reshape(P * max_lag, -1)
+    return B, float(np.sum((h - h_fit) ** 2)), h_fit
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,22 @@ def test_simulate_writes_ensemble(tmp_path):
     assert code == 0
     assert (out / "manifest.json").exists()
     assert len(list(out.glob("experiment_*.csv"))) == 4
+
+
+def test_readme_command_line_example_runs(tmp_path, monkeypatch):
+    # The simulate, identify and evaluate lines of the README's Command line
+    # block, run as written from a fresh directory.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.split()[1:2] in (["simulate"], ["identify"], ["evaluate"])
+    ]
+    assert [c[0] for c in commands] == ["simulate", "identify", "evaluate"]
+    monkeypatch.chdir(tmp_path)
+    assert [main(c) for c in commands] == [0, 0, 0]
+    assert json.loads((tmp_path / "score" / "fit.json").read_text())["W"] > 90
 
 
 def test_simulate_rejects_small_J(tmp_path, capsys):

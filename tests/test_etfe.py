@@ -5,12 +5,17 @@ from conftest import random_stable_model
 from ltpsid.errors import ConfigError, RankDeficient
 from ltpsid.etfe import etfe, residual_energy
 from ltpsid.model import true_lifted_frequency_response
-from ltpsid.signal import LiftedSpectra, assemble_spectra, collect_ensemble
+from ltpsid.signal import Ensemble, LiftedSpectra, assemble_spectra, collect_ensemble
 
 
 def _noise_free_spectra(model, J, N, seed=7):
     ens = collect_ensemble(model, J=J, N=N, sigma=0.0, master_seed=seed)
     return assemble_spectra(ens)
+
+
+def _full_grid(signals, N):
+    """Full N-point DFT of lifted (J, N*P, channels) signals as (N, P*channels, J)."""
+    return np.fft.fft(signals.reshape(signals.shape[0], N, -1), axis=1).transpose(1, 2, 0)
 
 
 def test_etfe_noise_free_matches_true_response(example1_norm):
@@ -33,14 +38,17 @@ def test_etfe_reduces_to_siso_ratio():
     spectra = _noise_free_spectra(m, J=1, N=16)
     estimate = etfe(spectra)
     ratio = spectra.Y[:, 0, 0] / spectra.U[:, 0, 0]
-    np.testing.assert_allclose(estimate.G[:, 0, 0], ratio, atol=1e-10)
+    np.testing.assert_allclose(estimate.G[: 16 // 2 + 1, 0, 0], ratio, atol=1e-10)
+    np.testing.assert_allclose(estimate.G[16 // 2 :, 0, 0], np.conj(ratio[:0:-1]), atol=1e-10)
 
 
 def test_etfe_zero_output_gives_zero():
     rng = np.random.default_rng(3)
     U = rng.standard_normal((6, 2, 4)) + 1j * rng.standard_normal((6, 2, 4))
-    spectra = LiftedSpectra(P=2, U=U, Y=np.zeros((6, 2, 4), dtype=complex))
-    assert np.all(etfe(spectra).G == 0)
+    spectra = LiftedSpectra(P=2, N=11, U=U, Y=np.zeros((6, 2, 4), dtype=complex))
+    G = etfe(spectra).G
+    assert G.shape == (11, 2, 2)
+    assert np.all(G == 0)
 
 
 def test_etfe_rank_deficient_shared_inputs(example1_norm):
@@ -50,7 +58,32 @@ def test_etfe_rank_deficient_shared_inputs(example1_norm):
     )
     with pytest.raises(RankDeficient) as excinfo:
         etfe(assemble_spectra(ens))
-    assert excinfo.value.frequency_index >= 0
+    assert excinfo.value.frequency_index == 0
+
+
+def test_etfe_rank_deficient_names_the_one_bad_grid_point():
+    # Well-conditioned input spectra everywhere except k = 3, where the second
+    # row nearly repeats the first (s_min/s_max about 1e-4); the real inputs
+    # are their inverse real DFTs. With rank_tol = 1e-3 only k = 3 fails, and
+    # the singular value reported from R is the one the SVD of U[3] gives.
+    P, N, J = 1, 10, 3
+    rng = np.random.default_rng(29)
+    half = np.eye(2, J) + 0.2 * (
+        rng.standard_normal((N // 2 + 1, 2, J)) + 1j * rng.standard_normal((N // 2 + 1, 2, J))
+    )
+    half[[0, N // 2]] = half[[0, N // 2]].real
+    half[3, 1] = (0.5 - 0.2j) * half[3, 0] + 1e-4 * half[3, 1]
+    u = np.fft.irfft(half, n=N, axis=0).transpose(2, 0, 1)
+    y = rng.standard_normal((J, N * P, 1))
+    spectra = assemble_spectra(Ensemble(u=u, y=y, P=P, N=N))
+    with pytest.raises(RankDeficient) as excinfo:
+        etfe(spectra, rank_tol=1e-3)
+    assert excinfo.value.frequency_index == 3
+    s = np.linalg.svd(spectra.U, compute_uv=False)
+    assert np.flatnonzero(s[:, -1] <= 1e-3 * s[:, 0]).tolist() == [3]
+    np.testing.assert_allclose(
+        excinfo.value.smallest_singular_value, s[3, -1], rtol=1e-12
+    )
 
 
 def test_residual_zero_when_exactly_determined(example1_norm):
@@ -79,11 +112,11 @@ def test_etfe_half_grid_matches_per_frequency_pinv(example2_norm, N):
     # Only k <= N/2 is estimated; the rest is the exact conjugate mirror and
     # agrees with the per-frequency least-squares solution.
     ens = collect_ensemble(example2_norm, J=6, N=N, sigma=0.7, master_seed=13)
-    spectra = assemble_spectra(ens)
-    G = etfe(spectra).G
+    G = etfe(assemble_spectra(ens)).G
+    U, Y = _full_grid(ens.u, N), _full_grid(ens.y, N)
     for k in range(N):
         np.testing.assert_array_equal(G[(N - k) % N], np.conj(G[k]))
-        reference = spectra.Y[k] @ np.linalg.pinv(spectra.U[k], rcond=1e-10)
+        reference = Y[k] @ np.linalg.pinv(U[k], rcond=1e-10)
         scale = np.max(np.abs(reference))
         np.testing.assert_allclose(G[k], reference, rtol=0, atol=1e-12 * scale)
 
@@ -92,9 +125,9 @@ def test_residual_energy_matches_per_frequency_norm(example1_norm):
     ens = collect_ensemble(example1_norm, J=8, N=16, sigma=1.0, master_seed=11)
     spectra = assemble_spectra(ens)
     response = etfe(spectra)
+    U, Y = _full_grid(ens.u, 16), _full_grid(ens.y, 16)
     reference = [
-        np.linalg.norm(spectra.Y[k] - response.G[k] @ spectra.U[k], "fro")
-        for k in range(spectra.N)
+        np.linalg.norm(Y[k] - response.G[k] @ U[k], "fro") for k in range(16 // 2 + 1)
     ]
     np.testing.assert_allclose(
         residual_energy(spectra, response), reference, rtol=1e-14
@@ -105,8 +138,11 @@ def test_residual_energy_rejects_mismatched_grid(example1_norm):
     spectra = assemble_spectra(
         collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=1)
     )
-    other = etfe(
-        assemble_spectra(collect_ensemble(example1_norm, J=4, N=6, sigma=0.0, master_seed=1))
-    )
-    with pytest.raises(ConfigError, match="grid sizes differ"):
-        residual_energy(spectra, other)
+    for N_other in (6, 9):  # N = 9 has as many half-grid points as N = 8
+        other = etfe(
+            assemble_spectra(
+                collect_ensemble(example1_norm, J=4, N=N_other, sigma=0.0, master_seed=1)
+            )
+        )
+        with pytest.raises(ConfigError, match="grid sizes differ"):
+            residual_energy(spectra, other)

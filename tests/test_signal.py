@@ -8,6 +8,7 @@ from ltpsid.errors import ConfigError, DataError, LengthNotDivisible, SingularMa
 from ltpsid.model import LtpModel, impulse_response, is_stable
 from ltpsid.signal import (
     Ensemble,
+    LiftedSpectra,
     add_noise,
     assemble_spectra,
     collect_ensemble,
@@ -263,11 +264,14 @@ def _spectra(u, P, y=None):
 
 
 def test_lift_p1_identity():
-    # With P=1 the lifted signal is the signal itself: plain per-experiment DFTs.
+    # With P=1 the lifted signal is the signal itself: plain per-experiment
+    # DFTs, kept on the half grid k = 0..N//2.
     x = np.random.default_rng(5).standard_normal((2, 8, 2))
     spectra = _spectra(x, P=1)
     for i in range(2):
-        np.testing.assert_allclose(spectra.U[:, :, i], np.fft.fft(x[i], axis=0), atol=1e-12)
+        np.testing.assert_allclose(
+            spectra.U[:, :, i], np.fft.fft(x[i], axis=0)[: 8 // 2 + 1], atol=1e-12
+        )
 
 
 def test_lift_p2_scalar_example():
@@ -304,14 +308,14 @@ def test_dft_matches_naive_summation():
     spectra = _spectra(u, P, y)
     for x, X in ((u, spectra.U), (y, spectra.Y)):
         n_c = x.shape[2]
-        assert X.shape == (N, P * n_c, J)
+        assert X.shape == (N // 2 + 1, P * n_c, J)
         for i in range(J):
             lifted = np.array([np.concatenate(x[i, n * P : (n + 1) * P]) for n in range(N)])
             naive = np.zeros((N, P * n_c), dtype=complex)
             for k in range(N):
                 for n in range(N):
                     naive[k] += lifted[n] * np.exp(-2j * np.pi * n * k / N)
-            np.testing.assert_allclose(X[:, :, i], naive, atol=1e-10)
+            np.testing.assert_allclose(X[:, :, i], naive[: N // 2 + 1], atol=1e-10)
 
 
 def test_dft_inverse_recovers_input():
@@ -320,7 +324,7 @@ def test_dft_inverse_recovers_input():
     u = rng.standard_normal((3, N * P, 1))
     y = rng.standard_normal((3, N * P, 2))
     spectra = _spectra(u, P, y)
-    recovered = np.fft.ifft(spectra.Y, axis=0).real
+    recovered = np.fft.irfft(spectra.Y, n=N, axis=0)
     for i in range(3):
         np.testing.assert_allclose(recovered[:, :, i], y[i].reshape(N, P * 2), atol=1e-10)
 
@@ -331,7 +335,11 @@ def test_dft_parseval(seed):
     x = np.random.default_rng(seed).standard_normal((4, 24, 2))
     spectra = _spectra(x, P=2)
     energy_time = np.sum(x**2)
-    energy_freq = np.sum(np.abs(spectra.U) ** 2) / spectra.N
+    # N = 12 is even: k = 0 and N/2 are their own mirrors, every other
+    # half-grid point stands for itself and its conjugate at N - k.
+    weight = np.full(spectra.N // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    energy_freq = np.sum(weight[:, None, None] * np.abs(spectra.U) ** 2) / spectra.N
     np.testing.assert_allclose(energy_freq, energy_time, rtol=1e-8)
 
 
@@ -339,31 +347,46 @@ def test_assemble_spectra_siso_single_experiment():
     m = random_stable_model(2, P=1, nx=1, ny=1, nu=1)
     ens = collect_ensemble(m, J=1, N=8, sigma=0.0, master_seed=4)
     spectra = assemble_spectra(ens)
-    assert spectra.U.shape == (8, 1, 1)
-    assert spectra.Y.shape == (8, 1, 1)
+    assert spectra.N == 8
+    assert spectra.U.shape == (5, 1, 1)
+    assert spectra.Y.shape == (5, 1, 1)
 
 
 def test_assemble_spectra_example1_shapes(example1_norm):
     ens = collect_ensemble(example1_norm, J=20, N=50, sigma=1.0, master_seed=7)
     spectra = assemble_spectra(ens)
-    assert spectra.U.shape == (50, 2, 20)
-    assert spectra.Y.shape == (50, 2, 20)
+    assert spectra.N == 50
+    assert spectra.U.shape == (26, 2, 20)
+    assert spectra.Y.shape == (26, 2, 20)
+
+
+def test_lifted_spectra_rejects_inconsistent_grids():
+    # N = 8 and N = 9 both have 5 half-grid points; N = 10 has 6.
+    U = np.zeros((5, 2, 3), dtype=complex)
+    for N in (8, 9):
+        assert LiftedSpectra(P=2, N=N, U=U, Y=np.zeros((5, 4, 3))).N == N
+    with pytest.raises(ConfigError, match="incompatible with N=10"):
+        LiftedSpectra(P=2, N=10, U=U, Y=np.zeros((5, 4, 3)))
+    with pytest.raises(ConfigError, match="incompatible with N=8"):
+        LiftedSpectra(P=2, N=8, U=U, Y=np.zeros((6, 4, 3)))
+    with pytest.raises(ConfigError, match="incompatible with N=8"):
+        LiftedSpectra(P=2, N=8, U=U, Y=np.zeros((5, 4, 2)))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_assemble_spectra_conjugate_symmetry(seed):
+    # The half grid is the full DFT's k = 0..N//2; the full DFT of the real
+    # data is conjugate symmetric, so the mirrored points carry nothing new.
     m = random_stable_model(seed, P=2, nx=2, ny=1, nu=1)
     ens = collect_ensemble(m, J=2, N=6, sigma=0.3, master_seed=seed)
     spectra = assemble_spectra(ens)
     N = spectra.N
-    for k in range(N):
-        np.testing.assert_allclose(
-            spectra.U[k], np.conj(spectra.U[(N - k) % N]), atol=1e-9
-        )
-        np.testing.assert_allclose(
-            spectra.Y[k], np.conj(spectra.Y[(N - k) % N]), atol=1e-9
-        )
+    for x, X in ((ens.u, spectra.U), (ens.y, spectra.Y)):
+        full = np.fft.fft(x.reshape(2, N, -1), axis=1).transpose(1, 2, 0)
+        np.testing.assert_allclose(X, full[: N // 2 + 1], atol=1e-9)
+        for k in range(N):
+            np.testing.assert_allclose(full[k], np.conj(full[(N - k) % N]), atol=1e-9)
 
 
 def test_experiment_rejects_non_finite_samples():

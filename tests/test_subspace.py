@@ -10,6 +10,7 @@ from ltpsid.errors import (
     IllConditioned,
     OrderTooLarge,
     PipelineError,
+    RankDeficient,
     ShiftRankDeficient,
     UnstableEstimate,
 )
@@ -657,3 +658,44 @@ def test_identify_random_models_noise_free(seed):
         for r in range(1, 2 * m.P + 1)
     ]
     assert max(errs) < 1e-5
+
+
+def _identify_outcome(ens, truth, nx):
+    """W of the estimate against ``truth``, or the stage and error class that stopped it."""
+    try:
+        return fit_metric(truth, identify(ens, q=6, r=6, n_x=nx).model).W
+    except PipelineError as exc:
+        return exc.stage, type(exc.cause)
+
+
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(-6, 6), shared=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_estimates_covariant_under_signal_scaling(seed, k, shared):
+    # Rescaling u or y by c = 10^k is a change of units: the response
+    # estimate scales by 1/c or by c, while the rank verdict, every other
+    # guard's verdict and the score W against the rescaled truth stay.
+    m = random_stable_model(seed, rho_max=0.85)
+    ens = collect_ensemble(
+        m, J=m.P * m.nu + 2, N=12, sigma=0.3, master_seed=seed, shared_input=shared
+    )
+    c = 10.0**k
+    base = _identify_outcome(ens, m, m.nx)
+    for u_scale, y_scale in ((c, 1.0), (1.0, c)):
+        scaled = Ensemble(u=u_scale * ens.u, y=y_scale * ens.y, P=ens.P, N=ens.N)
+        try:
+            G = etfe(assemble_spectra(ens)).G * (y_scale / u_scale)
+        except RankDeficient as exc:
+            with pytest.raises(RankDeficient) as scaled_exc:
+                etfe(assemble_spectra(scaled))
+            assert scaled_exc.value.frequency_index == exc.frequency_index
+            continue
+        G_scaled = etfe(assemble_spectra(scaled)).G
+        assert np.max(np.abs(G_scaled - G)) <= 1e-9 * np.max(np.abs(G))
+        truth = LtpModel(
+            A=m.A, B=tuple(b / u_scale for b in m.B), C=tuple(y_scale * C for C in m.C)
+        )
+        outcome = _identify_outcome(scaled, truth, m.nx)
+        if isinstance(base, float):
+            assert outcome == pytest.approx(base, rel=0, abs=1e-8)
+        else:
+            assert outcome == base
