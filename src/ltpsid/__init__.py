@@ -15,7 +15,6 @@ from .evaluation import (
     consistency_sweep,
     etfe_error_stats,
     fit_metric,
-    impulse_errors,
     monte_carlo,
 )
 from .model import (

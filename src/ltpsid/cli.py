@@ -136,15 +136,18 @@ def _parse_order(args) -> tuple[int | None, float | None]:
     return _integer("order (an integer or 'auto')", order), None
 
 
-def _study_config(args, model) -> MonteCarloConfig:
+def _experiments(args, model) -> int:
+    """Number of experiments J: flag or config value, else 10 * P."""
     J = _resolve(args, "J")
-    if J is None:
-        J = 10 * model.P
+    return _integer("J", 10 * model.P if J is None else J)
+
+
+def _study_config(args, model) -> MonteCarloConfig:
     nx = _resolve(args, "nx")
     if nx is None:
         raise ConfigError("studies need a known order; pass --nx")
     return MonteCarloConfig(
-        J=_integer("J", J),
+        J=_experiments(args, model),
         N=_integer("N", _resolve(args, "N")),
         sigma=_real("sigma", _resolve(args, "sigma")),
         trials=_integer("trials", _resolve(args, "trials")),
@@ -159,12 +162,9 @@ def _study_config(args, model) -> MonteCarloConfig:
 def _cmd_simulate(args) -> int:
     model = _get_model(args)
     out = _out_dir(args, "simulate")
-    J = _resolve(args, "J")
-    if J is None:
-        J = 10 * model.P
     ensemble = collect_ensemble(
         model,
-        J=_integer("J", J),
+        J=_experiments(args, model),
         N=_integer("N", _resolve(args, "N")),
         sigma=_real("sigma", _resolve(args, "sigma")),
         master_seed=_integer("seed", _resolve(args, "seed"), minimum=0),
@@ -264,7 +264,7 @@ def _cmd_fixtures(args) -> int:
     out = _out_dir(args, "fixtures")
     for name in fixtures.FIXTURE_NAMES:
         for normalized in (False, True):
-            model = fixtures.load(name, normalized=normalized)
+            model = fixtures.resolve_model(name, normalize=normalized)
             suffix = "_normalized" if normalized else ""
             fileio.save_model(model, out / f"{name}{suffix}.json")
             stab = is_stable(model)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateReference, DimensionMismatch, LtpsidError
 from .etfe import etfe
 from .model import LtpModel, impulse_table, true_lifted_frequency_response
-from .signal import assemble_spectra, collect_ensemble
+from .signal import assemble_spectra, collect_ensemble, derive_seed
 from .subspace import identify
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "TrialRecord",
     "SweepResult",
     "EtfeErrorStats",
-    "impulse_errors",
     "fit_metric",
     "monte_carlo",
     "consistency_sweep",
@@ -54,15 +53,6 @@ def _check_comparable(true_model: LtpModel, est_model: LtpModel) -> None:
             f"{(true_model.P, true_model.ny, true_model.nu)} vs "
             f"{(est_model.P, est_model.ny, est_model.nu)}"
         )
-
-
-def impulse_errors(
-    true_model: LtpModel, est_model: LtpModel, n_g: int
-) -> np.ndarray:
-    """Per-(tag time, lag) Frobenius errors of the estimated impulse response."""
-    _check_comparable(true_model, est_model)
-    diff = impulse_table(true_model, n_g) - impulse_table(est_model, n_g)
-    return np.linalg.norm(diff, axis=(2, 3))
 
 
 @dataclass(frozen=True)
@@ -182,12 +172,6 @@ class MonteCarloResult:
         return out
 
 
-def trial_seed(master_seed: int, *indices: int) -> int:
-    """Deterministic sub-seed for one trial of a seeded study."""
-    ss = np.random.SeedSequence([int(master_seed), *[int(i) for i in indices]])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _run_one_trial(
     model: LtpModel, config: MonteCarloConfig, seed: int
 ) -> tuple[FitReport | None, str | None]:
@@ -215,7 +199,7 @@ def monte_carlo(
     ``jobs > 1`` trials run in worker processes; results are identical to
     the sequential run because every trial's seed is derived up front.
     """
-    seeds = [trial_seed(config.seed, t) for t in range(config.trials)]
+    seeds = [derive_seed(config.seed, t) for t in range(config.trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(
@@ -267,7 +251,7 @@ def consistency_sweep(
     failures: list[tuple[int, int, str]] = []
     medians: list[float] = []
     for N in N_grid:
-        cfg_N = replace(config, N=N, trials=trials, seed=trial_seed(config.seed, N))
+        cfg_N = replace(config, N=N, trials=trials, seed=derive_seed(config.seed, N))
         result = monte_carlo(model, cfg_N, jobs=jobs)
         mses = tuple(float(m) for m in result.mse_values)
         all_mses.append(mses)
@@ -334,7 +318,7 @@ def etfe_error_stats(
             J=J,
             N=N,
             sigma=sigma,
-            master_seed=trial_seed(seed, t),
+            master_seed=derive_seed(seed, t),
             ma_theta=ma_theta,
         )
         errors[t] = etfe(assemble_spectra(ensemble)).G - G_true
@@ -347,7 +331,7 @@ def etfe_error_stats(
 
     half = np.arange(0, N // 2 + 1)
     candidates = [(int(a), int(b)) for i, a in enumerate(half) for b in half[i + 1 :]]
-    rng = np.random.default_rng(trial_seed(seed, 10**6))
+    rng = np.random.default_rng(derive_seed(seed, 10**6))
     n_pairs = min(n_pairs, len(candidates))
     chosen = rng.choice(len(candidates), size=n_pairs, replace=False)
     pairs = tuple(candidates[i] for i in chosen)

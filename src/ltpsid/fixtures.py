@@ -3,19 +3,15 @@
 ``example1`` is a period-2 model of wind-turbine flapping dynamics that is
 driven and observed only at even time steps; ``example2`` is a period-3
 model whose individual state matrices are unstable while the period map
-is stable. Both ship as JSON files in raw and input-normalized variants
-(average steady-state gain 1); the normalized file is re-derived from the
-raw one at load time and must agree with what is stored.
+is stable. The builders below are their only definition; ``resolve_model``
+gives either one, optionally input-normalized to average steady-state
+gain 1, or a model read from a JSON file.
 """
 
 from __future__ import annotations
 
-from importlib import resources
-from pathlib import Path
-
 import numpy as np
 
-from .errors import ConfigError, DataError
 from .fileio import load_model
 from .model import LtpModel, normalize_gain
 
@@ -23,13 +19,8 @@ __all__ = [
     "FIXTURE_NAMES",
     "example1",
     "example2",
-    "lti_first_order",
-    "load",
     "resolve_model",
 ]
-
-FIXTURE_NAMES = ("example1", "example2")
-
 
 def example1() -> LtpModel:
     """Period-2 flapping-dynamics benchmark (n_x=2, SISO), raw gains."""
@@ -56,45 +47,12 @@ def example2() -> LtpModel:
     )
 
 
-def lti_first_order(a: float = 0.5, b: float = 1.0, c: float = 1.0) -> LtpModel:
-    """Scalar period-1 model, the degenerate LTI end of the pipeline."""
-    return LtpModel(A=(np.array([[a]]),), B=(np.array([[b]]),), C=(np.array([[c]]),))
-
-
 _BUILDERS = {"example1": example1, "example2": example2}
-
-
-def _fixture_path(filename: str) -> Path:
-    return Path(str(resources.files("ltpsid").joinpath("fixtures", filename)))
-
-
-def load(name: str, normalized: bool = False) -> LtpModel:
-    """Load a packaged fixture model by name.
-
-    The normalized variant is checked against a fresh normalization of the
-    raw variant; disagreement means the shipped files are stale and raises
-    ``DataError``.
-    """
-    if name not in FIXTURE_NAMES:
-        raise ConfigError(
-            f"unknown fixture '{name}'; available: {', '.join(FIXTURE_NAMES)}"
-        )
-    suffix = "_normalized" if normalized else ""
-    model = load_model(_fixture_path(f"{name}{suffix}.json"))
-    if normalized:
-        recomputed = normalize_gain(load_model(_fixture_path(f"{name}.json")))
-        for stored, fresh in zip(model.B, recomputed.B):
-            if not np.allclose(stored, fresh, rtol=1e-10, atol=1e-12):
-                raise DataError(
-                    f"stored normalized fixture '{name}' disagrees with "
-                    "recomputed normalization; regenerate the fixture files"
-                )
-    return model
+FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def resolve_model(source: str, normalize: bool = False) -> LtpModel:
     """Resolve a model reference: fixture name or path to a model JSON file."""
-    if source in FIXTURE_NAMES:
-        return load(source, normalized=normalize)
-    model = load_model(source)
+    builder = _BUILDERS.get(source)
+    model = builder() if builder is not None else load_model(source)
     return normalize_gain(model) if normalize else model

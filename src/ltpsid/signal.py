@@ -32,12 +32,20 @@ __all__ = [
     "assemble_spectra",
 ]
 
-_ROLE_CODES = {"input": 0, "noise": 1}
+# Last index of an experiment's seed: which of its two random streams it drives.
+INPUT_STREAM = 0
+NOISE_STREAM = 1
 
 
-def derive_seed(master_seed: int, index: int, role: str) -> int:
-    """Deterministic per-experiment seed for one role ("input" or "noise")."""
-    ss = np.random.SeedSequence([int(master_seed), int(index), _ROLE_CODES[role]])
+def derive_seed(master_seed: int, *indices: int) -> int:
+    """Deterministic sub-seed of ``master_seed`` for one index path.
+
+    Experiment i of an ensemble draws its input from
+    ``derive_seed(master, i, INPUT_STREAM)`` and its noise from
+    ``derive_seed(master, i, NOISE_STREAM)``; the studies derive one
+    master seed per trial as ``derive_seed(master, t)``.
+    """
+    ss = np.random.SeedSequence([int(master_seed), *[int(i) for i in indices]])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -220,9 +228,9 @@ def collect_ensemble(
             f"need J >= P*n_u = {model.P * model.nu} experiments, got J={J}"
         )
     input_seeds = tuple(
-        derive_seed(master_seed, 0 if shared_input else i, "input") for i in range(J)
+        derive_seed(master_seed, 0 if shared_input else i, INPUT_STREAM) for i in range(J)
     )
-    noise_seeds = tuple(derive_seed(master_seed, i, "noise") for i in range(J))
+    noise_seeds = tuple(derive_seed(master_seed, i, NOISE_STREAM) for i in range(J))
     u = np.stack(
         [generate_periodic_input(model.P, N, model.nu, seed) for seed in input_seeds]
     )

@@ -46,6 +46,7 @@ from .model import (
     LtpModel,
     _input_times,
     _monodromies,
+    _spectral_radius,
     markov_rows,
 )
 from .signal import Ensemble, assemble_spectra
@@ -192,7 +193,7 @@ def estimate_B(
     """
     A = np.asarray(A_est, dtype=np.float64)
     P, nx = A.shape[:2]
-    rho = float(np.max(np.abs(np.linalg.eigvals(_monodromies(A)[0])))) if nx else 0.0
+    rho = _spectral_radius(_monodromies(A)[0])
     if rho >= 1.0:
         raise UnstableEstimate(
             f"estimated monodromy has spectral radius {rho:.4f} >= 1; "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -221,15 +222,34 @@ def test_sweep_writes_slope(tmp_path):
     assert len(rows) == 1 + 2 * 2
 
 
+# SHA-256 of each model file ``ltpsid fixtures`` writes; the exported
+# builders must keep these bytes.
+_FIXTURE_DIGESTS = {
+    "example1.json": "67413761a5890775a3be9865e85181c21057f4f4b3bf4d8cf8ab5ce0257fdc1a",
+    "example1_normalized.json": "bb5b9aac4187467811eb14143750e052da0b6717b18f14e620a27957ded7eb24",
+    "example2.json": "bf4b4ff2607bb5b375992e1c663f522bcce68c35068d8f9af019d7b5710fd66f",
+    "example2_normalized.json": "861fb66575d9114fed0d801794799db83c405f123a5a3e73d7c122f9a5503f6c",
+}
+
+
 def test_fixtures_command_and_out_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LTPSID_OUT", str(tmp_path))
     assert run(["fixtures"]) == 0
     out = capsys.readouterr().out
     assert "example1" in out and "example2_normalized" in out
-    for name in ("example1.json", "example2_normalized.json"):
-        assert (tmp_path / "fixtures" / name).exists()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "fixtures").iterdir()}
+    assert written == _FIXTURE_DIGESTS
     model = load_model(tmp_path / "fixtures" / "example2_normalized.json")
     assert model.P == 3
+
+
+def test_simulate_unknown_model_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--model", "example9", "--out", tmp_path / "sim"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "example9" in err
 
 
 def test_config_file_flag_precedence(tmp_path, example1_norm):

@@ -8,7 +8,6 @@ from ltpsid.evaluation import (
     consistency_sweep,
     etfe_error_stats,
     fit_metric,
-    impulse_errors,
     monte_carlo,
 )
 from ltpsid.model import LtpModel, impulse_response
@@ -19,28 +18,28 @@ def _scalar_lti(a=0.5, b=1.0, c=1.0):
     return LtpModel(A=(np.array([[a]]),), B=(np.array([[b]]),), C=(np.array([[c]]),))
 
 
-def test_impulse_errors_identical_models(example1_norm):
-    errs = impulse_errors(example1_norm, example1_norm, n_g=20)
+def test_fit_metric_errors_identical_models(example1_norm):
+    errs = fit_metric(example1_norm, example1_norm, n_g=20).errors
     assert errs.shape == (2, 20)
     assert np.all(errs == 0)
 
 
-def test_impulse_errors_scaled_B(example2_norm):
+def test_fit_metric_errors_scaled_B(example2_norm):
     doubled = LtpModel(
         A=example2_norm.A,
         B=tuple(2 * b for b in example2_norm.B),
         C=example2_norm.C,
     )
-    errs = impulse_errors(example2_norm, doubled, n_g=10)
+    errs = fit_metric(example2_norm, doubled, n_g=10).errors
     for t in range(3):
         for r in range(1, 11):
             g = np.linalg.norm(impulse_response(example2_norm, t, r))
             np.testing.assert_allclose(errs[t, r - 1], g, atol=1e-12)
 
 
-def test_impulse_errors_dimension_mismatch(example1_norm, example2_norm):
+def test_fit_metric_dimension_mismatch(example1_norm, example2_norm):
     with pytest.raises(DimensionMismatch):
-        impulse_errors(example1_norm, example2_norm, n_g=5)
+        fit_metric(example1_norm, example2_norm, n_g=5)
 
 
 def test_fit_metric_perfect(example1_norm):

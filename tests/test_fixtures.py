@@ -1,46 +1,26 @@
-import json
-
 import numpy as np
 import pytest
 
 from ltpsid import fixtures
-from ltpsid.errors import ConfigError, DataError
+from ltpsid.errors import DataError
 from ltpsid.fileio import save_model
-from ltpsid.model import dc_gain, is_stable, normalize_gain
+from ltpsid.model import dc_gain, is_stable
 
 
 def test_fixture_names_load_and_are_stable():
     for name in fixtures.FIXTURE_NAMES:
-        for normalized in (False, True):
-            model = fixtures.load(name, normalized=normalized)
+        for normalize in (False, True):
+            model = fixtures.resolve_model(name, normalize=normalize)
             assert is_stable(model).stable
-            if normalized:
+            if normalize:
                 np.testing.assert_allclose(dc_gain(model), 1.0, atol=1e-10)
 
 
-def test_fixture_files_match_builders(example1, example2):
-    for name, builder in (("example1", example1), ("example2", example2)):
-        stored = fixtures.load(name)
-        for a, b in zip(stored.A, builder.A):
-            np.testing.assert_array_equal(a, b)
-
-
-def test_unknown_fixture_rejected():
-    with pytest.raises(ConfigError, match="unknown fixture"):
-        fixtures.load("example9")
-
-
-def test_stale_normalized_fixture_detected(tmp_path, monkeypatch, example1):
-    # Point the loader at a copy whose normalized variant is out of date.
-    save_model(example1, tmp_path / "example1.json")
-    stale = normalize_gain(example1)
-    stale_scaled = type(stale)(
-        A=stale.A, B=tuple(1.01 * b for b in stale.B), C=stale.C
-    )
-    save_model(stale_scaled, tmp_path / "example1_normalized.json")
-    monkeypatch.setattr(fixtures, "_fixture_path", lambda f: tmp_path / f)
-    with pytest.raises(DataError, match="disagrees"):
-        fixtures.load("example1", normalized=True)
+def test_unknown_fixture_rejected(tmp_path, monkeypatch):
+    # A name that is not a fixture is read as a path, and no such file exists.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DataError, match="example9"):
+        fixtures.resolve_model("example9")
 
 
 def test_resolve_model_fixture_and_path(tmp_path, example2_norm):
@@ -49,9 +29,3 @@ def test_resolve_model_fixture_and_path(tmp_path, example2_norm):
     path = save_model(example2_norm, tmp_path / "m.json")
     loaded = fixtures.resolve_model(str(path))
     assert loaded.P == 3
-
-
-def test_lti_first_order_shape():
-    m = fixtures.lti_first_order(a=0.25)
-    assert (m.P, m.nx, m.ny, m.nu) == (1, 1, 1, 1)
-    assert m.A[0][0, 0] == 0.25

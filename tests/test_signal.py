@@ -12,6 +12,8 @@ from ltpsid.signal import (
     add_noise,
     assemble_spectra,
     collect_ensemble,
+    INPUT_STREAM,
+    NOISE_STREAM,
     derive_seed,
     generate_periodic_input,
     simulate,
@@ -194,8 +196,8 @@ def test_add_noise_variance_at_scale():
 
 def test_add_noise_independent_seeds_uncorrelated():
     y = np.zeros((10_000, 1))
-    w1 = add_noise(y, 1.0, seed=derive_seed(0, 0, "noise")).ravel()
-    w2 = add_noise(y, 1.0, seed=derive_seed(0, 1, "noise")).ravel()
+    w1 = add_noise(y, 1.0, seed=derive_seed(0, 0, NOISE_STREAM)).ravel()
+    w2 = add_noise(y, 1.0, seed=derive_seed(0, 1, NOISE_STREAM)).ravel()
     corr = np.corrcoef(w1, w2)[0, 1]
     assert abs(corr) < 0.02
 
@@ -250,10 +252,10 @@ def test_collect_ensemble_deterministic(example2_norm):
 
 def test_derive_seed_roles_and_indices_distinct():
     seeds = {
-        derive_seed(0, i, role) for i in range(50) for role in ("input", "noise")
+        derive_seed(0, i, stream) for i in range(50) for stream in (INPUT_STREAM, NOISE_STREAM)
     }
     assert len(seeds) == 100
-    assert derive_seed(0, 3, "input") == derive_seed(0, 3, "input")
+    assert derive_seed(0, 3, INPUT_STREAM) == derive_seed(0, 3, INPUT_STREAM)
 
 
 def _spectra(u, P, y=None):

@@ -8,6 +8,7 @@ from ltpsid.errors import (
     BlockRangeExceeded,
     ConfigError,
     IllConditioned,
+    NumericalError,
     OrderTooLarge,
     PipelineError,
     RankDeficient,
@@ -398,6 +399,14 @@ def test_estimate_B_unstable_estimate():
     h = np.zeros((1, 4, 1, 1))
     with pytest.raises(UnstableEstimate):
         estimate_B([np.array([[1.1]])], [np.array([[1.0]])], h, 4)
+
+
+def test_estimate_B_eigensolver_failure_is_numerical_error():
+    # A non-finite estimate makes the eigensolver fail; that surfaces as the
+    # package's own error, as in every other stability check.
+    h = np.zeros((1, 4, 1, 1))
+    with pytest.raises(NumericalError, match="eigensolver"):
+        estimate_B([np.array([[np.nan]])], [np.array([[1.0]])], h, 4)
 
 
 def test_estimate_B_ill_conditioned_zero_output_map():
