@@ -1,9 +1,14 @@
 """Command-line front end for data generation, identification, and studies.
 
 Subcommands: ``simulate``, ``identify``, ``evaluate``, ``montecarlo``,
-``sweep``, ``fixtures``. Every command is reproducible: the same inputs
-and seed produce byte-identical output files. Outputs default to a
-per-command directory under ``$LTPSID_OUT`` (or the working directory).
+``sweep``, ``fixtures``. Every option that a JSON config file may also set
+is declared once, in ``_OPTIONS``: its type, built-in default and help.
+A value comes from its flag, else the ``--config`` file, else that default;
+each subcommand takes the flags of only the options it reads. Every command
+is reproducible: the same inputs and seed produce byte-identical output
+files. Outputs go to ``out``, which defaults to a per-command directory
+under ``$LTPSID_OUT`` (or the working directory) and is created only once
+the command has results to write.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 data error,
 4 numerical pipeline error.
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,32 +50,34 @@ _EXIT_CONFIG = 2
 _EXIT_DATA = 3
 _EXIT_NUMERICAL = 4
 
-# Built-in defaults applied after flag/config-file resolution; the standard
-# benchmark study parameters.
-_DEFAULTS = {
-    "N": 50,
-    "J": None,  # 10 * P, resolved once the model is known
-    "sigma": 1.0,
-    "q": 10,
-    "r": 10,
-    "nx": None,
-    "order": "auto",
-    "order_tol": 1e-8,
-    "rank_tol": 1e-10,
-    "n_g": 50,
-    "trials": 100,
-    "seed": 0,
-    "jobs": 1,
-    "normalize": False,
+# Each option a flag or config key can set: (argparse type, built-in
+# default, help). The default is None where there is none or it is
+# resolved later. Key ``n_g`` is flag ``--n-g``; bool options are switches.
+_OPTIONS = {
+    "model": (str, None, "fixture name (example1, example2) or model JSON path"),
+    "normalize": (bool, False, "normalize the model (evaluate: the reference "
+                  "model) to average steady-state gain 1"),
+    "N": (int, 50, "periods per record"),
+    "Ns": (str, None, "comma-separated record lengths, e.g. 25,50,100"),
+    "J": (int, None, "number of experiments (default 10*P)"),
+    "sigma": (float, 1.0, "output noise std"),
+    "q": (int, 10, "Hankel block rows"),
+    "r": (int, 10, "Hankel block columns"),
+    "nx": (int, None, "state order of every study estimate"),
+    "order": (str, "auto", "state order, or 'auto' for threshold selection"),
+    "order_tol": (float, 1e-8, "relative singular-value threshold for --order auto"),
+    "rank_tol": (float, 1e-10, "relative rank tolerance of the response estimate"),
+    "n_g": (int, 50, "lag horizon of the fit score"),
+    "trials": (int, 100, "noise realizations per study point"),
+    "seed": (int, 0, "master seed"),
+    "jobs": (int, 1, "parallel trial workers"),
+    "out": (str, None, "output directory (default $LTPSID_OUT/<command>)"),
 }
 
 
 def _out_dir(args, command: str) -> Path:
-    if args.out is not None:
-        path = Path(args.out)
-    else:
-        root = os.environ.get("LTPSID_OUT", ".")
-        path = Path(root) / command
+    out = _resolve(args, "out")
+    path = Path(os.environ.get("LTPSID_OUT", "."), command) if out is None else Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -83,11 +91,14 @@ def _load_config_file(path: str | None) -> dict:
         raise DataError(f"{path}: cannot read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
-    unknown = set(data) - set(_DEFAULTS) - {"model", "Ns", "out"}
+    unknown = set(data) - set(_OPTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    if not isinstance(data.get("normalize", False), bool):
-        raise ConfigError(f"{path}: normalize must be true or false, got {data['normalize']!r}")
+    for key, value in data.items():
+        if _OPTIONS[key][0] is bool and not isinstance(value, bool):
+            raise ConfigError(f"{path}: {key} must be true or false, got {value!r}")
+    if not isinstance(data.get("out"), (str, type(None))):
+        raise ConfigError(f"{path}: out must be a directory path, got {data['out']!r}")
     return data
 
 
@@ -96,9 +107,7 @@ def _resolve(args, key: str):
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in args._config:
-        return args._config[key]
-    return _DEFAULTS.get(key)
+    return args._config.get(key, _OPTIONS[key][1])
 
 
 def _integer(name: str, value, minimum: int = 1) -> int:
@@ -114,12 +123,15 @@ def _integer(name: str, value, minimum: int = 1) -> int:
 
 
 def _real(name: str, value) -> float:
+    """``value`` as a finite float; "x", true, None, nan or inf raise ``ConfigError``."""
     try:
-        if not isinstance(value, bool):
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+        number = float(value)
+        valid = not isinstance(value, bool) and math.isfinite(number)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _get_model(args):
@@ -161,7 +173,6 @@ def _study_config(args, model) -> MonteCarloConfig:
 
 def _cmd_simulate(args) -> int:
     model = _get_model(args)
-    out = _out_dir(args, "simulate")
     ensemble = collect_ensemble(
         model,
         J=_experiments(args, model),
@@ -169,14 +180,13 @@ def _cmd_simulate(args) -> int:
         sigma=_real("sigma", _resolve(args, "sigma")),
         master_seed=_integer("seed", _resolve(args, "seed"), minimum=0),
     )
-    manifest = fileio.save_ensemble(ensemble, out)
+    manifest = fileio.save_ensemble(ensemble, _out_dir(args, "simulate"))
     print(f"wrote {ensemble.J} experiments and manifest to {manifest}")
     return _EXIT_OK
 
 
 def _cmd_identify(args) -> int:
     ensemble = fileio.load_ensemble(args.manifest)
-    out = _out_dir(args, "identify")
     n_x, threshold = _parse_order(args)
     result = identify(
         ensemble,
@@ -186,6 +196,7 @@ def _cmd_identify(args) -> int:
         order_threshold=threshold,
         rank_tol=_real("rank_tol", _resolve(args, "rank_tol")),
     )
+    out = _out_dir(args, "identify")
     fileio.save_identification_result(
         result, out / "model.json", out / "diagnostics.json"
     )
@@ -201,8 +212,8 @@ def _cmd_identify(args) -> int:
 def _cmd_evaluate(args) -> int:
     true_model = fixtures.resolve_model(args.true, normalize=_resolve(args, "normalize"))
     est_model = fixtures.resolve_model(args.est)
-    out = _out_dir(args, "evaluate")
     report = fit_metric(true_model, est_model, n_g=_integer("n_g", _resolve(args, "n_g")))
+    out = _out_dir(args, "evaluate")
     fileio.write_json(
         {"W": report.W, "mse": report.mse, "n_g": report.n_g,
          "max_error": float(np.max(report.errors))},
@@ -215,9 +226,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     model = _get_model(args)
-    out = _out_dir(args, "montecarlo")
     config = _study_config(args, model)
     result = monte_carlo(model, config, jobs=_integer("jobs", _resolve(args, "jobs")))
+    out = _out_dir(args, "montecarlo")
     fileio.write_montecarlo_csv(result, out / "trials.csv")
     fileio.write_json(result.summary(), out / "summary.json")
     print(
@@ -229,7 +240,6 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _get_model(args)
-    out = _out_dir(args, "sweep")
     Ns = _resolve(args, "Ns")
     if Ns is None:
         raise ConfigError("sweep needs --Ns, a comma-separated list of record lengths")
@@ -238,14 +248,13 @@ def _cmd_sweep(args) -> int:
     if not isinstance(Ns, list):
         raise ConfigError(f"Ns must be a comma-separated string or a list, got {Ns!r}")
     grid = [_integer("Ns entry", n) for n in Ns]
-    config = _study_config(args, model)
     sweep = consistency_sweep(
         model,
         grid,
-        trials=config.trials,
-        config=config,
+        _study_config(args, model),
         jobs=_integer("jobs", _resolve(args, "jobs")),
     )
+    out = _out_dir(args, "sweep")
     fileio.write_sweep_csv(sweep, out / "sweep.csv")
     fileio.write_json(
         {
@@ -275,21 +284,18 @@ def _cmd_fixtures(args) -> int:
     return _EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--out", help="output directory (default $LTPSID_OUT/<command>)")
+def _add_options(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """Flags from ``_OPTIONS`` for ``keys`` and ``out``, then ``--config``."""
+    for key in (*keys, "out"):
+        typ, default, text = _OPTIONS[key]
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            parser.add_argument(flag, dest=key, action="store_const", const=True, help=text)
+            continue
+        if default is not None:
+            text += f" (default {default})"
+        parser.add_argument(flag, dest=key, type=typ, help=text)
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--jobs", type=int, help="parallel trial workers (default 1)")
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="fixture name (example1, example2) or model JSON path")
-    parser.add_argument(
-        "--normalize",
-        action="store_const",
-        const=True,
-        help="normalize the model to average steady-state gain 1",
-    )
 
 
 @functools.cache
@@ -302,77 +308,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate an ensemble of periodic experiments")
-    _add_model_flags(p)
-    p.add_argument("--N", type=int, help="periods per record (default 50)")
-    p.add_argument("--J", type=int, help="number of experiments (default 10*P)")
-    p.add_argument("--sigma", type=float, help="output noise std (default 1.0)")
-    _add_common(p)
+    _add_options(p, "model", "normalize", "N", "J", "sigma", "seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("identify", help="identify a model from an ensemble manifest")
     p.add_argument("manifest", help="path to manifest.json of a stored ensemble")
-    p.add_argument("--q", type=int, help="Hankel block rows (default 10)")
-    p.add_argument("--r", type=int, help="Hankel block columns (default 10)")
-    p.add_argument("--order", help="state order, or 'auto' for threshold selection")
-    p.add_argument("--order-tol", dest="order_tol", type=float,
-                   help="relative singular-value threshold for --order auto (default 1e-8)")
-    p.add_argument("--rank-tol", dest="rank_tol", type=float,
-                   help="relative rank tolerance of the response estimate (default 1e-10)")
     p.add_argument("--export-response", action="store_true",
                    help="also write the estimated lifted frequency response as CSV")
-    _add_common(p)
+    _add_options(p, "q", "r", "order", "order_tol", "rank_tol")
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("evaluate", help="score an estimated model against a reference")
     p.add_argument("--true", required=True, help="reference model (fixture name or path)")
     p.add_argument("--est", required=True, help="estimated model (fixture name or path)")
-    p.add_argument("--normalize", action="store_const", const=True,
-                   help="normalize the reference model before scoring")
-    p.add_argument("--n-g", dest="n_g", type=int, help="lag horizon (default 50)")
-    _add_common(p)
+    _add_options(p, "normalize", "n_g")
     p.set_defaults(func=_cmd_evaluate)
 
+    study = ("J", "sigma", "q", "r", "nx", "trials", "n_g", "seed", "jobs")
     p = sub.add_parser("montecarlo", help="repeated noisy identification study")
-    _add_model_flags(p)
-    for flag, typ in (("--N", int), ("--J", int), ("--sigma", float), ("--q", int),
-                      ("--r", int), ("--nx", int), ("--trials", int), ("--n-g", int)):
-        p.add_argument(flag, dest=flag.lstrip("-").replace("-", "_"), type=typ)
-    _add_common(p)
+    _add_options(p, "model", "normalize", "N", *study)
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("sweep", help="record-length consistency sweep")
-    _add_model_flags(p)
-    p.add_argument("--Ns", help="comma-separated record lengths, e.g. 25,50,100")
-    for flag, typ in (("--J", int), ("--sigma", float), ("--q", int), ("--r", int),
-                      ("--nx", int), ("--trials", int), ("--n-g", int)):
-        p.add_argument(flag, dest=flag.lstrip("-").replace("-", "_"), type=typ)
-    _add_common(p)
+    _add_options(p, "model", "normalize", "Ns", *study)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fixtures", help="export the built-in benchmark models")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=_cmd_fixtures)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args._config = _load_config_file(getattr(args, "config", None))
+        args._config = _load_config_file(args.config)
         return args.func(args)
-    except (ConfigError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except NumericalPipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
     except LtpsidError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DataError):
+            return _EXIT_DATA
+        if isinstance(exc, NumericalPipelineError):
+            return _EXIT_NUMERICAL
         return _EXIT_CONFIG
 
 

@@ -33,8 +33,11 @@ def etfe(spectra: LiftedSpectra, rank_tol: float = DEFAULT_RANK_TOL) -> LiftedFr
     One batched QR over k = 0..N//2 factors U_tilde^H = Q R. Q has
     orthonormal columns, so the square R has the singular values of
     U_tilde and serves the rank check, and G_hat^H = R^{-1} Q^H Y_tilde^H
-    follows by back substitution, R being upper triangular.
+    follows by back substitution, R being upper triangular. A ``rank_tol``
+    that is not a finite number >= 0 raises ``ConfigError``.
     """
+    if not 0 <= rank_tol < np.inf:
+        raise ConfigError(f"rank_tol must be a finite number >= 0, got {rank_tol}")
     Q, R = np.linalg.qr(spectra.U.conj().swapaxes(-1, -2))
     s = np.linalg.svd(R, compute_uv=False)
     deficient = s[:, -1] <= rank_tol * s[:, 0]

@@ -61,8 +61,8 @@ class FitReport:
 
     W: float
     errors: np.ndarray = field(repr=False)  # (P, n_g) Frobenius errors
-    n_g: int = 50
-    mse: float = 0.0
+    n_g: int
+    mse: float
 
 
 def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = 50) -> FitReport:
@@ -228,13 +228,12 @@ class SweepResult:
 def consistency_sweep(
     model: LtpModel,
     N_grid: tuple[int, ...] | list[int],
-    trials: int,
     config: MonteCarloConfig,
     jobs: int = 1,
 ) -> SweepResult:
     """Measure how the impulse-response MSE decays with the record length.
 
-    Runs ``trials`` noisy identifications at every N in the grid (the
+    Runs ``config.trials`` noisy identifications at every N in the grid (the
     Hankel block counts stay fixed at config.q, config.r across the grid)
     and fits the least-squares slope of log median MSE against log N.
     """
@@ -251,7 +250,7 @@ def consistency_sweep(
     failures: list[tuple[int, int, str]] = []
     medians: list[float] = []
     for N in N_grid:
-        cfg_N = replace(config, N=N, trials=trials, seed=derive_seed(config.seed, N))
+        cfg_N = replace(config, N=N, seed=derive_seed(config.seed, N))
         result = monte_carlo(model, cfg_N, jobs=jobs)
         mses = tuple(float(m) for m in result.mse_values)
         all_mses.append(mses)

@@ -190,8 +190,8 @@ def add_noise(
     keeps the marginal variance at ``sigma^2`` but introduces one-lag
     correlation in time.
     """
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be a finite number >= 0, got {sigma}")
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if sigma == 0:
         return y.copy()

@@ -80,7 +80,7 @@ def test_criterion_3_consistency_rate(example1_norm):
         J=20, N=50, sigma=1.0, trials=20, q=10, r=10, n_x=2, seed=7
     )
     sweep = consistency_sweep(
-        example1_norm, [25, 50, 100, 200, 400], trials=20, config=config
+        example1_norm, [25, 50, 100, 200, 400], config=config
     )
     elapsed = time.perf_counter() - start
     ok = -1.3 < sweep.slope < -0.7 and elapsed < 600.0

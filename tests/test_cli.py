@@ -126,6 +126,26 @@ def test_identify_bad_blocks_or_order_exits_2(tmp_path, capsys, example1_norm, f
     _assert_config_exit(code, capsys, needle)
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["simulate", "--model", "example1", "--sigma", "nan"], "sigma must be a finite number"),
+        (["identify", "MANIFEST", "--order-tol", "nan"], "order_tol must be a finite number"),
+        (["identify", "MANIFEST", "--rank-tol", "nan"], "rank_tol must be a finite number"),
+        (["montecarlo", "--model", "example1", "--nx", 2, "--trials", 2, "--sigma", "inf"],
+         "sigma must be a finite number"),
+    ],
+)
+def test_non_finite_flag_exits_2_and_writes_nothing(tmp_path, capsys, example1_norm, argv, needle):
+    ens = collect_ensemble(example1_norm, J=4, N=10, sigma=0.0, master_seed=2)
+    manifest = save_ensemble(ens, tmp_path / "ens")
+    capsys.readouterr()
+    argv = [manifest if a == "MANIFEST" else a for a in argv]
+    code = run(argv + ["--out", tmp_path / "out"])
+    _assert_config_exit(code, capsys, needle)
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
     code = run(["sweep", "--model", "example1", "--Ns", "25,abc", "--nx", 2,
                 "--out", tmp_path])
@@ -146,6 +166,8 @@ def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
         ("simulate", {"normalize": 0}, "normalize must be"),
         ("evaluate", {"normalize": "false"}, "normalize must be"),
         ("evaluate", {"n_g": True}, "n_g must be"),
+        ("simulate", {"sigma": float("nan")}, "sigma must be a finite number"),
+        ("identify", {"rank_tol": float("inf")}, "rank_tol must be a finite number"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command, config, needle):
@@ -176,6 +198,70 @@ def test_config_boolean_matches_flag(tmp_path, normalize):
     assert run(base + flag + ["--out", tmp_path / "flag"]) == 0
     name = "experiment_0000.csv"
     assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+def test_config_out_key_sets_output_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LTPSID_OUT", str(tmp_path / "env"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "from_config")}))
+    assert run(["fixtures", "--config", config]) == 0
+    assert sorted(p.name for p in (tmp_path / "from_config").iterdir()) == sorted(_FIXTURE_DIGESTS)
+    assert run(["fixtures", "--config", config, "--out", tmp_path / "from_flag"]) == 0
+    assert sorted(p.name for p in (tmp_path / "from_flag").iterdir()) == sorted(_FIXTURE_DIGESTS)
+    assert not (tmp_path / "env").exists()
+    config.write_text(json.dumps({"out": 5}))
+    capsys.readouterr()
+    _assert_config_exit(run(["fixtures", "--config", config]), capsys, "out must be")
+
+
+def test_every_option_is_a_config_key(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: default for key, (_, default, _) in cli._OPTIONS.items()}))
+    assert run(["fixtures", "--config", config, "--out", tmp_path / "fx"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "example1", "--jobs", 2],
+        ["identify", "manifest.json", "--seed", 3],
+        ["identify", "manifest.json", "--jobs", 2],
+        ["evaluate", "--true", "example1", "--est", "example1", "--seed", 3],
+        ["evaluate", "--true", "example1", "--est", "example1", "--jobs", 2],
+        ["fixtures", "--seed", 3],
+        ["fixtures", "--jobs", 2],
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([str(a) for a in argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "identify", "evaluate", "montecarlo", "sweep", "fixtures"]
+)
+def test_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    # Every ltpsid line in the README's code blocks names real flags.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in readme.split("```")[1::2]
+        for line in block.splitlines()
+        if line.startswith("ltpsid ")
+    ]
+    assert len(lines) >= 6
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]
 
 
 def test_evaluate_same_fixture_scores_perfect(tmp_path):

@@ -25,6 +25,17 @@ def test_etfe_noise_free_matches_true_response(example1_norm):
     assert np.max(np.abs(estimate.G - truth.G)) < 1e-7
 
 
+@pytest.mark.parametrize("rank_tol", [np.nan, -1.0, np.inf])
+def test_etfe_rejects_rank_tol_not_finite_nonnegative(example1_norm, rank_tol):
+    # A rank-deficient spectrum: without the check nan and -1 switch the rank
+    # guard off and return an all-NaN response.
+    ens = collect_ensemble(
+        example1_norm, J=4, N=8, sigma=0.0, master_seed=2, shared_input=True
+    )
+    with pytest.raises(ConfigError, match="rank_tol must be a finite number >= 0"):
+        etfe(assemble_spectra(ens), rank_tol=rank_tol)
+
+
 def test_etfe_noise_free_square_case(example2_norm):
     # J = P*n_u: exactly determined, still exact on steady-state data.
     spectra = _noise_free_spectra(example2_norm, J=3, N=20)

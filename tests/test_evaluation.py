@@ -155,24 +155,24 @@ def test_monte_carlo_W_decreases_with_noise(example1_norm):
 def test_consistency_sweep_requires_increasing_grid(example1_norm):
     cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=6, r=6, n_x=2, seed=0)
     with pytest.raises(ConfigError):
-        consistency_sweep(example1_norm, [16, 16], trials=2, config=cfg)
+        consistency_sweep(example1_norm, [16, 16], config=cfg)
 
 
 def test_consistency_sweep_infeasible_N_rejected(example1_norm):
     cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=10, r=10, n_x=2, seed=0)
     with pytest.raises(ConfigError):
-        consistency_sweep(example1_norm, [8, 16], trials=2, config=cfg)
+        consistency_sweep(example1_norm, [8, 16], config=cfg)
 
 
 def test_consistency_sweep_noise_free_floor(example1_norm):
     cfg = MonteCarloConfig(J=8, N=16, sigma=0.0, trials=2, q=6, r=6, n_x=2, seed=3)
-    sweep = consistency_sweep(example1_norm, [8, 16, 32], trials=2, config=cfg)
+    sweep = consistency_sweep(example1_norm, [8, 16, 32], config=cfg)
     assert all(m < 1e-20 for m in sweep.median_mse)
 
 
 def test_consistency_sweep_noisy_slope_negative(example1_norm):
     cfg = MonteCarloConfig(J=12, N=16, sigma=1.0, trials=6, q=8, r=8, n_x=2, seed=17)
-    sweep = consistency_sweep(example1_norm, [16, 64], trials=6, config=cfg)
+    sweep = consistency_sweep(example1_norm, [16, 64], config=cfg)
     assert sweep.slope < -0.4
     assert len(sweep.median_mse) == 2
 

@@ -187,6 +187,14 @@ def test_add_noise_sigma_zero_unchanged():
     np.testing.assert_array_equal(add_noise(y, 0.0, seed=1), y)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_add_noise_rejects_sigma_not_finite_nonnegative(example1_norm, sigma):
+    with pytest.raises(ConfigError, match="sigma must be a finite number >= 0"):
+        add_noise(np.zeros((4, 1)), sigma, seed=1)
+    with pytest.raises(ConfigError, match="sigma must be a finite number"):
+        collect_ensemble(example1_norm, J=2, N=4, sigma=sigma, master_seed=0)
+
+
 def test_add_noise_variance_at_scale():
     y = np.zeros((100_000, 1))
     for sigma in (0.5, 2.0):
