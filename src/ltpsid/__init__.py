@@ -28,7 +28,6 @@ from .model import (
     monodromy,
     normalize_gain,
     true_lifted_frequency_response,
-    validate,
 )
 from .signal import (
     Ensemble,

@@ -138,7 +138,9 @@ def _get_model(args):
     source = _resolve(args, "model")
     if source is None:
         raise ConfigError("no model given; use --model FIXTURE_NAME_OR_PATH")
-    return fixtures.resolve_model(str(source), normalize=_resolve(args, "normalize"))
+    if not isinstance(source, str):
+        raise ConfigError(f"model must be a fixture name or model JSON path, got {source!r}")
+    return fixtures.resolve_model(source, normalize=_resolve(args, "normalize"))
 
 
 def _parse_order(args) -> tuple[int | None, float | None]:

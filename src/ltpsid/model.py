@@ -42,7 +42,6 @@ __all__ = [
     "LiftedLtiModel",
     "LiftedFrequencyResponse",
     "Stability",
-    "validate",
     "monodromy",
     "is_stable",
     "impulse_response",
@@ -80,10 +79,32 @@ class LtpModel:
     C: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", _as_matrix_tuple(self.A))
-        object.__setattr__(self, "B", _as_matrix_tuple(self.B))
-        object.__setattr__(self, "C", _as_matrix_tuple(self.C))
-        validate(self)
+        """Freeze the matrices and check the shapes of all P of them.
+
+        Raises ``ConfigError`` if the sequences are empty or of unequal
+        length, else ``DimensionMismatch`` naming the first offending
+        sequence and index.
+        """
+        for name in ("A", "B", "C"):
+            object.__setattr__(self, name, _as_matrix_tuple(getattr(self, name)))
+        P = len(self.A)
+        if P < 1:
+            raise ConfigError("model needs at least one set of matrices (P >= 1)")
+        if len(self.B) != P or len(self.C) != P:
+            raise ConfigError(
+                f"A, B, C must all have length P={P}, "
+                f"got {len(self.A)}, {len(self.B)}, {len(self.C)}"
+            )
+        for name, mats, expected in (
+            ("A", self.A, (self.nx, self.nx)),
+            ("B", self.B, (self.nx, self.nu)),
+            ("C", self.C, (self.ny, self.nx)),
+        ):
+            for i, m in enumerate(mats):
+                if m.shape != expected:
+                    raise DimensionMismatch(
+                        f"{name}[{i}] has shape {m.shape}, expected {expected}"
+                    )
 
     @property
     def P(self) -> int:
@@ -100,46 +121,6 @@ class LtpModel:
     @property
     def ny(self) -> int:
         return self.C[0].shape[0]
-
-    def A_at(self, t: int) -> np.ndarray:
-        """State matrix at time ``t`` (cyclic indexing)."""
-        return self.A[t % self.P]
-
-    def B_at(self, t: int) -> np.ndarray:
-        return self.B[t % self.P]
-
-    def C_at(self, t: int) -> np.ndarray:
-        return self.C[t % self.P]
-
-
-def validate(model: LtpModel) -> None:
-    """Check dimensional consistency of all P matrices.
-
-    Raises ``DimensionMismatch`` naming the first offending sequence and
-    index, or ``ConfigError`` if the sequences are empty or of unequal
-    length.
-    """
-    P = len(model.A)
-    if P < 1:
-        raise ConfigError("model needs at least one set of matrices (P >= 1)")
-    if len(model.B) != P or len(model.C) != P:
-        raise ConfigError(
-            f"A, B, C must all have length P={P}, "
-            f"got {len(model.A)}, {len(model.B)}, {len(model.C)}"
-        )
-    nx = model.A[0].shape[0]
-    nu = model.B[0].shape[1]
-    ny = model.C[0].shape[0]
-    for name, mats, expected in (
-        ("A", model.A, (nx, nx)),
-        ("B", model.B, (nx, nu)),
-        ("C", model.C, (ny, nx)),
-    ):
-        for i, m in enumerate(mats):
-            if m.shape != expected:
-                raise DimensionMismatch(
-                    f"{name}[{i}] has shape {m.shape}, expected {expected}"
-                )
 
 
 def monodromy(model: LtpModel, t: int = 0) -> np.ndarray:
@@ -172,18 +153,30 @@ class Stability(NamedTuple):
     spectral_radius: float
 
 
-def _spectral_radius(monodromy_matrix: np.ndarray) -> float:
+def _spectral_radius(A) -> float:
+    """Spectral radius of the monodromy ``Psi_0 = A_{P-1} ... A_0`` of the (P, n, n) stack ``A``."""
     try:
-        eigs = np.linalg.eigvals(monodromy_matrix)
+        eigs = np.linalg.eigvals(_monodromies(np.asarray(A, dtype=np.float64))[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on monodromy matrix: {exc}")
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 
+def _stability(A, error: type[Exception] | None = None, message: str = "") -> Stability:
+    """The one stability rule, spectral radius < 1 (so NaN fails), for the monodromy of ``A``.
+
+    With ``error`` given, failing it raises ``error(message.format(rho=rho))``.
+    """
+    rho = _spectral_radius(A)
+    verdict = Stability(stable=rho < 1.0, spectral_radius=rho)
+    if error is not None and not verdict.stable:
+        raise error(message.format(rho=rho))
+    return verdict
+
+
 def is_stable(model: LtpModel) -> Stability:
     """Stability verdict from the spectral radius of the monodromy matrix."""
-    rho = _spectral_radius(monodromy(model, 0))
-    return Stability(stable=rho < 1.0, spectral_radius=rho)
+    return _stability(model.A)
 
 
 def impulse_response(model: LtpModel, t: int, r: int) -> np.ndarray:
@@ -195,10 +188,11 @@ def impulse_response(model: LtpModel, t: int, r: int) -> np.ndarray:
     """
     if r < 1:
         raise ConfigError(f"impulse-response lag must be >= 1, got {r}")
-    M = model.C_at(t)
+    P = model.P
+    M = model.C[t % P]
     for s in range(1, r):
-        M = M @ model.A_at(t - s)
-    return M @ model.B_at(t - r)
+        M = M @ model.A[(t - s) % P]
+    return M @ model.B[(t - r) % P]
 
 
 def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:

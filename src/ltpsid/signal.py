@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, LengthNotDivisible
-from .model import LtpModel, _inverse_of_identity_minus, _spectral_radius, lift_model
+from .model import LtpModel, _inverse_of_identity_minus, _stability, lift_model
 
 __all__ = [
     "Ensemble",
@@ -158,13 +158,9 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
         raise LengthNotDivisible(
             f"pattern length {u.shape[-2]} not divisible by P={model.P}"
         )
+    _stability(model.A, ConfigError, "model is not stable (spectral radius {rho:.4f}); "
+               "steady-state data collection requires stability")
     lifted = lift_model(model)
-    rho = _spectral_radius(lifted.A)
-    if not rho < 1.0:
-        raise ConfigError(
-            f"model is not stable (spectral radius {rho:.4f}); "
-            "steady-state data collection requires stability"
-        )
     N = u.shape[-2] // model.P
     u_lifted = u.reshape(u.shape[:-2] + (N, -1))
     drive = u_lifted @ lifted.B.T
@@ -212,24 +208,20 @@ def collect_ensemble(
     N: int,
     sigma: float,
     master_seed: int,
-    shared_input: bool = False,
     ma_theta: float = 0.0,
 ) -> Ensemble:
     """Run J independent steady-state experiments with noisy outputs.
 
     Each experiment gets a fresh input pattern and an independent noise
     stream, both seeded deterministically from ``master_seed`` and the
-    experiment index. ``shared_input=True`` reuses experiment 0's pattern
-    everywhere (ablation switch; the default fresh patterns are what make
-    the lifted input spectrum full row rank with probability one).
+    experiment index. The fresh patterns are what make the lifted input
+    spectrum full row rank with probability one.
     """
     if J < model.P * model.nu:
         raise ConfigError(
             f"need J >= P*n_u = {model.P * model.nu} experiments, got J={J}"
         )
-    input_seeds = tuple(
-        derive_seed(master_seed, 0 if shared_input else i, INPUT_STREAM) for i in range(J)
-    )
+    input_seeds = tuple(derive_seed(master_seed, i, INPUT_STREAM) for i in range(J))
     noise_seeds = tuple(derive_seed(master_seed, i, NOISE_STREAM) for i in range(J))
     u = np.stack(
         [generate_periodic_input(model.P, N, model.nu, seed) for seed in input_seeds]

@@ -3,6 +3,7 @@ import pytest
 
 from ltpsid import fixtures
 from ltpsid.model import LtpModel, normalize_gain
+from ltpsid.signal import Ensemble
 
 
 @pytest.fixture(scope="session")
@@ -55,8 +56,13 @@ def random_stable_model(
 def impulse_series_oracle(model: LtpModel, t: int, lags: int) -> np.ndarray:
     """Impulse-response coefficients g^t_r for r = 1..lags by direct accumulation."""
     out = np.empty((lags, model.ny, model.nu))
-    left = model.C_at(t)
+    left = model.C[t % model.P]
     for r in range(1, lags + 1):
-        out[r - 1] = left @ model.B_at(t - r)
-        left = left @ model.A_at(t - r)
+        out[r - 1] = left @ model.B[(t - r) % model.P]
+        left = left @ model.A[(t - r) % model.P]
     return out
+
+
+def with_shared_input(ens: Ensemble) -> Ensemble:
+    """``ens`` with experiment 0's input in every experiment: a rank-one input spectrum."""
+    return Ensemble(np.repeat(ens.u[:1], ens.J, 0), ens.y, ens.P, ens.N)

@@ -130,16 +130,16 @@ def test_criterion_5_oracle_equivalences(example1_norm, example2_norm):
         N, q, r = 9, 5, 4
         hankels = build_hankels(aliased_impulse_response_true(model, N), q=q, r=r)
         for tau in range(model.P):
-            obs = [model.C_at(tau)]
+            obs = [model.C[tau % model.P]]
             prod = np.eye(model.nx)
             for s in range(1, q):
-                prod = model.A_at(tau + s - 1) @ prod
-                obs.append(model.C_at(tau + s) @ prod)
-            ctrb = [model.B_at(tau - 1)]
+                prod = model.A[(tau + s - 1) % model.P] @ prod
+                obs.append(model.C[(tau + s) % model.P] @ prod)
+            ctrb = [model.B[(tau - 1) % model.P]]
             prod = np.eye(model.nx)
             for s in range(2, r + 1):
-                prod = prod @ model.A_at(tau - s + 1)
-                ctrb.append(prod @ model.B_at(tau - s))
+                prod = prod @ model.A[(tau - s + 1) % model.P]
+                ctrb.append(prod @ model.B[(tau - s) % model.P])
             resolvent = np.linalg.inv(
                 np.eye(model.nx) - np.linalg.matrix_power(monodromy(model, tau), N)
             )

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import with_shared_input
 from ltpsid import cli
 from ltpsid.cli import main
 from ltpsid.fileio import load_model, save_ensemble, save_model
@@ -92,8 +93,8 @@ def test_identify_corrupt_csv_exits_3(tmp_path, capsys, example1_norm):
 
 
 def test_identify_numerical_failure_exits_4(tmp_path, capsys, example1_norm):
-    ens = collect_ensemble(
-        example1_norm, J=4, N=8, sigma=0.0, master_seed=2, shared_input=True
+    ens = with_shared_input(
+        collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=2)
     )
     manifest = save_ensemble(ens, tmp_path / "ens")
     code = run(["identify", manifest, "--q", 4, "--r", 4, "--order", 2,
@@ -116,6 +117,7 @@ def _assert_config_exit(code, capsys, needle):
         (["--order", 50], "order 50 outside"),
         (["--order", 0], "order"),
         (["--order", "2.5"], "order"),
+        (["--order-tol", -1], "order threshold must be a finite number >= 0"),
     ],
 )
 def test_identify_bad_blocks_or_order_exits_2(tmp_path, capsys, example1_norm, flags, needle):
@@ -168,13 +170,14 @@ def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
         ("evaluate", {"n_g": True}, "n_g must be"),
         ("simulate", {"sigma": float("nan")}, "sigma must be a finite number"),
         ("identify", {"rank_tol": float("inf")}, "rank_tol must be a finite number"),
+        ("simulate", {"model": 5}, "model must be a fixture name or model JSON path"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command, config, needle):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     if command == "simulate":
-        argv = ["simulate", "--model", "example1"]
+        argv = ["simulate"] + ([] if "model" in config else ["--model", "example1"])
     elif command == "evaluate":
         argv = ["evaluate", "--true", "example1", "--est", "example1"]
     else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_stable_model
+from conftest import random_stable_model, with_shared_input
 from ltpsid.errors import ConfigError, RankDeficient
 from ltpsid.etfe import etfe, residual_energy
 from ltpsid.model import true_lifted_frequency_response
@@ -29,8 +29,8 @@ def test_etfe_noise_free_matches_true_response(example1_norm):
 def test_etfe_rejects_rank_tol_not_finite_nonnegative(example1_norm, rank_tol):
     # A rank-deficient spectrum: without the check nan and -1 switch the rank
     # guard off and return an all-NaN response.
-    ens = collect_ensemble(
-        example1_norm, J=4, N=8, sigma=0.0, master_seed=2, shared_input=True
+    ens = with_shared_input(
+        collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=2)
     )
     with pytest.raises(ConfigError, match="rank_tol must be a finite number >= 0"):
         etfe(assemble_spectra(ens), rank_tol=rank_tol)
@@ -64,8 +64,8 @@ def test_etfe_zero_output_gives_zero():
 
 def test_etfe_rank_deficient_shared_inputs(example1_norm):
     # Identical input patterns make the columns of the input spectrum equal.
-    ens = collect_ensemble(
-        example1_norm, J=4, N=8, sigma=0.0, master_seed=2, shared_input=True
+    ens = with_shared_input(
+        collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=2)
     )
     with pytest.raises(RankDeficient) as excinfo:
         etfe(assemble_spectra(ens))

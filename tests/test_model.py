@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import impulse_series_oracle, random_stable_model
-from ltpsid.errors import ConfigError, DegenerateGain, DimensionMismatch, SingularMatrix
+from ltpsid.errors import (
+    ConfigError,
+    DegenerateGain,
+    DimensionMismatch,
+    SingularMatrix,
+    UnstableEstimate,
+)
 from ltpsid.model import (
     LtpModel,
     aliased_impulse_response_true,
@@ -17,12 +23,12 @@ from ltpsid.model import (
     monodromy,
     normalize_gain,
     true_lifted_frequency_response,
-    validate,
 )
+from ltpsid.signal import simulate_steady_state
+from ltpsid.subspace import estimate_B
 
 
 def test_validate_example1_ok(example1):
-    validate(example1)  # does not raise
     assert (example1.P, example1.nx, example1.ny, example1.nu) == (2, 2, 1, 1)
 
 
@@ -37,7 +43,6 @@ def test_validate_wrong_B_shape():
 
 def test_validate_p1_lti_ok():
     m = LtpModel(A=(np.eye(3),), B=(np.ones((3, 2)),), C=(np.ones((1, 3)),))
-    validate(m)
     assert m.P == 1
 
 
@@ -102,6 +107,70 @@ def test_is_stable_scaled_identity_unstable(P):
     verdict = is_stable(m)
     assert not verdict.stable
     np.testing.assert_allclose(verdict.spectral_radius, 2.0**P, rtol=1e-12)
+
+
+def _verdicts(A, B, C) -> tuple[bool, bool, bool]:
+    """Whether is_stable, simulate_steady_state and estimate_B each accept the stacks."""
+    model = LtpModel(A=tuple(A), B=tuple(B), C=tuple(C))
+    try:
+        simulate_steady_state(model, np.zeros((model.P, model.nu)))
+        simulated = True
+    except ConfigError as exc:
+        assert "not stable" in str(exc)
+        simulated = False
+    try:
+        h = np.zeros((model.P, 4 * model.P, model.ny, model.nu))
+        estimate_B(np.asarray(model.A), np.asarray(model.C), h, 4)
+        fitted = True
+    except UnstableEstimate:
+        fitted = False
+    return is_stable(model).stable, simulated, fitted
+
+
+def _transformed(A, B, C, T, kb, kc):
+    """The stacks under A_t -> T_{t+1} A_t T_t^-1, and with B, C rescaled by 10^kb, 10^kc."""
+    T_next, T_inv = np.roll(T, -1, axis=0), np.linalg.inv(T)
+    return [(T_next @ A @ T_inv, T_next @ B, C @ T_inv), (A, 10.0**kb * B, 10.0**kc * C)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.sampled_from([0.3, 0.9, 0.99, 1.01, 1.1, 5.0]),
+    kb=st.integers(-6, 6),
+    kc=st.integers(-6, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_stability_verdict_shared_and_invariant(seed, rho, kb, kc):
+    # The three stability checks agree, and a periodic similarity or a change
+    # of the units of u and y leaves the verdict alone.
+    rng = np.random.default_rng(seed)
+    P, nx, ny, nu = (int(v) for v in rng.integers(1, 4, size=4))
+    A = rng.uniform(-1, 1, (P, nx, nx))
+    psi = np.eye(nx)
+    for a in A:
+        psi = a @ psi
+    A *= (rho / np.max(np.abs(np.linalg.eigvals(psi)))) ** (1.0 / P)
+    B = rng.uniform(-1, 1, (P, nx, nu))
+    C = rng.uniform(-1, 1, (P, ny, nx))
+    # Orthogonal times a diagonal scaling: condition number at most 100.
+    T = np.linalg.qr(rng.standard_normal((P, nx, nx)))[0] * 10.0 ** rng.uniform(-1, 1, (P, 1, nx))
+    for stacks in [(A, B, C), *_transformed(A, B, C, T, kb, kc)]:
+        assert _verdicts(*stacks) == (rho < 1,) * 3
+
+
+@pytest.mark.parametrize("factors", [(1.0,), (2.0, 0.5), (4.0, 0.25, 1.0)])
+@given(k=st.lists(st.integers(-8, 8), min_size=3, max_size=3), kb=st.integers(-6, 6),
+       kc=st.integers(-6, 6))
+@settings(max_examples=10, deadline=None)
+def test_stability_verdict_rejects_radius_exactly_one(factors, k, kb, kc):
+    # Scalar stacks whose monodromy is exactly 1; a power-of-two similarity
+    # keeps it exactly 1. All three checks reject them.
+    P = len(factors)
+    A = np.array(factors).reshape(P, 1, 1)
+    B, C = np.ones((P, 1, 1)), np.ones((P, 1, 1))
+    T = 2.0 ** np.array(k[:P], dtype=float).reshape(P, 1, 1)
+    for stacks in [(A, B, C), *_transformed(A, B, C, T, kb, kc)]:
+        assert _verdicts(*stacks) == (False, False, False)
 
 
 def test_impulse_response_example2_first_lag(example2):

@@ -1,0 +1,37 @@
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import ltpsid
+
+# The package and every submodule that declares __all__.
+EXPORTING = [
+    mod
+    for mod in [ltpsid, *(importlib.import_module(f"ltpsid.{m.name}")
+                          for m in pkgutil.iter_modules(ltpsid.__path__))]
+    if hasattr(mod, "__all__")
+]
+
+
+def _traced_functions():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED_FUNCTIONS
+
+
+@pytest.mark.parametrize("target", _traced_functions())
+def test_traced_function_exists(target):
+    # The benchmark tracer skips a function the package no longer defines, so
+    # a rename or deletion would silently report 0 calls for its layer.
+    module, name = target.split(".")
+    assert callable(getattr(importlib.import_module(f"ltpsid.{module}"), name, None))
+
+
+@pytest.mark.parametrize("module", EXPORTING, ids=lambda mod: mod.__name__)
+def test_all_names_exist(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -85,8 +85,8 @@ def _fixed_point_state(model, pattern):
     Phi = np.eye(model.nx)
     x = np.zeros(model.nx)
     for t in range(pattern.shape[0]):
-        Phi = model.A_at(t) @ Phi
-        x = model.A_at(t) @ x + model.B_at(t) @ pattern[t]
+        Phi = model.A[t % model.P] @ Phi
+        x = model.A[t % model.P] @ x + model.B[t % model.P] @ pattern[t]
     return np.linalg.solve(np.eye(model.nx) - Phi, x)
 
 
@@ -140,8 +140,8 @@ def test_steady_state_matches_direct_fixed_point(example1):
     xs = _fixed_point_state(example1, pattern)
     y_exact = []
     for t in range(pattern.shape[0]):
-        y_exact.append(example1.C_at(t) @ xs)
-        xs = example1.A_at(t) @ xs + example1.B_at(t) @ pattern[t]
+        y_exact.append(example1.C[t % example1.P] @ xs)
+        xs = example1.A[t % example1.P] @ xs + example1.B[t % example1.P] @ pattern[t]
     y = simulate_steady_state(example1, pattern)
     np.testing.assert_allclose(y, np.array(y_exact), atol=1e-9)
 
@@ -242,14 +242,6 @@ def test_collect_ensemble_unstable_model_rejected():
     m = LtpModel(A=(2 * np.eye(1),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
     with pytest.raises(ConfigError, match="stable"):
         collect_ensemble(m, J=1, N=4, sigma=0.0, master_seed=0)
-
-
-def test_collect_ensemble_shared_input_switch(example1_norm):
-    ens = collect_ensemble(
-        example1_norm, J=3, N=4, sigma=0.0, master_seed=1, shared_input=True
-    )
-    for u in ens.u[1:]:
-        np.testing.assert_array_equal(u, ens.u[0])
 
 
 def test_collect_ensemble_deterministic(example2_norm):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import impulse_series_oracle, random_stable_model
+from conftest import impulse_series_oracle, random_stable_model, with_shared_input
 from ltpsid.errors import (
     BlockRangeExceeded,
     ConfigError,
@@ -47,20 +47,20 @@ from ltpsid.subspace import (
 
 
 def _extended_observability(model, tau, q):
-    rows = [model.C_at(tau)]
+    rows = [model.C[tau % model.P]]
     prod = np.eye(model.nx)
     for s in range(1, q):
-        prod = model.A_at(tau + s - 1) @ prod
-        rows.append(model.C_at(tau + s) @ prod)
+        prod = model.A[(tau + s - 1) % model.P] @ prod
+        rows.append(model.C[(tau + s) % model.P] @ prod)
     return np.vstack(rows)
 
 
 def _extended_controllability(model, tau, r):
-    cols = [model.B_at(tau - 1)]
+    cols = [model.B[(tau - 1) % model.P]]
     prod = np.eye(model.nx)
     for s in range(2, r + 1):
-        prod = prod @ model.A_at(tau - s + 1)
-        cols.append(prod @ model.B_at(tau - s))
+        prod = prod @ model.A[(tau - s + 1) % model.P]
+        cols.append(prod @ model.B[(tau - s) % model.P])
     return np.hstack(cols)
 
 
@@ -271,6 +271,20 @@ def test_svd_order_too_large(example1_norm):
     hankels = build_hankels(h, q=3, r=3)
     with pytest.raises(OrderTooLarge):
         svd_order(hankels, n_x=4)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, -1.0, np.inf])
+def test_svd_order_rejects_threshold_not_finite_nonnegative(example1_norm, threshold):
+    # Without the check nan selects order 0 (a misleading OrderTooLarge) and
+    # -1 the full order, which fails later in estimate_AC.
+    hankels = build_hankels(aliased_impulse_response_true(example1_norm, 10), q=5, r=5)
+    match = "order threshold must be a finite number >= 0"
+    with pytest.raises(ConfigError, match=match) as excinfo:
+        svd_order(hankels, threshold=threshold)
+    assert not isinstance(excinfo.value, OrderTooLarge)
+    ens = collect_ensemble(example1_norm, J=4, N=10, sigma=0.1, master_seed=5)
+    with pytest.raises(ConfigError, match=match):
+        identify(ens, q=5, r=5, order_threshold=threshold)
 
 
 def _noisy_aliased_response(model, N, seed):
@@ -510,8 +524,8 @@ def test_identify_default_block_counts(example1_norm):
 
 
 def test_identify_stage_annotation_on_rank_failure(example1_norm):
-    ens = collect_ensemble(
-        example1_norm, J=4, N=8, sigma=0.0, master_seed=2, shared_input=True
+    ens = with_shared_input(
+        collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=2)
     )
     with pytest.raises(PipelineError) as excinfo:
         identify(ens, q=4, r=4, n_x=2)
@@ -684,9 +698,9 @@ def test_estimates_covariant_under_signal_scaling(seed, k, shared):
     # estimate scales by 1/c or by c, while the rank verdict, every other
     # guard's verdict and the score W against the rescaled truth stay.
     m = random_stable_model(seed, rho_max=0.85)
-    ens = collect_ensemble(
-        m, J=m.P * m.nu + 2, N=12, sigma=0.3, master_seed=seed, shared_input=shared
-    )
+    ens = collect_ensemble(m, J=m.P * m.nu + 2, N=12, sigma=0.3, master_seed=seed)
+    if shared:
+        ens = with_shared_input(ens)
     c = 10.0**k
     base = _identify_outcome(ens, m, m.nx)
     for u_scale, y_scale in ((c, 1.0), (1.0, c)):
