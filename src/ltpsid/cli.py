@@ -65,7 +65,7 @@ _OPTIONS = {
     "r": (int, 10, "Hankel block columns"),
     "nx": (int, None, "state order of every study estimate"),
     "order": (str, "auto", "state order, or 'auto' for threshold selection"),
-    "order_tol": (float, 1e-8, "relative singular-value threshold for --order auto"),
+    "order_tol": (float, 1e-8, "relative singular-value threshold in [0, 1) for --order auto"),
     "rank_tol": (float, 1e-10, "relative rank tolerance of the response estimate"),
     "n_g": (int, 50, "lag horizon of the fit score"),
     "trials": (int, 100, "noise realizations per study point"),

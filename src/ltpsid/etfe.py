@@ -2,12 +2,11 @@
 
 With J experiments the lifted input/output spectra at each grid frequency
 form (P*n_u, J) and (P*n_y, J) matrices; the frequency response estimate
-is the least-squares solution G_hat = Y_tilde @ pinv(U_tilde), from a QR
-factorization of U_tilde^H: exact when J = P*n_u and the minimum-residual
-fit when J is larger. The spectra come from real signals, so only the half
-grid k = 0..N//2 is estimated and ``G[N-k] = conj(G[k])`` fills the rest:
-conjugate symmetric by construction, which is what lets
-``subspace.idft_blocks`` invert the half grid to a real impulse response.
+is the least-squares solution G_hat = Y_tilde @ pinv(U_tilde): exact when
+J = P*n_u and the minimum-residual fit when J is larger. Real data give a
+conjugate-symmetric response, so only k = 0..N//2 is estimated and
+``G[N-k] = conj(G[k])`` fills the rest, which lets ``subspace.idft_blocks``
+invert the half grid to a real impulse response.
 """
 
 from __future__ import annotations
@@ -26,30 +25,30 @@ DEFAULT_RANK_TOL = 1e-10
 def etfe(spectra: LiftedSpectra, rank_tol: float = DEFAULT_RANK_TOL) -> LiftedFrequencyResponse:
     """Least-squares estimate of the lifted frequency response of real data.
 
-    ``rank_tol`` is relative to the largest singular value of the lifted
-    input spectrum at each frequency; if fewer than P*n_u singular values
-    exceed it, the excitation does not pin down the response there and
-    ``RankDeficient`` is raised naming the lowest offending grid point.
-    One batched QR over k = 0..N//2 factors U_tilde^H = Q R. Q has
-    orthonormal columns, so the square R has the singular values of
-    U_tilde and serves the rank check, and G_hat^H = R^{-1} Q^H Y_tilde^H
-    follows by back substitution, R being upper triangular. A ``rank_tol``
-    that is not a finite number >= 0 raises ``ConfigError``.
+    One batched QR over k = 0..N//2 factors U_tilde^H = Q R, and back
+    substitution gives R^{-1}; then G_hat^H = R^{-1} Q^H Y_tilde^H. A grid
+    point is rank-deficient, and ``RankDeficient`` names the lowest such k,
+    when s_min <= ``rank_tol``*s_max for the singular values of R (those of
+    U_tilde). As s_min >= 1/||R^{-1}||_F and s_max <= ||R||_F, the SVD of R
+    runs only if some point fails 1/||R^{-1}||_F > rank_tol*||R||_F. A
+    ``rank_tol`` that is not a finite number >= 0 raises ``ConfigError``.
     """
     if not 0 <= rank_tol < np.inf:
         raise ConfigError(f"rank_tol must be a finite number >= 0, got {rank_tol}")
     Q, R = np.linalg.qr(spectra.U.conj().swapaxes(-1, -2))
-    s = np.linalg.svd(R, compute_uv=False)
-    deficient = s[:, -1] <= rank_tol * s[:, 0]
-    if deficient.any():
-        k = int(np.argmax(deficient))
-        raise RankDeficient(k, float(s[k, -1]))
-    G_h = (spectra.Y @ Q).conj().swapaxes(-1, -2)
-    for i in range(G_h.shape[1] - 1, -1, -1):
-        G_h[:, i : i + 1] -= R[:, i : i + 1, i + 1 :] @ G_h[:, i + 1 :]
-        G_h[:, i] /= R[:, i, i, None]
+    R_inv = np.broadcast_to(np.eye(R.shape[-1], dtype=R.dtype), R.shape).copy()
+    with np.errstate(all="ignore"):  # an exactly singular R gives inf and NaN
+        for i in range(R.shape[-1] - 1, -1, -1):
+            R_inv[:, i : i + 1] -= R[:, i : i + 1, i + 1 :] @ R_inv[:, i + 1 :]
+            R_inv[:, i] /= R[:, i, i, None]
+        passes = 1 / np.linalg.norm(R_inv, axis=(1, 2)) > rank_tol * np.linalg.norm(R, axis=(1, 2))
+    if not passes.all():
+        s = np.linalg.svd(R, compute_uv=False)
+        deficient = np.flatnonzero(s[:, -1] <= rank_tol * s[:, 0])
+        if deficient.size:
+            raise RankDeficient(int(deficient[0]), float(s[deficient[0], -1]))
     P = spectra.P
-    G = _mirror_half_grid(G_h.conj().swapaxes(-1, -2), spectra.N)
+    G = _mirror_half_grid((spectra.Y @ Q) @ R_inv.conj().swapaxes(-1, -2), spectra.N)
     return LiftedFrequencyResponse(P=P, ny=G.shape[1] // P, nu=G.shape[2] // P, G=G)
 
 

@@ -158,9 +158,9 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
         raise LengthNotDivisible(
             f"pattern length {u.shape[-2]} not divisible by P={model.P}"
         )
-    _stability(model.A, ConfigError, "model is not stable (spectral radius {rho:.4f}); "
-               "steady-state data collection requires stability")
     lifted = lift_model(model)
+    _stability(lifted.A[None], ConfigError, "model is not stable (spectral radius {rho:.4f}); "
+               "steady-state data collection requires stability")
     N = u.shape[-2] // model.P
     u_lifted = u.reshape(u.shape[:-2] + (N, -1))
     drive = u_lifted @ lifted.B.T

@@ -2,9 +2,8 @@
 
 The pipeline runs in fixed stages:
 
-1. inverse DFT of every (output slot, input slot) block of the response,
-   taken from the half grid k = 0..N//2 as a real inverse, since the
-   response of real data is conjugate symmetric,
+1. real inverse DFT of every (output slot, input slot) block of the
+   conjugate-symmetric response of real data, from k = 0..N//2 alone,
 2. rearrangement of the blocks into the time-aliased periodic impulse
    response, a plain (P, N*P, n_y, n_u) array with tag time t and lag r
    at entry ``[t, r-1]``,
@@ -12,17 +11,14 @@ The pipeline runs in fixed stages:
    matrix per starting tag time,
 4. SVD of the Hankel stack; the leading left singular vectors span the
    extended observability matrix up to an unknown coordinate change,
-5. shift-invariance recovery of the (P, n_x, n_x) A and (P, n_y, n_x) C
-   stacks,
-6. least-squares fit of the (P, n_x, n_u) B stack to the aliased impulse
-   response.
+5. shift-invariance recovery of the (P, n_x, n_x) A and (P, n_y, n_x) C,
+6. least-squares fit of the (P, n_x, n_u) B to the aliased impulse response.
 
-Stages 2 and 3 are single fancy-index scatters and gathers, and stages 4
-to 6 run batched SVDs and pseudo-inverses over all tag times or input
-times, with no loop; the B fit takes its regressors from
-``model.markov_rows``, the one periodic Markov kernel. ``identify`` chains
-the stages from an ensemble of experiments and tags any numerical stage
-failure with the stage name.
+Stages 2 and 3 are single fancy-index scatters and gathers; stages 4 to 6
+run batched SVDs and pseudo-inverses with no loop, the B fit taking its
+regressors from ``model.markov_rows``, the one periodic Markov kernel.
+``identify`` chains the stages from an ensemble of experiments and tags
+any numerical stage failure with the stage name.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from .etfe import DEFAULT_RANK_TOL, etfe
 from .model import (
     LiftedFrequencyResponse,
     LtpModel,
-    _input_times,
     _stability,
     markov_rows,
 )
@@ -79,6 +74,13 @@ def _aliased_lags(P: int, N: int) -> np.ndarray:
     """Lag in 1..N*P where IDFT block (l, m) at index n lands, as a (P, N, P) array."""
     l, n, m = np.ix_(np.arange(P), np.arange(N), np.arange(P))
     return (n * P + l - m - 1) % (N * P) + 1
+
+
+def _by_input_time(P: int, N: int) -> np.ndarray:
+    """Flat indices of a (P, N*P) (tag t, lag r) table in (beta, t, j) order, where
+    r - 1 = j*P + s and beta = (t - r) mod P = (t - s - 1) mod P is the input time."""
+    beta, t, j = np.ix_(np.arange(P), np.arange(P), np.arange(N))
+    return (t * N * P + j * P + (t - beta - 1) % P).ravel()
 
 
 def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> np.ndarray:
@@ -139,12 +141,12 @@ def svd_order(
     times) must be given. Returns the (P, q*n_y, order) leading left singular
     vectors, the (P, min(q*n_y, r*n_u)) descending spectra, and the
     per-tag-time counts above the threshold (None at a fixed order). A
-    ``threshold`` that is not a finite number >= 0 raises ``ConfigError``.
+    ``threshold`` that is not a number in [0, 1) raises ``ConfigError``.
     """
     if (n_x is None) == (threshold is None):
         raise ConfigError("specify exactly one of n_x or threshold")
-    if threshold is not None and not 0 <= threshold < np.inf:
-        raise ConfigError(f"order threshold must be a finite number >= 0, got {threshold}")
+    if threshold is not None and not 0 <= threshold < 1:
+        raise ConfigError(f"order threshold must be a finite number >= 0 and < 1, got {threshold}")
     U, s, _ = np.linalg.svd(hankels, full_matrices=False)
     counts = None
     if threshold is not None:
@@ -206,9 +208,10 @@ def estimate_B(
                "cannot form the aliasing resolvent")
 
     max_lag, nu = h.shape[1], h.shape[3]
+    if max_lag != N * P:
+        raise ConfigError(f"aliased response must hold N*P = {N * P} lags, got {max_lag}")
     rows = markov_rows(A, C_est, max_lag, N)
-    # A stable sort keeps each beta's (tag, lag) entries in C order.
-    by_beta = np.argsort(_input_times(P, max_lag), axis=None, kind="stable")
+    by_beta = _by_input_time(P, N)
     G = rows.reshape(P * max_lag, -1)[by_beta].reshape(P, -1, nx)
     T = h.reshape(P * max_lag, -1)[by_beta].reshape(P, -1, nu)
     u, s, vt = np.linalg.svd(G, full_matrices=False)
@@ -248,12 +251,6 @@ class IdentificationResult:
     threshold_counts: np.ndarray | None = None
 
 
-def default_block_counts(N: int, P: int) -> tuple[int, int]:
-    """Balanced Hankel block counts: q = r = floor((N*P + 1) / 2)."""
-    q = (N * P + 1) // 2
-    return q, q
-
-
 def identify(
     ensemble: Ensemble,
     q: int | None = None,
@@ -265,15 +262,15 @@ def identify(
     """Full identification pipeline from an ensemble of periodic experiments.
 
     Stages: lift and transform the data, estimate the lifted frequency
-    response, invert it to the aliased impulse response, build the
-    periodic Hankel stack, select the order, and recover A, C by shift
-    invariance and B by least squares. A ``ConfigError`` (bad block counts
-    or order) propagates as it is; any other stage error is re-raised as a
-    ``PipelineError`` naming the stage. Deterministic given its inputs.
+    response, invert it to the aliased impulse response, build the periodic
+    Hankel stack (q = r = floor((N*P + 1)/2) by default), select the order,
+    and recover A, C by shift invariance and B by least squares. A
+    ``ConfigError`` (bad block counts, or an order above (q-1)*n_y) propagates
+    as it is; other stage errors become a ``PipelineError`` naming the stage.
     """
-    qd, rd = default_block_counts(ensemble.N, ensemble.P)
-    q = qd if q is None else q
-    r = rd if r is None else r
+    balanced = (ensemble.N * ensemble.P + 1) // 2
+    q = balanced if q is None else q
+    r = balanced if r is None else r
     if q + r - 1 > ensemble.N * ensemble.P:
         raise BlockRangeExceeded(
             f"q+r-1 = {q + r - 1} exceeds record length N*P = {ensemble.N * ensemble.P}"
@@ -293,6 +290,9 @@ def identify(
     h_est = run("assemble_aliased", assemble_aliased, blocks, ensemble.P, ensemble.N)
     hankels = run("build_hankels", build_hankels, h_est, q, r)
     bases, svals, counts = run("svd_order", svd_order, hankels, n_x, order_threshold)
+    if bases.shape[-1] > (q - 1) * ensemble.ny:
+        raise OrderTooLarge(f"order {bases.shape[-1]} exceeds the shift-invariance bound "
+                            f"(q-1)*ny = {(q - 1) * ensemble.ny}; lower the order or raise q")
     A_est, C_est = run("estimate_AC", estimate_AC, bases, ensemble.ny)
     B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est, ensemble.N)
     return IdentificationResult(

@@ -118,6 +118,8 @@ def _assert_config_exit(code, capsys, needle):
         (["--order", 0], "order"),
         (["--order", "2.5"], "order"),
         (["--order-tol", -1], "order threshold must be a finite number >= 0"),
+        (["--order-tol", 2], "order threshold must be a finite number >= 0 and < 1, got 2.0"),
+        (["--order", 10], "order 10 exceeds the shift-invariance bound (q-1)*ny = 9"),
     ],
 )
 def test_identify_bad_blocks_or_order_exits_2(tmp_path, capsys, example1_norm, flags, needle):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_stable_model, with_shared_input
 from ltpsid.errors import ConfigError, RankDeficient
@@ -95,6 +99,74 @@ def test_etfe_rank_deficient_names_the_one_bad_grid_point():
     np.testing.assert_allclose(
         excinfo.value.smallest_singular_value, s[3, -1], rtol=1e-12
     )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    N=st.integers(1, 9),
+    eps=st.sampled_from([0.0, 1e-13, 1e-9, 1e-5, 1e-2]),
+    rank_tol=st.one_of(st.none(), st.floats(1e-12, 0.5)),
+    between=st.floats(0.05, 0.95),
+)
+@settings(max_examples=200, deadline=None)
+def test_etfe_rank_verdict_matches_svd_of_input_spectrum(seed, m, extra, N, eps, rank_tol, between):
+    # Random spectra whose last row, at about a third of the grid points, is
+    # eps away from a combination of the other rows. With rank_tol None it is
+    # taken between 1/kappa_F and 1/cond of one other point, where the
+    # Frobenius bound fails but the point passes: only the SVD fallback decides.
+    rng = np.random.default_rng(seed)
+    K, J = N // 2 + 1, m + extra
+    U = rng.standard_normal((K, m, J)) + 1j * rng.standard_normal((K, m, J))
+    near = rng.random(K) < 0.3
+    U[near, -1] = rng.standard_normal(m - 1) @ U[near, :-1] + eps * U[near, -1]
+    s = np.linalg.svd(U, compute_uv=False)
+    if rank_tol is None:
+        assume(m > 1 and not near.all())
+        k0 = rng.choice(np.flatnonzero(~near))
+        kappa_F = np.sqrt(np.sum(s[k0] ** 2) * np.sum(s[k0] ** -2.0))
+        rank_tol = (1 / kappa_F) ** (1 - between) * (s[k0, -1] / s[k0, 0]) ** between
+    # Keep clear of the verdict's edge, where rounding decides (an all-zero
+    # point, m = 1 and eps = 0, sits on it exactly and is deficient).
+    margin = np.abs(s[:, -1] - rank_tol * s[:, 0]) - (1e-14 + 1e-9 * rank_tol) * s[:, 0]
+    assume(np.all((margin > 0) | (s[:, 0] == 0)))
+    spectra = LiftedSpectra(P=1, N=N, U=U, Y=rng.standard_normal((K, 2, J)))
+    deficient = np.flatnonzero(s[:, -1] <= rank_tol * s[:, 0])
+    if deficient.size:
+        with pytest.raises(RankDeficient) as excinfo:
+            etfe(spectra, rank_tol=rank_tol)
+        k = deficient[0]
+        assert excinfo.value.frequency_index == k
+        assert abs(excinfo.value.smallest_singular_value - s[k, -1]) <= 1e-12 * s[k, 0]
+    else:
+        assert np.all(np.isfinite(etfe(spectra, rank_tol=rank_tol).G))
+
+
+def test_etfe_zero_input_channel_is_rank_deficient_without_warning():
+    # A channel that is zero in every experiment leaves R exactly singular:
+    # its inverse holds inf and NaN, which must neither warn nor pass.
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    U[:, 1] = 0
+    spectra = LiftedSpectra(P=3, N=7, U=U, Y=rng.standard_normal((4, 3, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient) as excinfo:
+            etfe(spectra)
+    assert excinfo.value.frequency_index == 0
+    assert excinfo.value.smallest_singular_value < 1e-15
+
+
+def test_etfe_well_excited_data_needs_no_svd(example2_norm, monkeypatch):
+    # The Frobenius bound settles every grid point of a well-excited ensemble,
+    # so the singular values of R are never computed.
+    spectra = _noise_free_spectra(example2_norm, J=9, N=20)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    etfe(spectra)
+    assert calls == []
 
 
 def test_residual_zero_when_exactly_determined(example1_norm):

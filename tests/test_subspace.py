@@ -36,6 +36,7 @@ from ltpsid.signal import (
 )
 from ltpsid.subspace import (
     _aliased_lags,
+    _by_input_time,
     assemble_aliased,
     build_hankels,
     estimate_AC,
@@ -273,10 +274,11 @@ def test_svd_order_too_large(example1_norm):
         svd_order(hankels, n_x=4)
 
 
-@pytest.mark.parametrize("threshold", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("threshold", [np.nan, -1.0, np.inf, 1.0, 2.0])
 def test_svd_order_rejects_threshold_not_finite_nonnegative(example1_norm, threshold):
-    # Without the check nan selects order 0 (a misleading OrderTooLarge) and
-    # -1 the full order, which fails later in estimate_AC.
+    # Without the check nan and any threshold >= 1 select order 0 (a
+    # misleading OrderTooLarge) and -1 the full order, which fails later in
+    # estimate_AC.
     hankels = build_hankels(aliased_impulse_response_true(example1_norm, 10), q=5, r=5)
     match = "order threshold must be a finite number >= 0"
     with pytest.raises(ConfigError, match=match) as excinfo:
@@ -285,6 +287,16 @@ def test_svd_order_rejects_threshold_not_finite_nonnegative(example1_norm, thres
     ens = collect_ensemble(example1_norm, J=4, N=10, sigma=0.1, master_seed=5)
     with pytest.raises(ConfigError, match=match):
         identify(ens, q=5, r=5, order_threshold=threshold)
+
+
+@pytest.mark.parametrize("order", [{"n_x": 5}, {"order_threshold": 0.0}])
+def test_identify_rejects_order_above_shift_invariance_bound(example1_norm, order):
+    # q = 5 block rows of one output leave (q-1)*ny = 4 rows for the shift
+    # relation, too few for order 5, whether fixed or picked by a zero
+    # threshold from noisy data: a configuration error, not a numerical one.
+    ens = collect_ensemble(example1_norm, J=4, N=10, sigma=0.5, master_seed=5)
+    with pytest.raises(OrderTooLarge, match=r"shift-invariance bound \(q-1\)\*ny = 4"):
+        identify(ens, q=5, r=5, **order)
 
 
 def _noisy_aliased_response(model, N, seed):
@@ -423,6 +435,12 @@ def test_estimate_B_eigensolver_failure_is_numerical_error():
         estimate_B([np.array([[np.nan]])], [np.array([[1.0]])], h, 4)
 
 
+def test_estimate_B_rejects_response_of_other_record_length():
+    h = np.zeros((1, 8, 1, 1))
+    with pytest.raises(ConfigError, match="N\\*P = 4 lags, got 8"):
+        estimate_B([np.array([[0.5]])], [np.array([[1.0]])], h, 4)
+
+
 def test_estimate_B_ill_conditioned_zero_output_map():
     h = np.zeros((1, 4, 1, 1))
     with pytest.raises(IllConditioned):
@@ -436,6 +454,13 @@ def test_estimate_B_names_first_ill_conditioned_beta():
     C = [np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1))]
     with pytest.raises(IllConditioned, match="at time 1 "):
         estimate_B(A, C, np.zeros((3, 12, 1, 1)), 4)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 12])
+@pytest.mark.parametrize("N", [1, 4, 50])
+def test_by_input_time_is_the_stable_argsort_of_input_times(P, N):
+    reference = np.argsort(_input_times(P, N * P), axis=None, kind="stable")
+    np.testing.assert_array_equal(_by_input_time(P, N), reference)
 
 
 def _estimate_B_per_beta(A, C, h, N):
