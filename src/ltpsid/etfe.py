@@ -4,9 +4,8 @@ With J experiments the lifted input/output spectra at each grid frequency
 form (P*n_u, J) and (P*n_y, J) matrices; the frequency response estimate
 is the least-squares solution G_hat = Y_tilde @ pinv(U_tilde): exact when
 J = P*n_u and the minimum-residual fit when J is larger. Real data give a
-conjugate-symmetric response, so only k = 0..N//2 is estimated and
-``G[N-k] = conj(G[k])`` fills the rest, which lets ``subspace.idft_blocks``
-invert the half grid to a real impulse response.
+conjugate-symmetric response, ``G[N-k] = conj(G[k])``, so it is estimated
+and kept on the half grid k = 0..N//2 only.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, RankDeficient
-from .model import LiftedFrequencyResponse, _mirror_half_grid
+from .model import LiftedFrequencyResponse
 from .signal import LiftedSpectra
 
 __all__ = ["etfe", "residual_energy", "LiftedFrequencyResponse"]
@@ -25,9 +24,9 @@ DEFAULT_RANK_TOL = 1e-10
 def etfe(spectra: LiftedSpectra, rank_tol: float = DEFAULT_RANK_TOL) -> LiftedFrequencyResponse:
     """Least-squares estimate of the lifted frequency response of real data.
 
-    One batched QR over k = 0..N//2 factors U_tilde^H = Q R, and back
-    substitution gives R^{-1}; then G_hat^H = R^{-1} Q^H Y_tilde^H. A grid
-    point is rank-deficient, and ``RankDeficient`` names the lowest such k,
+    One batched QR over the half grid k = 0..N//2 factors U_tilde^H = Q R,
+    back substitution gives R^{-1}, and G_hat = (Y_tilde Q) R^{-H} there. A
+    grid point is rank-deficient, and ``RankDeficient`` names the lowest k,
     when s_min <= ``rank_tol``*s_max for the singular values of R (those of
     U_tilde). As s_min >= 1/||R^{-1}||_F and s_max <= ||R||_F, the SVD of R
     runs only if some point fails 1/||R^{-1}||_F > rank_tol*||R||_F. A
@@ -47,9 +46,9 @@ def etfe(spectra: LiftedSpectra, rank_tol: float = DEFAULT_RANK_TOL) -> LiftedFr
         deficient = np.flatnonzero(s[:, -1] <= rank_tol * s[:, 0])
         if deficient.size:
             raise RankDeficient(int(deficient[0]), float(s[deficient[0], -1]))
-    P = spectra.P
-    G = _mirror_half_grid((spectra.Y @ Q) @ R_inv.conj().swapaxes(-1, -2), spectra.N)
-    return LiftedFrequencyResponse(P=P, ny=G.shape[1] // P, nu=G.shape[2] // P, G=G)
+    P, N = spectra.P, spectra.N
+    G = (spectra.Y @ Q) @ R_inv.conj().swapaxes(-1, -2)
+    return LiftedFrequencyResponse(P=P, N=N, ny=G.shape[1] // P, nu=G.shape[2] // P, G=G)
 
 
 def residual_energy(spectra: LiftedSpectra, response: LiftedFrequencyResponse) -> np.ndarray:
@@ -62,4 +61,4 @@ def residual_energy(spectra: LiftedSpectra, response: LiftedFrequencyResponse) -
         raise ConfigError(
             f"grid sizes differ: response N={response.N}, spectra N={spectra.N}"
         )
-    return np.linalg.norm(spectra.Y - response.G[: len(spectra.U)] @ spectra.U, axis=(1, 2))
+    return np.linalg.norm(spectra.Y - response.G @ spectra.U, axis=(1, 2))

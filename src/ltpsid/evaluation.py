@@ -72,8 +72,10 @@ def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = 50) -> FitR
     all tag times, lags, and scalar channels. A true response whose spread
     about g_bar is at most 1e-15 of its root-mean-square size counts as
     constant: the score is then undefined and ``DegenerateReference`` is
-    raised, whatever the units of the data.
+    raised, whatever the units of the data. ``n_g < 1`` raises ``ConfigError``.
     """
+    if n_g < 1:
+        raise ConfigError(f"n_g must be >= 1, got {n_g}")
     _check_comparable(true_model, est_model)
     g_true = impulse_table(true_model, n_g)
     g_est = impulse_table(est_model, n_g)
@@ -272,8 +274,8 @@ def consistency_sweep(
 class EtfeErrorStats:
     """Empirical bias and cross-frequency correlation of the response estimate.
 
-    ``bias[k]`` is the entrywise mean estimation error at grid point k and
-    ``error_std`` the entrywise standard deviation over trials;
+    ``bias[k]`` is the entrywise mean estimation error at half-grid point
+    k = 0..N//2 and ``error_std`` the entrywise standard deviation over trials;
     ``bias_within_bound`` flags entries whose mean error magnitude stays
     below 4 * std / sqrt(trials). ``pair_correlations[i]`` is the pooled
     correlation of the vectorized errors at the frequency pair
@@ -281,9 +283,9 @@ class EtfeErrorStats:
     """
 
     trials: int
-    bias: np.ndarray = field(repr=False)  # (N, P*ny, P*nu) complex
-    error_std: np.ndarray = field(repr=False)  # (N, P*ny, P*nu)
-    bias_within_bound: np.ndarray = field(repr=False)  # (N, P*ny, P*nu) bool
+    bias: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) complex
+    error_std: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu)
+    bias_within_bound: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) bool
     pairs: tuple[tuple[int, int], ...] = ()
     pair_correlations: np.ndarray | None = field(default=None, repr=False)
 
@@ -304,11 +306,13 @@ def etfe_error_stats(
 ) -> EtfeErrorStats:
     """Sample the response estimator's error distribution over noisy ensembles.
 
-    Frequency pairs for the correlation check are drawn without
-    replacement from the non-redundant half of the grid (real data ties
-    grid point k to N-k by conjugation, so only one of each pair is
-    informative).
+    Errors are taken on the half grid k = 0..N//2 the responses hold (real
+    data tie grid point k to N-k by conjugation, so the rest adds nothing),
+    and the frequency pairs for the correlation check are drawn from it
+    without replacement. ``trials < 1`` raises ``ConfigError``.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     G_true = true_lifted_frequency_response(model, N).G
     errors = np.empty((trials, *G_true.shape), dtype=np.complex128)
     for t in range(trials):
@@ -328,8 +332,8 @@ def etfe_error_stats(
     bound = 4.0 * error_std / np.sqrt(trials)
     within = np.abs(bias) <= np.maximum(bound, 1e-300)
 
-    half = np.arange(0, N // 2 + 1)
-    candidates = [(int(a), int(b)) for i, a in enumerate(half) for b in half[i + 1 :]]
+    half = len(G_true)
+    candidates = [(a, b) for a in range(half) for b in range(a + 1, half)]
     rng = np.random.default_rng(derive_seed(seed, 10**6))
     n_pairs = min(n_pairs, len(candidates))
     chosen = rng.choice(len(candidates), size=n_pairs, replace=False)

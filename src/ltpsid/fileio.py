@@ -62,6 +62,13 @@ def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
     return path
 
 
+def _json_count(value, key: str, source) -> int:
+    """The JSON value of count ``key``: an integer that is not a bool, else ``DataError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{source}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _matrix_list(mats) -> list:
     return [[[float(v) for v in row] for row in m] for m in mats]
 
@@ -80,7 +87,7 @@ def model_to_dict(model: LtpModel) -> dict:
 
 def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
     try:
-        P = int(data["P"])
+        P = _json_count(data["P"], "P", source)
         A = [np.array(m, dtype=float) for m in data["A"]]
         B = [np.array(m, dtype=float) for m in data["B"]]
         C = [np.array(m, dtype=float) for m in data["C"]]
@@ -88,8 +95,10 @@ def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
         raise DataError(f"{source}: malformed model document: {exc}") from exc
     if len(A) != P:
         raise DataError(f"{source}: P={P} but {len(A)} A-matrices present")
-    declared = (int(data.get("nx", A[0].shape[0])), int(data.get("ny", C[0].shape[0])),
-                int(data.get("nu", B[0].shape[1])))
+    declared = tuple(
+        _json_count(data.get(key, default), key, source)
+        for key, default in (("nx", A[0].shape[0]), ("ny", C[0].shape[0]), ("nu", B[0].shape[1]))
+    )
     model = LtpModel(A=tuple(A), B=tuple(B), C=tuple(C))
     if (model.nx, model.ny, model.nu) != declared:
         raise DataError(
@@ -149,14 +158,14 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-        P = int(manifest["P"])
-        N = int(manifest["N"])
-        J = int(manifest["J"])
-        sigma = float(manifest.get("sigma", 0.0))
+        P, N, J = (_json_count(manifest[key], key, manifest_path) for key in "PNJ")
+        sigma = manifest.get("sigma", 0.0)
         files = manifest["files"]
         seeds = manifest.get("seeds", [{}] * J)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 <= sigma < np.inf:
+        raise DataError(f"{manifest_path}: 'sigma' must be a finite number >= 0, got {sigma!r}")
     if len(files) != J:
         raise DataError(
             f"{manifest_path}: manifest lists {len(files)} files but J={J}"
@@ -176,7 +185,7 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         ) from exc
     input_seeds = tuple(entry.get("input") for entry in seeds)
     noise_seeds = tuple(entry.get("noise") for entry in seeds)
-    return Ensemble(u, y, P, N, input_seeds, noise_seeds, sigma)
+    return Ensemble(u, y, P, N, input_seeds, noise_seeds, float(sigma))
 
 
 def _input_count(header: list[str]) -> int:
@@ -245,15 +254,21 @@ def _parse_csv(text: str, path: Path) -> tuple[np.ndarray, int]:
 def export_frequency_response(
     response: LiftedFrequencyResponse, path: str | Path
 ) -> Path:
-    """Flat CSV of the response: one row per (grid point, block, entry).
+    """Flat CSV of the response on the full N-point grid: one row per (grid point, block, entry).
 
-    Rows run over grid point k, output slot l, input slot m, then entry
-    (a, b) of the (n_y, n_u) block ``G[k, l*n_y + a, m*n_u + b]``.
+    Rows run over grid point k = 0..N-1, output slot l, input slot m, then
+    entry (a, b) of the (n_y, n_u) block ``G[k, l*n_y + a, m*n_u + b]``. The
+    rows past N//2 are the mirror ``G[k] = conj(G[N-k])`` of the stored half
+    grid; grid points 0 and N/2 are their own mirror images, so their
+    imaginary part is written as 0.0.
     """
     N, P, ny, nu = response.N, response.P, response.ny, response.nu
-    blocks = response.G.reshape(N, P, ny, P, nu).transpose(0, 1, 3, 2, 4)
+    G = np.concatenate([response.G, response.G[1 : (N + 1) // 2][::-1].conj()])
+    own_mirror = [0, N // 2] if N % 2 == 0 else [0]
+    G[own_mirror] = G[own_mirror].real
+    blocks = G.reshape(N, P, ny, P, nu).transpose(0, 1, 3, 2, 4)
     index = np.indices(blocks.shape).reshape(5, -1).T.tolist()
-    omega = response.frequencies.tolist()
+    omega = (2.0 * np.pi * np.arange(N) / N).tolist()
     rows = [
         [k, omega[k], l, m, a, b, g.real, g.imag]
         for (k, l, m, a, b), g in zip(index, blocks.ravel().tolist())

@@ -309,55 +309,36 @@ def lift_model(model: LtpModel) -> LiftedLtiModel:
 
 @dataclass(frozen=True)
 class LiftedFrequencyResponse:
-    """Frequency response of the lifted system on the N-point DFT grid.
+    """Frequency response of the lifted system of real data on the half grid.
 
     ``G[k]`` is the (P*n_y, P*n_u) complex response at angular frequency
-    ``2*pi*k/N``. When derived from real data the grid is conjugate
-    symmetric: ``G[k] == conj(G[(N-k) % N])``.
+    ``2*pi*k/N`` for k = 0..N//2. The response of real data is conjugate
+    symmetric, ``G[N-k] = conj(G[k])``, so the rest of the N-point grid is
+    not stored; only ``fileio.export_frequency_response`` writes it out.
     """
 
     P: int
+    N: int
     ny: int
     nu: int
-    G: np.ndarray = field(repr=False)  # (N, P*ny, P*nu) complex
+    G: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) complex
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.G, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[1:] != (self.P * self.ny, self.P * self.nu):
+        expected = (self.N // 2 + 1, self.P * self.ny, self.P * self.nu)
+        if arr.shape != expected:
             raise ConfigError(
-                f"frequency response must have shape (N, P*ny, P*nu), got {arr.shape}"
+                f"frequency response must have shape (N//2+1, P*ny, P*nu) = {expected}, "
+                f"got {arr.shape}"
             )
         object.__setattr__(self, "G", arr)
 
-    @property
-    def N(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Angular frequencies 2*pi*k/N of the grid."""
-        return 2.0 * np.pi * np.arange(self.N) / self.N
-
-
-def _mirror_half_grid(half: np.ndarray, N: int) -> np.ndarray:
-    """Full N-point grid from k = 0..N//2 of a real response: ``G[N-k] = conj(G[k])``.
-
-    Grid points 0 and N/2 are their own mirror images, so they keep only their real part.
-    """
-    G = np.empty((N,) + half.shape[1:], dtype=np.complex128)
-    G[: N // 2 + 1] = half
-    G[N // 2 + 1 :] = G[1 : (N + 1) // 2][::-1].conj()
-    own_mirror = [0, N // 2] if N % 2 == 0 else [0]
-    G[own_mirror] = G[own_mirror].real
-    return G
-
 
 def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyResponse:
-    """Exact frequency response of the lifted system on the N-point grid.
+    """Exact frequency response of the lifted system on the half grid of N points.
 
     Evaluates ``C (zI - A)^{-1} B + D`` of the lifted realization at
-    ``z = exp(2*pi*j*k/N)`` for ``k = 0..N//2`` in one batched solve; the
-    realization is real, so conjugation fills the rest of the grid.
+    ``z = exp(2*pi*j*k/N)`` for ``k = 0..N//2`` in one batched solve.
     """
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
@@ -372,10 +353,8 @@ def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyRe
                 f"zI - A singular at grid point {int(np.argmax(singular))}; the "
                 "lifted state matrix has an eigenvalue on the unit circle"
             )
-    half = lifted.C @ np.linalg.solve(zIA, lifted.B[None]) + lifted.D
-    return LiftedFrequencyResponse(
-        P=model.P, ny=model.ny, nu=model.nu, G=_mirror_half_grid(half, N)
-    )
+    G = lifted.C @ np.linalg.solve(zIA, lifted.B[None]) + lifted.D
+    return LiftedFrequencyResponse(P=model.P, N=N, ny=model.ny, nu=model.nu, G=G)
 
 
 def _lifted_dc_response(model: LtpModel) -> np.ndarray:

@@ -3,7 +3,7 @@
 The pipeline runs in fixed stages:
 
 1. real inverse DFT of every (output slot, input slot) block of the
-   conjugate-symmetric response of real data, from k = 0..N//2 alone,
+   half-grid response of real data,
 2. rearrangement of the blocks into the time-aliased periodic impulse
    response, a plain (P, N*P, n_y, n_u) array with tag time t and lag r
    at entry ``[t, r-1]``,
@@ -60,14 +60,13 @@ REGRESSOR_COND_LIMIT = 1e12
 
 
 def idft_blocks(response: LiftedFrequencyResponse) -> np.ndarray:
-    """Inverse DFT of a conjugate-symmetric response over the frequency grid.
+    """Inverse DFT of a half-grid response over the N-point frequency grid.
 
     Returns the real (N, P*n_y, P*n_u) array w with
-    ``w[n] = (1/N) * sum_k G[k] * exp(2j*pi*n*k/N)``, computed from the
-    half grid k = 0..N//2 alone.
+    ``w[n] = (1/N) * sum_k G[k] * exp(2j*pi*n*k/N)``, k = 0..N-1, where the
+    unstored ``G[N-k]`` is ``conj(G[k])``.
     """
-    N = response.N
-    return np.fft.irfft(response.G[: N // 2 + 1], n=N, axis=0)
+    return np.fft.irfft(response.G, n=response.N, axis=0)
 
 
 def _aliased_lags(P: int, N: int) -> np.ndarray:

@@ -66,3 +66,27 @@ def impulse_series_oracle(model: LtpModel, t: int, lags: int) -> np.ndarray:
 def with_shared_input(ens: Ensemble) -> Ensemble:
     """``ens`` with experiment 0's input in every experiment: a rank-one input spectrum."""
     return Ensemble(np.repeat(ens.u[:1], ens.J, 0), ens.y, ens.P, ens.N)
+
+
+def assert_export_conjugate_symmetric(path, N: int) -> None:
+    """Check the mirror of an exported ``response.csv`` on the text of its rows.
+
+    The rows of grid point k and N-k hold the same entries, with the
+    written ``imag`` negated. Grid points 0 and N/2 are their own mirror
+    images, so their ``imag`` is written as ``0.0``.
+    """
+    by_k: dict[int, list[list[str]]] = {}
+    for line in path.read_text().splitlines()[1:]:
+        k, _, *entry = line.split(",")
+        by_k.setdefault(int(k), []).append(entry)
+    assert sorted(by_k) == list(range(N))
+    own_mirror = [0, N // 2] if N % 2 == 0 else [0]
+    for k in range(N):
+        if k in own_mirror:
+            assert {entry[-1] for entry in by_k[k]} == {"0.0"}
+            continue
+        mirrored = [
+            entry[:-1] + [entry[-1][1:] if entry[-1][0] == "-" else "-" + entry[-1]]
+            for entry in by_k[N - k]
+        ]
+        assert by_k[k] == mirrored

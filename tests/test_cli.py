@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import with_shared_input
+from conftest import assert_export_conjugate_symmetric, with_shared_input
 from ltpsid import cli
 from ltpsid.cli import main
 from ltpsid.fileio import load_model, save_ensemble, save_model
@@ -90,6 +90,34 @@ def test_identify_corrupt_csv_exits_3(tmp_path, capsys, example1_norm):
                     "--out", tmp_path / "id"])
         assert code == 3
         assert "experiment_0000.csv:3" in capsys.readouterr().err
+
+
+def test_identify_non_integer_manifest_count_exits_3(tmp_path, capsys, example1_norm):
+    manifest = save_ensemble(
+        collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=1), tmp_path / "ens"
+    )
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "N": 4.5}))
+    code = run(["identify", manifest, "--order", 2, "--out", tmp_path / "id"])
+    assert code == 3
+    assert "manifest.json: 'N' must be an integer, got 4.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", [9, 50])
+def test_identify_export_response_writes_conjugate_mirror(tmp_path, N):
+    # The response is held on k = 0..N//2; response.csv holds all N grid
+    # points, rows k and N-k being exact conjugates as written.
+    ens_dir, id_dir = tmp_path / "ens", tmp_path / "id"
+    assert run(
+        ["simulate", "--model", "example2", "--normalize", "--N", N, "--J", 20,
+         "--sigma", 0.1, "--seed", 1, "--out", ens_dir]
+    ) == 0
+    assert run(
+        ["identify", ens_dir / "manifest.json", "--order", 2, "--export-response",
+         "--out", id_dir]
+    ) == 0
+    path = id_dir / "response.csv"
+    assert len(path.read_text().splitlines()) == 1 + N * 3 * 3  # P = 3, SISO blocks
+    assert_export_conjugate_symmetric(path, N)
 
 
 def test_identify_numerical_failure_exits_4(tmp_path, capsys, example1_norm):

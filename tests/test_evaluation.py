@@ -87,6 +87,12 @@ def test_fit_metric_degenerate_reference():
                 fit_metric(constant, constant, n_g=n_g)
 
 
+def test_fit_metric_rejects_empty_horizon(example1_norm):
+    # No lags to score is a bad argument, not a constant true response.
+    with pytest.raises(ConfigError, match="n_g must be >= 1, got 0"):
+        fit_metric(example1_norm, example1_norm, n_g=0)
+
+
 def test_fit_metric_invariant_to_units(example1):
     # W is a ratio of squared impulse-response errors, so rescaling B in
     # both models leaves it unchanged at any scale.
@@ -182,6 +188,11 @@ def test_etfe_error_stats_noise_free_bias(example1_norm):
         example1_norm, trials=3, N=8, J=6, sigma=0.0, seed=2, n_pairs=4
     )
     assert np.max(np.abs(stats.bias)) < 1e-7
+
+
+def test_etfe_error_stats_rejects_no_trials(example1_norm):
+    with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
+        etfe_error_stats(example1_norm, trials=0, N=8, J=6, sigma=0.0, seed=2)
 
 
 def test_etfe_error_stats_bias_bound_small_scale(example1_norm):

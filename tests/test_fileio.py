@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import assert_export_conjugate_symmetric
 from ltpsid import fileio
 from ltpsid.errors import ConfigError, DataError
 from ltpsid.evaluation import (
@@ -47,11 +48,19 @@ def test_model_json_round_trip_exact(example1_norm, tmp_path):
 
 def test_model_json_declared_dims_checked(tmp_path):
     doc = {
-        "P": 1, "nx": 3, "ny": 1, "nu": 1,
+        "P": 1, "nx": 1, "ny": 1, "nu": 1,
         "A": [[[0.5]]], "B": [[[1.0]]], "C": [[[1.0]]],
     }
-    with pytest.raises(DataError, match="declared dimensions"):
-        model_from_dict(doc)
+    # A count that is not a JSON integer is named, never truncated or read as 1.
+    for key, value, needle in [
+        ("nx", 3, "declared dimensions"),
+        ("P", 1.5, "m.json: 'P' must be an integer, got 1.5"),
+        ("nx", 1.9, "m.json: 'nx' must be an integer, got 1.9"),
+        ("ny", True, "m.json: 'ny' must be an integer, got True"),
+        ("nu", "1", "m.json: 'nu' must be an integer, got '1'"),
+    ]:
+        with pytest.raises(DataError, match=re.escape(needle)):
+            model_from_dict({**doc, key: value}, source="m.json")
 
 
 def test_model_json_wrong_matrix_count(tmp_path):
@@ -154,10 +163,22 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
     ens = collect_ensemble(example1_norm, J=2, N=3, sigma=0.0, master_seed=1)
     manifest = save_ensemble(ens, tmp_path / "ens")
     doc = json.loads(manifest.read_text())
-    doc["J"] = 5
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match="manifest"):
-        load_ensemble(manifest)
+    # Counts must be JSON integers and sigma a finite number >= 0: nothing
+    # is truncated, and a bool is not a count.
+    for key, value, needle in [
+        ("J", 5, "manifest lists 2 files but J=5"),
+        ("P", 2.9, "'P' must be an integer, got 2.9"),
+        ("N", 3.7, "'N' must be an integer, got 3.7"),
+        ("J", 2.5, "'J' must be an integer, got 2.5"),
+        ("P", True, "'P' must be an integer, got True"),
+        ("sigma", "nan", "'sigma' must be a finite number >= 0, got 'nan'"),
+        ("sigma", float("nan"), "'sigma' must be a finite number >= 0, got nan"),
+        ("sigma", -1, "'sigma' must be a finite number >= 0, got -1"),
+        ("sigma", False, "'sigma' must be a finite number >= 0, got False"),
+    ]:
+        manifest.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(DataError, match=re.escape(f"manifest.json: {needle}")):
+            load_ensemble(manifest)
 
 
 def test_ensemble_manifest_bad_seed_list(example1_norm, tmp_path):
@@ -180,14 +201,24 @@ def test_frequency_response_export(example1_norm, tmp_path):
     np.testing.assert_allclose(float(first[6]), resp.G[0, 0, 0].real)
 
 
+def _exported_entry(G, N, k, i, j):
+    """``G[k, i, j]`` of a half-grid response as written on the N-point grid.
+
+    Past N//2 it is the conjugate of ``G[N-k]``; at k = 0 and N/2, which
+    are their own mirror images, only the real part is kept.
+    """
+    value = G[k, i, j] if k <= N // 2 else np.conj(G[N - k, i, j])
+    return complex(value.real, 0.0) if 2 * k % N == 0 else value
+
+
 def test_frequency_response_export_mimo_row_order(tmp_path):
-    # Rows run over k, then output slot l, input slot m, then block entry
-    # (a, b); each holds G[k, l*ny + a, m*nu + b] written exactly.
+    # Rows run over k = 0..N-1, then output slot l, input slot m, then block
+    # entry (a, b); each holds G[k, l*ny + a, m*nu + b] written exactly.
     N, P, ny, nu = 3, 2, 2, 3
     rng = np.random.default_rng(8)
-    shape = (N, P * ny, P * nu)
+    shape = (N // 2 + 1, P * ny, P * nu)
     G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    resp = LiftedFrequencyResponse(P=P, ny=ny, nu=nu, G=G)
+    resp = LiftedFrequencyResponse(P=P, N=N, ny=ny, nu=nu, G=G)
     path = export_frequency_response(resp, tmp_path / "resp.csv")
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     expected_order = [
@@ -200,9 +231,22 @@ def test_frequency_response_export_mimo_row_order(tmp_path):
     ]
     assert [tuple(int(v) for v in row[:1] + row[2:6]) for row in rows] == expected_order
     for row, (k, l, m, a, b) in zip(rows, expected_order):
-        value = G[k, l * ny + a, m * nu + b]
+        value = _exported_entry(G, N, k, l * ny + a, m * nu + b)
         assert float(row[1]) == 2 * np.pi * k / N
         assert float(row[6]) == value.real and float(row[7]) == value.imag
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_frequency_response_export_own_mirror_imag_is_zero(tmp_path, N):
+    # A stored -0.0 imaginary part is written as 0.0 at k = 0 (and at N/2
+    # for even N), and as it is at the other half-grid points.
+    G = np.full((N // 2 + 1, 2, 2), complex(1.5, -0.0))
+    resp = LiftedFrequencyResponse(P=2, N=N, ny=1, nu=1, G=G)
+    path = export_frequency_response(resp, tmp_path / "resp.csv")
+    assert_export_conjugate_symmetric(path, N)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    imag = {int(row[0]): row[7] for row in rows}
+    assert imag[0] == "0.0" and imag[1] == "-0.0" and imag[N - 1] == "0.0"
 
 
 def test_identification_result_files(example1_norm, tmp_path):
@@ -261,17 +305,18 @@ def test_ensemble_csv_bytes_match_csv_writer(tmp_path):
 def test_frequency_response_csv_bytes_match_csv_writer(tmp_path):
     N, P, ny, nu = 3, 2, 2, 3
     rng = np.random.default_rng(9)
-    G = rng.standard_normal((N, P * ny, P * nu)) + 1j * rng.standard_normal((N, P * ny, P * nu))
+    shape = (N // 2 + 1, P * ny, P * nu)
+    G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     G[0, 0, 0] = complex(-0.0, 5e-324)
-    G[2, 3, 5] = complex(1e300, -1.5e-05)
-    resp = LiftedFrequencyResponse(P=P, ny=ny, nu=nu, G=G)
+    G[1, 0, 0] = complex(5e-324, -0.0)
+    G[1, 3, 5] = complex(1e300, -1.5e-05)
+    resp = LiftedFrequencyResponse(P=P, N=N, ny=ny, nu=nu, G=G)
     path = export_frequency_response(resp, tmp_path / "resp.csv")
-    blocks = G.reshape(N, P, ny, P, nu).transpose(0, 1, 3, 2, 4)
-    rows = [
-        [str(k), repr(float(resp.frequencies[k])), str(l), str(m), str(a), str(b),
-         repr(float(g.real)), repr(float(g.imag))]
-        for (k, l, m, a, b), g in np.ndenumerate(blocks)
-    ]
+    rows = []
+    for k, l, m, a, b in np.ndindex(N, P, P, ny, nu):
+        g = _exported_entry(G, N, k, l * ny + a, m * nu + b)
+        rows.append([str(k), repr(2 * np.pi * k / N), str(l), str(m), str(a), str(b),
+                     repr(float(g.real)), repr(float(g.imag))])
     header = ["k", "omega", "block_row", "block_col", "out_row", "in_col", "real", "imag"]
     assert path.read_bytes() == _csv_bytes(header, rows)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_stable_model
 from ltpsid.errors import ConfigError, DataError, LengthNotDivisible, SingularMatrix
-from ltpsid.model import LtpModel, impulse_response, is_stable
+from ltpsid.model import LiftedFrequencyResponse, LtpModel, impulse_response, is_stable
 from ltpsid.signal import (
     Ensemble,
     LiftedSpectra,
@@ -373,6 +373,18 @@ def test_lifted_spectra_rejects_inconsistent_grids():
         LiftedSpectra(P=2, N=8, U=U, Y=np.zeros((6, 4, 3)))
     with pytest.raises(ConfigError, match="incompatible with N=8"):
         LiftedSpectra(P=2, N=8, U=U, Y=np.zeros((5, 4, 2)))
+
+
+def test_lifted_frequency_response_rejects_wrong_grid_length():
+    # The response is held on the same half grid as the spectra.
+    G = np.zeros((5, 4, 2), dtype=complex)
+    for N in (8, 9):
+        assert LiftedFrequencyResponse(P=2, N=N, ny=2, nu=1, G=G).N == N
+    for N in (7, 10):
+        with pytest.raises(ConfigError, match=r"\(N//2\+1, P\*ny, P\*nu\)"):
+            LiftedFrequencyResponse(P=2, N=N, ny=2, nu=1, G=G)
+    with pytest.raises(ConfigError, match=r"got \(5, 4, 2\)"):
+        LiftedFrequencyResponse(P=2, N=8, ny=1, nu=1, G=G)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -73,8 +73,8 @@ def _extended_controllability(model, tau, r):
 def test_idft_inverts_dft_of_random_blocks():
     rng = np.random.default_rng(4)
     w_true = rng.standard_normal((8, 2, 2))
-    G = np.fft.fft(w_true, axis=0)
-    resp = LiftedFrequencyResponse(P=2, ny=1, nu=1, G=G)
+    G = np.fft.fft(w_true, axis=0)[: 8 // 2 + 1]
+    resp = LiftedFrequencyResponse(P=2, N=8, ny=1, nu=1, G=G)
     w = idft_blocks(resp)
     assert w.dtype == np.float64
     np.testing.assert_allclose(w, w_true, atol=1e-10)
@@ -83,18 +83,19 @@ def test_idft_inverts_dft_of_random_blocks():
 @pytest.mark.parametrize("N", [9, 10])
 def test_idft_half_grid_matches_full_inverse(N, example2_norm):
     # The real half-grid inverse against the full complex inverse of the
-    # conjugate-symmetric ETFE, at odd and even N.
+    # conjugate mirror of the ETFE, at odd and even N.
     ens = collect_ensemble(example2_norm, J=6, N=N, sigma=1.0, master_seed=3)
     resp = etfe(assemble_spectra(ens))
     w = idft_blocks(resp)
-    full = np.fft.ifft(resp.G, axis=0)
+    G = np.concatenate([resp.G, resp.G[1 : (N + 1) // 2][::-1].conj()])
+    full = np.fft.ifft(G, axis=0)
     assert w.dtype == np.float64 and w.shape == full.shape
     np.testing.assert_allclose(w, full.real, rtol=0, atol=1e-14 * np.max(np.abs(full)))
 
 
 def test_idft_constant_response_all_in_first_block():
     G0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    resp = LiftedFrequencyResponse(P=2, ny=1, nu=1, G=np.tile(G0, (5, 1, 1)))
+    resp = LiftedFrequencyResponse(P=2, N=5, ny=1, nu=1, G=np.tile(G0, (5 // 2 + 1, 1, 1)))
     w = idft_blocks(resp)
     np.testing.assert_allclose(w[0], G0, atol=1e-12)
     np.testing.assert_allclose(w[1:], 0, atol=1e-12)
