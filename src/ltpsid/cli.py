@@ -33,7 +33,9 @@ from .errors import (
     LtpsidError,
     NumericalPipelineError,
 )
+from .etfe import DEFAULT_RANK_TOL
 from .evaluation import (
+    DEFAULT_N_G,
     MonteCarloConfig,
     consistency_sweep,
     fit_metric,
@@ -66,8 +68,8 @@ _OPTIONS = {
     "nx": (int, None, "state order of every study estimate"),
     "order": (str, "auto", "state order, or 'auto' for threshold selection"),
     "order_tol": (float, 1e-8, "relative singular-value threshold in [0, 1) for --order auto"),
-    "rank_tol": (float, 1e-10, "relative rank tolerance of the response estimate"),
-    "n_g": (int, 50, "lag horizon of the fit score"),
+    "rank_tol": (float, DEFAULT_RANK_TOL, "relative rank tolerance of the response estimate"),
+    "n_g": (int, DEFAULT_N_G, "lag horizon of the fit score"),
     "trials": (int, 100, "noise realizations per study point"),
     "seed": (int, 0, "master seed"),
     "jobs": (int, 1, "parallel trial workers"),

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 FAILURE_RATE_LIMIT = 0.10
+DEFAULT_N_G = 50  # lag horizon of the fit score
 
 
 def _check_comparable(true_model: LtpModel, est_model: LtpModel) -> None:
@@ -65,7 +66,7 @@ class FitReport:
     mse: float
 
 
-def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = 50) -> FitReport:
+def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = DEFAULT_N_G) -> FitReport:
     """Score the estimate against the true impulse response over lags 1..n_g.
 
     The reference level g_bar is the mean of the true coefficients over
@@ -103,7 +104,7 @@ class MonteCarloConfig:
     r: int
     n_x: int
     seed: int
-    n_g: int = 50
+    n_g: int = DEFAULT_N_G
 
     def __post_init__(self) -> None:
         if self.trials < 1:

@@ -9,7 +9,6 @@ and location.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
 
@@ -63,9 +62,11 @@ def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
 
 
 def _json_count(value, key: str, source) -> int:
-    """The JSON value of count ``key``: an integer that is not a bool, else ``DataError``."""
+    """The JSON value of count ``key``: an integer >= 1 that is not a bool, else ``DataError``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"{source}: {key!r} must be an integer, got {value!r}")
+    if value < 1:
+        raise DataError(f"{source}: {key!r} must be >= 1, got {value}")
     return value
 
 
@@ -88,13 +89,13 @@ def model_to_dict(model: LtpModel) -> dict:
 def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
     try:
         P = _json_count(data["P"], "P", source)
-        A = [np.array(m, dtype=float) for m in data["A"]]
-        B = [np.array(m, dtype=float) for m in data["B"]]
-        C = [np.array(m, dtype=float) for m in data["C"]]
+        A, B, C = ([np.array(m, dtype=float) for m in data[name]] for name in "ABC")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{source}: malformed model document: {exc}") from exc
-    if len(A) != P:
-        raise DataError(f"{source}: P={P} but {len(A)} A-matrices present")
+    for name, mats in zip("ABC", (A, B, C)):
+        if len(mats) != P or any(m.ndim != 2 for m in mats):
+            shapes = [m.shape for m in mats]
+            raise DataError(f"{source}: P={P} needs P 2-D {name}-matrices, got shapes {shapes}")
     declared = tuple(
         _json_count(data.get(key, default), key, source)
         for key, default in (("nx", A[0].shape[0]), ("ny", C[0].shape[0]), ("nu", B[0].shape[1]))
@@ -175,6 +176,9 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         raise DataError(
             f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})"
         )
+    for key, seed in ((key, entry.get(key)) for entry in seeds for key in ("input", "noise")):
+        if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
+            raise DataError(f"{manifest_path}: {key!r} seed {seed!r} is not an integer or null")
     records = [_read_experiment_csv(manifest_path.parent / name) for name in files]
     try:
         u, y = (np.stack(signals) for signals in zip(*records))
@@ -188,67 +192,38 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
     return Ensemble(u, y, P, N, input_seeds, noise_seeds, float(sigma))
 
 
-def _input_count(header: list[str]) -> int:
-    """n_u of a ``t, u_1..u_nu, y_1..y_ny`` header, or 0 if it is not one."""
-    nu = sum(1 for h in header if h.startswith("u_"))
-    ny = sum(1 for h in header if h.startswith("y_"))
-    return nu if header[0] == "t" and nu and ny and len(header) == 1 + nu + ny else 0
-
-
 def _read_experiment_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs (N*P, n_u) and outputs (N*P, n_y) of one experiment CSV."""
+    """Inputs (N*P, n_u) and outputs (N*P, n_y) of one experiment CSV, parsed by the csv module.
+
+    Every sample field is converted in one numpy call; only when that fails
+    are the rows scanned to name the file:line of the first fault.
+    """
     try:
         with open(path, newline="") as fh:
-            text = fh.read()
+            header, *body = list(csv.reader(fh)) or [None]
     except OSError as exc:
         raise DataError(f"{path}: cannot read experiment CSV: {exc}") from exc
-    data, nu = _parse_plain_csv(text) or _parse_csv(text, path)
-    return data[:, :nu], data[:, nu:]
-
-
-def _parse_plain_csv(text: str) -> tuple[np.ndarray, int] | None:
-    """Fast path of ``_parse_csv``: unquoted fields, one row per line, finite numbers.
-
-    Returns None for any other text; ``_parse_csv`` then accepts or rejects
-    it as the csv module parses it, and names the file:line of a fault.
-    """
-    lines = text.replace("\r\n", "\n").removesuffix("\n")
-    if '"' in lines or "\r" in lines:
-        return None
-    rows = [line.split(",") for line in lines.split("\n")]
-    nu = _input_count(rows[0])
-    if not nu or any(len(row) != len(rows[0]) for row in rows):
-        return None
-    try:
-        data = np.array([float(v) for row in rows[1:] for v in row[1:]])
-    except ValueError:
-        return None
-    if not np.isfinite(data).all():
-        return None
-    return data.reshape(len(rows) - 1, len(rows[0]) - 1), nu
-
-
-def _parse_csv(text: str, path: Path) -> tuple[np.ndarray, int]:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
     if not header or header[0] != "t":
         raise DataError(f"{path}:1: expected header starting with 't'")
-    nu = _input_count(header)
-    if not nu:
+    nu, ny = (sum(h.startswith(prefix) for h in header) for prefix in ("u_", "y_"))
+    if not (nu and ny and len(header) == 1 + nu + ny):
         raise DataError(f"{path}:1: header must be t, u_1..u_nu, y_1..y_ny")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            rows.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
-    data = np.array(rows).reshape(-1, len(header) - 1)
+    try:
+        # Rows of another field count make the array ragged or the reshape fail.
+        data = np.array([row[1:] for row in body], dtype=float).reshape(len(body), nu + ny)
+    except ValueError:
+        for lineno, row in enumerate(body, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                list(map(float, row[1:]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
+        raise
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{bad[0] + 2}: non-finite sample")
-    return data, nu
+    return data[:, :nu], data[:, nu:]
 
 
 def export_frequency_response(

@@ -96,10 +96,16 @@ def test_identify_non_integer_manifest_count_exits_3(tmp_path, capsys, example1_
     manifest = save_ensemble(
         collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=1), tmp_path / "ens"
     )
-    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "N": 4.5}))
-    code = run(["identify", manifest, "--order", 2, "--out", tmp_path / "id"])
-    assert code == 3
-    assert "manifest.json: 'N' must be an integer, got 4.5" in capsys.readouterr().err
+    doc = json.loads(manifest.read_text())
+    for patch, needle in [
+        ({"N": 4.5}, "'N' must be an integer, got 4.5"),
+        ({"P": -3, "N": -8}, "'P' must be >= 1, got -3"),
+        ({"seeds": [{"input": "abc"}, {"noise": 1.5}]}, "'input' seed 'abc' is not an integer"),
+    ]:
+        manifest.write_text(json.dumps({**doc, **patch}))
+        code = run(["identify", manifest, "--order", 2, "--out", tmp_path / "id"])
+        assert code == 3
+        assert f"manifest.json: {needle}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("N", [9, 50])

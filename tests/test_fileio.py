@@ -58,15 +58,24 @@ def test_model_json_declared_dims_checked(tmp_path):
         ("nx", 1.9, "m.json: 'nx' must be an integer, got 1.9"),
         ("ny", True, "m.json: 'ny' must be an integer, got True"),
         ("nu", "1", "m.json: 'nu' must be an integer, got '1'"),
+        ("P", 0, "m.json: 'P' must be >= 1, got 0"),
+        ("nx", -1, "m.json: 'nx' must be >= 1, got -1"),
+        ("A", [5], "m.json: P=1 needs P 2-D A-matrices, got shapes [()]"),
+        ("C", [[1.0]], "m.json: P=1 needs P 2-D C-matrices, got shapes [(1,)]"),
     ]:
         with pytest.raises(DataError, match=re.escape(needle)):
             model_from_dict({**doc, key: value}, source="m.json")
 
 
 def test_model_json_wrong_matrix_count(tmp_path):
-    doc = {"P": 2, "A": [[[0.5]]], "B": [[[1.0]]], "C": [[[1.0]]]}
-    with pytest.raises(DataError, match="P=2"):
-        model_from_dict(doc)
+    doc = {"P": 2, "A": [[[0.5]]] * 2, "B": [[[1.0]]] * 2, "C": [[[1.0]]] * 2}
+    for key, value, needle in [
+        ("A", [[[0.5]]], "P=2 needs P 2-D A-matrices, got shapes [(1, 1)]"),
+        ("B", [], "P=2 needs P 2-D B-matrices, got shapes []"),
+        ("C", [[[1.0]]] * 3, "P=2 needs P 2-D C-matrices"),
+    ]:
+        with pytest.raises(DataError, match=re.escape(needle)):
+            model_from_dict({**doc, key: value})
 
 
 def test_model_json_unreadable(tmp_path):
@@ -135,10 +144,13 @@ def test_ensemble_loader_matches_csv_reader(example2_norm, tmp_path):
         newline="",
     )
     for path in (lf, quoted, cr, spanning):
-        data, nu = fileio._parse_csv(path.read_bytes().decode(), path)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        data = np.array([[float(v) for v in row[1:]] for row in rows])
         u, y = fileio._read_experiment_csv(path)
-        np.testing.assert_array_equal(u, data[:, :nu])
-        np.testing.assert_array_equal(y, data[:, nu:])
+        np.testing.assert_array_equal(u, data[:, :1])
+        np.testing.assert_array_equal(y, data[:, 1:])
+    assert header == ["t", "u_1", "y_1"]
     assert data.shape == (11, 2)  # the spanning field joins two records into one
     loaded = load_ensemble(manifest)
     np.testing.assert_array_equal(loaded.u, ens.u)
@@ -148,6 +160,13 @@ def test_ensemble_loader_matches_csv_reader(example2_norm, tmp_path):
     stray.write_text("\r\n".join(lines[:2] + [f"{t},{u}\r,{y}"] + lines[3:]), newline="")
     with pytest.raises(DataError, match=r"stray\.csv:3: expected 3 fields, got 2"):
         fileio._read_experiment_csv(stray)
+    # A bad number is named by its line in a quoted and in a CR-ended file too.
+    for path, end, field in ((quoted, b"\r\n", b',"'), (cr, b"\r", b",")):
+        records = path.read_bytes().split(end)
+        records[3] = records[3].replace(field, field + b"x", 1)
+        path.write_bytes(end.join(records))
+        with pytest.raises(DataError, match=rf"{re.escape(path.name)}:4: bad number: .*'x"):
+            fileio._read_experiment_csv(path)
 
 
 def test_ensemble_files_must_agree_in_shape(example1_norm, tmp_path):
@@ -175,6 +194,12 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
         ("sigma", float("nan"), "'sigma' must be a finite number >= 0, got nan"),
         ("sigma", -1, "'sigma' must be a finite number >= 0, got -1"),
         ("sigma", False, "'sigma' must be a finite number >= 0, got False"),
+        ("P", -3, "'P' must be >= 1, got -3"),
+        ("N", 0, "'N' must be >= 1, got 0"),
+        ("J", 0, "'J' must be >= 1, got 0"),
+        ("seeds", [{"input": "abc"}, {}], "'input' seed 'abc' is not an integer or null"),
+        ("seeds", [{}, {"noise": 1.5}], "'noise' seed 1.5 is not an integer or null"),
+        ("seeds", [{"input": True}, {}], "'input' seed True is not an integer or null"),
     ]:
         manifest.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(DataError, match=re.escape(f"manifest.json: {needle}")):

@@ -35,3 +35,11 @@ def test_traced_function_exists(target):
 @pytest.mark.parametrize("module", EXPORTING, ids=lambda mod: mod.__name__)
 def test_all_names_exist(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_source_line_budget():
+    # The package must stay below the line count ROADMAP sets for the round.
+    lines = sum(
+        len(path.read_text().splitlines()) for path in Path(ltpsid.__file__).parent.rglob("*.py")
+    )
+    assert lines < 2379
