@@ -87,10 +87,7 @@ def _out_dir(args, command: str) -> Path:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: cannot read config file: {exc}") from exc
+    data = fileio.read_file(path, "config file", json.loads)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
     unknown = set(data) - set(_OPTIONS)
@@ -265,7 +262,7 @@ def _cmd_sweep(args) -> int:
             "N_grid": list(sweep.N_grid),
             "median_mse": list(sweep.median_mse),
             "slope": sweep.slope,
-            "failures": len(sweep.failures),
+            "failures": sum(len(result.failures) for result in sweep.results),
         },
         out / "summary.json",
     )

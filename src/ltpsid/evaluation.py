@@ -147,6 +147,10 @@ class MonteCarloResult:
         return np.array([rep.mse for rep in self.reports])
 
     @property
+    def mse_median(self) -> float:
+        return float(np.median(self.mse_values))
+
+    @property
     def failure_rate(self) -> float:
         return len(self.failures) / len(self.trials)
 
@@ -157,7 +161,6 @@ class MonteCarloResult:
 
     def summary(self) -> dict:
         W = self.W_values
-        mse = self.mse_values
         out = {
             "trials": len(self.trials),
             "failures": len(self.failures),
@@ -170,26 +173,22 @@ class MonteCarloResult:
                 W_q3=float(np.quantile(W, 0.75)),
                 W_min=float(np.min(W)),
                 W_max=float(np.max(W)),
-                mse_median=float(np.median(mse)),
+                mse_median=self.mse_median,
             )
         return out
 
 
 def _run_one_trial(
-    model: LtpModel, config: MonteCarloConfig, seed: int
-) -> tuple[FitReport | None, str | None]:
+    model: LtpModel, config: MonteCarloConfig, trial: int, seed: int
+) -> TrialRecord:
     try:
         ensemble = collect_ensemble(
-            model,
-            J=config.J,
-            N=config.N,
-            sigma=config.sigma,
-            master_seed=seed,
+            model, J=config.J, N=config.N, sigma=config.sigma, master_seed=seed
         )
         result = identify(ensemble, q=config.q, r=config.r, n_x=config.n_x)
-        return fit_metric(model, result.model, n_g=config.n_g), None
+        return TrialRecord(trial, seed, fit_metric(model, result.model, n_g=config.n_g))
     except LtpsidError as exc:
-        return None, str(exc)
+        return TrialRecord(trial, seed, None, str(exc))
 
 
 def monte_carlo(
@@ -203,29 +202,29 @@ def monte_carlo(
     the sequential run because every trial's seed is derived up front.
     """
     seeds = [derive_seed(config.seed, t) for t in range(config.trials)]
+    args = ([model] * len(seeds), [config] * len(seeds), range(len(seeds)), seeds)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(_run_one_trial, [model] * len(seeds), [config] * len(seeds), seeds)
-            )
+            records = tuple(pool.map(_run_one_trial, *args))
     else:
-        outcomes = [_run_one_trial(model, config, s) for s in seeds]
-    records = tuple(
-        TrialRecord(trial=t, seed=seeds[t], report=report, error=err)
-        for t, (report, err) in enumerate(outcomes)
-    )
+        records = tuple(map(_run_one_trial, *args))
     return MonteCarloResult(trials=records, config=config)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Impulse-response MSE versus record length and the fitted decay slope."""
+    """The ``monte_carlo`` study at each record length; ``slope`` fits log median MSE on log N."""
 
-    N_grid: tuple[int, ...]
-    mses: tuple[tuple[float, ...], ...]  # per N, per successful trial
-    failures: tuple[tuple[int, int, str], ...]  # (N, trial, reason)
+    results: tuple[MonteCarloResult, ...]
     slope: float
-    median_mse: tuple[float, ...]
+
+    @property
+    def N_grid(self) -> tuple[int, ...]:
+        return tuple(result.config.N for result in self.results)
+
+    @property
+    def median_mse(self) -> tuple[float, ...]:
+        return tuple(result.mse_median for result in self.results)
 
 
 def consistency_sweep(
@@ -236,39 +235,28 @@ def consistency_sweep(
 ) -> SweepResult:
     """Measure how the impulse-response MSE decays with the record length.
 
-    Runs ``config.trials`` noisy identifications at every N in the grid (the
-    Hankel block counts stay fixed at config.q, config.r across the grid)
-    and fits the least-squares slope of log median MSE against log N.
+    Runs ``config.trials`` noisy identifications at every N of the grid, two
+    or more increasing lengths (the Hankel block counts stay fixed at config.q,
+    config.r), and fits the least-squares slope of log median MSE against log N.
     """
     N_grid = tuple(int(n) for n in N_grid)
-    if any(b <= a for a, b in zip(N_grid, N_grid[1:])) or not N_grid:
-        raise ConfigError(f"N grid must be strictly increasing, got {N_grid}")
-    for N in N_grid:
-        if config.q + config.r - 1 > N * model.P:
-            raise ConfigError(
-                f"q+r-1 = {config.q + config.r - 1} infeasible at N={N} "
-                f"(record length {N * model.P})"
-            )
-    all_mses: list[tuple[float, ...]] = []
-    failures: list[tuple[int, int, str]] = []
-    medians: list[float] = []
+    if len(N_grid) < 2 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
+        raise ConfigError(f"N grid must be two or more increasing lengths, got {N_grid}")
+    if config.q + config.r - 1 > N_grid[0] * model.P:
+        raise ConfigError(
+            f"q+r-1 = {config.q + config.r - 1} infeasible at N={N_grid[0]} "
+            f"(record length {N_grid[0] * model.P})"
+        )
+    results = []
     for N in N_grid:
         cfg_N = replace(config, N=N, seed=derive_seed(config.seed, N))
         result = monte_carlo(model, cfg_N, jobs=jobs)
-        mses = tuple(float(m) for m in result.mse_values)
-        all_mses.append(mses)
-        failures.extend((N, rec.trial, rec.error or "") for rec in result.failures)
-        if not mses:
+        if not result.reports:
             raise ConfigError(f"all trials failed at N={N}; cannot fit a slope")
-        medians.append(float(np.median(mses)))
+        results.append(result)
+    medians = [result.mse_median for result in results]
     slope = float(np.polyfit(np.log(N_grid), np.log(medians), 1)[0])
-    return SweepResult(
-        N_grid=N_grid,
-        mses=tuple(all_mses),
-        failures=tuple(failures),
-        slope=slope,
-        median_mse=tuple(medians),
-    )
+    return SweepResult(results=tuple(results), slope=slope)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ and location.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -27,6 +28,7 @@ __all__ = [
     "model_from_dict",
     "save_ensemble",
     "load_ensemble",
+    "read_file",
     "export_frequency_response",
     "save_identification_result",
     "write_montecarlo_csv",
@@ -59,6 +61,20 @@ def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + (body and body + "\r\n"))
     return path
+
+
+def read_file(path: str | Path, what: str, parse=None):
+    """The UTF-8 text of ``path``, passed through ``parse`` if given.
+
+    A file that cannot be opened, is not UTF-8, or that ``parse`` rejects
+    with a ``ValueError`` raises ``DataError`` naming the file and ``what``.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        return text if parse is None else parse(text)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read {what}: {exc}") from exc
 
 
 def _json_count(value, key: str, source) -> int:
@@ -100,7 +116,10 @@ def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
         _json_count(data.get(key, default), key, source)
         for key, default in (("nx", A[0].shape[0]), ("ny", C[0].shape[0]), ("nu", B[0].shape[1]))
     )
-    model = LtpModel(A=tuple(A), B=tuple(B), C=tuple(C))
+    try:
+        model = LtpModel(A=tuple(A), B=tuple(B), C=tuple(C))
+    except ConfigError as exc:
+        raise DataError(f"{source}: {exc}") from exc
     if (model.nx, model.ny, model.nu) != declared:
         raise DataError(
             f"{source}: declared dimensions {declared} do not match matrices "
@@ -117,12 +136,7 @@ def save_model(model: LtpModel, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> LtpModel:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: cannot read model JSON: {exc}") from exc
-    return model_from_dict(data, source=str(path))
+    return model_from_dict(read_file(path, "model JSON", json.loads), source=str(path))
 
 
 def save_ensemble(ensemble: Ensemble, directory: str | Path) -> Path:
@@ -157,13 +171,13 @@ def save_ensemble(ensemble: Ensemble, directory: str | Path) -> Path:
 
 def load_ensemble(manifest_path: str | Path) -> Ensemble:
     manifest_path = Path(manifest_path)
+    manifest = read_file(manifest_path, "manifest", json.loads)
     try:
-        manifest = json.loads(manifest_path.read_text())
         P, N, J = (_json_count(manifest[key], key, manifest_path) for key in "PNJ")
         sigma = manifest.get("sigma", 0.0)
         files = manifest["files"]
         seeds = manifest.get("seeds", [{}] * J)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
     if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 <= sigma < np.inf:
         raise DataError(f"{manifest_path}: 'sigma' must be a finite number >= 0, got {sigma!r}")
@@ -198,11 +212,8 @@ def _read_experiment_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     Every sample field is converted in one numpy call; only when that fails
     are the rows scanned to name the file:line of the first fault.
     """
-    try:
-        with open(path, newline="") as fh:
-            header, *body = list(csv.reader(fh)) or [None]
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read experiment CSV: {exc}") from exc
+    text = read_file(path, "experiment CSV")
+    header, *body = list(csv.reader(io.StringIO(text, newline=""))) or [None]
     if not header or header[0] != "t":
         raise DataError(f"{path}:1: expected header starting with 't'")
     nu, ny = (sum(h.startswith(prefix) for h in header) for prefix in ("u_", "y_"))
@@ -287,11 +298,10 @@ def write_montecarlo_csv(result: MonteCarloResult, path: str | Path) -> Path:
 
 
 def write_sweep_csv(sweep: SweepResult, path: str | Path) -> Path:
-    """One row per (record length, trial) with the trial's impulse-response MSE."""
+    """One row per successful trial: record length, the trial's index there, and its MSE."""
     rows = [
-        [int(N), t, float(mse)]
-        for N, mses in zip(sweep.N_grid, sweep.mses)
-        for t, mse in enumerate(mses)
+        [int(result.config.N), rec.trial, float(rec.report.mse)]
+        for result in sweep.results for rec in result.trials if rec.report is not None
     ]
     return _write_csv(path, ["N", "trial", "mse"], _number_rows(rows))
 

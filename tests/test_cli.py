@@ -108,6 +108,28 @@ def test_identify_non_integer_manifest_count_exits_3(tmp_path, capsys, example1_
         assert f"manifest.json: {needle}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["model", "manifest", "experiment", "config"])
+def test_non_utf8_file_exits_3_naming_it(tmp_path, capsys, example1_norm, reader):
+    # Byte 0xE9 (Latin-1 "e acute") is not UTF-8; every reader reports bad data, not a traceback.
+    manifest = save_ensemble(
+        collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=1), tmp_path / "ens"
+    )
+    model = save_model(example1_norm, tmp_path / "model.json")
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    bad = {"model": model, "manifest": manifest, "config": config,
+           "experiment": tmp_path / "ens" / "experiment_0000.csv"}[reader]
+    bad.write_bytes(bad.read_bytes() + b"\xe9")
+    if reader == "model":
+        argv = ["evaluate", "--true", "example1", "--est", model]
+    else:
+        argv = ["identify", manifest, "--q", 3, "--r", 3, "--order", 2]
+    code = run(argv + ["--config", config, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {bad}: cannot read ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("N", [9, 50])
 def test_identify_export_response_writes_conjugate_mirror(tmp_path, N):
     # The response is held on k = 0..N//2; response.csv holds all N grid

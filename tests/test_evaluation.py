@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ltpsid import evaluation
 from ltpsid.errors import ConfigError, DegenerateReference, DimensionMismatch
 from ltpsid.evaluation import (
     MonteCarloConfig,
@@ -158,10 +159,16 @@ def test_monte_carlo_W_decreases_with_noise(example1_norm):
     assert medians[0.0] >= medians[0.5] >= medians[1.0]
 
 
-def test_consistency_sweep_requires_increasing_grid(example1_norm):
+def test_consistency_sweep_requires_increasing_grid(example1_norm, monkeypatch):
+    # A grid that cannot fit a slope is refused before any trial runs.
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the grid was checked")
+
+    monkeypatch.setattr(evaluation, "monte_carlo", no_trials)
     cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=6, r=6, n_x=2, seed=0)
-    with pytest.raises(ConfigError):
-        consistency_sweep(example1_norm, [16, 16], config=cfg)
+    for grid in ([16, 16], [32, 16], [16], []):
+        with pytest.raises(ConfigError, match="two or more increasing lengths"):
+            consistency_sweep(example1_norm, grid, config=cfg)
 
 
 def test_consistency_sweep_infeasible_N_rejected(example1_norm):

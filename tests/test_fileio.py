@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ltpsid.evaluation import (
     MonteCarloResult,
     SweepResult,
     TrialRecord,
+    consistency_sweep,
     monte_carlo,
 )
 from ltpsid.fileio import (
@@ -76,6 +78,15 @@ def test_model_json_wrong_matrix_count(tmp_path):
     ]:
         with pytest.raises(DataError, match=re.escape(needle)):
             model_from_dict({**doc, key: value})
+
+
+def test_model_json_inconsistent_shapes_is_data_error(tmp_path):
+    # 2-D matrices whose shapes disagree make a bad file, named as such.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"P": 1, "A": [[[0.5]]], "B": [[[1.0], [2.0]]], "C": [[[1.0]]]}))
+    needle = f"{path}: B[0] has shape (2, 1), expected (1, 1)"
+    with pytest.raises(DataError, match=re.escape(needle)):
+        load_model(path)
 
 
 def test_model_json_unreadable(tmp_path):
@@ -300,6 +311,23 @@ def test_montecarlo_csv_rows(example1_norm, tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_sweep_csv_rows_name_their_trial(example2_norm, tmp_path):
+    # Trials 0 and 1 fail at N=8, and trials 1 and 3 at N=16: each row still
+    # carries the index of the trial whose MSE it holds, and failures have no row.
+    cfg = MonteCarloConfig(J=9, N=8, sigma=2.0, trials=4, q=4, r=4, n_x=2, seed=0)
+    sweep = consistency_sweep(example2_norm, [8, 16], cfg)
+    records = {(res.config.N, rec.trial): rec for res in sweep.results for rec in res.trials}
+    assert records[8, 0].report is None and records[8, 2].report is not None
+    with open(write_sweep_csv(sweep, tmp_path / "sweep.csv"), newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["N", "trial", "mse"]
+    assert [(int(N), int(t)) for N, t, _ in rows] == [
+        key for key, rec in records.items() if rec.report is not None
+    ]
+    for N, t, mse in rows:
+        assert float(mse) == records[int(N), int(t)].report.mse
+
+
 def _csv_bytes(header, rows) -> bytes:
     """The bytes ``csv.writer`` writes for ``header`` and ``rows``."""
     buffer = io.StringIO(newline="")
@@ -364,10 +392,18 @@ def test_study_csv_bytes_match_csv_writer(tmp_path):
     ]
     assert path.read_bytes() == _csv_bytes(["trial", "seed", "W", "mse", "failed", "error"], rows)
 
-    sweep = SweepResult(
-        N_grid=(25, 50), mses=((0.5, 5e-324), (-0.0,)), failures=(), slope=-1.0,
-        median_mse=(0.25, 0.0),
-    )
+    def study(N, mses):
+        # The study at record length N; an MSE of None marks a failed trial.
+        return MonteCarloResult(
+            trials=tuple(
+                TrialRecord(t, t, None, "failed") if mse is None
+                else TrialRecord(t, t, FitReport(W=97.25, errors=errors, n_g=3, mse=mse))
+                for t, mse in enumerate(mses)
+            ),
+            config=replace(cfg, N=N),
+        )
+
+    sweep = SweepResult(results=(study(25, [0.5, 5e-324]), study(50, [-0.0, None])), slope=-1.0)
     path = write_sweep_csv(sweep, tmp_path / "sweep.csv")
     rows = [["25", "0", "0.5"], ["25", "1", "5e-324"], ["50", "0", "-0.0"]]
     assert path.read_bytes() == _csv_bytes(["N", "trial", "mse"], rows)
