@@ -13,7 +13,6 @@ from .evaluation import (
     FitReport,
     MonteCarloConfig,
     consistency_sweep,
-    etfe_error_stats,
     fit_metric,
     monte_carlo,
 )
@@ -25,7 +24,6 @@ from .model import (
     impulse_response,
     is_stable,
     lift_model,
-    monodromy,
     normalize_gain,
     true_lifted_frequency_response,
 )
@@ -36,7 +34,6 @@ from .signal import (
     assemble_spectra,
     collect_ensemble,
     generate_periodic_input,
-    simulate,
     simulate_steady_state,
 )
 from .subspace import (

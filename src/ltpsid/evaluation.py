@@ -8,9 +8,8 @@ pooled over all tag times, lags up to a horizon, and scalar channels:
 100 means a perfect fit, 0 means no better than the constant predictor.
 
 The study harnesses here repeat noisy identifications under derived
-seeds: fixed-configuration Monte Carlo runs for fit distributions, a
-record-length sweep for the error-decay rate, and direct checks of the
-frequency-response estimator's bias and cross-frequency correlation.
+seeds: fixed-configuration Monte Carlo runs for fit distributions and a
+record-length sweep for the error-decay rate.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateReference, DimensionMismatch, LtpsidError
-from .etfe import etfe
-from .model import LtpModel, impulse_table, true_lifted_frequency_response
-from .signal import assemble_spectra, collect_ensemble, derive_seed
+from .model import LtpModel, impulse_table
+from .signal import collect_ensemble, derive_seed
 from .subspace import identify
 
 __all__ = [
@@ -32,11 +30,9 @@ __all__ = [
     "MonteCarloResult",
     "TrialRecord",
     "SweepResult",
-    "EtfeErrorStats",
     "fit_metric",
     "monte_carlo",
     "consistency_sweep",
-    "etfe_error_stats",
 ]
 
 FAILURE_RATE_LIMIT = 0.10
@@ -257,94 +253,3 @@ def consistency_sweep(
     medians = [result.mse_median for result in results]
     slope = float(np.polyfit(np.log(N_grid), np.log(medians), 1)[0])
     return SweepResult(results=tuple(results), slope=slope)
-
-
-@dataclass(frozen=True)
-class EtfeErrorStats:
-    """Empirical bias and cross-frequency correlation of the response estimate.
-
-    ``bias[k]`` is the entrywise mean estimation error at half-grid point
-    k = 0..N//2 and ``error_std`` the entrywise standard deviation over trials;
-    ``bias_within_bound`` flags entries whose mean error magnitude stays
-    below 4 * std / sqrt(trials). ``pair_correlations[i]`` is the pooled
-    correlation of the vectorized errors at the frequency pair
-    ``pairs[i]``.
-    """
-
-    trials: int
-    bias: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) complex
-    error_std: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu)
-    bias_within_bound: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) bool
-    pairs: tuple[tuple[int, int], ...] = ()
-    pair_correlations: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def bias_pass_fraction(self) -> float:
-        return float(np.mean(self.bias_within_bound))
-
-
-def etfe_error_stats(
-    model: LtpModel,
-    trials: int,
-    N: int,
-    J: int,
-    sigma: float,
-    seed: int,
-    n_pairs: int = 50,
-    ma_theta: float = 0.0,
-) -> EtfeErrorStats:
-    """Sample the response estimator's error distribution over noisy ensembles.
-
-    Errors are taken on the half grid k = 0..N//2 the responses hold (real
-    data tie grid point k to N-k by conjugation, so the rest adds nothing),
-    and the frequency pairs for the correlation check are drawn from it
-    without replacement. ``trials < 1`` raises ``ConfigError``.
-    """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    G_true = true_lifted_frequency_response(model, N).G
-    errors = np.empty((trials, *G_true.shape), dtype=np.complex128)
-    for t in range(trials):
-        ensemble = collect_ensemble(
-            model,
-            J=J,
-            N=N,
-            sigma=sigma,
-            master_seed=derive_seed(seed, t),
-            ma_theta=ma_theta,
-        )
-        errors[t] = etfe(assemble_spectra(ensemble)).G - G_true
-
-    bias = errors.mean(axis=0)
-    centered = errors - bias
-    error_std = np.sqrt(np.mean(np.abs(centered) ** 2, axis=0))
-    bound = 4.0 * error_std / np.sqrt(trials)
-    within = np.abs(bias) <= np.maximum(bound, 1e-300)
-
-    half = len(G_true)
-    candidates = [(a, b) for a in range(half) for b in range(a + 1, half)]
-    rng = np.random.default_rng(derive_seed(seed, 10**6))
-    n_pairs = min(n_pairs, len(candidates))
-    chosen = rng.choice(len(candidates), size=n_pairs, replace=False)
-    pairs = tuple(candidates[i] for i in chosen)
-    corrs = np.array([_pooled_correlation(centered, k, m) for k, m in pairs])
-    return EtfeErrorStats(
-        trials=trials,
-        bias=bias,
-        error_std=error_std,
-        bias_within_bound=within,
-        pairs=pairs,
-        pair_correlations=corrs,
-    )
-
-
-def _pooled_correlation(centered: np.ndarray, k: int, m: int) -> float:
-    """Correlation of the real-stacked vectorized errors at two grid points."""
-    x = centered[:, k].reshape(centered.shape[0], -1)
-    y = centered[:, m].reshape(centered.shape[0], -1)
-    xr = np.concatenate([x.real, x.imag], axis=1).ravel()
-    yr = np.concatenate([y.real, y.imag], axis=1).ravel()
-    denom = np.linalg.norm(xr) * np.linalg.norm(yr)
-    if denom == 0.0:
-        return 0.0
-    return float(xr @ yr / denom)

@@ -67,13 +67,14 @@ def read_file(path: str | Path, what: str, parse=None):
     """The UTF-8 text of ``path``, passed through ``parse`` if given.
 
     A file that cannot be opened, is not UTF-8, or that ``parse`` rejects
-    with a ``ValueError`` raises ``DataError`` naming the file and ``what``.
+    with a ``ValueError`` or ``csv.Error`` raises ``DataError`` naming the
+    file and ``what``.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
         return text if parse is None else parse(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read {what}: {exc}") from exc
 
 
@@ -212,8 +213,10 @@ def _read_experiment_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     Every sample field is converted in one numpy call; only when that fails
     are the rows scanned to name the file:line of the first fault.
     """
-    text = read_file(path, "experiment CSV")
-    header, *body = list(csv.reader(io.StringIO(text, newline=""))) or [None]
+    rows = read_file(
+        path, "experiment CSV", lambda text: list(csv.reader(io.StringIO(text, newline="")))
+    )
+    header, *body = rows or [None]
     if not header or header[0] != "t":
         raise DataError(f"{path}:1: expected header starting with 't'")
     nu, ny = (sum(h.startswith(prefix) for h in header) for prefix in ("u_", "y_"))

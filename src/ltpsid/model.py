@@ -11,9 +11,9 @@ cyclic: the matrix at time ``t`` is the stored matrix at ``t mod P``, for
 any integer ``t`` including negative ones.
 
 This module provides the model type plus the quantities the identification
-pipeline is checked against: the monodromy matrix, periodic impulse
-responses, their time-aliased closed form, the lifted LTI realization, and
-the exact frequency response of the lifted system.
+pipeline is checked against: the one stability rule on the monodromy
+matrix, periodic impulse responses, their time-aliased closed form, the
+lifted LTI realization, and the exact frequency response of the lifted system.
 Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package, plain or
 aliased, and every block of the lifted realization comes from one kernel,
 ``markov_rows``; it matches the per-entry reference ``impulse_response``
@@ -42,7 +42,6 @@ __all__ = [
     "LiftedLtiModel",
     "LiftedFrequencyResponse",
     "Stability",
-    "monodromy",
     "is_stable",
     "impulse_response",
     "markov_rows",
@@ -121,16 +120,6 @@ class LtpModel:
     @property
     def ny(self) -> int:
         return self.C[0].shape[0]
-
-
-def monodromy(model: LtpModel, t: int = 0) -> np.ndarray:
-    """State transition over one full period ending just before time ``t``.
-
-    Returns the ordered product ``A_{t-1} A_{t-2} ... A_{t-P}``. The result
-    is P-periodic in ``t`` and its eigenvalue multiset is the same for
-    every ``t``.
-    """
-    return _monodromies(np.asarray(model.A))[t % model.P]
 
 
 def _shifted(A: np.ndarray) -> np.ndarray:

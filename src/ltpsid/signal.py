@@ -1,9 +1,9 @@
-"""Excitation, simulation, and spectral preprocessing of periodic experiments.
+"""Excitation, steady-state simulation, and spectral preprocessing of periodic experiments.
 
 An experiment drives the system with a periodic input of length ``N*P``
 (N periods of the system's period P) and records one full repetition of
-the steady-state response plus measurement noise; the steady state is
-computed exactly from the periodic fixed point of the state.
+the steady-state response plus i.i.d. Gaussian measurement noise; the
+steady state is computed exactly from the periodic fixed point of the state.
 Ensembles stack J such experiments in two arrays; ``assemble_spectra``
 lifts them over one period and runs one stacked real DFT to give the
 half-grid data matrices consumed by the frequency-response estimator.
@@ -25,7 +25,6 @@ __all__ = [
     "LiftedSpectra",
     "derive_seed",
     "generate_periodic_input",
-    "simulate",
     "simulate_steady_state",
     "add_noise",
     "collect_ensemble",
@@ -119,24 +118,6 @@ def generate_periodic_input(P: int, N: int, n_u: int, seed: int) -> np.ndarray:
     return rng.standard_normal((N * P, n_u))
 
 
-def simulate(model: LtpModel, u: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-    """Noise-free response to ``u`` from initial state ``x0`` (default zero).
-
-    Time starts at t=0, so ``u[t]`` meets the matrices at index ``t mod P``.
-    Steps one sample at a time: the time-domain reference for the lifted steady state.
-    """
-    u = np.atleast_2d(np.asarray(u, float))
-    if u.shape[-1] != model.nu:
-        raise ConfigError(f"input has {u.shape[-1]} channels, model expects {model.nu}")
-    x = np.zeros(model.nx) if x0 is None else np.asarray(x0, float).reshape(model.nx)
-    y = np.empty((u.shape[0], model.ny))
-    for t in range(u.shape[0]):
-        i = t % model.P
-        y[t] = x @ model.C[i].T
-        x = x @ model.A[i].T + u[t] @ model.B[i].T
-    return y
-
-
 def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     """Steady-state output of a stable model under periodically repeated input.
 
@@ -176,39 +157,19 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     return y.reshape(u.shape[:-1] + (model.ny,))
 
 
-def add_noise(
-    y: np.ndarray, sigma: float, seed: int, ma_theta: float = 0.0
-) -> np.ndarray:
-    """Add zero-mean Gaussian measurement noise of std ``sigma`` per channel.
-
-    With ``ma_theta != 0`` the noise is a first-order moving average
-    ``(e(t) + theta*e(t-1)) / sqrt(1 + theta^2)`` of i.i.d. draws, which
-    keeps the marginal variance at ``sigma^2`` but introduces one-lag
-    correlation in time.
-    """
+def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """Add zero-mean i.i.d. Gaussian measurement noise of std ``sigma`` per channel."""
     if not 0 <= sigma < np.inf:
         raise ConfigError(f"sigma must be a finite number >= 0, got {sigma}")
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if sigma == 0:
         return y.copy()
     rng = np.random.default_rng(seed)
-    e = rng.standard_normal(y.shape)
-    if ma_theta != 0.0:
-        w = e.copy()
-        w[1:] += ma_theta * e[:-1]
-        w /= np.sqrt(1.0 + ma_theta**2)
-    else:
-        w = e
-    return y + sigma * w
+    return y + sigma * rng.standard_normal(y.shape)
 
 
 def collect_ensemble(
-    model: LtpModel,
-    J: int,
-    N: int,
-    sigma: float,
-    master_seed: int,
-    ma_theta: float = 0.0,
+    model: LtpModel, J: int, N: int, sigma: float, master_seed: int
 ) -> Ensemble:
     """Run J independent steady-state experiments with noisy outputs.
 
@@ -228,7 +189,7 @@ def collect_ensemble(
     )
     y = simulate_steady_state(model, u)
     for i, seed in enumerate(noise_seeds):
-        y[i] = add_noise(y[i], sigma, seed, ma_theta=ma_theta)
+        y[i] = add_noise(y[i], sigma, seed)
     return Ensemble(u, y, model.P, N, input_seeds, noise_seeds, sigma)
 
 

@@ -75,11 +75,12 @@ def _aliased_lags(P: int, N: int) -> np.ndarray:
     return (n * P + l - m - 1) % (N * P) + 1
 
 
-def _by_input_time(P: int, N: int) -> np.ndarray:
-    """Flat indices of a (P, N*P) (tag t, lag r) table in (beta, t, j) order, where
-    r - 1 = j*P + s and beta = (t - r) mod P = (t - s - 1) mod P is the input time."""
-    beta, t, j = np.ix_(np.arange(P), np.arange(P), np.arange(N))
-    return (t * N * P + j * P + (t - beta - 1) % P).ravel()
+def _input_slots(P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``t, s`` over (input time beta, tag t), with s = (t - beta - 1) mod P:
+    ``table.reshape(P, N, P, -1)[t, :, s]`` lists a (P, N*P) (tag t, lag r = j*P + s + 1)
+    table in (beta, t, j) order, since tag t meets input time (t - r) mod P at lag r."""
+    beta, t = np.ix_(np.arange(P), np.arange(P))
+    return t, (t - beta - 1) % P
 
 
 def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> np.ndarray:
@@ -210,9 +211,9 @@ def estimate_B(
     if max_lag != N * P:
         raise ConfigError(f"aliased response must hold N*P = {N * P} lags, got {max_lag}")
     rows = markov_rows(A, C_est, max_lag, N)
-    by_beta = _by_input_time(P, N)
-    G = rows.reshape(P * max_lag, -1)[by_beta].reshape(P, -1, nx)
-    T = h.reshape(P * max_lag, -1)[by_beta].reshape(P, -1, nu)
+    tag, slot = _input_slots(P)
+    G = rows.reshape(P, N, P, -1)[tag, :, slot].reshape(P, -1, nx)
+    T = h.reshape(P, N, P, -1)[tag, :, slot].reshape(P, -1, nu)
     u, s, vt = np.linalg.svd(G, full_matrices=False)
     bad = (s[:, -1] <= 0) | (s[:, 0] > REGRESSOR_COND_LIMIT * s[:, -1])
     if bad.any():
@@ -222,7 +223,7 @@ def estimate_B(
         )
     B = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ T) / s[..., None])
     h_fit = np.empty(h.shape)
-    h_fit.reshape(P * max_lag, -1)[by_beta] = (G @ B).reshape(P * max_lag, -1)
+    h_fit.reshape(P, N, P, -1)[tag, :, slot] = (G @ B).reshape(P, P, N, -1)
     return B, float(np.sum((h - h_fit) ** 2)), h_fit
 
 

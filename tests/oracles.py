@@ -1,0 +1,170 @@
+"""Reference implementations the tests compare the package against.
+
+Nothing in ``ltpsid`` calls these: a sample-by-sample simulator for the
+lifted steady state, the monodromy at any tag time, first-order moving
+average (MA(1)) measurement noise for the coloured-noise checks, and the
+harness that samples the response estimator's bias and cross-frequency
+correlation.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from ltpsid.errors import ConfigError
+from ltpsid.etfe import etfe
+from ltpsid.model import LtpModel, _monodromies, true_lifted_frequency_response
+from ltpsid.signal import Ensemble, assemble_spectra, collect_ensemble, derive_seed
+
+
+def simulate(model: LtpModel, u: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    """Noise-free response to ``u`` from initial state ``x0`` (default zero).
+
+    Time starts at t=0, so ``u[t]`` meets the matrices at index ``t mod P``.
+    Steps one sample at a time: the time-domain reference for the lifted steady state.
+    """
+    u = np.atleast_2d(np.asarray(u, float))
+    if u.shape[-1] != model.nu:
+        raise ConfigError(f"input has {u.shape[-1]} channels, model expects {model.nu}")
+    x = np.zeros(model.nx) if x0 is None else np.asarray(x0, float).reshape(model.nx)
+    y = np.empty((u.shape[0], model.ny))
+    for t in range(u.shape[0]):
+        i = t % model.P
+        y[t] = x @ model.C[i].T
+        x = x @ model.A[i].T + u[t] @ model.B[i].T
+    return y
+
+
+def monodromy(model: LtpModel, t: int = 0) -> np.ndarray:
+    """State transition over one full period ending just before time ``t``.
+
+    Returns the ordered product ``A_{t-1} A_{t-2} ... A_{t-P}``. The result
+    is P-periodic in ``t`` and its eigenvalue multiset is the same for
+    every ``t``.
+    """
+    return _monodromies(np.asarray(model.A))[t % model.P]
+
+
+def add_ma_noise(y: np.ndarray, sigma: float, seed: int, theta: float) -> np.ndarray:
+    """Add zero-mean Gaussian noise of marginal std ``sigma``, coloured by MA(1).
+
+    The noise is the first-order moving average
+    ``(e(t) + theta*e(t-1)) / sqrt(1 + theta^2)`` of the i.i.d. draws
+    ``signal.add_noise`` would add under the same seed, which keeps the
+    marginal variance at ``sigma^2`` but introduces one-lag correlation in time.
+    """
+    if not 0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be a finite number >= 0, got {sigma}")
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if sigma == 0:
+        return y.copy()
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(y.shape)
+    if theta != 0.0:
+        w = e.copy()
+        w[1:] += theta * e[:-1]
+        w /= np.sqrt(1.0 + theta**2)
+    else:
+        w = e
+    return y + sigma * w
+
+
+def ma_ensemble(
+    model: LtpModel, J: int, N: int, sigma: float, master_seed: int, theta: float
+) -> Ensemble:
+    """``collect_ensemble`` with MA(1) output noise drawn from each experiment's noise seed.
+
+    At ``theta = 0`` the result equals ``collect_ensemble(model, J, N, sigma,
+    master_seed)`` bit for bit.
+    """
+    clean = collect_ensemble(model, J=J, N=N, sigma=0.0, master_seed=master_seed)
+    y = np.stack(
+        [add_ma_noise(y, sigma, seed, theta) for y, seed in zip(clean.y, clean.noise_seeds)]
+    )
+    return replace(clean, y=y, sigma=sigma)
+
+
+@dataclass(frozen=True)
+class EtfeErrorStats:
+    """Empirical bias and cross-frequency correlation of the response estimate.
+
+    ``bias[k]`` is the entrywise mean estimation error at half-grid point
+    k = 0..N//2 and ``error_std`` the entrywise standard deviation over trials;
+    ``bias_within_bound`` flags entries whose mean error magnitude stays
+    below 4 * std / sqrt(trials). ``pair_correlations[i]`` is the pooled
+    correlation of the vectorized errors at the frequency pair
+    ``pairs[i]``.
+    """
+
+    trials: int
+    bias: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) complex
+    error_std: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu)
+    bias_within_bound: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) bool
+    pairs: tuple[tuple[int, int], ...] = ()
+    pair_correlations: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def bias_pass_fraction(self) -> float:
+        return float(np.mean(self.bias_within_bound))
+
+
+def etfe_error_stats(
+    model: LtpModel,
+    trials: int,
+    N: int,
+    J: int,
+    sigma: float,
+    seed: int,
+    n_pairs: int = 50,
+    ma_theta: float = 0.0,
+) -> EtfeErrorStats:
+    """Sample the response estimator's error distribution over noisy ensembles.
+
+    Errors are taken on the half grid k = 0..N//2 the responses hold (real
+    data tie grid point k to N-k by conjugation, so the rest adds nothing),
+    and the frequency pairs for the correlation check are drawn from it
+    without replacement. ``trials < 1`` raises ``ConfigError``.
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    G_true = true_lifted_frequency_response(model, N).G
+    errors = np.empty((trials, *G_true.shape), dtype=np.complex128)
+    for t in range(trials):
+        ensemble = ma_ensemble(model, J, N, sigma, derive_seed(seed, t), ma_theta)
+        errors[t] = etfe(assemble_spectra(ensemble)).G - G_true
+
+    bias = errors.mean(axis=0)
+    centered = errors - bias
+    error_std = np.sqrt(np.mean(np.abs(centered) ** 2, axis=0))
+    bound = 4.0 * error_std / np.sqrt(trials)
+    within = np.abs(bias) <= np.maximum(bound, 1e-300)
+
+    half = len(G_true)
+    candidates = [(a, b) for a in range(half) for b in range(a + 1, half)]
+    rng = np.random.default_rng(derive_seed(seed, 10**6))
+    n_pairs = min(n_pairs, len(candidates))
+    chosen = rng.choice(len(candidates), size=n_pairs, replace=False)
+    pairs = tuple(candidates[i] for i in chosen)
+    corrs = np.array([_pooled_correlation(centered, k, m) for k, m in pairs])
+    return EtfeErrorStats(
+        trials=trials,
+        bias=bias,
+        error_std=error_std,
+        bias_within_bound=within,
+        pairs=pairs,
+        pair_correlations=corrs,
+    )
+
+
+def _pooled_correlation(centered: np.ndarray, k: int, m: int) -> float:
+    """Correlation of the real-stacked vectorized errors at two grid points."""
+    x = centered[:, k].reshape(centered.shape[0], -1)
+    y = centered[:, m].reshape(centered.shape[0], -1)
+    xr = np.concatenate([x.real, x.imag], axis=1).ravel()
+    yr = np.concatenate([y.real, y.imag], axis=1).ravel()
+    denom = np.linalg.norm(xr) * np.linalg.norm(yr)
+    if denom == 0.0:
+        return 0.0
+    return float(xr @ yr / denom)

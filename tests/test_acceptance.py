@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ltpsid import evaluation
 from ltpsid.evaluation import (
     MonteCarloConfig,
     consistency_sweep,
-    etfe_error_stats,
     fit_metric,
     monte_carlo,
 )
@@ -23,11 +23,11 @@ from ltpsid.model import (
     LtpModel,
     aliased_impulse_response_true,
     impulse_response,
-    monodromy,
     true_lifted_frequency_response,
 )
 from ltpsid.signal import collect_ensemble
 from ltpsid.subspace import assemble_aliased, build_hankels, identify, idft_blocks
+from oracles import etfe_error_stats, ma_ensemble, monodromy
 
 BASELINES = Path(__file__).parent / "baselines" / "montecarlo_baselines.json"
 
@@ -88,6 +88,29 @@ def test_criterion_3_consistency_rate(example1_norm):
         "3 consistency rate ~ 1/N",
         ok,
         f"(log-log slope = {sweep.slope:.3f}, {elapsed:.1f}s)",
+    )
+
+
+def test_criterion_3_consistency_rate_under_ma1_noise(example1_norm, monkeypatch):
+    # The paper proves consistency under mild noise assumptions: criterion 3's
+    # sweep, seeds and tolerance, with each trial's output noise MA(1) at theta = 0.8.
+    def coloured(model, J, N, sigma, master_seed):
+        return ma_ensemble(model, J, N, sigma, master_seed, theta=0.8)
+
+    monkeypatch.setattr(evaluation, "collect_ensemble", coloured)
+    start = time.perf_counter()
+    config = MonteCarloConfig(
+        J=20, N=50, sigma=1.0, trials=20, q=10, r=10, n_x=2, seed=7
+    )
+    sweep = consistency_sweep(
+        example1_norm, [25, 50, 100, 200, 400], config=config
+    )
+    elapsed = time.perf_counter() - start
+    failed = sum(len(result.failures) for result in sweep.results)
+    _report(
+        "3 consistency rate ~ 1/N under MA(1) noise",
+        -1.3 < sweep.slope < -0.7 and elapsed < 600.0,
+        f"(log-log slope = {sweep.slope:.3f}, {failed} failed trials, {elapsed:.1f}s)",
     )
 
 

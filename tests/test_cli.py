@@ -108,18 +108,21 @@ def test_identify_non_integer_manifest_count_exits_3(tmp_path, capsys, example1_
         assert f"manifest.json: {needle}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("reader", ["model", "manifest", "experiment", "config"])
+@pytest.mark.parametrize("reader", ["model", "manifest", "experiment", "config", "csv-field"])
 def test_non_utf8_file_exits_3_naming_it(tmp_path, capsys, example1_norm, reader):
-    # Byte 0xE9 (Latin-1 "e acute") is not UTF-8; every reader reports bad data, not a traceback.
+    # Byte 0xE9 (Latin-1 "e acute") is not UTF-8; every reader reports bad data, not a
+    # traceback. So does the csv module's error on a field over its 131072-character limit.
     manifest = save_ensemble(
         collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=1), tmp_path / "ens"
     )
     model = save_model(example1_norm, tmp_path / "model.json")
     config = tmp_path / "config.json"
     config.write_text("{}")
+    experiment = tmp_path / "ens" / "experiment_0000.csv"
     bad = {"model": model, "manifest": manifest, "config": config,
-           "experiment": tmp_path / "ens" / "experiment_0000.csv"}[reader]
-    bad.write_bytes(bad.read_bytes() + b"\xe9")
+           "experiment": experiment, "csv-field": experiment}[reader]
+    tail = b'"' + b"9" * 131073 + b'"' if reader == "csv-field" else b"\xe9"
+    bad.write_bytes(bad.read_bytes() + tail)
     if reader == "model":
         argv = ["evaluate", "--true", "example1", "--est", model]
     else:

@@ -5,14 +5,13 @@ from ltpsid import evaluation
 from ltpsid.errors import ConfigError, DegenerateReference, DimensionMismatch
 from ltpsid.evaluation import (
     MonteCarloConfig,
-    _pooled_correlation,
     consistency_sweep,
-    etfe_error_stats,
     fit_metric,
     monte_carlo,
 )
 from ltpsid.model import LtpModel, impulse_response
 from ltpsid.signal import collect_ensemble
+from oracles import _pooled_correlation, etfe_error_stats
 
 
 def _scalar_lti(a=0.5, b=1.0, c=1.0):

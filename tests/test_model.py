@@ -21,12 +21,12 @@ from ltpsid.model import (
     is_stable,
     lift_model,
     markov_rows,
-    monodromy,
     normalize_gain,
     true_lifted_frequency_response,
 )
 from ltpsid.signal import simulate_steady_state
 from ltpsid.subspace import estimate_B
+from oracles import monodromy
 
 
 def test_validate_example1_ok(example1):

@@ -16,9 +16,9 @@ from ltpsid.signal import (
     NOISE_STREAM,
     derive_seed,
     generate_periodic_input,
-    simulate,
     simulate_steady_state,
 )
+from oracles import add_ma_noise, ma_ensemble, simulate
 
 
 def test_input_deterministic_given_seed():
@@ -213,10 +213,19 @@ def test_add_noise_independent_seeds_uncorrelated():
 def test_add_noise_ma1_variance_and_lag_correlation():
     theta = 0.6
     y = np.zeros((200_000, 1))
-    w = add_noise(y, 1.0, seed=3, ma_theta=theta).ravel()
+    w = add_ma_noise(y, 1.0, seed=3, theta=theta).ravel()
     assert 0.97 < w.var() < 1.03
     lag1 = np.corrcoef(w[1:], w[:-1])[0, 1]
     np.testing.assert_allclose(lag1, theta / (1 + theta**2), atol=0.01)
+
+
+def test_ma_ensemble_at_theta_zero_is_collect_ensemble(example2_norm):
+    # The coloured-noise oracle draws from the same noise seeds as the pipeline.
+    white = collect_ensemble(example2_norm, J=6, N=10, sigma=0.7, master_seed=4)
+    oracle = ma_ensemble(example2_norm, J=6, N=10, sigma=0.7, master_seed=4, theta=0.0)
+    np.testing.assert_array_equal(oracle.u, white.u)
+    np.testing.assert_array_equal(oracle.y, white.y)
+    assert (oracle.sigma, oracle.noise_seeds) == (white.sigma, white.noise_seeds)
 
 
 def test_collect_ensemble_example1_shapes(example1_norm):

@@ -25,7 +25,6 @@ from ltpsid.model import (
     impulse_response,
     impulse_table,
     markov_rows,
-    monodromy,
     true_lifted_frequency_response,
 )
 from ltpsid.signal import (
@@ -36,7 +35,7 @@ from ltpsid.signal import (
 )
 from ltpsid.subspace import (
     _aliased_lags,
-    _by_input_time,
+    _input_slots,
     assemble_aliased,
     build_hankels,
     estimate_AC,
@@ -45,6 +44,7 @@ from ltpsid.subspace import (
     idft_blocks,
     svd_order,
 )
+from oracles import monodromy
 
 
 def _extended_observability(model, tau, q):
@@ -461,7 +461,9 @@ def test_estimate_B_names_first_ill_conditioned_beta():
 @pytest.mark.parametrize("N", [1, 4, 50])
 def test_by_input_time_is_the_stable_argsort_of_input_times(P, N):
     reference = np.argsort(_input_times(P, N * P), axis=None, kind="stable")
-    np.testing.assert_array_equal(_by_input_time(P, N), reference)
+    t, s = _input_slots(P)
+    flat = np.arange(P * N * P).reshape(P, N, P)[t, :, s]
+    np.testing.assert_array_equal(flat.ravel(), reference)
 
 
 def _estimate_B_per_beta(A, C, h, N):
