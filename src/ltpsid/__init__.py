@@ -7,6 +7,8 @@ periodic impulse response, and realize the state-space matrices from the
 order-revealing periodic block-Hankel decomposition.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import LtpsidError
 from .etfe import etfe, residual_energy
 from .evaluation import (
@@ -48,4 +50,4 @@ from .subspace import (
 )
 
 __version__ = "0.1.0"
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

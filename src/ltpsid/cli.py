@@ -33,7 +33,6 @@ from .errors import (
     LtpsidError,
     NumericalPipelineError,
 )
-from .etfe import DEFAULT_RANK_TOL
 from .evaluation import (
     DEFAULT_N_G,
     MonteCarloConfig,
@@ -68,7 +67,6 @@ _OPTIONS = {
     "nx": (int, None, "state order of every study estimate"),
     "order": (str, "auto", "state order, or 'auto' for threshold selection"),
     "order_tol": (float, 1e-8, "relative singular-value threshold in [0, 1) for --order auto"),
-    "rank_tol": (float, DEFAULT_RANK_TOL, "relative rank tolerance of the response estimate"),
     "n_g": (int, DEFAULT_N_G, "lag horizon of the fit score"),
     "trials": (int, 100, "noise realizations per study point"),
     "seed": (int, 0, "master seed"),
@@ -195,7 +193,6 @@ def _cmd_identify(args) -> int:
         r=_integer("r", _resolve(args, "r")),
         n_x=n_x,
         order_threshold=threshold,
-        rank_tol=_real("rank_tol", _resolve(args, "rank_tol")),
     )
     out = _out_dir(args, "identify")
     fileio.save_identification_result(
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="path to manifest.json of a stored ensemble")
     p.add_argument("--export-response", action="store_true",
                    help="also write the estimated lifted frequency response as CSV")
-    _add_options(p, "q", "r", "order", "order_tol", "rank_tol")
+    _add_options(p, "q", "r", "order", "order_tol")
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("evaluate", help="score an estimated model against a reference")

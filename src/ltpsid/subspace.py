@@ -36,7 +36,7 @@ from .errors import (
     ShiftRankDeficient,
     UnstableEstimate,
 )
-from .etfe import DEFAULT_RANK_TOL, etfe
+from .etfe import etfe
 from .model import (
     LiftedFrequencyResponse,
     LtpModel,
@@ -257,7 +257,6 @@ def identify(
     r: int | None = None,
     n_x: int | None = None,
     order_threshold: float | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> IdentificationResult:
     """Full identification pipeline from an ensemble of periodic experiments.
 
@@ -285,7 +284,7 @@ def identify(
             raise PipelineError(stage, exc) from exc
 
     spectra = run("assemble_spectra", assemble_spectra, ensemble)
-    response = run("etfe", etfe, spectra, rank_tol)
+    response = run("etfe", etfe, spectra)
     blocks = run("idft_blocks", idft_blocks, response)
     h_est = run("assemble_aliased", assemble_aliased, blocks, ensemble.P, ensemble.N)
     hankels = run("build_hankels", build_hankels, h_est, q, r)

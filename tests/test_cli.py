@@ -194,7 +194,8 @@ def test_identify_bad_blocks_or_order_exits_2(tmp_path, capsys, example1_norm, f
     [
         (["simulate", "--model", "example1", "--sigma", "nan"], "sigma must be a finite number"),
         (["identify", "MANIFEST", "--order-tol", "nan"], "order_tol must be a finite number"),
-        (["identify", "MANIFEST", "--rank-tol", "nan"], "rank_tol must be a finite number"),
+        (["sweep", "--model", "example1", "--Ns", "8,16", "--nx", 2, "--sigma", "nan"],
+         "sigma must be a finite number"),
         (["montecarlo", "--model", "example1", "--nx", 2, "--trials", 2, "--sigma", "inf"],
          "sigma must be a finite number"),
     ],
@@ -204,6 +205,33 @@ def test_non_finite_flag_exits_2_and_writes_nothing(tmp_path, capsys, example1_n
     manifest = save_ensemble(ens, tmp_path / "ens")
     capsys.readouterr()
     argv = [manifest if a == "MANIFEST" else a for a in argv]
+    code = run(argv + ["--out", tmp_path / "out"])
+    _assert_config_exit(code, capsys, needle)
+    assert not (tmp_path / "out").exists()
+
+
+_MC = ["montecarlo", "--model", "example1", "--normalize", "--trials", 3, "--nx", 2]
+_SWEEP = ["sweep", "--model", "example1", "--normalize", "--Ns", "25,50", "--trials", 3, "--nx", 2]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (_MC + ["--sigma", -1], "sigma must be a finite number >= 0, got -1.0"),
+        (_MC + ["--J", 1], "need J >= P*n_u = 2 experiments, got J=1"),
+        (_MC + ["--N", 5], "q+r-1 = 19 exceeds record length N*P = 10"),
+        (_MC + ["--nx", 30], "order 30 outside 1..min(q*ny, r*nu) = 10"),
+        (_MC + ["--nx", 30, "--jobs", 2], "order 30 outside 1..min(q*ny, r*nu) = 10"),
+        (_SWEEP + ["--sigma", -1], "sigma must be a finite number >= 0, got -1.0"),
+        (_SWEEP + ["--J", 1], "need J >= P*n_u = 2 experiments, got J=1"),
+        (_SWEEP + ["--Ns", "5,10"], "q+r-1 = 19 exceeds record length N*P = 10"),
+        (_SWEEP + ["--nx", 30], "order 30 outside 1..min(q*ny, r*nu) = 10"),
+        (_SWEEP + ["--J", 1, "--jobs", 2], "need J >= P*n_u = 2 experiments, got J=1"),
+    ],
+)
+def test_study_config_the_pipeline_rejects_exits_2_and_writes_nothing(tmp_path, capsys, argv, needle):
+    # A study stops at the first trial whose configuration the pipeline
+    # rejects; it records no trial failures and writes no output.
     code = run(argv + ["--out", tmp_path / "out"])
     _assert_config_exit(code, capsys, needle)
     assert not (tmp_path / "out").exists()
@@ -230,7 +258,7 @@ def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
         ("evaluate", {"normalize": "false"}, "normalize must be"),
         ("evaluate", {"n_g": True}, "n_g must be"),
         ("simulate", {"sigma": float("nan")}, "sigma must be a finite number"),
-        ("identify", {"rank_tol": float("inf")}, "rank_tol must be a finite number"),
+        ("identify", {"rank_tol": 1e-6}, "unknown config keys: ['rank_tol']"),
         ("simulate", {"model": 5}, "model must be a fixture name or model JSON path"),
     ],
 )
@@ -294,6 +322,7 @@ def test_every_option_is_a_config_key(tmp_path):
         ["evaluate", "--true", "example1", "--est", "example1", "--jobs", 2],
         ["fixtures", "--seed", 3],
         ["fixtures", "--jobs", 2],
+        ["identify", "manifest.json", "--rank-tol", 1e-6],
     ],
 )
 def test_flag_the_command_does_not_read_exits_2(capsys, argv):

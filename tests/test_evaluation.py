@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ltpsid import evaluation
-from ltpsid.errors import ConfigError, DegenerateReference, DimensionMismatch
+from ltpsid.errors import BlockRangeExceeded, ConfigError, DegenerateReference, DimensionMismatch
 from ltpsid.evaluation import (
     MonteCarloConfig,
     consistency_sweep,
@@ -139,13 +139,24 @@ def test_monte_carlo_parallel_matches_sequential(example1_norm):
     np.testing.assert_array_equal(seq.W_values, par.W_values)
 
 
-def test_monte_carlo_records_failures(example1_norm):
-    # Infeasible Hankel blocks fail every trial without aborting the study.
+def test_monte_carlo_records_failures(example2_norm):
+    # A numerical failure is recorded in its trial without aborting the study:
+    # of these 24 trials only trial 23 gets an unstable estimate.
+    cfg = MonteCarloConfig(J=30, N=50, sigma=1.0, trials=24, q=10, r=10, n_x=2, seed=2024)
+    result = monte_carlo(example2_norm, cfg)
+    assert [rec.trial for rec in result.failures] == [23]
+    error = result.failures[0].error
+    assert error.startswith("stage 'estimate_B': ") and "spectral radius" in error
+    assert len(result.reports) == 23 and not result.config_failed
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_monte_carlo_stops_on_config_error(example1_norm, jobs):
+    # Hankel blocks longer than the record are a configuration error, not
+    # trial failures: the first trial's error leaves the study.
     cfg = MonteCarloConfig(J=4, N=4, sigma=0.0, trials=3, q=8, r=8, n_x=2, seed=1)
-    result = monte_carlo(example1_norm, cfg)
-    assert len(result.failures) == 3
-    assert result.config_failed
-    assert all(rec.error for rec in result.failures)
+    with pytest.raises(BlockRangeExceeded, match=r"q\+r-1 = 15 exceeds record length N\*P = 8"):
+        monte_carlo(example1_norm, cfg, jobs=jobs)
 
 
 def test_monte_carlo_W_decreases_with_noise(example1_norm):

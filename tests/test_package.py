@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,14 @@ def test_all_names_exist(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("module", EXPORTING, ids=lambda mod: mod.__name__)
+def test_no_module_is_exported(module):
+    # `from ltpsid import *` must not bind submodule names such as `signal`,
+    # which would shadow the standard-library module in the caller.
+    assert [name for name in module.__all__
+            if isinstance(getattr(module, name), types.ModuleType)] == []
+
+
 def test_oracles_are_not_exported():
     # The reference implementations the tests compare against live only in tests/oracles.py.
     defined = {name for name, obj in vars(oracles).items()
@@ -51,4 +60,4 @@ def test_source_line_budget():
     lines = sum(
         len(path.read_text().splitlines()) for path in Path(ltpsid.__file__).parent.rglob("*.py")
     )
-    assert lines < 2245
+    assert lines < 2242
