@@ -32,10 +32,8 @@ from .model import (
 from .signal import (
     Ensemble,
     LiftedSpectra,
-    add_noise,
     assemble_spectra,
     collect_ensemble,
-    generate_periodic_input,
     simulate_steady_state,
 )
 from .subspace import (

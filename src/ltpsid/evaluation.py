@@ -40,19 +40,6 @@ FAILURE_RATE_LIMIT = 0.10
 DEFAULT_N_G = 50  # lag horizon of the fit score
 
 
-def _check_comparable(true_model: LtpModel, est_model: LtpModel) -> None:
-    if (true_model.P, true_model.ny, true_model.nu) != (
-        est_model.P,
-        est_model.ny,
-        est_model.nu,
-    ):
-        raise DimensionMismatch(
-            f"models have incompatible (P, ny, nu): "
-            f"{(true_model.P, true_model.ny, true_model.nu)} vs "
-            f"{(est_model.P, est_model.ny, est_model.nu)}"
-        )
-
-
 @dataclass(frozen=True)
 class FitReport:
     """Fit score W, impulse-response errors, and their mean square."""
@@ -74,7 +61,9 @@ def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = DEFAULT_N_G
     """
     if n_g < 1:
         raise ConfigError(f"n_g must be >= 1, got {n_g}")
-    _check_comparable(true_model, est_model)
+    dims = [(model.P, model.ny, model.nu) for model in (true_model, est_model)]
+    if dims[0] != dims[1]:
+        raise DimensionMismatch(f"models have incompatible (P, ny, nu): {dims[0]} vs {dims[1]}")
     g_true = impulse_table(true_model, n_g)
     g_est = impulse_table(est_model, n_g)
     errors = np.linalg.norm(g_true - g_est, axis=(2, 3))
@@ -108,6 +97,8 @@ class MonteCarloConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.J < 1 or self.N < 1 or self.n_g < 1:
             raise ConfigError("J, N, n_g must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,7 @@ def monte_carlo(
     worker processes; results are identical to the sequential run because
     every trial's seed is derived up front.
     """
-    seeds = [derive_seed(config.seed, t) for t in range(config.trials)]
+    seeds = derive_seed(config.seed, np.arange(config.trials)).tolist()
     args = ([model] * len(seeds), [config] * len(seeds), range(len(seeds)), seeds)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -237,7 +228,8 @@ def consistency_sweep(
     Runs ``config.trials`` noisy identifications at every N of the grid, two
     or more increasing lengths (the Hankel block counts stay fixed at config.q,
     config.r), and fits the least-squares slope of log median MSE against log N.
-    A configuration error stops the sweep at its first trial, as in ``monte_carlo``.
+    A configuration error stops the sweep at its first trial, as in ``monte_carlo``;
+    all trials at one N failing numerically raise ``NumericalPipelineError``.
     """
     N_grid = tuple(int(n) for n in N_grid)
     if len(N_grid) < 2 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
@@ -247,7 +239,10 @@ def consistency_sweep(
         cfg_N = replace(config, N=N, seed=derive_seed(config.seed, N))
         result = monte_carlo(model, cfg_N, jobs=jobs)
         if not result.reports:
-            raise ConfigError(f"all trials failed at N={N}; cannot fit a slope")
+            raise NumericalPipelineError(
+                f"all {len(result.failures)} trials failed at N={N}; cannot fit a slope; "
+                f"trial {result.failures[0].trial}: {result.failures[0].error}"
+            )
         results.append(result)
     medians = [result.mse_median for result in results]
     slope = float(np.polyfit(np.log(N_grid), np.log(medians), 1)[0])

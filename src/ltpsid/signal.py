@@ -8,7 +8,8 @@ Ensembles stack J such experiments in two arrays; ``assemble_spectra``
 lifts them over one period and runs one stacked real DFT to give the
 half-grid data matrices consumed by the frequency-response estimator.
 
-All randomized operations are pure functions of their seeds.
+All randomized operations are pure functions of their seeds. Seeds and generators
+come from one batched pass of the SeedSequence hash, equal bit for bit to numpy's.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ __all__ = [
     "Ensemble",
     "LiftedSpectra",
     "derive_seed",
-    "generate_periodic_input",
     "simulate_steady_state",
-    "add_noise",
     "collect_ensemble",
     "assemble_spectra",
 ]
@@ -35,17 +34,86 @@ __all__ = [
 INPUT_STREAM = 0
 NOISE_STREAM = 1
 
+# numpy's SeedSequence hash: a pool of 4 uint32 words, its hash and mix constants.
+_POOL, _WORD = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Deterministic sub-seed of ``master_seed`` for one index path.
 
-    Experiment i of an ensemble draws its input from
-    ``derive_seed(master, i, INPUT_STREAM)`` and its noise from
-    ``derive_seed(master, i, NOISE_STREAM)``; the studies derive one
-    master seed per trial as ``derive_seed(master, t)``.
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """(n+1, 1) uint32 constants ``h_k = init * mult**k`` mod 2**32 of n successive hashes."""
+    return np.array([init] + [mult] * n, dtype=np.uint32).cumprod(dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash k of a run: xor with ``h_k``, multiply by ``h_{k+1}``, xorshift."""
+    values = (values ^ xor) * mul
+    return values ^ (values >> np.uint32(16))
+
+
+def _seed_state(entropy_words: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` for B entropies at once.
+
+    Takes (B, W) words below 2**32 and gives (B, n_words) uint64: numpy's documented algorithm
+    without a spawn key, on (4, B) pools, where uint32 arithmetic wraps silently.
     """
-    ss = np.random.SeedSequence([int(master_seed), *[int(i) for i in indices]])
-    return int(ss.generate_state(1, np.uint64)[0])
+    B, W = np.shape(entropy_words)
+    words = np.zeros((max(W, _POOL), B), dtype=np.uint32)  # zeros past the W words
+    words[:W] = np.transpose(entropy_words)
+    src, dst = np.arange(len(words))[:, None], np.arange(_POOL)
+    h = _hash_constants(_INIT_A, _MULT_A, _POOL * len(words))
+    pool = _hash(words[:_POOL], h[:_POOL], h[1 : _POOL + 1])
+    # Word s (the pool's, then those past it) mixes into each other pool word as hash k[s, dst].
+    k = _POOL * src + np.maximum(_POOL - src, 0) + dst - (dst >= src)
+    for s, (xor, mul) in enumerate(zip(h[k], h[k + 1])):
+        mixed = _MIX_L * pool - _MIX_R * _hash(pool[s] if s < _POOL else words[s], xor, mul)
+        pool = np.where(dst[:, None] == s, pool, mixed ^ (mixed >> np.uint32(16)))
+    h = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    state = _hash(pool[np.arange(2 * n_words) % _POOL], h[:-1], h[1:])
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)  # low word first
+
+
+def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
+    """``SeedSequence([master_seed, *indices]).generate_state(1, np.uint64)[0]``.
+
+    The master is an integer >= 0 and each index lies in 0..2**32-1, else ``ConfigError``;
+    array indices broadcast to a uint64 array of seeds. Experiment i of an ensemble draws
+    its input and noise from indices ``(i, INPUT_STREAM)`` and ``(i, NOISE_STREAM)``, and
+    trial t of a study runs on the master ``derive_seed(master, t)``.
+    """
+    master = int(master_seed)
+    if master < 0:
+        raise ConfigError(f"master seed must be >= 0, got {master}")
+    index = [np.asarray(i) for i in indices]
+    if any(np.any((i < 0) | (i > _WORD)) for i in index):
+        raise ConfigError(f"seed indices must lie in 0..2**32-1, got {indices}")
+    # numpy splits an integer into little-endian 32-bit words, at least one.
+    words = [(master >> s) & _WORD for s in range(0, max(master.bit_length(), 1), 32)]
+    shape = np.broadcast_shapes(*(i.shape for i in index))
+    entropy = np.empty((*shape, len(words) + len(index)), dtype=np.uint32)
+    for k, column in enumerate(words + index):
+        entropy[..., k] = column
+    seeds = _seed_state(entropy.reshape(-1, entropy.shape[-1]), 1)[:, 0]
+    return int(seeds[0]) if shape == () else seeds.reshape(shape)
+
+
+@dataclass
+class _State(np.random.bit_generator.ISeedSequence):
+    """One seed's precomputed SeedSequence state, handed to PCG64 to seed itself."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seeds) -> list[np.random.Generator]:
+    """``default_rng(seed)`` for every uint64 seed, from one batched hash of ``(lo, hi)`` words.
+
+    A seed below 2**32 hashes as ``[lo, 0]``: a zero word inside the pool changes nothing.
+    """
+    state = _seed_state(np.asarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2), 4)
+    return [np.random.Generator(np.random.PCG64(_State(row))) for row in state]
 
 
 @dataclass(frozen=True)
@@ -78,9 +146,7 @@ class Ensemble:
         if u.shape[0] == 0:
             raise ConfigError("ensemble needs at least one experiment")
         if u.shape[1] != self.N * self.P:
-            raise ConfigError(
-                f"records have length {u.shape[1]}, expected N*P={self.N * self.P}"
-            )
+            raise ConfigError(f"records have length {u.shape[1]}, expected N*P={self.N * self.P}")
         if not (np.isfinite(u).all() and np.isfinite(y).all()):
             raise DataError("experiment holds non-finite samples")
         object.__setattr__(self, "u", u)
@@ -110,14 +176,6 @@ class Ensemble:
         return self.y.shape[2]
 
 
-def generate_periodic_input(P: int, N: int, n_u: int, seed: int) -> np.ndarray:
-    """One full period of excitation: (N*P, n_u) i.i.d. standard normal entries."""
-    if P < 1 or N < 1 or n_u < 1:
-        raise ConfigError(f"P, N, n_u must be >= 1, got {(P, N, n_u)}")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((N * P, n_u))
-
-
 def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     """Steady-state output of a stable model under periodically repeated input.
 
@@ -130,15 +188,11 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(patterns, dtype=np.float64)
     if u.ndim not in (2, 3):
-        raise ConfigError(
-            f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}"
-        )
+        raise ConfigError(f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}")
     if u.shape[-1] != model.nu:
         raise ConfigError(f"input has {u.shape[-1]} channels, model expects {model.nu}")
     if u.shape[-2] % model.P != 0:
-        raise LengthNotDivisible(
-            f"pattern length {u.shape[-2]} not divisible by P={model.P}"
-        )
+        raise LengthNotDivisible(f"pattern length {u.shape[-2]} not divisible by P={model.P}")
     lifted = lift_model(model)
     _stability(lifted.A[None], ConfigError, "model is not stable (spectral radius {rho:.4f}); "
                "steady-state data collection requires stability")
@@ -157,17 +211,6 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     return y.reshape(u.shape[:-1] + (model.ny,))
 
 
-def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """Add zero-mean i.i.d. Gaussian measurement noise of std ``sigma`` per channel."""
-    if not 0 <= sigma < np.inf:
-        raise ConfigError(f"sigma must be a finite number >= 0, got {sigma}")
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if sigma == 0:
-        return y.copy()
-    rng = np.random.default_rng(seed)
-    return y + sigma * rng.standard_normal(y.shape)
-
-
 def collect_ensemble(
     model: LtpModel, J: int, N: int, sigma: float, master_seed: int
 ) -> Ensemble:
@@ -176,21 +219,25 @@ def collect_ensemble(
     Each experiment gets a fresh input pattern and an independent noise
     stream, both seeded deterministically from ``master_seed`` and the
     experiment index. The fresh patterns are what make the lifted input
-    spectrum full row rank with probability one.
+    spectrum full row rank with probability one. Experiment i's input is
+    ``default_rng(input_seeds[i]).standard_normal((N*P, n_u))`` and its
+    noise ``sigma * default_rng(noise_seeds[i]).standard_normal((N*P, n_y))``.
     """
+    if not 0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be a finite number >= 0, got {sigma}")
+    if N < 1:
+        raise ConfigError(f"N must be >= 1, got {N}")
     if J < model.P * model.nu:
-        raise ConfigError(
-            f"need J >= P*n_u = {model.P * model.nu} experiments, got J={J}"
-        )
-    input_seeds = tuple(derive_seed(master_seed, i, INPUT_STREAM) for i in range(J))
-    noise_seeds = tuple(derive_seed(master_seed, i, NOISE_STREAM) for i in range(J))
-    u = np.stack(
-        [generate_periodic_input(model.P, N, model.nu, seed) for seed in input_seeds]
-    )
+        raise ConfigError(f"need J >= P*n_u = {model.P * model.nu} experiments, got J={J}")
+    seeds = derive_seed(master_seed, np.arange(J)[:, None], [INPUT_STREAM, NOISE_STREAM])
+    rngs = _generators(seeds.ravel())
+    u = np.empty((J, N * model.P, model.nu))
+    for i in range(J):
+        rngs[2 * i + INPUT_STREAM].standard_normal(out=u[i])
     y = simulate_steady_state(model, u)
-    for i, seed in enumerate(noise_seeds):
-        y[i] = add_noise(y[i], sigma, seed)
-    return Ensemble(u, y, model.P, N, input_seeds, noise_seeds, sigma)
+    for i in range(J if sigma else 0):
+        y[i] += sigma * rngs[2 * i + NOISE_STREAM].standard_normal(y[i].shape)
+    return Ensemble(u, y, model.P, N, *map(tuple, seeds.T.tolist()), sigma)
 
 
 @dataclass(frozen=True)

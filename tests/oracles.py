@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the package against.
 
 Nothing in ``ltpsid`` calls these: a sample-by-sample simulator for the
-lifted steady state, the monodromy at any tag time, first-order moving
-average (MA(1)) measurement noise for the coloured-noise checks, and the
-harness that samples the response estimator's bias and cross-frequency
-correlation.
+lifted steady state, the monodromy at any tag time, the per-experiment
+input and noise recipe that the batched ``collect_ensemble`` must equal bit
+for bit, first-order moving average (MA(1)) measurement noise for the
+coloured-noise checks, and the harness that samples the response
+estimator's bias and cross-frequency correlation.
 """
 
 from __future__ import annotations
@@ -47,12 +48,31 @@ def monodromy(model: LtpModel, t: int = 0) -> np.ndarray:
     return _monodromies(np.asarray(model.A))[t % model.P]
 
 
+def generate_periodic_input(P: int, N: int, n_u: int, seed: int) -> np.ndarray:
+    """One full period of excitation: (N*P, n_u) i.i.d. standard normal entries."""
+    if P < 1 or N < 1 or n_u < 1:
+        raise ConfigError(f"P, N, n_u must be >= 1, got {(P, N, n_u)}")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((N * P, n_u))
+
+
+def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """Add zero-mean i.i.d. Gaussian measurement noise of std ``sigma`` per channel."""
+    if not 0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be a finite number >= 0, got {sigma}")
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if sigma == 0:
+        return y.copy()
+    rng = np.random.default_rng(seed)
+    return y + sigma * rng.standard_normal(y.shape)
+
+
 def add_ma_noise(y: np.ndarray, sigma: float, seed: int, theta: float) -> np.ndarray:
     """Add zero-mean Gaussian noise of marginal std ``sigma``, coloured by MA(1).
 
     The noise is the first-order moving average
     ``(e(t) + theta*e(t-1)) / sqrt(1 + theta^2)`` of the i.i.d. draws
-    ``signal.add_noise`` would add under the same seed, which keeps the
+    ``add_noise`` would add under the same seed, which keeps the
     marginal variance at ``sigma^2`` but introduces one-lag correlation in time.
     """
     if not 0 <= sigma < np.inf:

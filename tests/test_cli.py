@@ -162,6 +162,15 @@ def test_identify_numerical_failure_exits_4(tmp_path, capsys, example1_norm):
     assert "etfe" in capsys.readouterr().err
 
 
+def test_sweep_all_trials_failed_exits_4_and_writes_nothing(tmp_path, capsys):
+    code = run(["sweep", "--model", "example2", "--normalize", "--Ns", "4,8", "--trials", 3,
+                "--nx", 2, "--sigma", 3, "--q", 4, "--r", 4, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "all 3 trials failed at N=4" in err and "stage 'estimate_B'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _assert_config_exit(code, capsys, needle):
     err = capsys.readouterr().err
     assert code == 2

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ltpsid import evaluation
-from ltpsid.errors import BlockRangeExceeded, ConfigError, DegenerateReference, DimensionMismatch
+from ltpsid.errors import (
+    BlockRangeExceeded,
+    ConfigError,
+    DegenerateReference,
+    DimensionMismatch,
+    NumericalPipelineError,
+)
 from ltpsid.evaluation import (
     MonteCarloConfig,
     consistency_sweep,
@@ -198,6 +204,22 @@ def test_consistency_sweep_noisy_slope_negative(example1_norm):
     sweep = consistency_sweep(example1_norm, [16, 64], config=cfg)
     assert sweep.slope < -0.4
     assert len(sweep.median_mse) == 2
+
+
+def test_consistency_sweep_all_trials_failed_is_numerical(example2_norm):
+    # At N = 4 every trial fails in the B fit: the sweep fails numerically,
+    # naming N, the failure count and the first trial's own error.
+    cfg = MonteCarloConfig(J=30, N=4, sigma=3.0, trials=3, q=4, r=4, n_x=2, seed=0)
+    with pytest.raises(
+        NumericalPipelineError,
+        match=r"all 3 trials failed at N=4; cannot fit a slope; trial 0: stage 'estimate_B'",
+    ):
+        consistency_sweep(example2_norm, [4, 8], config=cfg)
+
+
+def test_monte_carlo_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        MonteCarloConfig(J=4, N=4, sigma=0.0, trials=1, q=2, r=2, n_x=1, seed=-1)
 
 
 def test_etfe_error_stats_noise_free_bias(example1_norm):

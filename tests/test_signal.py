@@ -9,16 +9,15 @@ from ltpsid.model import LiftedFrequencyResponse, LtpModel, impulse_response, is
 from ltpsid.signal import (
     Ensemble,
     LiftedSpectra,
-    add_noise,
     assemble_spectra,
     collect_ensemble,
     INPUT_STREAM,
     NOISE_STREAM,
+    _generators,
     derive_seed,
-    generate_periodic_input,
     simulate_steady_state,
 )
-from oracles import add_ma_noise, ma_ensemble, simulate
+from oracles import add_ma_noise, add_noise, generate_periodic_input, ma_ensemble, simulate
 
 
 def test_input_deterministic_given_seed():
@@ -195,6 +194,13 @@ def test_add_noise_rejects_sigma_not_finite_nonnegative(example1_norm, sigma):
         collect_ensemble(example1_norm, J=2, N=4, sigma=sigma, master_seed=0)
 
 
+def test_collect_ensemble_checks_sigma_before_any_work():
+    # The sigma check comes before the stability check of the simulation.
+    unstable = LtpModel(A=(2 * np.eye(1),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
+    with pytest.raises(ConfigError, match="sigma must be a finite number >= 0, got nan"):
+        collect_ensemble(unstable, J=1, N=4, sigma=np.nan, master_seed=0)
+
+
 def test_add_noise_variance_at_scale():
     y = np.zeros((100_000, 1))
     for sigma in (0.5, 2.0):
@@ -257,6 +263,75 @@ def test_collect_ensemble_deterministic(example2_norm):
     a = collect_ensemble(example2_norm, J=3, N=4, sigma=0.5, master_seed=9)
     b = collect_ensemble(example2_norm, J=3, N=4, sigma=0.5, master_seed=9)
     np.testing.assert_array_equal(a.y, b.y)
+
+
+_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100, 2**200 + 7] + [
+    int(m) for m in np.random.default_rng(31).integers(0, 2**64, 200, dtype=np.uint64)
+]
+
+
+def _seed_sequence(*entropy):
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1, np.uint64)[0])
+
+
+def test_derive_seed_equals_seed_sequence_bit_for_bit():
+    for master in _MASTERS:
+        for indices in [(), (0,), (7,), (2**32 - 1,), (3, INPUT_STREAM), (3, NOISE_STREAM)]:
+            seed = derive_seed(master, *indices)
+            assert type(seed) is int and seed == _seed_sequence(master, *indices)
+        grid = derive_seed(master, np.arange(5)[:, None], [INPUT_STREAM, NOISE_STREAM])
+        assert grid.shape == (5, 2) and grid.dtype == np.uint64
+        expected = [[_seed_sequence(master, i, s) for s in (0, 1)] for i in range(5)]
+        assert grid.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "master, indices, needle",
+    [(-3, (0,), "master seed must be >= 0, got -3"),
+     (0, (-1,), r"seed indices must lie in 0..2\*\*32-1"),
+     (0, (2**32, 0), r"seed indices must lie in 0..2\*\*32-1"),
+     (0, (np.array([0, 2**32]),), r"seed indices must lie in 0..2\*\*32-1")],
+)
+def test_derive_seed_rejects_negative_master_and_wide_indices(master, indices, needle):
+    with pytest.raises(ConfigError, match=needle):
+        derive_seed(master, *indices)
+
+
+def test_collect_ensemble_rejects_negative_master_seed(example1_norm):
+    with pytest.raises(ConfigError, match="master seed must be >= 0, got -3"):
+        collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=-3)
+
+
+def test_generators_equal_default_rng_bit_for_bit():
+    seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + [
+        int(s) for s in np.random.default_rng(37).integers(0, 2**64, 496, dtype=np.uint64)
+    ]
+    for seed, rng in zip(seeds, _generators(seeds), strict=True):
+        reference = np.random.default_rng(seed)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        np.testing.assert_array_equal(rng.standard_normal(16), reference.standard_normal(16))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("model_name", ["example1", "example2", "random_p12_mimo"])
+def test_collect_ensemble_equals_per_experiment_recipe(request, model_name, sigma):
+    # The batched ensemble is the per-experiment reference recipe bit for bit:
+    # an input from each input seed, the steady state, noise from each noise seed.
+    if model_name == "random_p12_mimo":
+        model = random_stable_model(12, P=12, nx=4, ny=2, nu=2)
+    else:
+        model = request.getfixturevalue(model_name + "_norm")
+    N = 6
+    for J in (model.P * model.nu, 10 * model.P):
+        ens = collect_ensemble(model, J=J, N=N, sigma=sigma, master_seed=2024 + J)
+        input_seeds = tuple(_seed_sequence(2024 + J, i, INPUT_STREAM) for i in range(J))
+        noise_seeds = tuple(_seed_sequence(2024 + J, i, NOISE_STREAM) for i in range(J))
+        u = np.stack([generate_periodic_input(model.P, N, model.nu, s) for s in input_seeds])
+        y = simulate_steady_state(model, u)
+        y = np.stack([add_noise(y_i, sigma, s) for y_i, s in zip(y, noise_seeds)])
+        assert (ens.input_seeds, ens.noise_seeds) == (input_seeds, noise_seeds)
+        np.testing.assert_array_equal(ens.u, u)
+        np.testing.assert_array_equal(ens.y, y)
 
 
 def test_derive_seed_roles_and_indices_distinct():

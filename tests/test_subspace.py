@@ -31,7 +31,6 @@ from ltpsid.signal import (
     Ensemble,
     assemble_spectra,
     collect_ensemble,
-    generate_periodic_input,
 )
 from ltpsid.subspace import (
     _aliased_lags,
