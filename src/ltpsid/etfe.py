@@ -2,7 +2,7 @@
 
 With J experiments the lifted input/output spectra at each grid frequency
 form (P*n_u, J) and (P*n_y, J) matrices; the frequency response estimate
-is the least-squares solution G_hat = Y_tilde @ pinv(U_tilde): exact when
+is the least-squares solution G_hat = Y_tilde @ U_tilde^+ (pseudo-inverse): exact when
 J = P*n_u and the minimum-residual fit when J is larger. Real data give a
 conjugate-symmetric response, ``G[N-k] = conj(G[k])``, so it is estimated
 and kept on the half grid k = 0..N//2 only.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateReference, DimensionMismatch, NumericalPipelineError
 from .model import LtpModel, impulse_table
-from .signal import collect_ensemble, derive_seed
+from .signal import _master_seed, collect_ensemble, derive_seed
 from .subspace import identify
 
 __all__ = [
@@ -97,8 +97,7 @@ class MonteCarloConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.J < 1 or self.N < 1 or self.n_g < 1:
             raise ConfigError("J, N, n_g must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _master_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -198,10 +198,11 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
     try:
         u, y = (np.stack(signals) for signals in zip(*records))
     except ValueError as exc:
-        raise ConfigError(
-            f"{manifest_path}: experiments differ in length or channel counts, "
-            f"or there are none: {exc}"
+        raise DataError(
+            f"{manifest_path}: experiments differ in length or channel counts: {exc}"
         ) from exc
+    if u.shape[1] != N * P:
+        raise DataError(f"{manifest_path}: records have length {u.shape[1]}, expected N*P={N * P}")
     input_seeds = tuple(entry.get("input") for entry in seeds)
     noise_seeds = tuple(entry.get("noise") for entry in seeds)
     return Ensemble(u, y, P, N, input_seeds, noise_seeds, float(sigma))

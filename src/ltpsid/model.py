@@ -226,7 +226,8 @@ def markov_rows(A, C, max_lag: int, N: int | None = None) -> np.ndarray:
 
 
 def _input_times(P: int, max_lag: int) -> np.ndarray:
-    """(P, max_lag) array: the time ``(t - r) mod P`` of the input behind tag t, lag r."""
+    """(P, max_lag) array: the time ``(t - r) mod P`` of the input behind tag t, lag r.
+    The one tag/lag to input-slot map: impulse tables, aliasing and the B fit index by it."""
     return (np.arange(P)[:, None] - np.arange(1, max_lag + 1)[None, :]) % P
 
 

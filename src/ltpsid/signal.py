@@ -73,6 +73,15 @@ def _seed_state(entropy_words: np.ndarray, n_words: int) -> np.ndarray:
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)  # low word first
 
 
+def _master_seed(value) -> int:
+    """``value`` as an int master seed: a Python or numpy integer >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"master seed must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"master seed must be >= 0, got {value}")
+    return int(value)
+
+
 def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
     """``SeedSequence([master_seed, *indices]).generate_state(1, np.uint64)[0]``.
 
@@ -81,9 +90,7 @@ def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
     its input and noise from indices ``(i, INPUT_STREAM)`` and ``(i, NOISE_STREAM)``, and
     trial t of a study runs on the master ``derive_seed(master, t)``.
     """
-    master = int(master_seed)
-    if master < 0:
-        raise ConfigError(f"master seed must be >= 0, got {master}")
+    master = _master_seed(master_seed)
     index = [np.asarray(i) for i in indices]
     if any(np.any((i < 0) | (i > _WORD)) for i in index):
         raise ConfigError(f"seed indices must lie in 0..2**32-1, got {indices}")
@@ -191,6 +198,8 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
         raise ConfigError(f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}")
     if u.shape[-1] != model.nu:
         raise ConfigError(f"input has {u.shape[-1]} channels, model expects {model.nu}")
+    if u.size == 0:
+        raise ConfigError(f"patterns must hold at least one sample, got shape {u.shape}")
     if u.shape[-2] % model.P != 0:
         raise LengthNotDivisible(f"pattern length {u.shape[-2]} not divisible by P={model.P}")
     lifted = lift_model(model)

@@ -14,11 +14,11 @@ The pipeline runs in fixed stages:
 5. shift-invariance recovery of the (P, n_x, n_x) A and (P, n_y, n_x) C,
 6. least-squares fit of the (P, n_x, n_u) B to the aliased impulse response.
 
-Stages 2 and 3 are single fancy-index scatters and gathers; stages 4 to 6
-run batched SVDs and pseudo-inverses with no loop, the B fit taking its
-regressors from ``model.markov_rows``, the one periodic Markov kernel.
-``identify`` chains the stages from an ensemble of experiments and tags
-any numerical stage failure with the stage name.
+Stages 2 and 3 are single fancy-index gathers, stages 2 and 6 indexing by
+``model._input_times``; stages 4 to 6 run one batched SVD each with no loop,
+the B fit taking its regressors from ``model.markov_rows``, the one periodic
+Markov kernel. ``identify`` chains the stages from an ensemble of
+experiments and tags any numerical stage failure with the stage name.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     BlockRangeExceeded,
     ConfigError,
     IllConditioned,
+    NumericalPipelineError,
     OrderTooLarge,
     PipelineError,
     ShiftRankDeficient,
@@ -40,6 +41,7 @@ from .etfe import etfe
 from .model import (
     LiftedFrequencyResponse,
     LtpModel,
+    _input_times,
     _stability,
     markov_rows,
 )
@@ -69,48 +71,26 @@ def idft_blocks(response: LiftedFrequencyResponse) -> np.ndarray:
     return np.fft.irfft(response.G, n=response.N, axis=0)
 
 
-def _aliased_lags(P: int, N: int) -> np.ndarray:
-    """Lag in 1..N*P where IDFT block (l, m) at index n lands, as a (P, N, P) array."""
-    l, n, m = np.ix_(np.arange(P), np.arange(N), np.arange(P))
-    return (n * P + l - m - 1) % (N * P) + 1
-
-
-def _input_slots(P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``t, s`` over (input time beta, tag t), with s = (t - beta - 1) mod P:
-    ``table.reshape(P, N, P, -1)[t, :, s]`` lists a (P, N*P) (tag t, lag r = j*P + s + 1)
-    table in (beta, t, j) order, since tag t meets input time (t - r) mod P at lag r."""
-    beta, t = np.ix_(np.arange(P), np.arange(P))
-    return t, (t - beta - 1) % P
-
-
 def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> np.ndarray:
     """Rearrange real IDFT blocks into the time-aliased periodic impulse response.
 
-    Block (l, m) at IDFT index n lands at tag time l and lag
-    ``n*P + l - m``, shifted up by one record length ``N*P`` when that lag
-    is not positive. For each tag time the N*P pairs (n, m) map onto the
-    N*P lags one to one, so a single scatter fills the whole
-    (P, N*P, n_y, n_u) table.
+    Tag time t meets input slot ``m = (t - r) mod P`` at lag r (``model._input_times``),
+    and block (t, m) holds that lag at IDFT index ``n = ((r - t + m) mod N*P) / P``, so
+    one gather fills the (P, N*P, n_y, n_u) table. P < 1 raises ``ConfigError``.
     """
     blocks = np.asarray(blocks)
+    if P < 1:
+        raise ConfigError(f"period P must be >= 1, got {P}")
     if np.iscomplexobj(blocks):
         raise ConfigError("blocks must be real; take them from idft_blocks")
     if blocks.ndim != 3 or blocks.shape[0] != N:
-        raise ConfigError(
-            f"blocks must have shape (N, P*ny, P*nu) with N={N}, got {blocks.shape}"
-        )
+        raise ConfigError(f"blocks must have shape (N={N}, P*ny, P*nu), got {blocks.shape}")
     if blocks.shape[1] % P or blocks.shape[2] % P:
-        raise ConfigError(
-            f"block array width/height {blocks.shape[1:]} not divisible by P={P}"
-        )
-    ny = blocks.shape[1] // P
-    nu = blocks.shape[2] // P
-    h = np.empty((P, N * P, ny, nu))
-    tags = np.arange(P)[:, None, None]
-    h[tags, _aliased_lags(P, N) - 1] = (
-        blocks.reshape(N, P, ny, P, nu).transpose(1, 0, 3, 2, 4)
-    )
-    return h
+        raise ConfigError(f"block array height/width {blocks.shape[1:]} not divisible by P={P}")
+    ny, nu = blocks.shape[1] // P, blocks.shape[2] // P
+    t, r, m = np.arange(P)[:, None], np.arange(1, N * P + 1), _input_times(P, N * P)
+    n = ((r - t + m) % (N * P)) // P
+    return blocks.reshape(N, P, ny, P, nu)[n, t, :, m]
 
 
 def build_hankels(h: np.ndarray, q: int, r: int) -> np.ndarray:
@@ -167,17 +147,22 @@ def estimate_AC(bases: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray]:
     onto this basis with its first block row dropped; the transition matrix
     is the least-squares solution of that relation, and the output matrix
     is the first block row. Returns the A and C stacks, (P, order, order)
-    and (P, n_y, order).
+    and (P, n_y, order). An order above (q-1)*n_y raises ``OrderTooLarge``;
+    one SVD of the shifted bases gives both the rank check and the solve.
     """
     bases = np.asarray(bases)
+    if bases.shape[2] > bases.shape[1] - ny:
+        raise OrderTooLarge(f"order {bases.shape[2]} exceeds the shift-invariance bound "
+                            f"(q-1)*ny = {bases.shape[1] - ny}; lower the order or raise q")
     top = np.roll(bases, -1, axis=0)[:, :-ny]
-    if top.shape[1] < bases.shape[2]:
-        raise ShiftRankDeficient(0)
     # top is part of an orthonormal basis, so its singular values are <= 1.
-    deficient = np.linalg.svd(top, compute_uv=False)[:, -1] <= 1e-12
+    u, s, vt = np.linalg.svd(top, full_matrices=False)
+    deficient = s[:, -1] <= 1e-12
     if deficient.any():
         raise ShiftRankDeficient(int(np.argmax(deficient)))
-    return np.linalg.pinv(top) @ bases[:, ny:], bases[:, :ny]
+    # The pseudo-inverse product exactly as numpy forms it, from the SVD above.
+    A = vt.swapaxes(-1, -2) @ ((1 / s)[..., None] * u.swapaxes(-1, -2)) @ bases[:, ny:]
+    return A, bases[:, :ny]
 
 
 def estimate_B(
@@ -211,7 +196,8 @@ def estimate_B(
     if max_lag != N * P:
         raise ConfigError(f"aliased response must hold N*P = {N * P} lags, got {max_lag}")
     rows = markov_rows(A, C_est, max_lag, N)
-    tag, slot = _input_slots(P)
+    # Index [beta, t]: the lag offset at which tag t meets input time beta.
+    tag, slot = np.arange(P), _input_times(P, P).argsort(axis=1).T
     G = rows.reshape(P, N, P, -1)[tag, :, slot].reshape(P, -1, nx)
     T = h.reshape(P, N, P, -1)[tag, :, slot].reshape(P, -1, nu)
     u, s, vt = np.linalg.svd(G, full_matrices=False)
@@ -263,9 +249,10 @@ def identify(
     Stages: lift and transform the data, estimate the lifted frequency
     response, invert it to the aliased impulse response, build the periodic
     Hankel stack (q = r = floor((N*P + 1)/2) by default), select the order,
-    and recover A, C by shift invariance and B by least squares. A
-    ``ConfigError`` (bad block counts, or an order above (q-1)*n_y) propagates
-    as it is; other stage errors become a ``PipelineError`` naming the stage.
+    and recover A, C by shift invariance and B by least squares. A numerical
+    stage failure (a ``NumericalPipelineError`` or ``LinAlgError``) becomes a
+    ``PipelineError`` naming the stage; any other error, such as the
+    ``OrderTooLarge`` of an order above (q-1)*n_y, propagates as it is.
     """
     balanced = (ensemble.N * ensemble.P + 1) // 2
     q = balanced if q is None else q
@@ -278,9 +265,7 @@ def identify(
     def run(stage: str, fn, *args):
         try:
             return fn(*args)
-        except ConfigError:
-            raise
-        except Exception as exc:
+        except (NumericalPipelineError, np.linalg.LinAlgError) as exc:
             raise PipelineError(stage, exc) from exc
 
     spectra = run("assemble_spectra", assemble_spectra, ensemble)
@@ -289,9 +274,6 @@ def identify(
     h_est = run("assemble_aliased", assemble_aliased, blocks, ensemble.P, ensemble.N)
     hankels = run("build_hankels", build_hankels, h_est, q, r)
     bases, svals, counts = run("svd_order", svd_order, hankels, n_x, order_threshold)
-    if bases.shape[-1] > (q - 1) * ensemble.ny:
-        raise OrderTooLarge(f"order {bases.shape[-1]} exceeds the shift-invariance bound "
-                            f"(q-1)*ny = {(q - 1) * ensemble.ny}; lower the order or raise q")
     A_est, C_est = run("estimate_AC", estimate_AC, bases, ensemble.ny)
     B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est, ensemble.N)
     return IdentificationResult(

@@ -4,8 +4,10 @@ Nothing in ``ltpsid`` calls these: a sample-by-sample simulator for the
 lifted steady state, the monodromy at any tag time, the per-experiment
 input and noise recipe that the batched ``collect_ensemble`` must equal bit
 for bit, first-order moving average (MA(1)) measurement noise for the
-coloured-noise checks, and the harness that samples the response
-estimator's bias and cross-frequency correlation.
+coloured-noise checks, the harness that samples the response
+estimator's bias and cross-frequency correlation, and the index maps that
+scattered the IDFT blocks and gathered the B-fit rows before both became
+gathers over ``model._input_times``.
 """
 
 from __future__ import annotations
@@ -188,3 +190,17 @@ def _pooled_correlation(centered: np.ndarray, k: int, m: int) -> float:
     if denom == 0.0:
         return 0.0
     return float(xr @ yr / denom)
+
+
+def _aliased_lags(P: int, N: int) -> np.ndarray:
+    """Lag in 1..N*P where IDFT block (l, m) at index n lands, as a (P, N, P) array."""
+    l, n, m = np.ix_(np.arange(P), np.arange(N), np.arange(P))
+    return (n * P + l - m - 1) % (N * P) + 1
+
+
+def _input_slots(P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``t, s`` over (input time beta, tag t), with s = (t - beta - 1) mod P:
+    ``table.reshape(P, N, P, -1)[t, :, s]`` lists a (P, N*P) (tag t, lag r = j*P + s + 1)
+    table in (beta, t, j) order, since tag t meets input time (t - r) mod P at lag r."""
+    beta, t = np.ix_(np.arange(P), np.arange(P))
+    return t, (t - beta - 1) % P

@@ -108,6 +108,20 @@ def test_identify_non_integer_manifest_count_exits_3(tmp_path, capsys, example1_
         assert f"manifest.json: {needle}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["N", "P"])
+def test_manifest_disagreeing_with_its_files_exits_3(tmp_path, capsys, example1_norm, key):
+    # The files hold N*P = 8 samples each; a manifest declaring another N or P is a data fault.
+    manifest = save_ensemble(
+        collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=1), tmp_path / "ens"
+    )
+    doc = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**doc, key: doc[key] + 1}))
+    code = run(["identify", manifest, "--order", 2, "--out", tmp_path / "id"])
+    assert code == 3
+    assert "manifest.json: records have length 8" in capsys.readouterr().err
+    assert not (tmp_path / "id").exists()
+
+
 @pytest.mark.parametrize("reader", ["model", "manifest", "experiment", "config", "csv-field"])
 def test_non_utf8_file_exits_3_naming_it(tmp_path, capsys, example1_norm, reader):
     # Byte 0xE9 (Latin-1 "e acute") is not UTF-8; every reader reports bad data, not a

@@ -222,6 +222,12 @@ def test_monte_carlo_config_rejects_negative_seed():
         MonteCarloConfig(J=4, N=4, sigma=0.0, trials=1, q=2, r=2, n_x=1, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [np.nan, 2.5, True])
+def test_monte_carlo_config_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ConfigError, match="master seed must be an integer"):
+        MonteCarloConfig(J=4, N=4, sigma=0.0, trials=1, q=2, r=2, n_x=1, seed=seed)
+
+
 def test_etfe_error_stats_noise_free_bias(example1_norm):
     stats = etfe_error_stats(
         example1_norm, trials=3, N=8, J=6, sigma=0.0, seed=2, n_pairs=4

@@ -185,7 +185,7 @@ def test_ensemble_files_must_agree_in_shape(example1_norm, tmp_path):
     manifest = save_ensemble(ens, tmp_path)
     path = tmp_path / "experiment_0001.csv"
     path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")
-    with pytest.raises(ConfigError, match="differ in length or channel counts"):
+    with pytest.raises(DataError, match="manifest.json: experiments differ in length"):
         load_ensemble(manifest)
 
 

@@ -181,6 +181,12 @@ def test_steady_state_rejects_bad_length(example1):
         simulate_steady_state(example1, np.ones((5, 1)))
 
 
+@pytest.mark.parametrize("shape", [(0, 1), (3, 0, 1), (0, 4, 1)])
+def test_steady_state_rejects_empty_patterns(example1, shape):
+    with pytest.raises(ConfigError, match="at least one sample"):
+        simulate_steady_state(example1, np.zeros(shape))
+
+
 def test_add_noise_sigma_zero_unchanged():
     y = np.arange(12.0).reshape(6, 2)
     np.testing.assert_array_equal(add_noise(y, 0.0, seed=1), y)
@@ -295,6 +301,21 @@ def test_derive_seed_equals_seed_sequence_bit_for_bit():
 def test_derive_seed_rejects_negative_master_and_wide_indices(master, indices, needle):
     with pytest.raises(ConfigError, match=needle):
         derive_seed(master, *indices)
+
+
+@pytest.mark.parametrize("master", [2.5, np.nan, "7", True, None])
+def test_derive_seed_rejects_a_master_that_is_not_an_integer(example1_norm, master):
+    # Without the check 2.5 seeds as 2, True as 1 and "7" as 7.
+    with pytest.raises(ConfigError, match="master seed must be an integer"):
+        derive_seed(master, 0)
+    with pytest.raises(ConfigError, match="master seed must be an integer"):
+        collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=master)
+
+
+def test_derive_seed_takes_numpy_integer_masters():
+    for master in (np.uint64(5), np.int32(5)):
+        assert derive_seed(master) == derive_seed(5)
+        assert derive_seed(master, np.arange(3)).tolist() == derive_seed(5, np.arange(3)).tolist()
 
 
 def test_collect_ensemble_rejects_negative_master_seed(example1_norm):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import impulse_series_oracle, random_stable_model, with_shared_input
+from ltpsid import subspace
 from ltpsid.errors import (
     BlockRangeExceeded,
     ConfigError,
@@ -16,7 +17,7 @@ from ltpsid.errors import (
     UnstableEstimate,
 )
 from ltpsid.etfe import etfe
-from ltpsid.evaluation import fit_metric
+from ltpsid.evaluation import MonteCarloConfig, fit_metric, monte_carlo
 from ltpsid.model import (
     LiftedFrequencyResponse,
     LtpModel,
@@ -33,8 +34,6 @@ from ltpsid.signal import (
     collect_ensemble,
 )
 from ltpsid.subspace import (
-    _aliased_lags,
-    _input_slots,
     assemble_aliased,
     build_hankels,
     estimate_AC,
@@ -43,7 +42,7 @@ from ltpsid.subspace import (
     idft_blocks,
     svd_order,
 )
-from oracles import monodromy
+from oracles import _aliased_lags, _input_slots, monodromy
 
 
 def _extended_observability(model, tau, q):
@@ -150,7 +149,7 @@ def test_assemble_index_arithmetic_p2_marker():
 @pytest.mark.parametrize("N", [2, 4, 8])
 def test_assemble_bijection_exhaustive(P, N):
     # For every tag the index map sends the N*P pairs (n, m) onto the lags
-    # 1..N*P one to one, so the single scatter fills every slot exactly once.
+    # 1..N*P one to one, so the gather fills every slot exactly once.
     lags = _aliased_lags(P, N)
     for l in range(P):
         np.testing.assert_array_equal(np.sort(lags[l].ravel()), np.arange(1, N * P + 1))
@@ -174,6 +173,25 @@ def test_assemble_bijection_exhaustive(P, N):
                 seen.add((l, lag))
     assert len(seen) == P * N * P  # all slots hit exactly once across (l, m, n)
     assert np.all(table != 0)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 12])
+@pytest.mark.parametrize("N", [1, 4, 50])
+def test_assemble_gather_equals_the_old_scatter(P, N):
+    # Reference: the scatter through the (n, l, m) -> lag map the gather replaced.
+    ny, nu = 2, 3
+    blocks = np.random.default_rng(100 * P + N).standard_normal((N, P * ny, P * nu))
+    scattered = np.empty((P, N * P, ny, nu))
+    scattered[np.arange(P)[:, None, None], _aliased_lags(P, N) - 1] = (
+        blocks.reshape(N, P, ny, P, nu).transpose(1, 0, 3, 2, 4)
+    )
+    assert np.array_equal(assemble_aliased(blocks, P=P, N=N), scattered)
+
+
+@pytest.mark.parametrize("P", [0, -1])
+def test_assemble_rejects_period_below_one(P):
+    with pytest.raises(ConfigError, match=f"period P must be >= 1, got {P}"):
+        assemble_aliased(np.zeros((4, 2, 2)), P=P, N=4)
 
 
 def test_assemble_pipeline_matches_closed_form(example1_norm):
@@ -363,9 +381,10 @@ def test_estimate_AC_noise_free_pipeline_eigenvalues(example1_norm):
 
 
 def test_estimate_AC_shift_rank_deficient():
-    # One block row and two states: dropping a row leaves a 0-row matrix.
+    # One block row and two states: dropping a row leaves a 0-row matrix,
+    # so the order exceeds the shift-invariance bound.
     bases = (np.array([[1.0, 0.0]]),)
-    with pytest.raises(ShiftRankDeficient):
+    with pytest.raises(OrderTooLarge, match=r"\(q-1\)\*ny = 0"):
         estimate_AC(bases, ny=1)
 
 
@@ -463,6 +482,19 @@ def test_by_input_time_is_the_stable_argsort_of_input_times(P, N):
     t, s = _input_slots(P)
     flat = np.arange(P * N * P).reshape(P, N, P)[t, :, s]
     np.testing.assert_array_equal(flat.ravel(), reference)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 12])
+@pytest.mark.parametrize("N", [1, 4, 50])
+def test_estimate_B_slot_index_equals_input_slots(P, N):
+    # estimate_B's (beta, t) lag offsets, read off the input-time map, gather
+    # a (tag, lag) table exactly as the old closed-form slot index did.
+    table = np.random.default_rng(100 * P + N).standard_normal((P, N * P, 2))
+    t, s = _input_slots(P)
+    slot = _input_times(P, P).argsort(axis=1).T
+    np.testing.assert_array_equal(slot, np.broadcast_to(s, (P, P)))
+    gathered = table.reshape(P, N, P, -1)[np.arange(P), :, slot]
+    assert np.array_equal(gathered, table.reshape(P, N, P, -1)[t, :, s])
 
 
 def _estimate_B_per_beta(A, C, h, N):
@@ -567,6 +599,21 @@ def test_identify_config_errors_not_wrapped(example1_norm):
         with pytest.raises(ConfigError) as excinfo:
             identify(ens, **kwargs)
         assert not isinstance(excinfo.value, PipelineError)
+
+
+def test_identify_programming_errors_not_recorded_as_numerical(example1_norm, monkeypatch):
+    # Only numerical failures become a PipelineError (and so a recorded
+    # trial failure); a bug in a stage propagates as it is.
+    def broken(*args):
+        raise TypeError("broken stage")
+
+    monkeypatch.setattr(subspace, "build_hankels", broken)
+    ens = collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=3)
+    with pytest.raises(TypeError, match="broken stage"):
+        identify(ens, q=4, r=4, n_x=2)
+    cfg = MonteCarloConfig(J=4, N=8, sigma=0.1, trials=3, q=4, r=4, n_x=2, seed=1)
+    with pytest.raises(TypeError, match="broken stage"):
+        monte_carlo(example1_norm, cfg, jobs=1)
 
 
 def test_identify_infeasible_blocks(example1_norm):
