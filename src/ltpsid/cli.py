@@ -2,13 +2,15 @@
 
 Subcommands: ``simulate``, ``identify``, ``evaluate``, ``montecarlo``,
 ``sweep``, ``fixtures``. Every option that a JSON config file may also set
-is declared once, in ``_OPTIONS``: its type, built-in default and help.
-A value comes from its flag, else the ``--config`` file, else that default;
-each subcommand takes the flags of only the options it reads. Every command
-is reproducible: the same inputs and seed produce byte-identical output
-files. Outputs go to ``out``, which defaults to a per-command directory
-under ``$LTPSID_OUT`` (or the working directory) and is created only once
-the command has results to write.
+is declared once, in ``_OPTIONS``: the check its value must pass, its
+built-in default and its help. Each value in a ``--config`` file is checked
+when the file is read, whichever command runs, and each flag given, even
+one the command then ignores, with the same message; ``main`` then settles
+every option the subcommand takes (flag, else config value, else default)
+on ``args``, where the commands read it. Every command is reproducible: the same inputs and seed
+produce byte-identical output files. Outputs go to ``out``, which defaults
+to a per-command directory under ``$LTPSID_OUT`` (or the working directory)
+and is created only once the command has results to write.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 data error,
 4 numerical pipeline error.
@@ -27,19 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, fixtures
-from .errors import (
-    ConfigError,
-    DataError,
-    LtpsidError,
-    NumericalPipelineError,
-)
-from .evaluation import (
-    DEFAULT_N_G,
-    MonteCarloConfig,
-    consistency_sweep,
-    fit_metric,
-    monte_carlo,
-)
+from .errors import ConfigError, DataError, LtpsidError, NumericalPipelineError
+from .evaluation import DEFAULT_N_G, MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
 from .model import dc_gain, is_stable
 from .signal import collect_ensemble
 from .subspace import identify
@@ -51,63 +42,8 @@ _EXIT_CONFIG = 2
 _EXIT_DATA = 3
 _EXIT_NUMERICAL = 4
 
-# Each option a flag or config key can set: (argparse type, built-in
-# default, help). The default is None where there is none or it is
-# resolved later. Key ``n_g`` is flag ``--n-g``; bool options are switches.
-_OPTIONS = {
-    "model": (str, None, "fixture name (example1, example2) or model JSON path"),
-    "normalize": (bool, False, "normalize the model (evaluate: the reference "
-                  "model) to average steady-state gain 1"),
-    "N": (int, 50, "periods per record"),
-    "Ns": (str, None, "comma-separated record lengths, e.g. 25,50,100"),
-    "J": (int, None, "number of experiments (default 10*P)"),
-    "sigma": (float, 1.0, "output noise std"),
-    "q": (int, 10, "Hankel block rows"),
-    "r": (int, 10, "Hankel block columns"),
-    "nx": (int, None, "state order of every study estimate"),
-    "order": (str, "auto", "state order, or 'auto' for threshold selection"),
-    "order_tol": (float, 1e-8, "relative singular-value threshold in [0, 1) for --order auto"),
-    "n_g": (int, DEFAULT_N_G, "lag horizon of the fit score"),
-    "trials": (int, 100, "noise realizations per study point"),
-    "seed": (int, 0, "master seed"),
-    "jobs": (int, 1, "parallel trial workers"),
-    "out": (str, None, "output directory (default $LTPSID_OUT/<command>)"),
-}
 
-
-def _out_dir(args, command: str) -> Path:
-    out = _resolve(args, "out")
-    path = Path(os.environ.get("LTPSID_OUT", "."), command) if out is None else Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = fileio.read_file(path, "config file", json.loads)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
-    unknown = set(data) - set(_OPTIONS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if _OPTIONS[key][0] is bool and not isinstance(value, bool):
-            raise ConfigError(f"{path}: {key} must be true or false, got {value!r}")
-    if not isinstance(data.get("out"), (str, type(None))):
-        raise ConfigError(f"{path}: out must be a directory path, got {data['out']!r}")
-    return data
-
-
-def _resolve(args, key: str):
-    """Flag value if given, else config-file value, else built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return args._config.get(key, _OPTIONS[key][1])
-
-
-def _integer(name: str, value, minimum: int = 1) -> int:
+def _count(name: str, value, minimum: int = 1) -> int:
     """``value`` as an int >= ``minimum``; "abc", 2.5, true or None raise ``ConfigError``."""
     try:
         number = int(value)
@@ -131,53 +67,99 @@ def _real(name: str, value) -> float:
     return number
 
 
+def _switch(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _text(kind: str):
+    """Check that a value is a string, naming ``kind`` when it is not."""
+    def check(name: str, value) -> str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        return value
+    return check
+
+
+def _order(name: str, value) -> int | str:
+    return value if value == "auto" else _count(f"{name} (an integer or 'auto')", value)
+
+
+def _lengths(name: str, value) -> list[int]:
+    """Record lengths from "25,50" or [25, 50]."""
+    if isinstance(value, str):
+        value = [s for s in value.split(",") if s.strip()]
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a comma-separated string or a list, got {value!r}")
+    return [_count(f"{name} entry", n) for n in value]
+
+
+# Each option a flag or config key can set: (check, built-in default, help).
+# A check takes the key and a flag string or JSON value and returns the
+# settled value or raises ``ConfigError``. The default is None where there
+# is none or the command fills it in. Key ``n_g`` is flag ``--n-g``; the
+# ``_switch`` options are switches.
+_OPTIONS = {
+    "model": (_text("a fixture name or model JSON path"), None,
+              "fixture name (example1, example2) or model JSON path"),
+    "normalize": (_switch, False, "normalize the model (evaluate: the reference "
+                  "model) to average steady-state gain 1"),
+    "N": (_count, 50, "periods per record"),
+    "Ns": (_lengths, None, "comma-separated record lengths, e.g. 25,50,100"),
+    "J": (_count, None, "number of experiments (default 10*P)"),
+    "sigma": (_real, 1.0, "output noise std"),
+    "q": (_count, 10, "Hankel block rows"),
+    "r": (_count, 10, "Hankel block columns"),
+    "nx": (_count, None, "state order of every study estimate"),
+    "order": (_order, "auto", "state order, or 'auto' for threshold selection"),
+    "order_tol": (_real, 1e-8, "relative singular-value threshold in [0, 1) for --order auto"),
+    "n_g": (_count, DEFAULT_N_G, "lag horizon of the fit score"),
+    "trials": (_count, 100, "noise realizations per study point"),
+    "seed": (functools.partial(_count, minimum=0), 0, "master seed"),
+    "jobs": (_count, 1, "parallel trial workers"),
+    "out": (_text("a directory path"), None, "output directory (default $LTPSID_OUT/<command>)"),
+}
+
+
+def _out_dir(args, command: str) -> Path:
+    path = Path(os.environ.get("LTPSID_OUT", "."), command) if args.out is None else Path(args.out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _load_config_file(path: str | None) -> dict:
+    """Every non-null value of the JSON config file at ``path``, checked."""
+    if path is None:
+        return {}
+    data = fileio.read_file(path, "config file", json.loads)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config file must hold a JSON object")
+    unknown = set(data) - set(_OPTIONS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    return {key: _OPTIONS[key][0](key, value) for key, value in data.items() if value is not None}
+
+
 def _get_model(args):
-    source = _resolve(args, "model")
-    if source is None:
+    if args.model is None:
         raise ConfigError("no model given; use --model FIXTURE_NAME_OR_PATH")
-    if not isinstance(source, str):
-        raise ConfigError(f"model must be a fixture name or model JSON path, got {source!r}")
-    return fixtures.resolve_model(source, normalize=_resolve(args, "normalize"))
+    return fixtures.resolve_model(args.model, normalize=args.normalize)
 
 
-def _parse_order(args) -> tuple[int | None, float | None]:
-    order = _resolve(args, "order")
-    if order == "auto":
-        return None, _real("order_tol", _resolve(args, "order_tol"))
-    return _integer("order (an integer or 'auto')", order), None
-
-
-def _experiments(args, model) -> int:
-    """Number of experiments J: flag or config value, else 10 * P."""
-    J = _resolve(args, "J")
-    return _integer("J", 10 * model.P if J is None else J)
-
-
-def _study_config(args, model) -> MonteCarloConfig:
-    nx = _resolve(args, "nx")
-    if nx is None:
+def _study_config(args, model, N: int) -> MonteCarloConfig:
+    if args.nx is None:
         raise ConfigError("studies need a known order; pass --nx")
     return MonteCarloConfig(
-        J=_experiments(args, model),
-        N=_integer("N", _resolve(args, "N")),
-        sigma=_real("sigma", _resolve(args, "sigma")),
-        trials=_integer("trials", _resolve(args, "trials")),
-        q=_integer("q", _resolve(args, "q")),
-        r=_integer("r", _resolve(args, "r")),
-        n_x=_integer("nx", nx),
-        seed=_integer("seed", _resolve(args, "seed"), minimum=0),
-        n_g=_integer("n_g", _resolve(args, "n_g")),
+        J=args.J or 10 * model.P, N=N, sigma=args.sigma, trials=args.trials,
+        q=args.q, r=args.r, n_x=args.nx, seed=args.seed, n_g=args.n_g,
     )
 
 
 def _cmd_simulate(args) -> int:
     model = _get_model(args)
     ensemble = collect_ensemble(
-        model,
-        J=_experiments(args, model),
-        N=_integer("N", _resolve(args, "N")),
-        sigma=_real("sigma", _resolve(args, "sigma")),
-        master_seed=_integer("seed", _resolve(args, "seed"), minimum=0),
+        model, J=args.J or 10 * model.P, N=args.N, sigma=args.sigma, master_seed=args.seed
     )
     manifest = fileio.save_ensemble(ensemble, _out_dir(args, "simulate"))
     print(f"wrote {ensemble.J} experiments and manifest to {manifest}")
@@ -186,18 +168,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_identify(args) -> int:
     ensemble = fileio.load_ensemble(args.manifest)
-    n_x, threshold = _parse_order(args)
-    result = identify(
-        ensemble,
-        q=_integer("q", _resolve(args, "q")),
-        r=_integer("r", _resolve(args, "r")),
-        n_x=n_x,
-        order_threshold=threshold,
-    )
+    auto = args.order == "auto"
+    result = identify(ensemble, q=args.q, r=args.r, n_x=None if auto else args.order,
+                      order_threshold=args.order_tol if auto else None)
     out = _out_dir(args, "identify")
-    fileio.save_identification_result(
-        result, out / "model.json", out / "diagnostics.json"
-    )
+    fileio.save_identification_result(result, out / "model.json", out / "diagnostics.json")
     if args.export_response:
         fileio.export_frequency_response(result.response, out / "response.csv")
     print(
@@ -208,9 +183,9 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    true_model = fixtures.resolve_model(args.true, normalize=_resolve(args, "normalize"))
+    true_model = fixtures.resolve_model(args.true, normalize=args.normalize)
     est_model = fixtures.resolve_model(args.est)
-    report = fit_metric(true_model, est_model, n_g=_integer("n_g", _resolve(args, "n_g")))
+    report = fit_metric(true_model, est_model, n_g=args.n_g)
     out = _out_dir(args, "evaluate")
     fileio.write_json(
         {"W": report.W, "mse": report.mse, "n_g": report.n_g,
@@ -224,8 +199,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     model = _get_model(args)
-    config = _study_config(args, model)
-    result = monte_carlo(model, config, jobs=_integer("jobs", _resolve(args, "jobs")))
+    config = _study_config(args, model, args.N)
+    result = monte_carlo(model, config, jobs=args.jobs)
     out = _out_dir(args, "montecarlo")
     fileio.write_montecarlo_csv(result, out / "trials.csv")
     fileio.write_json(result.summary(), out / "summary.json")
@@ -238,20 +213,10 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _get_model(args)
-    Ns = _resolve(args, "Ns")
-    if Ns is None:
+    if not args.Ns:
         raise ConfigError("sweep needs --Ns, a comma-separated list of record lengths")
-    if isinstance(Ns, str):
-        Ns = [s for s in Ns.split(",") if s.strip()]
-    if not isinstance(Ns, list):
-        raise ConfigError(f"Ns must be a comma-separated string or a list, got {Ns!r}")
-    grid = [_integer("Ns entry", n) for n in Ns]
-    sweep = consistency_sweep(
-        model,
-        grid,
-        _study_config(args, model),
-        jobs=_integer("jobs", _resolve(args, "jobs")),
-    )
+    config = _study_config(args, model, args.Ns[0])
+    sweep = consistency_sweep(model, args.Ns, config, jobs=args.jobs)
     out = _out_dir(args, "sweep")
     fileio.write_sweep_csv(sweep, out / "sweep.csv")
     fileio.write_json(
@@ -285,14 +250,14 @@ def _cmd_fixtures(args) -> int:
 def _add_options(parser: argparse.ArgumentParser, *keys: str) -> None:
     """Flags from ``_OPTIONS`` for ``keys`` and ``out``, then ``--config``."""
     for key in (*keys, "out"):
-        typ, default, text = _OPTIONS[key]
+        check, default, text = _OPTIONS[key]
         flag = "--" + key.replace("_", "-")
-        if typ is bool:
+        if check is _switch:
             parser.add_argument(flag, dest=key, action="store_const", const=True, help=text)
             continue
         if default is not None:
             text += f" (default {default})"
-        parser.add_argument(flag, dest=key, type=typ, help=text)
+        parser.add_argument(flag, dest=key, help=text)
     parser.add_argument("--config", help="JSON config file; flags override its values")
 
 
@@ -341,7 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args._config = _load_config_file(args.config)
+        config = _load_config_file(args.config)
+        for key, (check, default, _) in _OPTIONS.items():
+            if key in args:
+                flag = getattr(args, key)
+                setattr(args, key, config.get(key, default) if flag is None else check(key, flag))
         return args.func(args)
     except LtpsidError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,32 +18,29 @@ from .signal import LiftedSpectra
 
 __all__ = ["etfe", "residual_energy", "LiftedFrequencyResponse"]
 
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10  # a grid point with s_min <= RANK_TOL * s_max is rank-deficient
 
 
-def etfe(spectra: LiftedSpectra, rank_tol: float = DEFAULT_RANK_TOL) -> LiftedFrequencyResponse:
+def etfe(spectra: LiftedSpectra) -> LiftedFrequencyResponse:
     """Least-squares estimate of the lifted frequency response of real data.
 
     One batched QR over the half grid k = 0..N//2 factors U_tilde^H = Q R,
     back substitution gives R^{-1}, and G_hat = (Y_tilde Q) R^{-H} there. A
     grid point is rank-deficient, and ``RankDeficient`` names the lowest k,
-    when s_min <= ``rank_tol``*s_max for the singular values of R (those of
+    when s_min <= ``RANK_TOL``*s_max for the singular values of R (those of
     U_tilde). As s_min >= 1/||R^{-1}||_F and s_max <= ||R||_F, the SVD of R
-    runs only if some point fails 1/||R^{-1}||_F > rank_tol*||R||_F. A
-    ``rank_tol`` that is not a finite number >= 0 raises ``ConfigError``.
+    runs only if some point fails 1/||R^{-1}||_F > RANK_TOL*||R||_F.
     """
-    if not 0 <= rank_tol < np.inf:
-        raise ConfigError(f"rank_tol must be a finite number >= 0, got {rank_tol}")
     Q, R = np.linalg.qr(spectra.U.conj().swapaxes(-1, -2))
     R_inv = np.broadcast_to(np.eye(R.shape[-1], dtype=R.dtype), R.shape).copy()
     with np.errstate(all="ignore"):  # an exactly singular R gives inf and NaN
         for i in range(R.shape[-1] - 1, -1, -1):
             R_inv[:, i : i + 1] -= R[:, i : i + 1, i + 1 :] @ R_inv[:, i + 1 :]
             R_inv[:, i] /= R[:, i, i, None]
-        passes = 1 / np.linalg.norm(R_inv, axis=(1, 2)) > rank_tol * np.linalg.norm(R, axis=(1, 2))
+        passes = 1 / np.linalg.norm(R_inv, axis=(1, 2)) > RANK_TOL * np.linalg.norm(R, axis=(1, 2))
     if not passes.all():
         s = np.linalg.svd(R, compute_uv=False)
-        deficient = np.flatnonzero(s[:, -1] <= rank_tol * s[:, 0])
+        deficient = np.flatnonzero(s[:, -1] <= RANK_TOL * s[:, 0])
         if deficient.size:
             raise RankDeficient(int(deficient[0]), float(s[deficient[0], -1]))
     P, N = spectra.P, spectra.N

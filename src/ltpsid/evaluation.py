@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateReference, DimensionMismatch, NumericalPipelineError
 from .model import LtpModel, impulse_table
-from .signal import _master_seed, collect_ensemble, derive_seed
+from .signal import _integer, collect_ensemble, derive_seed
 from .subspace import identify
 
 __all__ = [
@@ -93,11 +93,9 @@ class MonteCarloConfig:
     n_g: int = DEFAULT_N_G
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.J < 1 or self.N < 1 or self.n_g < 1:
-            raise ConfigError("J, N, n_g must be >= 1")
-        _master_seed(self.seed)
+        for name in ("J", "N", "trials", "q", "r", "n_x", "n_g"):
+            _integer(name, getattr(self, name), 1)
+        _integer("master seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

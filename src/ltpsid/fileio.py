@@ -63,8 +63,8 @@ def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
     return path
 
 
-def read_file(path: str | Path, what: str, parse=None):
-    """The UTF-8 text of ``path``, passed through ``parse`` if given.
+def read_file(path: str | Path, what: str, parse):
+    """``parse`` applied to the UTF-8 text of ``path``.
 
     A file that cannot be opened, is not UTF-8, or that ``parse`` rejects
     with a ``ValueError`` or ``csv.Error`` raises ``DataError`` naming the
@@ -72,8 +72,7 @@ def read_file(path: str | Path, what: str, parse=None):
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        return text if parse is None else parse(text)
+            return parse(fh.read())
     except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read {what}: {exc}") from exc
 

@@ -73,25 +73,28 @@ def _seed_state(entropy_words: np.ndarray, n_words: int) -> np.ndarray:
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)  # low word first
 
 
-def _master_seed(value) -> int:
-    """``value`` as an int master seed: a Python or numpy integer >= 0, not a bool."""
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int: a Python or numpy integer >= ``minimum``, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"master seed must be an integer, got {value!r}")
-    if value < 0:
-        raise ConfigError(f"master seed must be >= 0, got {value}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
 def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
     """``SeedSequence([master_seed, *indices]).generate_state(1, np.uint64)[0]``.
 
-    The master is an integer >= 0 and each index lies in 0..2**32-1, else ``ConfigError``;
-    array indices broadcast to a uint64 array of seeds. Experiment i of an ensemble draws
-    its input and noise from indices ``(i, INPUT_STREAM)`` and ``(i, NOISE_STREAM)``, and
-    trial t of a study runs on the master ``derive_seed(master, t)``.
+    The master is an integer >= 0 and each index an integer (of integer dtype, not bool)
+    in 0..2**32-1, else ``ConfigError``; array indices broadcast to a uint64 array of seeds.
+    Experiment i of an ensemble draws its input and noise from indices ``(i, INPUT_STREAM)``
+    and ``(i, NOISE_STREAM)``, and trial t of a study runs on the master
+    ``derive_seed(master, t)``.
     """
-    master = _master_seed(master_seed)
+    master = _integer("master seed", master_seed, 0)
     index = [np.asarray(i) for i in indices]
+    if any(i.dtype.kind not in "iu" for i in index):
+        raise ConfigError(f"seed indices must be integers, got {indices}")
     if any(np.any((i < 0) | (i > _WORD)) for i in index):
         raise ConfigError(f"seed indices must lie in 0..2**32-1, got {indices}")
     # numpy splits an integer into little-endian 32-bit words, at least one.

@@ -202,6 +202,8 @@ def _assert_config_exit(code, capsys, needle):
         (["--order-tol", -1], "order threshold must be a finite number >= 0"),
         (["--order-tol", 2], "order threshold must be a finite number >= 0 and < 1, got 2.0"),
         (["--order", 10], "order 10 exceeds the shift-invariance bound (q-1)*ny = 9"),
+        # A fixed order leaves --order-tol unread; a malformed one still exits 2.
+        (["--order", 2, "--order-tol", "nan"], "order_tol must be a finite number, got 'nan'"),
     ],
 )
 def test_identify_bad_blocks_or_order_exits_2(tmp_path, capsys, example1_norm, flags, needle):
@@ -300,6 +302,41 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command
     capsys.readouterr()
     code = run(argv + ["--config", path, "--out", tmp_path / "o"])
     _assert_config_exit(code, capsys, needle)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identify", "manifest.json"],
+        ["evaluate", "--true", "example1", "--est", "example1"],
+        ["sweep", "--model", "example1", "--Ns", "8,16", "--nx", 2],
+        ["fixtures"],
+    ],
+)
+def test_config_value_the_command_does_not_read_is_checked(tmp_path, capsys, argv):
+    # None of these commands reads N; a malformed N in the config file still exits 2.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": "abc"}))
+    code = run(argv + ["--config", config, "--out", tmp_path / "o"])
+    _assert_config_exit(code, capsys, "N must be an integer >= 1, got 'abc'")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", "abc"), ("N", "2.5"), ("J", "0"), ("sigma", "x"), ("sigma", "nan"), ("seed", "-1")],
+)
+def test_malformed_flag_exits_2_with_the_config_message(tmp_path, capsys, key, value):
+    base = ["simulate", "--model", "example1", "--out", str(tmp_path / "o")]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(base + ["--config", str(config)]) == 2
+    from_config = capsys.readouterr().err
+    assert main(base + [f"--{key}", value]) == 2
+    assert capsys.readouterr().err == from_config
+    assert from_config.startswith(f"error: {key} must be ")
+    assert from_config.endswith(f"got {value!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("normalize", [False, True])

@@ -1,4 +1,6 @@
+import importlib
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from ltpsid.errors import ConfigError, RankDeficient
 from ltpsid.etfe import etfe, residual_energy
 from ltpsid.model import true_lifted_frequency_response
 from ltpsid.signal import Ensemble, LiftedSpectra, assemble_spectra, collect_ensemble
+
+# The module, which the package's ``etfe`` attribute (the function) hides.
+etfe_module = importlib.import_module("ltpsid.etfe")
 
 
 def _noise_free_spectra(model, J, N, seed=7):
@@ -27,17 +32,6 @@ def test_etfe_noise_free_matches_true_response(example1_norm):
     estimate = etfe(spectra)
     truth = true_lifted_frequency_response(example1_norm, 50)
     assert np.max(np.abs(estimate.G - truth.G)) < 1e-7
-
-
-@pytest.mark.parametrize("rank_tol", [np.nan, -1.0, np.inf])
-def test_etfe_rejects_rank_tol_not_finite_nonnegative(example1_norm, rank_tol):
-    # A rank-deficient spectrum: without the check nan and -1 switch the rank
-    # guard off and return an all-NaN response.
-    ens = with_shared_input(
-        collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=2)
-    )
-    with pytest.raises(ConfigError, match="rank_tol must be a finite number >= 0"):
-        etfe(assemble_spectra(ens), rank_tol=rank_tol)
 
 
 def test_etfe_noise_free_square_case(example2_norm):
@@ -79,7 +73,7 @@ def test_etfe_rank_deficient_shared_inputs(example1_norm):
 def test_etfe_rank_deficient_names_the_one_bad_grid_point():
     # Well-conditioned input spectra everywhere except k = 3, where the second
     # row nearly repeats the first (s_min/s_max about 1e-4); the real inputs
-    # are their inverse real DFTs. With rank_tol = 1e-3 only k = 3 fails, and
+    # are their inverse real DFTs. With RANK_TOL = 1e-3 only k = 3 fails, and
     # the singular value reported from R is the one the SVD of U[3] gives.
     P, N, J = 1, 10, 3
     rng = np.random.default_rng(29)
@@ -91,8 +85,8 @@ def test_etfe_rank_deficient_names_the_one_bad_grid_point():
     u = np.fft.irfft(half, n=N, axis=0).transpose(2, 0, 1)
     y = rng.standard_normal((J, N * P, 1))
     spectra = assemble_spectra(Ensemble(u=u, y=y, P=P, N=N))
-    with pytest.raises(RankDeficient) as excinfo:
-        etfe(spectra, rank_tol=1e-3)
+    with patch.object(etfe_module, "RANK_TOL", 1e-3), pytest.raises(RankDeficient) as excinfo:
+        etfe(spectra)
     assert excinfo.value.frequency_index == 3
     s = np.linalg.svd(spectra.U, compute_uv=False)
     assert np.flatnonzero(s[:, -1] <= 1e-3 * s[:, 0]).tolist() == [3]
@@ -113,9 +107,10 @@ def test_etfe_rank_deficient_names_the_one_bad_grid_point():
 @settings(max_examples=200, deadline=None)
 def test_etfe_rank_verdict_matches_svd_of_input_spectrum(seed, m, extra, N, eps, rank_tol, between):
     # Random spectra whose last row, at about a third of the grid points, is
-    # eps away from a combination of the other rows. With rank_tol None it is
-    # taken between 1/kappa_F and 1/cond of one other point, where the
-    # Frobenius bound fails but the point passes: only the SVD fallback decides.
+    # eps away from a combination of the other rows. RANK_TOL is patched to
+    # rank_tol; with rank_tol None it is taken between 1/kappa_F and 1/cond of
+    # one other point, where the Frobenius bound fails but the point passes:
+    # only the SVD fallback decides.
     rng = np.random.default_rng(seed)
     K, J = N // 2 + 1, m + extra
     U = rng.standard_normal((K, m, J)) + 1j * rng.standard_normal((K, m, J))
@@ -133,14 +128,15 @@ def test_etfe_rank_verdict_matches_svd_of_input_spectrum(seed, m, extra, N, eps,
     assume(np.all((margin > 0) | (s[:, 0] == 0)))
     spectra = LiftedSpectra(P=1, N=N, U=U, Y=rng.standard_normal((K, 2, J)))
     deficient = np.flatnonzero(s[:, -1] <= rank_tol * s[:, 0])
-    if deficient.size:
-        with pytest.raises(RankDeficient) as excinfo:
-            etfe(spectra, rank_tol=rank_tol)
-        k = deficient[0]
-        assert excinfo.value.frequency_index == k
-        assert abs(excinfo.value.smallest_singular_value - s[k, -1]) <= 1e-12 * s[k, 0]
-    else:
-        assert np.all(np.isfinite(etfe(spectra, rank_tol=rank_tol).G))
+    with patch.object(etfe_module, "RANK_TOL", rank_tol):
+        if deficient.size:
+            with pytest.raises(RankDeficient) as excinfo:
+                etfe(spectra)
+            k = deficient[0]
+            assert excinfo.value.frequency_index == k
+            assert abs(excinfo.value.smallest_singular_value - s[k, -1]) <= 1e-12 * s[k, 0]
+        else:
+            assert np.all(np.isfinite(etfe(spectra).G))
 
 
 def test_etfe_zero_input_channel_is_rank_deficient_without_warning():

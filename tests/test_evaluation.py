@@ -228,6 +228,25 @@ def test_monte_carlo_config_rejects_a_seed_that_is_not_an_integer(seed):
         MonteCarloConfig(J=4, N=4, sigma=0.0, trials=1, q=2, r=2, n_x=1, seed=seed)
 
 
+_COUNTS = dict(J=4, N=4, trials=2, q=2, r=2, n_x=1, n_g=5)
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+@pytest.mark.parametrize("value", [2.5, True, "2", None, np.float64(2)])
+def test_monte_carlo_config_rejects_a_count_that_is_not_an_integer(name, value):
+    # Without the check trials=2.5 ran 3 trials, trials=True ran 1, and
+    # N=2.5 left monte_carlo as a bare TypeError.
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        MonteCarloConfig(sigma=0.0, seed=0, **{**_COUNTS, name: value})
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_monte_carlo_config_counts_are_at_least_one(name):
+    with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got 0"):
+        MonteCarloConfig(sigma=0.0, seed=0, **{**_COUNTS, name: 0})
+    assert MonteCarloConfig(sigma=0.0, seed=0, **{**_COUNTS, name: np.int64(3)})
+
+
 def test_etfe_error_stats_noise_free_bias(example1_norm):
     stats = etfe_error_stats(
         example1_norm, trials=3, N=8, J=6, sigma=0.0, seed=2, n_pairs=4

@@ -318,6 +318,20 @@ def test_derive_seed_takes_numpy_integer_masters():
         assert derive_seed(master, np.arange(3)).tolist() == derive_seed(5, np.arange(3)).tolist()
 
 
+@pytest.mark.parametrize("index", [2.5, True, np.nan, np.array([0.0, 1.0]), [0, 1.5], "3"])
+def test_derive_seed_rejects_an_index_that_is_not_an_integer(index):
+    # Without the check 2.5 seeds as 2, True as 1, and NaN as whatever the cast gives.
+    with pytest.raises(ConfigError, match="seed indices must be integers"):
+        derive_seed(0, index)
+    with pytest.raises(ConfigError, match="seed indices must be integers"):
+        derive_seed(0, np.arange(2)[:, None], index)
+
+
+def test_derive_seed_takes_numpy_integer_indices():
+    for index in (np.uint32(2), np.int8(2), np.array(2, dtype=np.uint64)):
+        assert derive_seed(0, index) == derive_seed(0, 2)
+
+
 def test_collect_ensemble_rejects_negative_master_seed(example1_norm):
     with pytest.raises(ConfigError, match="master seed must be >= 0, got -3"):
         collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=-3)
