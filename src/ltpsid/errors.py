@@ -1,11 +1,15 @@
-"""Exception types raised across the identification pipeline.
+"""Exception types raised across the identification pipeline, and the two value rules.
 
 Every failure mode surfaced by the library is a subclass of ``LtpsidError``
 so callers (and the CLI) can map them onto exit codes: configuration and
-validation problems, data-format problems, and numerical failures.
+validation problems, data-format problems, and numerical failures. Every
+count passes ``_integer`` and every bounded number ``_real``, argument or file value alike.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 
 class LtpsidError(Exception):
@@ -95,3 +99,20 @@ class PipelineError(NumericalPipelineError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}': {cause}")
+
+
+def _integer(name: str, value, minimum: int, error=ConfigError) -> int:
+    """``value`` as an int: a Python or numpy integer >= ``minimum``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value, low: float, high: float = math.inf, error=ConfigError) -> float:
+    """``value`` as a float: a real number in [low, high), not a bool, so NaN and inf fail."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not low <= value < high:
+        bound = f" and < {high}" if high < math.inf else ""
+        raise error(f"{name} must be a finite number >= {low}{bound}, got {value!r}")
+    return float(value)

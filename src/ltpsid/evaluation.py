@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateReference, DimensionMismatch, NumericalPipelineError
+from .errors import (ConfigError, DegenerateReference, DimensionMismatch, NumericalPipelineError,
+                     _integer)
 from .model import LtpModel, impulse_table
-from .signal import _integer, collect_ensemble, derive_seed
+from .signal import collect_ensemble, derive_seed
 from .subspace import identify
 
 __all__ = [
@@ -57,10 +58,9 @@ def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = DEFAULT_N_G
     all tag times, lags, and scalar channels. A true response whose spread
     about g_bar is at most 1e-15 of its root-mean-square size counts as
     constant: the score is then undefined and ``DegenerateReference`` is
-    raised, whatever the units of the data. ``n_g < 1`` raises ``ConfigError``.
+    raised, whatever the units of the data. ``n_g`` must be an integer >= 1.
     """
-    if n_g < 1:
-        raise ConfigError(f"n_g must be >= 1, got {n_g}")
+    n_g = _integer("n_g", n_g, 1)
     dims = [(model.P, model.ny, model.nu) for model in (true_model, est_model)]
     if dims[0] != dims[1]:
         raise DimensionMismatch(f"models have incompatible (P, ny, nu): {dims[0]} vs {dims[1]}")
@@ -223,12 +223,12 @@ def consistency_sweep(
     """Measure how the impulse-response MSE decays with the record length.
 
     Runs ``config.trials`` noisy identifications at every N of the grid, two
-    or more increasing lengths (the Hankel block counts stay fixed at config.q,
+    or more increasing integers >= 1 (the Hankel block counts stay fixed at config.q,
     config.r), and fits the least-squares slope of log median MSE against log N.
     A configuration error stops the sweep at its first trial, as in ``monte_carlo``;
     all trials at one N failing numerically raise ``NumericalPipelineError``.
     """
-    N_grid = tuple(int(n) for n in N_grid)
+    N_grid = tuple(_integer("N_grid entry", n, 1) for n in N_grid)
     if len(N_grid) < 2 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise ConfigError(f"N grid must be two or more increasing lengths, got {N_grid}")
     results = []

@@ -2,8 +2,9 @@
 
 Floats are written with Python's shortest round-trip representation so
 repeated runs with the same seed produce byte-identical files on any
-platform. Malformed inputs raise ``DataError`` with the offending file
-and location.
+platform. Every writer creates the file's directory. Malformed inputs
+raise ``DataError`` with the offending file and location; counts and sigma
+are checked by the rules of ``errors``, ``_integer`` and ``_real``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _integer, _real
 from .evaluation import MonteCarloResult, SweepResult
 from .model import LiftedFrequencyResponse, LtpModel
 from .signal import Ensemble
@@ -54,13 +55,18 @@ def _text_field(text: str) -> str:
     return text
 
 
-def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
-    """Write ``header`` and the CRLF-joined rows ``body`` in one write, as ``csv.writer`` would."""
+def _write(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as it is, line ends untranslated, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + (body and body + "\r\n"))
+        fh.write(text)
     return path
+
+
+def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
+    """Write ``header`` and the CRLF-joined rows ``body`` in one write, as ``csv.writer`` would."""
+    return _write(path, ",".join(header) + "\r\n" + (body and body + "\r\n"))
 
 
 def read_file(path: str | Path, what: str, parse):
@@ -75,15 +81,6 @@ def read_file(path: str | Path, what: str, parse):
             return parse(fh.read())
     except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read {what}: {exc}") from exc
-
-
-def _json_count(value, key: str, source) -> int:
-    """The JSON value of count ``key``: an integer >= 1 that is not a bool, else ``DataError``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"{source}: {key!r} must be an integer, got {value!r}")
-    if value < 1:
-        raise DataError(f"{source}: {key!r} must be >= 1, got {value}")
-    return value
 
 
 def _matrix_list(mats) -> list:
@@ -104,7 +101,7 @@ def model_to_dict(model: LtpModel) -> dict:
 
 def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
     try:
-        P = _json_count(data["P"], "P", source)
+        P = _integer(f"{source}: 'P'", data["P"], 1, DataError)
         A, B, C = ([np.array(m, dtype=float) for m in data[name]] for name in "ABC")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{source}: malformed model document: {exc}") from exc
@@ -113,7 +110,7 @@ def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
             shapes = [m.shape for m in mats]
             raise DataError(f"{source}: P={P} needs P 2-D {name}-matrices, got shapes {shapes}")
     declared = tuple(
-        _json_count(data.get(key, default), key, source)
+        _integer(f"{source}: {key!r}", data.get(key, default), 1, DataError)
         for key, default in (("nx", A[0].shape[0]), ("ny", C[0].shape[0]), ("nu", B[0].shape[1]))
     )
     try:
@@ -129,10 +126,7 @@ def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
 
 
 def save_model(model: LtpModel, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
-    return path
+    return _write(path, json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> LtpModel:
@@ -164,23 +158,21 @@ def save_ensemble(ensemble: Ensemble, directory: str | Path) -> Path:
         ],
         "files": files,
     }
-    manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return manifest_path
+    return _write(directory / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def load_ensemble(manifest_path: str | Path) -> Ensemble:
     manifest_path = Path(manifest_path)
     manifest = read_file(manifest_path, "manifest", json.loads)
     try:
-        P, N, J = (_json_count(manifest[key], key, manifest_path) for key in "PNJ")
+        P, N, J = (_integer(f"{manifest_path}: {key!r}", manifest[key], 1, DataError)
+                   for key in "PNJ")
         sigma = manifest.get("sigma", 0.0)
         files = manifest["files"]
         seeds = manifest.get("seeds", [{}] * J)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 <= sigma < np.inf:
-        raise DataError(f"{manifest_path}: 'sigma' must be a finite number >= 0, got {sigma!r}")
+    sigma = _real(f"{manifest_path}: 'sigma'", sigma, 0, error=DataError)
     if len(files) != J:
         raise DataError(
             f"{manifest_path}: manifest lists {len(files)} files but J={J}"
@@ -191,7 +183,7 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
             f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})"
         )
     for key, seed in ((key, entry.get(key)) for entry in seeds for key in ("input", "noise")):
-        if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
+        if type(seed) not in (int, type(None)):  # JSON true and false decode as bool
             raise DataError(f"{manifest_path}: {key!r} seed {seed!r} is not an integer or null")
     records = [_read_experiment_csv(manifest_path.parent / name) for name in files]
     try:
@@ -204,7 +196,7 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         raise DataError(f"{manifest_path}: records have length {u.shape[1]}, expected N*P={N * P}")
     input_seeds = tuple(entry.get("input") for entry in seeds)
     noise_seeds = tuple(entry.get("noise") for entry in seeds)
-    return Ensemble(u, y, P, N, input_seeds, noise_seeds, float(sigma))
+    return Ensemble(u, y, P, N, input_seeds, noise_seeds, sigma)
 
 
 def _read_experiment_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +278,7 @@ def save_identification_result(
         "h_reconstruction_error_max": float(np.max(result.h_reconstruction_error)),
         "h_reconstruction_error": result.h_reconstruction_error.tolist(),
     }
-    Path(diagnostics_path).write_text(json.dumps(diagnostics, indent=2) + "\n")
+    _write(diagnostics_path, json.dumps(diagnostics, indent=2) + "\n")
 
 
 def write_montecarlo_csv(result: MonteCarloResult, path: str | Path) -> Path:
@@ -316,7 +308,4 @@ def write_errors_csv(errors: np.ndarray, path: str | Path) -> Path:
 
 
 def write_json(data: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")

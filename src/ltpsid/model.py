@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     NumericalError,
     SingularMatrix,
+    _integer,
 )
 
 __all__ = [
@@ -175,8 +176,7 @@ def impulse_response(model: LtpModel, t: int, r: int) -> np.ndarray:
     the state-matrix product is empty for ``r = 1``. Requires ``r >= 1``
     (the system is strictly causal, so earlier lags are zero).
     """
-    if r < 1:
-        raise ConfigError(f"impulse-response lag must be >= 1, got {r}")
+    r = _integer("lag r", r, 1)
     P = model.P
     M = model.C[t % P]
     for s in range(1, r):
@@ -239,6 +239,7 @@ def _with_inputs(rows: np.ndarray, B) -> np.ndarray:
 
 def impulse_table(model: LtpModel, max_lag: int, N: int | None = None) -> np.ndarray:
     """(P, max_lag, n_y, n_u) table of ``impulse_response(model, t, r)``, aliased with ``N``."""
+    N = N if N is None else _integer("N", N, 1)
     return _with_inputs(markov_rows(model.A, model.C, max_lag, N), model.B)
 
 
@@ -249,10 +250,9 @@ def aliased_impulse_response_true(model: LtpModel, N: int) -> np.ndarray:
     impulse response at tag time t over all lags congruent to ``r`` modulo
     ``N*P``, which has the closed form
     ``C_t (I - Psi_t^N)^{-1} A_{t-1} ... A_{t-r+1} B_{t-r}`` for a stable
-    model with monodromy ``Psi_t``.
+    model with monodromy ``Psi_t``. ``N`` must be an integer >= 1.
     """
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
+    N = _integer("N", N, 1)
     return impulse_table(model, N * model.P, N)
 
 
@@ -329,9 +329,9 @@ def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyRe
 
     Evaluates ``C (zI - A)^{-1} B + D`` of the lifted realization at
     ``z = exp(2*pi*j*k/N)`` for ``k = 0..N//2`` in one batched solve.
+    ``N`` must be an integer >= 1.
     """
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
+    N = _integer("N", N, 1)
     lifted = lift_model(model)
     nx = lifted.A.shape[0]
     z = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)

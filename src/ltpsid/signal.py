@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LengthNotDivisible
+from .errors import ConfigError, DataError, LengthNotDivisible, _integer, _real
 from .model import LtpModel, _inverse_of_identity_minus, _stability, lift_model
 
 __all__ = [
@@ -73,15 +73,6 @@ def _seed_state(entropy_words: np.ndarray, n_words: int) -> np.ndarray:
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)  # low word first
 
 
-def _integer(name: str, value, minimum: int) -> int:
-    """``value`` as an int: a Python or numpy integer >= ``minimum``, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
     """``SeedSequence([master_seed, *indices]).generate_state(1, np.uint64)[0]``.
 
@@ -133,6 +124,7 @@ class Ensemble:
     ``u`` has shape (J, N*P, n_u) and ``y`` shape (J, N*P, n_y); experiment
     i is ``u[i], y[i]``. The seeds (one per experiment, ``None`` when
     unknown) and ``sigma`` record how the experiments were produced.
+    P and N are integers >= 1 and sigma a finite number >= 0, else ``ConfigError``.
     Requires ``J >= P * n_u`` so the lifted input spectrum can have full
     row rank at every frequency.
     """
@@ -146,6 +138,9 @@ class Ensemble:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "P", _integer("P", self.P, 1))
+        object.__setattr__(self, "N", _integer("N", self.N, 1))
+        object.__setattr__(self, "sigma", _real("sigma", self.sigma, 0))
         u = np.asarray(self.u, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if u.ndim != 3 or y.ndim != 3 or u.shape[:2] != y.shape[:2]:
@@ -168,10 +163,8 @@ class Ensemble:
                 raise ConfigError(f"{name} holds {len(seeds)} entries, expected J={self.J}")
             object.__setattr__(self, name, seeds)
         if self.J < self.P * self.nu:
-            raise ConfigError(
-                f"need J >= P*n_u = {self.P * self.nu} experiments for full row-rank "
-                f"excitation, got J={self.J}"
-            )
+            raise ConfigError(f"need J >= P*n_u = {self.P * self.nu} experiments, got J={self.J}; "
+                              "full row-rank excitation needs that many")
 
     @property
     def J(self) -> int:
@@ -234,13 +227,11 @@ def collect_ensemble(
     spectrum full row rank with probability one. Experiment i's input is
     ``default_rng(input_seeds[i]).standard_normal((N*P, n_u))`` and its
     noise ``sigma * default_rng(noise_seeds[i]).standard_normal((N*P, n_y))``.
+    J and N are integers >= 1 and sigma a finite number >= 0, else ``ConfigError``;
+    ``Ensemble`` checks ``J >= P*n_u``.
     """
-    if not 0 <= sigma < np.inf:
-        raise ConfigError(f"sigma must be a finite number >= 0, got {sigma}")
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
-    if J < model.P * model.nu:
-        raise ConfigError(f"need J >= P*n_u = {model.P * model.nu} experiments, got J={J}")
+    sigma = _real("sigma", sigma, 0)
+    J, N = _integer("J", J, 1), _integer("N", N, 1)
     seeds = derive_seed(master_seed, np.arange(J)[:, None], [INPUT_STREAM, NOISE_STREAM])
     rngs = _generators(seeds.ravel())
     u = np.empty((J, N * model.P, model.nu))

@@ -36,6 +36,8 @@ from .errors import (
     PipelineError,
     ShiftRankDeficient,
     UnstableEstimate,
+    _integer,
+    _real,
 )
 from .etfe import etfe
 from .model import (
@@ -76,11 +78,10 @@ def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> np.ndarray:
 
     Tag time t meets input slot ``m = (t - r) mod P`` at lag r (``model._input_times``),
     and block (t, m) holds that lag at IDFT index ``n = ((r - t + m) mod N*P) / P``, so
-    one gather fills the (P, N*P, n_y, n_u) table. P < 1 raises ``ConfigError``.
+    one gather fills the (P, N*P, n_y, n_u) table. P must be an integer >= 1.
     """
     blocks = np.asarray(blocks)
-    if P < 1:
-        raise ConfigError(f"period P must be >= 1, got {P}")
+    P = _integer("period P", P, 1)
     if np.iscomplexobj(blocks):
         raise ConfigError("blocks must be real; take them from idft_blocks")
     if blocks.ndim != 3 or blocks.shape[0] != N:
@@ -100,8 +101,7 @@ def build_hankels(h: np.ndarray, q: int, r: int) -> np.ndarray:
     ``tau`` of the (P, q*n_y, r*n_u) result has block (i, j) equal to the
     response at tag time ``tau + i`` (cyclic) and lag ``i + j + 1``.
     """
-    if q < 1 or r < 1:
-        raise ConfigError(f"block counts must be >= 1, got q={q}, r={r}")
+    q, r = _integer("q", q, 1), _integer("r", r, 1)
     P, max_lag, ny, nu = h.shape
     if q + r - 1 > max_lag:
         raise BlockRangeExceeded(
@@ -120,20 +120,17 @@ def svd_order(
     matrix's largest singular value; the order is the maximum count over tag
     times) must be given. Returns the (P, q*n_y, order) leading left singular
     vectors, the (P, min(q*n_y, r*n_u)) descending spectra, and the
-    per-tag-time counts above the threshold (None at a fixed order). A
-    ``threshold`` that is not a number in [0, 1) raises ``ConfigError``.
+    per-tag-time counts above the threshold (None at a fixed order). An
+    ``n_x`` that is not an integer >= 1, or a ``threshold`` that is not a
+    number in [0, 1), raises ``ConfigError``.
     """
     if (n_x is None) == (threshold is None):
         raise ConfigError("specify exactly one of n_x or threshold")
-    if threshold is not None and not 0 <= threshold < 1:
-        raise ConfigError(f"order threshold must be a finite number >= 0 and < 1, got {threshold}")
+    order = None if n_x is None else _integer("n_x", n_x, 1)
+    threshold = None if threshold is None else _real("order threshold", threshold, 0, 1)
     U, s, _ = np.linalg.svd(hankels, full_matrices=False)
-    counts = None
-    if threshold is not None:
-        counts = np.sum(s > threshold * s[:, :1], axis=1)
-        order = int(counts.max())
-    else:
-        order = int(n_x)
+    counts = None if threshold is None else np.sum(s > threshold * s[:, :1], axis=1)
+    order = int(counts.max()) if order is None else order
     if order < 1 or order > s.shape[1]:
         raise OrderTooLarge(f"order {order} outside 1..min(q*ny, r*nu) = {s.shape[1]}")
     return U[..., :order], s, counts
@@ -248,15 +245,16 @@ def identify(
 
     Stages: lift and transform the data, estimate the lifted frequency
     response, invert it to the aliased impulse response, build the periodic
-    Hankel stack (q = r = floor((N*P + 1)/2) by default), select the order,
-    and recover A, C by shift invariance and B by least squares. A numerical
-    stage failure (a ``NumericalPipelineError`` or ``LinAlgError``) becomes a
-    ``PipelineError`` naming the stage; any other error, such as the
-    ``OrderTooLarge`` of an order above (q-1)*n_y, propagates as it is.
+    Hankel stack (integer q, r >= 1; q = r = floor((N*P + 1)/2) by default),
+    select the order, and recover A, C by shift invariance and B by least
+    squares. A numerical stage failure (a ``NumericalPipelineError`` or
+    ``LinAlgError``) becomes a ``PipelineError`` naming the stage; any other
+    error, such as the ``OrderTooLarge`` of an order above (q-1)*n_y,
+    propagates as it is.
     """
     balanced = (ensemble.N * ensemble.P + 1) // 2
-    q = balanced if q is None else q
-    r = balanced if r is None else r
+    q = balanced if q is None else _integer("q", q, 1)
+    r = balanced if r is None else _integer("r", r, 1)
     if q + r - 1 > ensemble.N * ensemble.P:
         raise BlockRangeExceeded(
             f"q+r-1 = {q + r - 1} exceeds record length N*P = {ensemble.N * ensemble.P}"

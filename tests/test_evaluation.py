@@ -187,6 +187,16 @@ def test_consistency_sweep_requires_increasing_grid(example1_norm, monkeypatch):
             consistency_sweep(example1_norm, grid, config=cfg)
 
 
+def test_consistency_sweep_rejects_a_length_that_is_not_an_integer(example1_norm, monkeypatch):
+    # 25.5 is not rounded to a length: the sweep stops before its first study.
+    studies = []
+    monkeypatch.setattr(evaluation, "monte_carlo", lambda *args, **kw: studies.append(args))
+    cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=10, r=10, n_x=2, seed=0)
+    with pytest.raises(ConfigError, match="^N_grid entry must be an integer, got 25.5$"):
+        consistency_sweep(example1_norm, [25.5, 50], config=cfg)
+    assert studies == []
+
+
 def test_consistency_sweep_infeasible_N_rejected(example1_norm):
     cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=10, r=10, n_x=2, seed=0)
     with pytest.raises(ConfigError):

@@ -299,6 +299,44 @@ def test_identification_result_files(example1_norm, tmp_path):
     assert diag["h_reconstruction_error_max"] < 1e-8
 
 
+def test_identification_result_files_go_to_separate_new_directories(example1_norm, tmp_path):
+    # Each writer creates its own file's directory, and writes the same bytes wherever it is.
+    ens = collect_ensemble(example1_norm, J=8, N=16, sigma=0.0, master_seed=3)
+    result = identify(ens, q=6, r=6, n_x=2)
+    save_identification_result(result, tmp_path / "a" / "model.json", tmp_path / "b" / "d.json")
+    save_identification_result(result, tmp_path / "model.json", tmp_path / "d.json")
+    for name in ("model.json", "d.json"):
+        written = (tmp_path / name).read_bytes()
+        assert written.endswith(b"}\n") and b"\r" not in written
+    assert (tmp_path / "a" / "model.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+    assert (tmp_path / "b" / "d.json").read_bytes() == (tmp_path / "d.json").read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("P", 2.0), ("N", 8.0), ("sigma", -1.0)])
+def test_ensemble_refuses_what_its_manifest_would_refuse(example1_norm, tmp_path, key, value):
+    # Both go through one rule, so no ensemble is saved that cannot be loaded.
+    ens = collect_ensemble(example1_norm, J=2, N=8, sigma=0.0, master_seed=1)
+    manifest = save_ensemble(ens, tmp_path)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+    with pytest.raises(DataError) as from_file:
+        load_ensemble(manifest)
+    with pytest.raises(ConfigError) as from_library:
+        Ensemble(ens.u, ens.y, **{"P": ens.P, "N": ens.N, "sigma": ens.sigma, key: value})
+    assert str(from_file.value) == f"{manifest}: {key!r}{str(from_library.value)[len(key):]}"
+
+
+def test_numpy_counts_and_sigma_round_trip_as_json_numbers(example1_norm, tmp_path):
+    # Ensemble stores P and N as int: json.dumps cannot write a numpy integer.
+    ens = collect_ensemble(example1_norm, J=2, N=8, sigma=0.5, master_seed=1)
+    numpy_ens = Ensemble(ens.u, ens.y, np.int64(ens.P), np.int32(ens.N),
+                         ens.input_seeds, ens.noise_seeds, np.float64(0.5))
+    assert (type(numpy_ens.P), type(numpy_ens.N), type(numpy_ens.sigma)) == (int, int, float)
+    manifest = save_ensemble(numpy_ens, tmp_path / "numpy")
+    assert manifest.read_bytes() == save_ensemble(ens, tmp_path / "python").read_bytes()
+    loaded = load_ensemble(manifest)
+    assert (loaded.P, loaded.N, loaded.sigma) == (ens.P, ens.N, 0.5)
+
+
 def test_montecarlo_csv_rows(example1_norm, tmp_path):
     cfg = MonteCarloConfig(J=8, N=16, sigma=0.5, trials=3, q=6, r=6, n_x=2, seed=2)
     result = monte_carlo(example1_norm, cfg)

@@ -60,4 +60,4 @@ def test_source_line_budget():
     lines = sum(
         len(path.read_text().splitlines()) for path in Path(ltpsid.__file__).parent.rglob("*.py")
     )
-    assert lines < 2240
+    assert lines < 2239
