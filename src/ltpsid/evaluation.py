@@ -186,8 +186,9 @@ def monte_carlo(
     ``LtpsidError``, such as Hankel blocks longer than the record, leaves
     from the first trial that raises it. With ``jobs > 1`` trials run in
     worker processes; results are identical to the sequential run because
-    every trial's seed is derived up front.
+    every trial's seed is derived up front. ``jobs`` must be an integer >= 1.
     """
+    jobs = _integer("jobs", jobs, 1)
     seeds = derive_seed(config.seed, np.arange(config.trials)).tolist()
     args = ([model] * len(seeds), [config] * len(seeds), range(len(seeds)), seeds)
     if jobs > 1:
@@ -228,6 +229,7 @@ def consistency_sweep(
     A configuration error stops the sweep at its first trial, as in ``monte_carlo``;
     all trials at one N failing numerically raise ``NumericalPipelineError``.
     """
+    jobs = _integer("jobs", jobs, 1)
     N_grid = tuple(_integer("N_grid entry", n, 1) for n in N_grid)
     if len(N_grid) < 2 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise ConfigError(f"N grid must be two or more increasing lengths, got {N_grid}")

@@ -17,7 +17,9 @@ lifted LTI realization, and the exact frequency response of the lifted system.
 Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package, plain or
 aliased, and every block of the lifted realization comes from one kernel,
 ``markov_rows``; it matches the per-entry reference ``impulse_response``
-to within 1e-14 of the largest entry. Impulse-response tables, plain or
+to within 1e-14 of the largest entry. ``markov_rows`` gives every Markov
+row of a table; ``subspace.estimate_B`` takes only its first period and
+extends that by powers of the monodromy. Impulse-response tables, plain or
 aliased, are bare (P, max_lag, n_y, n_u) float arrays whose entry
 ``[t, r-1]`` is tag time t, lag r.
 """
@@ -143,21 +145,22 @@ class Stability(NamedTuple):
     spectral_radius: float
 
 
-def _spectral_radius(A) -> float:
-    """Spectral radius of the monodromy ``Psi_0 = A_{P-1} ... A_0`` of the (P, n, n) stack ``A``."""
+def _spectral_radius(psi: np.ndarray) -> float:
+    """Spectral radius of ``psi[0]``, the first of a (P, n, n) monodromy stack."""
     try:
-        eigs = np.linalg.eigvals(_monodromies(np.asarray(A, dtype=np.float64))[0])
+        eigs = np.linalg.eigvals(psi[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on monodromy matrix: {exc}")
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 
-def _stability(A, error: type[Exception] | None = None, message: str = "") -> Stability:
-    """The one stability rule, spectral radius < 1 (so NaN fails), for the monodromy of ``A``.
+def _stability(psi, error: type[Exception] | None = None, message: str = "") -> Stability:
+    """The one stability rule, spectral radius < 1 (so NaN fails), for the monodromy stack ``psi``.
 
+    Every monodromy of one model has the same eigenvalues, so ``psi[0]`` decides.
     With ``error`` given, failing it raises ``error(message.format(rho=rho))``.
     """
-    rho = _spectral_radius(A)
+    rho = _spectral_radius(psi)
     verdict = Stability(stable=rho < 1.0, spectral_radius=rho)
     if error is not None and not verdict.stable:
         raise error(message.format(rho=rho))
@@ -166,7 +169,7 @@ def _stability(A, error: type[Exception] | None = None, message: str = "") -> St
 
 def is_stable(model: LtpModel) -> Stability:
     """Stability verdict from the spectral radius of the monodromy matrix."""
-    return _stability(model.A)
+    return _stability(_monodromies(np.asarray(model.A)))
 
 
 def impulse_response(model: LtpModel, t: int, r: int) -> np.ndarray:

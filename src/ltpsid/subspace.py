@@ -12,13 +12,16 @@ The pipeline runs in fixed stages:
 4. SVD of the Hankel stack; the leading left singular vectors span the
    extended observability matrix up to an unknown coordinate change,
 5. shift-invariance recovery of the (P, n_x, n_x) A and (P, n_y, n_x) C,
-6. least-squares fit of the (P, n_x, n_u) B to the aliased impulse response.
+6. least-squares fit of the (P, n_x, n_u) B to the aliased impulse response,
+   one problem per input time, from a Q-less QR of regressors and targets.
 
 Stages 2 and 3 are single fancy-index gathers, stages 2 and 6 indexing by
-``model._input_times``; stages 4 to 6 run one batched SVD each with no loop,
-the B fit taking its regressors from ``model.markov_rows``, the one periodic
-Markov kernel. ``identify`` chains the stages from an ensemble of
-experiments and tags any numerical stage failure with the stage name.
+``model._input_times``. Stages 4 and 5 run one batched SVD each with no
+loop; stage 6 runs one batched QR and one batched SVD of its n_x-by-n_x
+triangular blocks. Its regressors are one period of ``model.markov_rows``,
+the one periodic Markov kernel, carried to N periods by powers of the
+monodromy. ``identify`` chains the stages from an ensemble of experiments
+and tags any numerical stage failure with the stage name.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import (
     BlockRangeExceeded,
     ConfigError,
+    DimensionMismatch,
     IllConditioned,
     NumericalPipelineError,
     OrderTooLarge,
@@ -44,6 +48,8 @@ from .model import (
     LiftedFrequencyResponse,
     LtpModel,
     _input_times,
+    _inverse_of_identity_minus,
+    _monodromies,
     _stability,
     markov_rows,
 )
@@ -170,12 +176,19 @@ def estimate_B(
     ``h`` is the (P, N*P, n_y, n_u) aliased response. Each (tag time, lag)
     coefficient is linear in exactly one B matrix, the one at time index
     ``beta = tag - lag`` mod P, so the objective splits into P independent
-    least-squares problems whose regressors are the aliased ``markov_rows``
-    of the estimated A, C. Every beta owns one entry per lag, so the P
-    problems stack, and one SVD of the stacked regressors serves both the
-    condition check and the solve. Returns the (P, n_x, n_u) B stack, the
-    total squared residual, and the fitted aliased response in the layout
-    of ``h``.
+    least-squares problems. The regressor of B_beta holds the aliased
+    Markov rows that meet input time beta. Its first period is one period
+    of ``markov_rows`` started from ``C_t (I - Psi_t^N)^{-1}``, and period j
+    is that one times ``Psi_{beta+1}^j``, filled in by repeated squaring in
+    ceil(log2 N) batched products; one monodromy stack serves the stability
+    check, the resolvent and the powers. Regressors and targets go into one
+    column-major stack whose Q-less QR gives R = [[R11, R12], [0, R22]].
+    R11 has the singular values of the regressor, so one SVD of it serves
+    both the condition check and the solve of R11 B = R12 (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., sec. 5.3). Returns the
+    (P, n_x, n_u) B stack, the total squared residual, and the fitted
+    aliased response in the layout of ``h``. A, C and ``h`` whose P, n_x
+    or n_y disagree raise ``DimensionMismatch``; ``N`` must be an integer >= 1.
 
     An estimated monodromy Psi of spectral radius >= 1 raises
     ``UnstableEstimate`` rather than a warning: the resolvent
@@ -184,29 +197,51 @@ def estimate_B(
     example2 (seed 2024) the three trials this rejects would score
     W = -37, -36 and -32 with B fitted anyway; the median is 73.
     """
-    A = np.asarray(A_est, dtype=np.float64)
-    P, nx = A.shape[:2]
-    _stability(A, UnstableEstimate, "estimated monodromy has spectral radius {rho:.4f} >= 1; "
+    A, C, h = (np.asarray(x, dtype=np.float64) for x in (A_est, C_est, h))
+    if (A.ndim, C.ndim, h.ndim) != (3, 3, 4) or not (
+        A.shape[0] == C.shape[0] == h.shape[0]
+        and A.shape[1] == A.shape[2] == C.shape[2]
+        and C.shape[1] == h.shape[2]
+    ):
+        raise DimensionMismatch(
+            f"estimate_B needs A (P, n_x, n_x), C (P, n_y, n_x) and h (P, N*P, n_y, n_u) "
+            f"of one P, n_x and n_y; got {A.shape}, {C.shape} and {h.shape}"
+        )
+    P, _, ny, nu = h.shape
+    nx, N = A.shape[1], _integer("N", N, 1)
+    if h.shape[1] != N * P:
+        raise ConfigError(f"aliased response must hold N*P = {N * P} lags, got {h.shape[1]}")
+    psi = _monodromies(A)
+    _stability(psi, UnstableEstimate, "estimated monodromy has spectral radius {rho:.4f} >= 1; "
                "cannot form the aliasing resolvent")
-
-    max_lag, nu = h.shape[1], h.shape[3]
-    if max_lag != N * P:
-        raise ConfigError(f"aliased response must hold N*P = {N * P} lags, got {max_lag}")
-    rows = markov_rows(A, C_est, max_lag, N)
+    rows = markov_rows(A, C @ _inverse_of_identity_minus(np.linalg.matrix_power(psi, N)), P)
     # Index [beta, t]: the lag offset at which tag t meets input time beta.
     tag, slot = np.arange(P), _input_times(P, P).argsort(axis=1).T
-    G = rows.reshape(P, N, P, -1)[tag, :, slot].reshape(P, -1, nx)
-    T = h.reshape(P, N, P, -1)[tag, :, slot].reshape(P, -1, nu)
-    u, s, vt = np.linalg.svd(G, full_matrices=False)
+    # Row (j, y, t) of problem beta: period j, output y, tag t; G is stored transposed.
+    stack = np.empty((P, nx + nu, N, ny, P))
+    stack[:, :nx, 0] = rows[tag, slot].transpose(0, 3, 2, 1)
+    stack[:, nx:] = h.reshape(P, N, P, ny, nu)[tag, :, slot].transpose(0, 4, 2, 3, 1)
+    stack = stack.reshape(P, nx + nu, N * P * ny)
+    G, width = stack[:, :nx], P * ny
+    power, done = psi[(tag + 1) % P].swapaxes(1, 2), 1  # (Psi_{beta+1}^done)^T
+    while done < N:
+        step = min(done, N - done)
+        np.matmul(power, G[..., : step * width], out=G[..., done * width : (done + step) * width])
+        done += step
+        if done < N:
+            power = power @ power
+    R = np.linalg.qr(stack.swapaxes(1, 2), mode="r")
+    u, s, vt = np.linalg.svd(R[:, :nx, :nx], full_matrices=False)
     bad = (s[:, -1] <= 0) | (s[:, 0] > REGRESSOR_COND_LIMIT * s[:, -1])
     if bad.any():
         raise IllConditioned(
             f"regressor for input matrix at time {int(np.argmax(bad))} has "
             f"condition number above {REGRESSOR_COND_LIMIT:g}"
         )
-    B = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ T) / s[..., None])
+    B = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ R[:, :nx, nx:]) / s[..., None])
+    fit = (B.swapaxes(1, 2) @ G).reshape(P, nu, N, ny, P)
     h_fit = np.empty(h.shape)
-    h_fit.reshape(P, N, P, -1)[tag, :, slot] = (G @ B).reshape(P, P, N, -1)
+    h_fit.reshape(P, N, P, ny, nu)[tag, :, slot] = fit.transpose(0, 4, 2, 3, 1)
     return B, float(np.sum((h - h_fit) ** 2)), h_fit
 
 

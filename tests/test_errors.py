@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ltpsid.errors import ConfigError, _integer, _real
-from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric
+from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
 from ltpsid.model import (
     aliased_impulse_response_true,
     impulse_response,
@@ -15,7 +15,7 @@ from ltpsid.model import (
     true_lifted_frequency_response,
 )
 from ltpsid.signal import Ensemble, collect_ensemble
-from ltpsid.subspace import assemble_aliased, build_hankels, identify, svd_order
+from ltpsid.subspace import assemble_aliased, build_hankels, estimate_B, identify, svd_order
 
 N = 8
 
@@ -43,6 +43,12 @@ COUNTS = {
     "fit_metric n_g": ("n_g", lambda m, e, h, v: fit_metric(m, m, n_g=v)),
     "consistency_sweep N_grid": ("N_grid entry", lambda m, e, h, v: consistency_sweep(
         m, [v, 50], MonteCarloConfig(J=4, N=N, sigma=0.1, trials=1, q=3, r=3, n_x=2, seed=0))),
+    "monte_carlo jobs": ("jobs", lambda m, e, h, v: monte_carlo(
+        m, MonteCarloConfig(J=4, N=N, sigma=0.1, trials=1, q=3, r=3, n_x=2, seed=0), jobs=v)),
+    "consistency_sweep jobs": ("jobs", lambda m, e, h, v: consistency_sweep(
+        m, [N, 2 * N], MonteCarloConfig(J=4, N=N, sigma=0.1, trials=1, q=3, r=3, n_x=2, seed=0),
+        jobs=v)),
+    "estimate_B N": ("N", lambda m, e, h, v: estimate_B(m.A, m.C, np.zeros((2, 8, 1, 1)), v)),
     "impulse_table N": ("N", lambda m, e, h, v: impulse_table(m, 5, v)),
     "aliased_impulse_response_true N": (
         "N", lambda m, e, h, v: aliased_impulse_response_true(m, v)),

@@ -8,7 +8,9 @@ from ltpsid import subspace
 from ltpsid.errors import (
     BlockRangeExceeded,
     ConfigError,
+    DimensionMismatch,
     IllConditioned,
+    LtpsidError,
     NumericalError,
     OrderTooLarge,
     PipelineError,
@@ -475,6 +477,34 @@ def test_estimate_B_names_first_ill_conditioned_beta():
         estimate_B(A, C, np.zeros((3, 12, 1, 1)), 4)
 
 
+@pytest.mark.parametrize("eps, raises", [(1e-11, False), (1e-13, True)])
+def test_estimate_B_condition_verdict_at_the_limit(eps, raises):
+    # As above, the regressor of B_1 is C_2 = diag(1, eps), of condition 1/eps:
+    # the verdict read off R11 must fall on the same side of the limit as cond.
+    A = np.zeros((3, 2, 2))
+    C = np.stack([np.eye(2), np.eye(2), np.diag([1.0, eps])])
+    h = np.random.default_rng(0).standard_normal((3, 12, 2, 1))
+    if raises:
+        with pytest.raises(IllConditioned, match="at time 1 "):
+            estimate_B(A, C, h, 4)
+    else:
+        assert np.all(np.isfinite(estimate_B(A, C, h, 4)[0]))
+
+
+@pytest.mark.parametrize(
+    "C, h",
+    [
+        ([[[1.0]]] * 2, np.zeros((2, 8, 2, 1))),  # h has n_y = 2, C has 1
+        ([np.ones((1, 2))] * 2, np.zeros((2, 8, 1, 1))),  # C is 2 wide, A is 1
+        ([[[1.0]]] * 2, np.zeros((3, 12, 1, 1))),  # h has P = 3, A and C have 2
+    ],
+    ids=["h-ny", "C-width", "h-P"],
+)
+def test_estimate_B_rejects_shapes_that_disagree(C, h):
+    with pytest.raises(DimensionMismatch, match="estimate_B needs A"):
+        estimate_B([[[0.5]]] * 2, C, h, 4)
+
+
 @pytest.mark.parametrize("P", [1, 2, 3, 12])
 @pytest.mark.parametrize("N", [1, 4, 50])
 def test_by_input_time_is_the_stable_argsort_of_input_times(P, N):
@@ -512,13 +542,19 @@ def _estimate_B_per_beta(A, C, h, N):
     return np.array(B), residual
 
 
-@pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm", "random"])
-def test_estimate_B_matches_per_beta_lstsq(fixture, request):
+@pytest.mark.parametrize(
+    "fixture, N",
+    [pytest.param(name, 10, id=name) for name in ("example1_norm", "example2_norm", "random")]
+    # The identify-mimo size; N = 1 is one period, and 3, 5 end on a part-period step.
+    + [pytest.param("mimo", N, id=f"mimo-N{N}") for N in (1, 3, 5, 50)],
+)
+def test_estimate_B_matches_per_beta_lstsq(fixture, N, request):
     if fixture == "random":
         model = random_stable_model(23, P=3, nx=3, ny=2, nu=2)
+    elif fixture == "mimo":
+        model = random_stable_model(24, P=12, nx=6, ny=2, nu=2)
     else:
         model = request.getfixturevalue(fixture)
-    N = 10
     h = _noisy_aliased_response(model, N, 5)
     B, residual, fitted = estimate_B(model.A, model.C, h, N)
     B_ref, residual_ref = _estimate_B_per_beta(model.A, model.C, h, N)
@@ -663,6 +699,46 @@ def test_identify_covariant_under_period_rotation(sigma, example2):
         np.testing.assert_allclose(
             h_rot, np.roll(h, s, axis=0), rtol=0, atol=1e-12 * np.max(np.abs(h))
         )
+
+
+def _rotation_outcome(ens, **kwargs):
+    """Impulse table, Hankel spectra and threshold counts of ``identify``, or its verdict."""
+    try:
+        result = identify(ens, q=6, r=6, **kwargs)
+    except PipelineError as exc:
+        return f"{exc.stage}: {type(exc.cause).__name__}"
+    except LtpsidError as exc:
+        return type(exc).__name__
+    return impulse_table(result.model, 2 * ens.P), result.singular_values, result.threshold_counts
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sizes=st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)),
+    data=st.data(),
+)
+@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_identify_covariant_under_period_rotation_of_random_models(sigma, seed, sizes, data):
+    # Advancing every record by s samples turns tag t into tag t + s, so
+    # every tag-indexed output rolls by -s; this pins the beta-major
+    # indexing of the B fit and the tag bookkeeping of every stage.
+    P, nx, ny, nu = sizes
+    m = random_stable_model(seed, P=P, nx=nx, ny=ny, nu=nu, rho_max=0.85)
+    s = data.draw(st.integers(1, P - 1), label="shift")
+    ens = collect_ensemble(m, J=2 * P * m.nu, N=16, sigma=sigma, master_seed=seed)
+    rolled = Ensemble(np.roll(ens.u, -s, axis=1), np.roll(ens.y, -s, axis=1), P, ens.N)
+    for kwargs in ({"n_x": m.nx}, {"order_threshold": 0.1}):
+        base, moved = _rotation_outcome(ens, **kwargs), _rotation_outcome(rolled, **kwargs)
+        if isinstance(base, str):
+            assert moved == base
+            continue
+        for x, y in zip(base[:2], moved[:2]):
+            np.testing.assert_allclose(
+                y, np.roll(x, -s, axis=0), rtol=0, atol=1e-12 * np.max(np.abs(x))
+            )
+        if base[2] is not None:
+            np.testing.assert_array_equal(moved[2], np.roll(base[2], -s))
 
 
 @pytest.mark.parametrize("fixture", ["example1_norm", "example2_norm"])
