@@ -27,7 +27,6 @@ from .model import (
     is_stable,
     lift_model,
     normalize_gain,
-    true_lifted_frequency_response,
 )
 from .signal import (
     Ensemble,

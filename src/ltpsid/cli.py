@@ -3,14 +3,16 @@
 Subcommands: ``simulate``, ``identify``, ``evaluate``, ``montecarlo``,
 ``sweep``, ``fixtures``. Every option that a JSON config file may also set
 is declared once, in ``_OPTIONS``: the check its value must pass, its
-built-in default and its help. Each value in a ``--config`` file is checked
-when the file is read, whichever command runs, and each flag given, even
-one the command then ignores, with the same message; ``main`` then settles
-every option the subcommand takes (flag, else config value, else default)
-on ``args``, where the commands read it. Every command is reproducible: the same inputs and seed
-produce byte-identical output files. Outputs go to ``out``, which defaults
-to a per-command directory under ``$LTPSID_OUT`` (or the working directory)
-and is created only once the command has results to write.
+built-in default and its help. A count or number passes a rule of ``errors``
+with the library's range, after ``int`` or ``float`` reads text. Each value
+in a ``--config`` file is checked when the file is read, whichever command
+runs, and each flag given, even one the command then ignores, with the same
+message; ``main`` then settles every option the subcommand takes (flag, else
+config value, else default) on ``args``, where the commands read it. Every
+command is reproducible: the same inputs and seed produce byte-identical
+output files. Outputs go to ``out``, which defaults to a per-command
+directory under ``$LTPSID_OUT`` (or the working directory) and is created
+only once the command has results to write.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 data error,
 4 numerical pipeline error.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, fixtures
-from .errors import ConfigError, DataError, LtpsidError, NumericalPipelineError
+from .errors import ConfigError, DataError, LtpsidError, NumericalPipelineError, _integer, _real
 from .evaluation import DEFAULT_N_G, MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
 from .model import dc_gain, is_stable
 from .signal import collect_ensemble
@@ -43,28 +44,18 @@ _EXIT_DATA = 3
 _EXIT_NUMERICAL = 4
 
 
-def _count(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int >= ``minimum``; "abc", 2.5, true or None raise ``ConfigError``."""
-    try:
-        number = int(value)
-        valid = (isinstance(value, str) or number == value) and number >= minimum
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return number
+def _read(rule, kind, *bounds):
+    """A check: ``rule`` with ``bounds`` once ``kind`` reads text; unreadable text goes as it is."""
+    def check(name: str, value):
+        try:
+            value = kind(value) if isinstance(value, str) else value
+        except ValueError:
+            pass
+        return rule(name, value, *bounds)
+    return check
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a finite float; "x", true, None, nan or inf raise ``ConfigError``."""
-    try:
-        number = float(value)
-        valid = not isinstance(value, bool) and math.isfinite(number)
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return number
+_COUNT = _read(_integer, int, 1)
 
 
 def _switch(name: str, value) -> bool:
@@ -83,7 +74,7 @@ def _text(kind: str):
 
 
 def _order(name: str, value) -> int | str:
-    return value if value == "auto" else _count(f"{name} (an integer or 'auto')", value)
+    return value if value == "auto" else _COUNT(f"{name} (an integer or 'auto')", value)
 
 
 def _lengths(name: str, value) -> list[int]:
@@ -92,7 +83,7 @@ def _lengths(name: str, value) -> list[int]:
         value = [s for s in value.split(",") if s.strip()]
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a comma-separated string or a list, got {value!r}")
-    return [_count(f"{name} entry", n) for n in value]
+    return [_COUNT(f"{name} entry", n) for n in value]
 
 
 # Each option a flag or config key can set: (check, built-in default, help).
@@ -105,19 +96,20 @@ _OPTIONS = {
               "fixture name (example1, example2) or model JSON path"),
     "normalize": (_switch, False, "normalize the model (evaluate: the reference "
                   "model) to average steady-state gain 1"),
-    "N": (_count, 50, "periods per record"),
+    "N": (_COUNT, 50, "periods per record"),
     "Ns": (_lengths, None, "comma-separated record lengths, e.g. 25,50,100"),
-    "J": (_count, None, "number of experiments (default 10*P)"),
-    "sigma": (_real, 1.0, "output noise std"),
-    "q": (_count, 10, "Hankel block rows"),
-    "r": (_count, 10, "Hankel block columns"),
-    "nx": (_count, None, "state order of every study estimate"),
+    "J": (_COUNT, None, "number of experiments (default 10*P)"),
+    "sigma": (_read(_real, float, 0), 1.0, "output noise std"),
+    "q": (_COUNT, 10, "Hankel block rows"),
+    "r": (_COUNT, 10, "Hankel block columns"),
+    "nx": (_COUNT, None, "state order of every study estimate"),
     "order": (_order, "auto", "state order, or 'auto' for threshold selection"),
-    "order_tol": (_real, 1e-8, "relative singular-value threshold in [0, 1) for --order auto"),
-    "n_g": (_count, DEFAULT_N_G, "lag horizon of the fit score"),
-    "trials": (_count, 100, "noise realizations per study point"),
-    "seed": (functools.partial(_count, minimum=0), 0, "master seed"),
-    "jobs": (_count, 1, "parallel trial workers"),
+    "order_tol": (_read(_real, float, 0, 1), 1e-8,
+                  "relative singular-value threshold in [0, 1) for --order auto"),
+    "n_g": (_COUNT, DEFAULT_N_G, "lag horizon of the fit score"),
+    "trials": (_COUNT, 100, "noise realizations per study point"),
+    "seed": (_read(_integer, int, 0), 0, "master seed"),
+    "jobs": (_COUNT, 1, "parallel trial workers"),
     "out": (_text("a directory path"), None, "output directory (default $LTPSID_OUT/<command>)"),
 }
 

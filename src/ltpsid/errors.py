@@ -3,7 +3,8 @@
 Every failure mode surfaced by the library is a subclass of ``LtpsidError``
 so callers (and the CLI) can map them onto exit codes: configuration and
 validation problems, data-format problems, and numerical failures. Every
-count passes ``_integer`` and every bounded number ``_real``, argument or file value alike.
+count passes ``_integer`` and every bounded number ``_real``, library argument,
+file value, flag or config value alike; no other module has a value rule.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Floats are written with Python's shortest round-trip representation so
 repeated runs with the same seed produce byte-identical files on any
 platform. Every writer creates the file's directory. Malformed inputs
-raise ``DataError`` with the offending file and location; counts and sigma
-are checked by the rules of ``errors``, ``_integer`` and ``_real``.
+raise ``DataError`` with the offending file and location; counts, seeds
+and sigma are checked by the rules of ``errors``, ``_integer`` and
+``_real``, and model matrices must hold finite entries.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
         if len(mats) != P or any(m.ndim != 2 for m in mats):
             shapes = [m.shape for m in mats]
             raise DataError(f"{source}: P={P} needs P 2-D {name}-matrices, got shapes {shapes}")
+        bad = [t for t, m in enumerate(mats) if not np.isfinite(m).all()]
+        if bad:
+            raise DataError(f"{source}: {name}[{bad[0]}] has a non-finite entry")
     declared = tuple(
         _integer(f"{source}: {key!r}", data.get(key, default), 1, DataError)
         for key, default in (("nx", A[0].shape[0]), ("ny", C[0].shape[0]), ("nu", B[0].shape[1]))
@@ -173,6 +177,8 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
     sigma = _real(f"{manifest_path}: 'sigma'", sigma, 0, error=DataError)
+    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+        raise DataError(f"{manifest_path}: 'files' must be a list of file names")
     if len(files) != J:
         raise DataError(
             f"{manifest_path}: manifest lists {len(files)} files but J={J}"
@@ -182,9 +188,12 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         raise DataError(
             f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})"
         )
-    for key, seed in ((key, entry.get(key)) for entry in seeds for key in ("input", "noise")):
-        if type(seed) not in (int, type(None)):  # JSON true and false decode as bool
-            raise DataError(f"{manifest_path}: {key!r} seed {seed!r} is not an integer or null")
+    input_seeds, noise_seeds = (
+        tuple(None if entry.get(key) is None
+              else _integer(f"{manifest_path}: {key!r} seed", entry[key], 0, DataError)
+              for entry in seeds)
+        for key in ("input", "noise")
+    )
     records = [_read_experiment_csv(manifest_path.parent / name) for name in files]
     try:
         u, y = (np.stack(signals) for signals in zip(*records))
@@ -194,8 +203,6 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         ) from exc
     if u.shape[1] != N * P:
         raise DataError(f"{manifest_path}: records have length {u.shape[1]}, expected N*P={N * P}")
-    input_seeds = tuple(entry.get("input") for entry in seeds)
-    noise_seeds = tuple(entry.get("noise") for entry in seeds)
     return Ensemble(u, y, P, N, input_seeds, noise_seeds, sigma)
 
 

@@ -13,7 +13,7 @@ any integer ``t`` including negative ones.
 This module provides the model type plus the quantities the identification
 pipeline is checked against: the one stability rule on the monodromy
 matrix, periodic impulse responses, their time-aliased closed form, the
-lifted LTI realization, and the exact frequency response of the lifted system.
+lifted LTI realization, and the type that holds a lifted frequency response.
 Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package, plain or
 aliased, and every block of the lifted realization comes from one kernel,
 ``markov_rows``; it matches the per-entry reference ``impulse_response``
@@ -51,7 +51,6 @@ __all__ = [
     "impulse_table",
     "aliased_impulse_response_true",
     "lift_model",
-    "true_lifted_frequency_response",
     "normalize_gain",
 ]
 
@@ -325,29 +324,6 @@ class LiftedFrequencyResponse:
                 f"got {arr.shape}"
             )
         object.__setattr__(self, "G", arr)
-
-
-def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyResponse:
-    """Exact frequency response of the lifted system on the half grid of N points.
-
-    Evaluates ``C (zI - A)^{-1} B + D`` of the lifted realization at
-    ``z = exp(2*pi*j*k/N)`` for ``k = 0..N//2`` in one batched solve.
-    ``N`` must be an integer >= 1.
-    """
-    N = _integer("N", N, 1)
-    lifted = lift_model(model)
-    nx = lifted.A.shape[0]
-    z = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
-    zIA = z[:, None, None] * np.eye(nx) - lifted.A
-    if nx:
-        singular = ~(np.linalg.cond(zIA) <= 1e14)  # true for nan as well
-        if singular.any():
-            raise SingularMatrix(
-                f"zI - A singular at grid point {int(np.argmax(singular))}; the "
-                "lifted state matrix has an eigenvalue on the unit circle"
-            )
-    G = lifted.C @ np.linalg.solve(zIA, lifted.B[None]) + lifted.D
-    return LiftedFrequencyResponse(P=model.P, N=N, ny=model.ny, nu=model.nu, G=G)
 
 
 def _lifted_dc_response(model: LtpModel) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 Nothing in ``ltpsid`` calls these: a sample-by-sample simulator for the
-lifted steady state, the monodromy at any tag time, the per-experiment
-input and noise recipe that the batched ``collect_ensemble`` must equal bit
-for bit, first-order moving average (MA(1)) measurement noise for the
+lifted steady state, the monodromy at any tag time, the exact frequency
+response of the lifted realization, the per-experiment input and noise
+recipe that the batched ``collect_ensemble`` must equal bit for bit,
+first-order moving average (MA(1)) measurement noise for the
 coloured-noise checks, the harness that samples the response
 estimator's bias and cross-frequency correlation, and the index maps that
 scattered the IDFT blocks and gathered the B-fit rows before both became
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ltpsid.errors import ConfigError
+from ltpsid.errors import ConfigError, SingularMatrix, _integer
 from ltpsid.etfe import etfe
-from ltpsid.model import LtpModel, _monodromies, true_lifted_frequency_response
+from ltpsid.model import LiftedFrequencyResponse, LtpModel, _monodromies, lift_model
 from ltpsid.signal import Ensemble, assemble_spectra, collect_ensemble, derive_seed
 
 
@@ -48,6 +49,29 @@ def monodromy(model: LtpModel, t: int = 0) -> np.ndarray:
     every ``t``.
     """
     return _monodromies(np.asarray(model.A))[t % model.P]
+
+
+def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyResponse:
+    """Exact frequency response of the lifted system on the half grid of N points.
+
+    Evaluates ``C (zI - A)^{-1} B + D`` of the lifted realization at
+    ``z = exp(2*pi*j*k/N)`` for ``k = 0..N//2`` in one batched solve.
+    ``N`` must be an integer >= 1.
+    """
+    N = _integer("N", N, 1)
+    lifted = lift_model(model)
+    nx = lifted.A.shape[0]
+    z = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    zIA = z[:, None, None] * np.eye(nx) - lifted.A
+    if nx:
+        singular = ~(np.linalg.cond(zIA) <= 1e14)  # true for nan as well
+        if singular.any():
+            raise SingularMatrix(
+                f"zI - A singular at grid point {int(np.argmax(singular))}; the "
+                "lifted state matrix has an eigenvalue on the unit circle"
+            )
+    G = lifted.C @ np.linalg.solve(zIA, lifted.B[None]) + lifted.D
+    return LiftedFrequencyResponse(P=model.P, N=N, ny=model.ny, nu=model.nu, G=G)
 
 
 def generate_periodic_input(P: int, N: int, n_u: int, seed: int) -> np.ndarray:

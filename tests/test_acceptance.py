@@ -23,11 +23,10 @@ from ltpsid.model import (
     LtpModel,
     aliased_impulse_response_true,
     impulse_response,
-    true_lifted_frequency_response,
 )
 from ltpsid.signal import collect_ensemble
 from ltpsid.subspace import assemble_aliased, build_hankels, identify, idft_blocks
-from oracles import etfe_error_stats, ma_ensemble, monodromy
+from oracles import etfe_error_stats, ma_ensemble, monodromy, true_lifted_frequency_response
 
 BASELINES = Path(__file__).parent / "baselines" / "montecarlo_baselines.json"
 

@@ -100,7 +100,8 @@ def test_identify_non_integer_manifest_count_exits_3(tmp_path, capsys, example1_
     for patch, needle in [
         ({"N": 4.5}, "'N' must be an integer, got 4.5"),
         ({"P": -3, "N": -8}, "'P' must be >= 1, got -3"),
-        ({"seeds": [{"input": "abc"}, {"noise": 1.5}]}, "'input' seed 'abc' is not an integer"),
+        ({"seeds": [{"input": "abc"}, {"noise": 1.5}]},
+         "'input' seed must be an integer, got 'abc'"),
     ]:
         manifest.write_text(json.dumps({**doc, **patch}))
         code = run(["identify", manifest, "--order", 2, "--out", tmp_path / "id"])
@@ -199,11 +200,14 @@ def _assert_config_exit(code, capsys, needle):
         (["--order", 50], "order 50 outside"),
         (["--order", 0], "order"),
         (["--order", "2.5"], "order"),
-        (["--order-tol", -1], "order threshold must be a finite number >= 0"),
-        (["--order-tol", 2], "order threshold must be a finite number >= 0 and < 1, got 2.0"),
+        (["--order-tol", -1], "order_tol must be a finite number >= 0 and < 1, got -1.0"),
+        (["--order-tol", 2], "order_tol must be a finite number >= 0 and < 1, got 2.0"),
         (["--order", 10], "order 10 exceeds the shift-invariance bound (q-1)*ny = 9"),
-        # A fixed order leaves --order-tol unread; a malformed one still exits 2.
-        (["--order", 2, "--order-tol", "nan"], "order_tol must be a finite number, got 'nan'"),
+        # A fixed order leaves --order-tol unread; a malformed or out-of-range one still exits 2.
+        (["--order", 2, "--order-tol", "nan"],
+         "order_tol must be a finite number >= 0 and < 1, got nan"),
+        (["--order", 2, "--order-tol", 5],
+         "order_tol must be a finite number >= 0 and < 1, got 5.0"),
     ],
 )
 def test_identify_bad_blocks_or_order_exits_2(tmp_path, capsys, example1_norm, flags, needle):
@@ -285,6 +289,8 @@ def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
         ("simulate", {"sigma": float("nan")}, "sigma must be a finite number"),
         ("identify", {"rank_tol": 1e-6}, "unknown config keys: ['rank_tol']"),
         ("simulate", {"model": 5}, "model must be a fixture name or model JSON path"),
+        ("identify", {"sigma": -1}, "error: sigma must be a finite number >= 0, got -1\n"),
+        ("simulate", {"N": 50.0}, "error: N must be an integer, got 50.0\n"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command, config, needle):
@@ -318,24 +324,36 @@ def test_config_value_the_command_does_not_read_is_checked(tmp_path, capsys, arg
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"N": "abc"}))
     code = run(argv + ["--config", config, "--out", tmp_path / "o"])
-    _assert_config_exit(code, capsys, "N must be an integer >= 1, got 'abc'")
+    _assert_config_exit(code, capsys, "N must be an integer, got 'abc'")
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("N", "abc"), ("N", "2.5"), ("J", "0"), ("sigma", "x"), ("sigma", "nan"), ("seed", "-1")],
-)
+# The message of each bad text, which int() or float() reads first where it can.
+_BAD_TEXT = {
+    ("N", "abc"): "N must be an integer, got 'abc'",
+    ("N", "2.5"): "N must be an integer, got '2.5'",
+    ("J", "0"): "J must be >= 1, got 0",
+    ("sigma", "x"): "sigma must be a finite number >= 0, got 'x'",
+    ("sigma", "nan"): "sigma must be a finite number >= 0, got nan",
+    ("seed", "-1"): "seed must be >= 0, got -1",
+    ("sigma", "-1"): "sigma must be a finite number >= 0, got -1.0",
+    ("order_tol", "5"): "order_tol must be a finite number >= 0 and < 1, got 5.0",
+}
+
+
+@pytest.mark.parametrize("key, value", list(_BAD_TEXT))
 def test_malformed_flag_exits_2_with_the_config_message(tmp_path, capsys, key, value):
-    base = ["simulate", "--model", "example1", "--out", str(tmp_path / "o")]
+    # Each value is checked as it is read, before montecarlo asks for --nx
+    # or identify looks for its manifest.
+    command = (["identify", "manifest.json"] if key == "order_tol"
+               else ["montecarlo", "--model", "example1"])
+    base = command + ["--out", str(tmp_path / "o")]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
     assert main(base + ["--config", str(config)]) == 2
     from_config = capsys.readouterr().err
-    assert main(base + [f"--{key}", value]) == 2
-    assert capsys.readouterr().err == from_config
-    assert from_config.startswith(f"error: {key} must be ")
-    assert from_config.endswith(f"got {value!r}\n")
+    assert main(base + [f"--{key.replace('_', '-')}", value]) == 2
+    assert capsys.readouterr().err == from_config == f"error: {_BAD_TEXT[key, value]}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -12,10 +12,10 @@ from ltpsid.model import (
     aliased_impulse_response_true,
     impulse_response,
     impulse_table,
-    true_lifted_frequency_response,
 )
 from ltpsid.signal import Ensemble, collect_ensemble
 from ltpsid.subspace import assemble_aliased, build_hankels, estimate_B, identify, svd_order
+from oracles import true_lifted_frequency_response
 
 N = 8
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_stable_model, with_shared_input
 from ltpsid.errors import ConfigError, RankDeficient
 from ltpsid.etfe import etfe, residual_energy
-from ltpsid.model import true_lifted_frequency_response
 from ltpsid.signal import Ensemble, LiftedSpectra, assemble_spectra, collect_ensemble
+from oracles import true_lifted_frequency_response
 
 # The module, which the package's ``etfe`` attribute (the function) hides.
 etfe_module = importlib.import_module("ltpsid.etfe")

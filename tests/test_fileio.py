@@ -31,9 +31,10 @@ from ltpsid.fileio import (
     write_montecarlo_csv,
     write_sweep_csv,
 )
-from ltpsid.model import LiftedFrequencyResponse, true_lifted_frequency_response
+from ltpsid.model import LiftedFrequencyResponse
 from ltpsid.signal import Ensemble, collect_ensemble
 from ltpsid.subspace import identify
+from oracles import true_lifted_frequency_response
 
 
 def test_model_json_round_trip_exact(example1_norm, tmp_path):
@@ -53,7 +54,8 @@ def test_model_json_declared_dims_checked(tmp_path):
         "P": 1, "nx": 1, "ny": 1, "nu": 1,
         "A": [[[0.5]]], "B": [[[1.0]]], "C": [[[1.0]]],
     }
-    # A count that is not a JSON integer is named, never truncated or read as 1.
+    # A count that is not a JSON integer is named, never truncated or read as 1,
+    # and so is a matrix that holds NaN or an infinity.
     for key, value, needle in [
         ("nx", 3, "declared dimensions"),
         ("P", 1.5, "m.json: 'P' must be an integer, got 1.5"),
@@ -64,6 +66,9 @@ def test_model_json_declared_dims_checked(tmp_path):
         ("nx", -1, "m.json: 'nx' must be >= 1, got -1"),
         ("A", [5], "m.json: P=1 needs P 2-D A-matrices, got shapes [()]"),
         ("C", [[1.0]], "m.json: P=1 needs P 2-D C-matrices, got shapes [(1,)]"),
+        ("A", [[[float("nan")]]], "m.json: A[0] has a non-finite entry"),
+        ("B", [[[float("inf")]]], "m.json: B[0] has a non-finite entry"),
+        ("C", [[[-float("inf")]]], "m.json: C[0] has a non-finite entry"),
     ]:
         with pytest.raises(DataError, match=re.escape(needle)):
             model_from_dict({**doc, key: value}, source="m.json")
@@ -193,8 +198,9 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
     ens = collect_ensemble(example1_norm, J=2, N=3, sigma=0.0, master_seed=1)
     manifest = save_ensemble(ens, tmp_path / "ens")
     doc = json.loads(manifest.read_text())
-    # Counts must be JSON integers and sigma a finite number >= 0: nothing
-    # is truncated, and a bool is not a count.
+    # Counts must be JSON integers, seeds integers >= 0 or null, and sigma a
+    # finite number >= 0: nothing is truncated, and a bool is not a count.
+    # A string of J characters is no list of J file names.
     for key, value, needle in [
         ("J", 5, "manifest lists 2 files but J=5"),
         ("P", 2.9, "'P' must be an integer, got 2.9"),
@@ -208,9 +214,13 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
         ("P", -3, "'P' must be >= 1, got -3"),
         ("N", 0, "'N' must be >= 1, got 0"),
         ("J", 0, "'J' must be >= 1, got 0"),
-        ("seeds", [{"input": "abc"}, {}], "'input' seed 'abc' is not an integer or null"),
-        ("seeds", [{}, {"noise": 1.5}], "'noise' seed 1.5 is not an integer or null"),
-        ("seeds", [{"input": True}, {}], "'input' seed True is not an integer or null"),
+        ("seeds", [{"input": "abc"}, {}], "'input' seed must be an integer, got 'abc'"),
+        ("seeds", [{}, {"noise": 1.5}], "'noise' seed must be an integer, got 1.5"),
+        ("seeds", [{"input": True}, {}], "'input' seed must be an integer, got True"),
+        ("seeds", [{"input": -5}, {}], "'input' seed must be >= 0, got -5"),
+        ("files", 5, "'files' must be a list of file names"),
+        ("files", [{"a": 1}, {}], "'files' must be a list of file names"),
+        ("files", "ab", "'files' must be a list of file names"),
     ]:
         manifest.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(DataError, match=re.escape(f"manifest.json: {needle}")):

@@ -22,11 +22,10 @@ from ltpsid.model import (
     lift_model,
     markov_rows,
     normalize_gain,
-    true_lifted_frequency_response,
 )
 from ltpsid.signal import simulate_steady_state
 from ltpsid.subspace import estimate_B
-from oracles import monodromy
+from oracles import monodromy, true_lifted_frequency_response
 
 
 def test_validate_example1_ok(example1):

@@ -28,7 +28,6 @@ from ltpsid.model import (
     impulse_response,
     impulse_table,
     markov_rows,
-    true_lifted_frequency_response,
 )
 from ltpsid.signal import (
     Ensemble,
@@ -44,7 +43,7 @@ from ltpsid.subspace import (
     idft_blocks,
     svd_order,
 )
-from oracles import _aliased_lags, _input_slots, monodromy
+from oracles import _aliased_lags, _input_slots, monodromy, true_lifted_frequency_response
 
 
 def _extended_observability(model, tau, q):
