@@ -116,7 +116,10 @@ _OPTIONS = {
 
 def _out_dir(args, command: str) -> Path:
     path = Path(os.environ.get("LTPSID_OUT", "."), command) if args.out is None else Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
     return path
 
 

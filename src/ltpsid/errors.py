@@ -5,6 +5,8 @@ so callers (and the CLI) can map them onto exit codes: configuration and
 validation problems, data-format problems, and numerical failures. Every
 count passes ``_integer`` and every bounded number ``_real``, library argument,
 file value, flag or config value alike; no other module has a value rule.
+Both raise ``ConfigError``; a file loader turns it into a ``DataError``
+naming the file.
 """
 
 from __future__ import annotations
@@ -102,18 +104,18 @@ class PipelineError(NumericalPipelineError):
         super().__init__(f"stage '{stage}': {cause}")
 
 
-def _integer(name: str, value, minimum: int, error=ConfigError) -> int:
+def _integer(name: str, value, minimum: int) -> int:
     """``value`` as an int: a Python or numpy integer >= ``minimum``, not a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
-def _real(name: str, value, low: float, high: float = math.inf, error=ConfigError) -> float:
+def _real(name: str, value, low: float, high: float = math.inf) -> float:
     """``value`` as a float: a real number in [low, high), not a bool, so NaN and inf fail."""
     if isinstance(value, bool) or not isinstance(value, Real) or not low <= value < high:
         bound = f" and < {high}" if high < math.inf else ""
-        raise error(f"{name} must be a finite number >= {low}{bound}, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number >= {low}{bound}, got {value!r}")
     return float(value)

@@ -16,7 +16,7 @@ from .errors import ConfigError, RankDeficient
 from .model import LiftedFrequencyResponse
 from .signal import LiftedSpectra
 
-__all__ = ["etfe", "residual_energy", "LiftedFrequencyResponse"]
+__all__ = ["etfe", "residual_energy"]
 
 RANK_TOL = 1e-10  # a grid point with s_min <= RANK_TOL * s_max is rank-deficient
 

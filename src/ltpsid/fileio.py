@@ -3,9 +3,11 @@
 Floats are written with Python's shortest round-trip representation so
 repeated runs with the same seed produce byte-identical files on any
 platform. Every writer creates the file's directory. Malformed inputs
-raise ``DataError`` with the offending file and location; counts, seeds
-and sigma are checked by the rules of ``errors``, ``_integer`` and
-``_real``, and model matrices must hold finite entries.
+raise ``DataError`` with the offending file and location. A loader checks
+only what a file adds: its keys, the number of matrices or file names, and
+declared dimensions or counts. ``LtpModel`` and ``Ensemble`` check the
+values; each loader turns their ``ConfigError`` into one ``DataError``
+naming the file.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _integer, _real
+from .errors import ConfigError, DataError, _integer
 from .evaluation import MonteCarloResult, SweepResult
 from .model import LiftedFrequencyResponse, LtpModel
 from .signal import Ensemble
@@ -102,29 +104,22 @@ def model_to_dict(model: LtpModel) -> dict:
 
 def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
     try:
-        P = _integer(f"{source}: 'P'", data["P"], 1, DataError)
-        A, B, C = ([np.array(m, dtype=float) for m in data[name]] for name in "ABC")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{source}: malformed model document: {exc}") from exc
-    for name, mats in zip("ABC", (A, B, C)):
-        if len(mats) != P or any(m.ndim != 2 for m in mats):
-            shapes = [m.shape for m in mats]
-            raise DataError(f"{source}: P={P} needs P 2-D {name}-matrices, got shapes {shapes}")
-        bad = [t for t, m in enumerate(mats) if not np.isfinite(m).all()]
-        if bad:
-            raise DataError(f"{source}: {name}[{bad[0]}] has a non-finite entry")
-    declared = tuple(
-        _integer(f"{source}: {key!r}", data.get(key, default), 1, DataError)
-        for key, default in (("nx", A[0].shape[0]), ("ny", C[0].shape[0]), ("nu", B[0].shape[1]))
-    )
-    try:
-        model = LtpModel(A=tuple(A), B=tuple(B), C=tuple(C))
+        P = _integer("P", data["P"], 1)
+        mats = {name: data[name] for name in "ABC"}
+        for name, seq in mats.items():
+            if len(seq) != P:
+                raise DataError(f"{source}: P={P} needs P {name}-matrices, got {len(seq)}")
+        model = LtpModel(**mats)
+        shape = {"nx": model.nx, "ny": model.ny, "nu": model.nu}
+        declared = {key: _integer(key, data.get(key, n), 1) for key, n in shape.items()}
     except ConfigError as exc:
         raise DataError(f"{source}: {exc}") from exc
-    if (model.nx, model.ny, model.nu) != declared:
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{source}: malformed model document: {exc}") from exc
+    if declared != shape:
         raise DataError(
-            f"{source}: declared dimensions {declared} do not match matrices "
-            f"{(model.nx, model.ny, model.nu)}"
+            f"{source}: declared dimensions {tuple(declared.values())} do not match matrices "
+            f"{tuple(shape.values())}"
         )
     return model
 
@@ -169,41 +164,30 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
     manifest_path = Path(manifest_path)
     manifest = read_file(manifest_path, "manifest", json.loads)
     try:
-        P, N, J = (_integer(f"{manifest_path}: {key!r}", manifest[key], 1, DataError)
-                   for key in "PNJ")
-        sigma = manifest.get("sigma", 0.0)
-        files = manifest["files"]
-        seeds = manifest.get("seeds", [{}] * J)
-    except (KeyError, TypeError, ValueError) as exc:
+        P, N, J, files = (manifest[key] for key in ("P", "N", "J", "files"))
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    sigma = _real(f"{manifest_path}: 'sigma'", sigma, 0, error=DataError)
-    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
-        raise DataError(f"{manifest_path}: 'files' must be a list of file names")
-    if len(files) != J:
-        raise DataError(
-            f"{manifest_path}: manifest lists {len(files)} files but J={J}"
-        )
-    if not (isinstance(seeds, list) and len(seeds) == J
-            and all(isinstance(entry, dict) for entry in seeds)):
-        raise DataError(
-            f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})"
-        )
-    input_seeds, noise_seeds = (
-        tuple(None if entry.get(key) is None
-              else _integer(f"{manifest_path}: {key!r} seed", entry[key], 0, DataError)
-              for entry in seeds)
-        for key in ("input", "noise")
-    )
-    records = [_read_experiment_csv(manifest_path.parent / name) for name in files]
     try:
-        u, y = (np.stack(signals) for signals in zip(*records))
-    except ValueError as exc:
-        raise DataError(
-            f"{manifest_path}: experiments differ in length or channel counts: {exc}"
-        ) from exc
-    if u.shape[1] != N * P:
-        raise DataError(f"{manifest_path}: records have length {u.shape[1]}, expected N*P={N * P}")
-    return Ensemble(u, y, P, N, input_seeds, noise_seeds, sigma)
+        J = _integer("J", J, 1)
+        seeds = manifest.get("seeds", [{}] * J)
+        if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+            raise DataError(f"{manifest_path}: 'files' must be a list of file names")
+        if len(files) != J:
+            raise DataError(f"{manifest_path}: manifest lists {len(files)} files but J={J}")
+        if not (isinstance(seeds, list) and len(seeds) == J
+                and all(isinstance(entry, dict) for entry in seeds)):
+            raise DataError(f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})")
+        records = [_read_experiment_csv(manifest_path.parent / name) for name in files]
+        try:
+            u, y = (np.stack(signals) for signals in zip(*records))
+        except ValueError as exc:
+            raise DataError(
+                f"{manifest_path}: experiments differ in length or channel counts: {exc}"
+            ) from exc
+        seed_lists = ([entry.get(key) for entry in seeds] for key in ("input", "noise"))
+        return Ensemble(u, y, P, N, *seed_lists, manifest.get("sigma", 0.0))
+    except ConfigError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
 
 
 def _read_experiment_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:

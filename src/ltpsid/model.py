@@ -10,10 +10,12 @@ The system is strictly causal (no feedthrough term). All time indices are
 cyclic: the matrix at time ``t`` is the stored matrix at ``t mod P``, for
 any integer ``t`` including negative ones.
 
-This module provides the model type plus the quantities the identification
-pipeline is checked against: the one stability rule on the monodromy
-matrix, periodic impulse responses, their time-aliased closed form, the
-lifted LTI realization, and the type that holds a lifted frequency response.
+This module provides the model type, the one owner of the rules its
+matrices obey in memory and in a model file, plus the quantities the
+identification pipeline is checked against: the one stability rule on the
+monodromy matrix, periodic impulse responses, their time-aliased closed
+form, the lifted LTI realization, and the type that holds a lifted
+frequency response.
 Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package, plain or
 aliased, and every block of the lifted realization comes from one kernel,
 ``markov_rows``; it matches the per-entry reference ``impulse_response``
@@ -55,11 +57,16 @@ __all__ = [
 ]
 
 
-def _as_matrix_tuple(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _as_matrix_tuple(name: str, mats: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Read-only float copies of ``mats``, each 2-D with no empty dimension and finite."""
     out = []
-    for m in mats:
+    for i, m in enumerate(mats):
         arr = np.array(m, dtype=np.float64)
-        arr = np.atleast_2d(arr)
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise DimensionMismatch(f"{name}[{i}] must be a 2-D matrix with no empty "
+                                    f"dimension, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{name}[{i}] has a non-finite entry")
         arr.flags.writeable = False
         out.append(arr)
     return tuple(out)
@@ -80,14 +87,15 @@ class LtpModel:
     C: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        """Freeze the matrices and check the shapes of all P of them.
+        """Freeze the matrices and check them all, so n_x, n_y and n_u are >= 1.
 
-        Raises ``ConfigError`` if the sequences are empty or of unequal
-        length, else ``DimensionMismatch`` naming the first offending
-        sequence and index.
+        The first matrix that is not 2-D or has an empty dimension raises
+        ``DimensionMismatch``, and the first with a NaN or infinite entry
+        ``ConfigError``, naming it; so do empty or unequal-length sequences
+        (``ConfigError``) and the first disagreeing shape (``DimensionMismatch``).
         """
         for name in ("A", "B", "C"):
-            object.__setattr__(self, name, _as_matrix_tuple(getattr(self, name)))
+            object.__setattr__(self, name, _as_matrix_tuple(name, getattr(self, name)))
         P = len(self.A)
         if P < 1:
             raise ConfigError("model needs at least one set of matrices (P >= 1)")
@@ -150,7 +158,7 @@ def _spectral_radius(psi: np.ndarray) -> float:
         eigs = np.linalg.eigvals(psi[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on monodromy matrix: {exc}")
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    return float(np.max(np.abs(eigs)))
 
 
 def _stability(psi, error: type[Exception] | None = None, message: str = "") -> Stability:
@@ -189,8 +197,6 @@ def impulse_response(model: LtpModel, t: int, r: int) -> np.ndarray:
 def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
     """Invert (I - M) for one matrix or a stack, raising ``SingularMatrix`` if singular."""
     resolvent = np.eye(M.shape[-1]) - M
-    if M.shape[-1] == 0:
-        return resolvent
     cond = float(np.max(np.linalg.cond(resolvent)))
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularMatrix(

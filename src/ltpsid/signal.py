@@ -4,9 +4,10 @@ An experiment drives the system with a periodic input of length ``N*P``
 (N periods of the system's period P) and records one full repetition of
 the steady-state response plus i.i.d. Gaussian measurement noise; the
 steady state is computed exactly from the periodic fixed point of the state.
-Ensembles stack J such experiments in two arrays; ``assemble_spectra``
-lifts them over one period and runs one stacked real DFT to give the
-half-grid data matrices consumed by the frequency-response estimator.
+Ensembles stack J such experiments in two arrays and check their own
+values, in memory as in a manifest; ``assemble_spectra`` lifts them over
+one period and runs one stacked real DFT to give the half-grid data
+matrices consumed by the frequency-response estimator.
 
 All randomized operations are pure functions of their seeds. Seeds and generators
 come from one batched pass of the SeedSequence hash, equal bit for bit to numpy's.
@@ -124,9 +125,10 @@ class Ensemble:
     ``u`` has shape (J, N*P, n_u) and ``y`` shape (J, N*P, n_y); experiment
     i is ``u[i], y[i]``. The seeds (one per experiment, ``None`` when
     unknown) and ``sigma`` record how the experiments were produced.
-    P and N are integers >= 1 and sigma a finite number >= 0, else ``ConfigError``.
-    Requires ``J >= P * n_u`` so the lifted input spectrum can have full
-    row rank at every frequency.
+    P and N are integers >= 1, each seed None or an integer >= 0 (kept as an
+    int) and sigma a finite number >= 0, else ``ConfigError``. Requires
+    ``J >= P * n_u`` so the lifted input spectrum can have full row rank at
+    every frequency. These rules hold in memory as in a manifest.
     """
 
     u: np.ndarray = field(repr=False)
@@ -161,7 +163,8 @@ class Ensemble:
             seeds = (None,) * self.J if seeds is None else tuple(seeds)
             if len(seeds) != self.J:
                 raise ConfigError(f"{name} holds {len(seeds)} entries, expected J={self.J}")
-            object.__setattr__(self, name, seeds)
+            object.__setattr__(self, name, tuple(
+                s if s is None else _integer(f"{name}[{i}]", s, 0) for i, s in enumerate(seeds)))
         if self.J < self.P * self.nu:
             raise ConfigError(f"need J >= P*n_u = {self.P * self.nu} experiments, got J={self.J}; "
                               "full row-rank excitation needs that many")

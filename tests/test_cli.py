@@ -98,10 +98,13 @@ def test_identify_non_integer_manifest_count_exits_3(tmp_path, capsys, example1_
     )
     doc = json.loads(manifest.read_text())
     for patch, needle in [
-        ({"N": 4.5}, "'N' must be an integer, got 4.5"),
-        ({"P": -3, "N": -8}, "'P' must be >= 1, got -3"),
+        ({"N": 4.5}, "N must be an integer, got 4.5"),
+        ({"P": -3, "N": -8}, "P must be >= 1, got -3"),
         ({"seeds": [{"input": "abc"}, {"noise": 1.5}]},
-         "'input' seed must be an integer, got 'abc'"),
+         "input_seeds[0] must be an integer, got 'abc'"),
+        # Fewer experiments than P*n_u = 2 make a bad file too.
+        ({"J": 1, "files": doc["files"][:1], "seeds": doc["seeds"][:1]},
+         "need J >= P*n_u = 2 experiments, got J=1"),
     ]:
         manifest.write_text(json.dumps({**doc, **patch}))
         code = run(["identify", manifest, "--order", 2, "--out", tmp_path / "id"])
@@ -246,12 +249,12 @@ _SWEEP = ["sweep", "--model", "example1", "--normalize", "--Ns", "25,50", "--tri
 @pytest.mark.parametrize(
     "argv, needle",
     [
-        (_MC + ["--sigma", -1], "sigma must be a finite number >= 0, got -1.0"),
+        (_MC + ["--q", 2], "order 2 exceeds the shift-invariance bound (q-1)*ny = 1"),
         (_MC + ["--J", 1], "need J >= P*n_u = 2 experiments, got J=1"),
         (_MC + ["--N", 5], "q+r-1 = 19 exceeds record length N*P = 10"),
         (_MC + ["--nx", 30], "order 30 outside 1..min(q*ny, r*nu) = 10"),
         (_MC + ["--nx", 30, "--jobs", 2], "order 30 outside 1..min(q*ny, r*nu) = 10"),
-        (_SWEEP + ["--sigma", -1], "sigma must be a finite number >= 0, got -1.0"),
+        (_SWEEP + ["--q", 2], "order 2 exceeds the shift-invariance bound (q-1)*ny = 1"),
         (_SWEEP + ["--J", 1], "need J >= P*n_u = 2 experiments, got J=1"),
         (_SWEEP + ["--Ns", "5,10"], "q+r-1 = 19 exceeds record length N*P = 10"),
         (_SWEEP + ["--nx", 30], "order 30 outside 1..min(q*ny, r*nu) = 10"),
@@ -291,13 +294,22 @@ def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
         ("simulate", {"model": 5}, "model must be a fixture name or model JSON path"),
         ("identify", {"sigma": -1}, "error: sigma must be a finite number >= 0, got -1\n"),
         ("simulate", {"N": 50.0}, "error: N must be an integer, got 50.0\n"),
+        # An output directory that a file stands in the way of.
+        ("fixtures", {"out": "file"}, "error: cannot create output directory"),
+        ("fixtures", {"out": "file/sub"}, "error: cannot create output directory"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command, config, needle):
     path = tmp_path / "config.json"
+    (tmp_path / "file").write_text("")
+    out = ["--out", tmp_path / "o"]
+    if "out" in config:  # the row's output directory, under tmp_path
+        config, out = {"out": str(tmp_path / config["out"])}, []
     path.write_text(json.dumps(config))
     if command == "simulate":
         argv = ["simulate"] + ([] if "model" in config else ["--model", "example1"])
+    elif command == "fixtures":
+        argv = ["fixtures"]
     elif command == "evaluate":
         argv = ["evaluate", "--true", "example1", "--est", "example1"]
     else:
@@ -306,7 +318,7 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command
         if "order" not in config:
             argv += ["--order", "auto"]
     capsys.readouterr()
-    code = run(argv + ["--config", path, "--out", tmp_path / "o"])
+    code = run(argv + ["--config", path] + out)
     _assert_config_exit(code, capsys, needle)
 
 

@@ -31,7 +31,7 @@ from ltpsid.fileio import (
     write_montecarlo_csv,
     write_sweep_csv,
 )
-from ltpsid.model import LiftedFrequencyResponse
+from ltpsid.model import LiftedFrequencyResponse, LtpModel
 from ltpsid.signal import Ensemble, collect_ensemble
 from ltpsid.subspace import identify
 from oracles import true_lifted_frequency_response
@@ -58,14 +58,15 @@ def test_model_json_declared_dims_checked(tmp_path):
     # and so is a matrix that holds NaN or an infinity.
     for key, value, needle in [
         ("nx", 3, "declared dimensions"),
-        ("P", 1.5, "m.json: 'P' must be an integer, got 1.5"),
-        ("nx", 1.9, "m.json: 'nx' must be an integer, got 1.9"),
-        ("ny", True, "m.json: 'ny' must be an integer, got True"),
-        ("nu", "1", "m.json: 'nu' must be an integer, got '1'"),
-        ("P", 0, "m.json: 'P' must be >= 1, got 0"),
-        ("nx", -1, "m.json: 'nx' must be >= 1, got -1"),
-        ("A", [5], "m.json: P=1 needs P 2-D A-matrices, got shapes [()]"),
-        ("C", [[1.0]], "m.json: P=1 needs P 2-D C-matrices, got shapes [(1,)]"),
+        ("P", 1.5, "m.json: P must be an integer, got 1.5"),
+        ("nx", 1.9, "m.json: nx must be an integer, got 1.9"),
+        ("ny", True, "m.json: ny must be an integer, got True"),
+        ("nu", "1", "m.json: nu must be an integer, got '1'"),
+        ("P", 0, "m.json: P must be >= 1, got 0"),
+        ("nx", -1, "m.json: nx must be >= 1, got -1"),
+        ("A", [5], "m.json: A[0] must be a 2-D matrix with no empty dimension, got shape ()"),
+        ("C", [[1.0]],
+         "m.json: C[0] must be a 2-D matrix with no empty dimension, got shape (1,)"),
         ("A", [[[float("nan")]]], "m.json: A[0] has a non-finite entry"),
         ("B", [[[float("inf")]]], "m.json: B[0] has a non-finite entry"),
         ("C", [[[-float("inf")]]], "m.json: C[0] has a non-finite entry"),
@@ -77,9 +78,9 @@ def test_model_json_declared_dims_checked(tmp_path):
 def test_model_json_wrong_matrix_count(tmp_path):
     doc = {"P": 2, "A": [[[0.5]]] * 2, "B": [[[1.0]]] * 2, "C": [[[1.0]]] * 2}
     for key, value, needle in [
-        ("A", [[[0.5]]], "P=2 needs P 2-D A-matrices, got shapes [(1, 1)]"),
-        ("B", [], "P=2 needs P 2-D B-matrices, got shapes []"),
-        ("C", [[[1.0]]] * 3, "P=2 needs P 2-D C-matrices"),
+        ("A", [[[0.5]]], "P=2 needs P A-matrices, got 1"),
+        ("B", [], "P=2 needs P B-matrices, got 0"),
+        ("C", [[[1.0]]] * 3, "P=2 needs P C-matrices, got 3"),
     ]:
         with pytest.raises(DataError, match=re.escape(needle)):
             model_from_dict({**doc, key: value})
@@ -203,21 +204,21 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
     # A string of J characters is no list of J file names.
     for key, value, needle in [
         ("J", 5, "manifest lists 2 files but J=5"),
-        ("P", 2.9, "'P' must be an integer, got 2.9"),
-        ("N", 3.7, "'N' must be an integer, got 3.7"),
-        ("J", 2.5, "'J' must be an integer, got 2.5"),
-        ("P", True, "'P' must be an integer, got True"),
-        ("sigma", "nan", "'sigma' must be a finite number >= 0, got 'nan'"),
-        ("sigma", float("nan"), "'sigma' must be a finite number >= 0, got nan"),
-        ("sigma", -1, "'sigma' must be a finite number >= 0, got -1"),
-        ("sigma", False, "'sigma' must be a finite number >= 0, got False"),
-        ("P", -3, "'P' must be >= 1, got -3"),
-        ("N", 0, "'N' must be >= 1, got 0"),
-        ("J", 0, "'J' must be >= 1, got 0"),
-        ("seeds", [{"input": "abc"}, {}], "'input' seed must be an integer, got 'abc'"),
-        ("seeds", [{}, {"noise": 1.5}], "'noise' seed must be an integer, got 1.5"),
-        ("seeds", [{"input": True}, {}], "'input' seed must be an integer, got True"),
-        ("seeds", [{"input": -5}, {}], "'input' seed must be >= 0, got -5"),
+        ("P", 2.9, "P must be an integer, got 2.9"),
+        ("N", 3.7, "N must be an integer, got 3.7"),
+        ("J", 2.5, "J must be an integer, got 2.5"),
+        ("P", True, "P must be an integer, got True"),
+        ("sigma", "nan", "sigma must be a finite number >= 0, got 'nan'"),
+        ("sigma", float("nan"), "sigma must be a finite number >= 0, got nan"),
+        ("sigma", -1, "sigma must be a finite number >= 0, got -1"),
+        ("sigma", False, "sigma must be a finite number >= 0, got False"),
+        ("P", -3, "P must be >= 1, got -3"),
+        ("N", 0, "N must be >= 1, got 0"),
+        ("J", 0, "J must be >= 1, got 0"),
+        ("seeds", [{"input": "abc"}, {}], "input_seeds[0] must be an integer, got 'abc'"),
+        ("seeds", [{}, {"noise": 1.5}], "noise_seeds[1] must be an integer, got 1.5"),
+        ("seeds", [{"input": True}, {}], "input_seeds[0] must be an integer, got True"),
+        ("seeds", [{"input": -5}, {}], "input_seeds[0] must be >= 0, got -5"),
         ("files", 5, "'files' must be a list of file names"),
         ("files", [{"a": 1}, {}], "'files' must be a list of file names"),
         ("files", "ab", "'files' must be a list of file names"),
@@ -322,29 +323,62 @@ def test_identification_result_files_go_to_separate_new_directories(example1_nor
     assert (tmp_path / "b" / "d.json").read_bytes() == (tmp_path / "d.json").read_bytes()
 
 
-@pytest.mark.parametrize("key, value", [("P", 2.0), ("N", 8.0), ("sigma", -1.0)])
+@pytest.mark.parametrize("key, value", [
+    ("P", 2.0), ("N", 8.0), ("sigma", -1.0), ("J", 1),
+    ("input_seeds", -5), ("input_seeds", 1.5), ("input_seeds", True), ("input_seeds", "abc"),
+])
 def test_ensemble_refuses_what_its_manifest_would_refuse(example1_norm, tmp_path, key, value):
-    # Both go through one rule, so no ensemble is saved that cannot be loaded.
+    # Ensemble owns every value rule, so no ensemble is saved that cannot be
+    # loaded, and a manifest fails with the library's message, naming the file.
     ens = collect_ensemble(example1_norm, J=2, N=8, sigma=0.0, master_seed=1)
     manifest = save_ensemble(ens, tmp_path)
-    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+    doc = json.loads(manifest.read_text())
+    args = {"u": ens.u, "y": ens.y, "P": ens.P, "N": ens.N, "sigma": ens.sigma}
+    if key == "J":  # fewer experiments than P*n_u = 2
+        doc.update(J=value, files=doc["files"][:value], seeds=doc["seeds"][:value])
+        args.update(u=ens.u[:value], y=ens.y[:value])
+    elif key == "input_seeds":  # the first experiment's input seed
+        doc["seeds"][0]["input"] = value
+        args[key] = (value, None)
+    else:
+        doc[key] = args[key] = value
+    manifest.write_text(json.dumps(doc))
     with pytest.raises(DataError) as from_file:
         load_ensemble(manifest)
     with pytest.raises(ConfigError) as from_library:
-        Ensemble(ens.u, ens.y, **{"P": ens.P, "N": ens.N, "sigma": ens.sigma, key: value})
-    assert str(from_file.value) == f"{manifest}: {key!r}{str(from_library.value)[len(key):]}"
+        Ensemble(**args)
+    assert str(from_file.value) == f"{manifest}: {from_library.value}"
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("A", [[float("nan")]]), ("B", [[float("inf")]]), ("A", 0.5), ("C", [2.0]), ("B", [[]]),
+])
+def test_model_refuses_what_its_file_would_refuse(tmp_path, name, matrix):
+    # LtpModel owns every matrix rule: NaN, inf, a 0-D or 1-D matrix and an
+    # empty dimension fail alike in memory and in a model JSON.
+    mats = {"A": [[0.5]], "B": [[1.0]], "C": [[2.0]], name: matrix}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"P": 1, **{key: [m] for key, m in mats.items()}}))
+    with pytest.raises(DataError) as from_file:
+        load_model(path)
+    with pytest.raises(ConfigError) as from_library:
+        LtpModel(**{key: (m,) for key, m in mats.items()})
+    assert str(from_file.value) == f"{path}: {from_library.value}"
 
 
 def test_numpy_counts_and_sigma_round_trip_as_json_numbers(example1_norm, tmp_path):
-    # Ensemble stores P and N as int: json.dumps cannot write a numpy integer.
+    # Ensemble stores P, N and each seed as int: json.dumps cannot write a numpy integer.
     ens = collect_ensemble(example1_norm, J=2, N=8, sigma=0.5, master_seed=1)
     numpy_ens = Ensemble(ens.u, ens.y, np.int64(ens.P), np.int32(ens.N),
-                         ens.input_seeds, ens.noise_seeds, np.float64(0.5))
+                         np.array(ens.input_seeds, dtype=np.uint64),
+                         tuple(map(np.uint64, ens.noise_seeds)), np.float64(0.5))
     assert (type(numpy_ens.P), type(numpy_ens.N), type(numpy_ens.sigma)) == (int, int, float)
+    assert {type(s) for s in numpy_ens.input_seeds + numpy_ens.noise_seeds} == {int}
     manifest = save_ensemble(numpy_ens, tmp_path / "numpy")
     assert manifest.read_bytes() == save_ensemble(ens, tmp_path / "python").read_bytes()
     loaded = load_ensemble(manifest)
     assert (loaded.P, loaded.N, loaded.sigma) == (ens.P, ens.N, 0.5)
+    assert (loaded.input_seeds, loaded.noise_seeds) == (ens.input_seeds, ens.noise_seeds)
 
 
 def test_montecarlo_csv_rows(example1_norm, tmp_path):

@@ -46,6 +46,13 @@ def test_validate_p1_lti_ok():
     assert m.P == 1
 
 
+def test_validate_zero_state_order_refused():
+    # n_x, n_y and n_u are >= 1: a model with no state is refused, not called stable.
+    with pytest.raises(DimensionMismatch, match=r"^A\[0\] must be a 2-D matrix with no empty "
+                       r"dimension, got shape \(0, 0\)$"):
+        LtpModel(A=(np.zeros((0, 0)),), B=(np.zeros((0, 1)),), C=(np.zeros((1, 0)),))
+
+
 def test_validate_unequal_sequence_lengths():
     with pytest.raises(ConfigError, match="length"):
         LtpModel(A=(np.eye(1), np.eye(1)), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
