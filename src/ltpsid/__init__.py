@@ -22,8 +22,6 @@ from .model import (
     LiftedFrequencyResponse,
     LiftedLtiModel,
     LtpModel,
-    aliased_impulse_response_true,
-    impulse_response,
     is_stable,
     lift_model,
     normalize_gain,

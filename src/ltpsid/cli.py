@@ -11,8 +11,9 @@ message; ``main`` then settles every option the subcommand takes (flag, else
 config value, else default) on ``args``, where the commands read it. Every
 command is reproducible: the same inputs and seed produce byte-identical
 output files. Outputs go to ``out``, which defaults to a per-command
-directory under ``$LTPSID_OUT`` (or the working directory) and is created
-only once the command has results to write.
+directory under ``$LTPSID_OUT`` (or the working directory). A path that
+cannot become a directory is refused before the command starts its work;
+the directory is created only once the command has results to write.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 data error,
 4 numerical pipeline error.
@@ -114,13 +115,22 @@ _OPTIONS = {
 }
 
 
-def _out_dir(args, command: str) -> Path:
-    path = Path(os.environ.get("LTPSID_OUT", "."), command) if args.out is None else Path(args.out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+def _out_path(args) -> Path:
+    """The output directory, refused before any work if a non-directory is or holds its place."""
+    default = Path(os.environ.get("LTPSID_OUT", "."), args.command)
+    path = default if args.out is None else Path(args.out)
+    nearest = next(p for p in (path, *path.parents) if os.path.exists(p))
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot create output directory {path}: {nearest} is not a directory")
     return path
+
+
+def _out_dir(args) -> Path:
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror}") from exc
+    return args.out
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -156,7 +166,7 @@ def _cmd_simulate(args) -> int:
     ensemble = collect_ensemble(
         model, J=args.J or 10 * model.P, N=args.N, sigma=args.sigma, master_seed=args.seed
     )
-    manifest = fileio.save_ensemble(ensemble, _out_dir(args, "simulate"))
+    manifest = fileio.save_ensemble(ensemble, _out_dir(args))
     print(f"wrote {ensemble.J} experiments and manifest to {manifest}")
     return _EXIT_OK
 
@@ -166,7 +176,7 @@ def _cmd_identify(args) -> int:
     auto = args.order == "auto"
     result = identify(ensemble, q=args.q, r=args.r, n_x=None if auto else args.order,
                       order_threshold=args.order_tol if auto else None)
-    out = _out_dir(args, "identify")
+    out = _out_dir(args)
     fileio.save_identification_result(result, out / "model.json", out / "diagnostics.json")
     if args.export_response:
         fileio.export_frequency_response(result.response, out / "response.csv")
@@ -181,7 +191,7 @@ def _cmd_evaluate(args) -> int:
     true_model = fixtures.resolve_model(args.true, normalize=args.normalize)
     est_model = fixtures.resolve_model(args.est)
     report = fit_metric(true_model, est_model, n_g=args.n_g)
-    out = _out_dir(args, "evaluate")
+    out = _out_dir(args)
     fileio.write_json(
         {"W": report.W, "mse": report.mse, "n_g": report.n_g,
          "max_error": float(np.max(report.errors))},
@@ -196,7 +206,7 @@ def _cmd_montecarlo(args) -> int:
     model = _get_model(args)
     config = _study_config(args, model, args.N)
     result = monte_carlo(model, config, jobs=args.jobs)
-    out = _out_dir(args, "montecarlo")
+    out = _out_dir(args)
     fileio.write_montecarlo_csv(result, out / "trials.csv")
     fileio.write_json(result.summary(), out / "summary.json")
     print(
@@ -212,7 +222,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --Ns, a comma-separated list of record lengths")
     config = _study_config(args, model, args.Ns[0])
     sweep = consistency_sweep(model, args.Ns, config, jobs=args.jobs)
-    out = _out_dir(args, "sweep")
+    out = _out_dir(args)
     fileio.write_sweep_csv(sweep, out / "sweep.csv")
     fileio.write_json(
         {
@@ -228,7 +238,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    out = _out_dir(args, "fixtures")
+    out = _out_dir(args)
     for name in fixtures.FIXTURE_NAMES:
         for normalized in (False, True):
             model = fixtures.resolve_model(name, normalize=normalized)
@@ -306,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
             if key in args:
                 flag = getattr(args, key)
                 setattr(args, key, config.get(key, default) if flag is None else check(key, flag))
+        args.out = _out_path(args)
         return args.func(args)
     except LtpsidError as exc:
         print(f"error: {exc}", file=sys.stderr)

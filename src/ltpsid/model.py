@@ -13,17 +13,14 @@ any integer ``t`` including negative ones.
 This module provides the model type, the one owner of the rules its
 matrices obey in memory and in a model file, plus the quantities the
 identification pipeline is checked against: the one stability rule on the
-monodromy matrix, periodic impulse responses, their time-aliased closed
-form, the lifted LTI realization, and the type that holds a lifted
-frequency response.
-Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package, plain or
-aliased, and every block of the lifted realization comes from one kernel,
-``markov_rows``; it matches the per-entry reference ``impulse_response``
-to within 1e-14 of the largest entry. ``markov_rows`` gives every Markov
-row of a table; ``subspace.estimate_B`` takes only its first period and
-extends that by powers of the monodromy. Impulse-response tables, plain or
-aliased, are bare (P, max_lag, n_y, n_u) float arrays whose entry
-``[t, r-1]`` is tag time t, lag r.
+monodromy matrix, periodic impulse-response tables, the lifted LTI
+realization, and the type that holds a lifted frequency response.
+Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package and every block
+of the lifted realization comes from one kernel, ``markov_rows``; only
+``subspace.estimate_B`` starts it from the aliasing resolvent
+``C_t (I - Psi_t^N)^{-1}``. Impulse-response tables are bare
+(P, max_lag, n_y, n_u) float arrays whose entry ``[t, r-1]`` is tag time t,
+lag r.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     NumericalError,
     SingularMatrix,
-    _integer,
 )
 
 __all__ = [
@@ -48,10 +44,8 @@ __all__ = [
     "LiftedFrequencyResponse",
     "Stability",
     "is_stable",
-    "impulse_response",
     "markov_rows",
     "impulse_table",
-    "aliased_impulse_response_true",
     "lift_model",
     "normalize_gain",
 ]
@@ -179,21 +173,6 @@ def is_stable(model: LtpModel) -> Stability:
     return _stability(_monodromies(np.asarray(model.A)))
 
 
-def impulse_response(model: LtpModel, t: int, r: int) -> np.ndarray:
-    """Output at time ``t`` caused by a unit input ``r`` steps earlier.
-
-    Computes ``C_t A_{t-1} ... A_{t-r+1} B_{t-r}`` with cyclic indexing;
-    the state-matrix product is empty for ``r = 1``. Requires ``r >= 1``
-    (the system is strictly causal, so earlier lags are zero).
-    """
-    r = _integer("lag r", r, 1)
-    P = model.P
-    M = model.C[t % P]
-    for s in range(1, r):
-        M = M @ model.A[(t - s) % P]
-    return M @ model.B[(t - r) % P]
-
-
 def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
     """Invert (I - M) for one matrix or a stack, raising ``SingularMatrix`` if singular."""
     resolvent = np.eye(M.shape[-1]) - M
@@ -206,27 +185,23 @@ def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
     return np.linalg.inv(resolvent)
 
 
-def markov_rows(A, C, max_lag: int, N: int | None = None) -> np.ndarray:
-    """Rows ``C_t [(I - Psi_t^N)^{-1}] A_{t-1} ... A_{t-r+1}`` for all tags and lags.
+def markov_rows(A, C, max_lag: int) -> np.ndarray:
+    """Rows ``C_t A_{t-1} ... A_{t-r+1}`` for all tags and lags.
 
     ``A`` and ``C`` hold the P state and output matrices; entry ``[t, r-1]``
-    of the (P, max_lag, n_y, n_x) result is tag t, lag r. The aliasing
-    resolvent is applied only when ``N`` is given. Batched over tag times,
-    the product steps one lag at a time over the first period and then one
-    period at a time, by the monodromy ``Psi_{t-r+1}``; it agrees with
-    ``impulse_response`` to rounding, within 1e-14 of the largest entry.
+    of the (P, max_lag, n_y, n_x) result is tag t, lag r. Batched over tag
+    times, the product steps one lag at a time over the first period and
+    then one period at a time, by the monodromy ``Psi_{t-r+1}``.
     """
-    A = np.asarray(A, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
+    A, C = (np.asarray(x, dtype=np.float64) for x in (A, C))
     P = A.shape[0]
-    psi = _monodromies(A) if N is not None or max_lag > P else None
     rows = np.empty((max_lag, P, C.shape[1], A.shape[1]))
-    rows[:1] = C if N is None else C @ _inverse_of_identity_minus(np.linalg.matrix_power(psi, N))
+    rows[:1] = C
     shifted = _shifted(A)
     for r in range(1, min(P, max_lag)):
         np.matmul(rows[r - 1], shifted[r], out=rows[r])
     # Entry [j, t] of _shifted(psi) is Psi_{t-j}, so rows[i + P] = rows[i] @ Psi_{t-i}.
-    psi_lag = _shifted(psi) if max_lag > P else None
+    psi_lag = _shifted(_monodromies(A)) if max_lag > P else None
     for start in range(P, max_lag, P):
         stop = min(start + P, max_lag)
         np.matmul(rows[start - P : stop - P], psi_lag[: stop - start], out=rows[start:stop])
@@ -245,23 +220,9 @@ def _with_inputs(rows: np.ndarray, B) -> np.ndarray:
     return rows @ B[_input_times(*rows.shape[:2])]
 
 
-def impulse_table(model: LtpModel, max_lag: int, N: int | None = None) -> np.ndarray:
-    """(P, max_lag, n_y, n_u) table of ``impulse_response(model, t, r)``, aliased with ``N``."""
-    N = N if N is None else _integer("N", N, 1)
-    return _with_inputs(markov_rows(model.A, model.C, max_lag, N), model.B)
-
-
-def aliased_impulse_response_true(model: LtpModel, N: int) -> np.ndarray:
-    """Impulse response folded over records of ``N`` periods.
-
-    Entry ``[t, r-1]`` of the (P, N*P, n_y, n_u) result is the sum of the
-    impulse response at tag time t over all lags congruent to ``r`` modulo
-    ``N*P``, which has the closed form
-    ``C_t (I - Psi_t^N)^{-1} A_{t-1} ... A_{t-r+1} B_{t-r}`` for a stable
-    model with monodromy ``Psi_t``. ``N`` must be an integer >= 1.
-    """
-    N = _integer("N", N, 1)
-    return impulse_table(model, N * model.P, N)
+def impulse_table(model: LtpModel, max_lag: int) -> np.ndarray:
+    """(P, max_lag, n_y, n_u) table of ``C_t A_{t-1} ... A_{t-r+1} B_{t-r}`` at tag t, lag r."""
+    return _with_inputs(markov_rows(model.A, model.C, max_lag), model.B)
 
 
 @dataclass(frozen=True)

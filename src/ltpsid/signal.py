@@ -125,10 +125,11 @@ class Ensemble:
     ``u`` has shape (J, N*P, n_u) and ``y`` shape (J, N*P, n_y); experiment
     i is ``u[i], y[i]``. The seeds (one per experiment, ``None`` when
     unknown) and ``sigma`` record how the experiments were produced.
-    P and N are integers >= 1, each seed None or an integer >= 0 (kept as an
-    int) and sigma a finite number >= 0, else ``ConfigError``. Requires
-    ``J >= P * n_u`` so the lifted input spectrum can have full row rank at
-    every frequency. These rules hold in memory as in a manifest.
+    P and N are integers >= 1, J, n_u and n_y at least 1, each seed None or
+    an integer >= 0 (kept as an int) and sigma a finite number >= 0, else
+    ``ConfigError``. Requires ``J >= P * n_u`` so the lifted input spectrum
+    can have full row rank at every frequency. These rules hold in memory as
+    in a manifest.
     """
 
     u: np.ndarray = field(repr=False)
@@ -150,8 +151,8 @@ class Ensemble:
                 f"u and y must have shapes (J, N*P, n_u) and (J, N*P, n_y), "
                 f"got {u.shape} and {y.shape}"
             )
-        if u.shape[0] == 0:
-            raise ConfigError("ensemble needs at least one experiment")
+        if 0 in u.shape or 0 in y.shape:
+            raise ConfigError(f"u and y must have no empty dimension, got {u.shape} and {y.shape}")
         if u.shape[1] != self.N * self.P:
             raise ConfigError(f"records have length {u.shape[1]}, expected N*P={self.N * self.P}")
         if not (np.isfinite(u).all() and np.isfinite(y).all()):

@@ -19,7 +19,8 @@ Stages 2 and 3 are single fancy-index gathers, stages 2 and 6 indexing by
 ``model._input_times``. Stages 4 and 5 run one batched SVD each with no
 loop; stage 6 runs one batched QR and one batched SVD of its n_x-by-n_x
 triangular blocks. Its regressors are one period of ``model.markov_rows``,
-the one periodic Markov kernel, carried to N periods by powers of the
+the one periodic Markov kernel, started from the aliasing resolvent
+``C_t (I - Psi_t^N)^{-1}`` and carried to N periods by powers of the
 monodromy. ``identify`` chains the stages from an ensemble of experiments
 and tags any numerical stage failure with the stage name.
 """
@@ -150,10 +151,12 @@ def estimate_AC(bases: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray]:
     onto this basis with its first block row dropped; the transition matrix
     is the least-squares solution of that relation, and the output matrix
     is the first block row. Returns the A and C stacks, (P, order, order)
-    and (P, n_y, order). An order above (q-1)*n_y raises ``OrderTooLarge``;
+    and (P, n_y, order). An order outside 1..(q-1)*n_y raises ``OrderTooLarge``;
     one SVD of the shifted bases gives both the rank check and the solve.
     """
     bases = np.asarray(bases)
+    if bases.shape[2] < 1:
+        raise OrderTooLarge("order 0 is below 1; the bases hold no state direction")
     if bases.shape[2] > bases.shape[1] - ny:
         raise OrderTooLarge(f"order {bases.shape[2]} exceeds the shift-invariance bound "
                             f"(q-1)*ny = {bases.shape[1] - ny}; lower the order or raise q")
@@ -188,7 +191,8 @@ def estimate_B(
     Loan, *Matrix Computations*, 4th ed., sec. 5.3). Returns the
     (P, n_x, n_u) B stack, the total squared residual, and the fitted
     aliased response in the layout of ``h``. A, C and ``h`` whose P, n_x
-    or n_y disagree raise ``DimensionMismatch``; ``N`` must be an integer >= 1.
+    or n_y disagree, or with n_x = 0, raise ``DimensionMismatch``; ``N`` must
+    be an integer >= 1.
 
     An estimated monodromy Psi of spectral radius >= 1 raises
     ``UnstableEstimate`` rather than a warning: the resolvent
@@ -200,12 +204,12 @@ def estimate_B(
     A, C, h = (np.asarray(x, dtype=np.float64) for x in (A_est, C_est, h))
     if (A.ndim, C.ndim, h.ndim) != (3, 3, 4) or not (
         A.shape[0] == C.shape[0] == h.shape[0]
-        and A.shape[1] == A.shape[2] == C.shape[2]
+        and 1 <= A.shape[1] == A.shape[2] == C.shape[2]
         and C.shape[1] == h.shape[2]
     ):
         raise DimensionMismatch(
             f"estimate_B needs A (P, n_x, n_x), C (P, n_y, n_x) and h (P, N*P, n_y, n_u) "
-            f"of one P, n_x and n_y; got {A.shape}, {C.shape} and {h.shape}"
+            f"of one P, n_x >= 1 and n_y; got {A.shape}, {C.shape} and {h.shape}"
         )
     P, _, ny, nu = h.shape
     nx, N = A.shape[1], _integer("N", N, 1)

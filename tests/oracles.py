@@ -1,14 +1,15 @@
 """Reference implementations the tests compare the package against.
 
 Nothing in ``ltpsid`` calls these: a sample-by-sample simulator for the
-lifted steady state, the monodromy at any tag time, the exact frequency
-response of the lifted realization, the per-experiment input and noise
-recipe that the batched ``collect_ensemble`` must equal bit for bit,
-first-order moving average (MA(1)) measurement noise for the
-coloured-noise checks, the harness that samples the response
-estimator's bias and cross-frequency correlation, and the index maps that
-scattered the IDFT blocks and gathered the B-fit rows before both became
-gathers over ``model._input_times``.
+lifted steady state, the monodromy at any tag time, the closed-form
+time-aliased impulse response, the exact frequency response of the lifted
+realization, the per-experiment input and noise recipe that the batched
+``collect_ensemble`` must equal bit for bit, first-order moving average
+(MA(1)) measurement noise for the coloured-noise checks, the harness
+that samples the response estimator's bias and cross-frequency
+correlation, and the index maps that scattered the IDFT blocks and
+gathered the B-fit rows before both became gathers over
+``model._input_times``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ import numpy as np
 
 from ltpsid.errors import ConfigError, SingularMatrix, _integer
 from ltpsid.etfe import etfe
-from ltpsid.model import LiftedFrequencyResponse, LtpModel, _monodromies, lift_model
+from ltpsid.model import (
+    LiftedFrequencyResponse,
+    LtpModel,
+    _inverse_of_identity_minus,
+    _monodromies,
+    _with_inputs,
+    lift_model,
+    markov_rows,
+)
 from ltpsid.signal import Ensemble, assemble_spectra, collect_ensemble, derive_seed
 
 
@@ -49,6 +58,19 @@ def monodromy(model: LtpModel, t: int = 0) -> np.ndarray:
     every ``t``.
     """
     return _monodromies(np.asarray(model.A))[t % model.P]
+
+
+def aliased_impulse_response_true(model: LtpModel, N: int) -> np.ndarray:
+    """Impulse response folded over records of ``N`` periods, in closed form.
+
+    Entry ``[t, r-1]`` of the (P, N*P, n_y, n_u) result is the sum of the
+    impulse response at tag time t over all lags congruent to ``r`` modulo
+    ``N*P``: ``C_t (I - Psi_t^N)^{-1} A_{t-1} ... A_{t-r+1} B_{t-r}`` for a
+    stable model with monodromy ``Psi_t``.
+    """
+    psi = _monodromies(np.asarray(model.A))
+    C = np.asarray(model.C) @ _inverse_of_identity_minus(np.linalg.matrix_power(psi, N))
+    return _with_inputs(markov_rows(model.A, C, N * model.P), model.B)
 
 
 def true_lifted_frequency_response(model: LtpModel, N: int) -> LiftedFrequencyResponse:

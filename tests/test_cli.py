@@ -396,6 +396,21 @@ def test_config_out_key_sets_output_dir(tmp_path, monkeypatch, capsys):
     _assert_config_exit(run(["fixtures", "--config", config]), capsys, "out must be")
 
 
+@pytest.mark.parametrize("out", ["file", "file/mc"])
+def test_out_blocked_by_a_file_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, out):
+    # A file at or above the output path is refused before the study runs,
+    # and the failed command creates nothing.
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "monte_carlo", no_study)
+    (tmp_path / "file").write_text("")
+    code = run(["montecarlo", "--model", "example2", "--normalize", "--trials", 100,
+                "--nx", 2, "--seed", 2024, "--out", tmp_path / out])
+    _assert_config_exit(code, capsys, f"error: cannot create output directory {tmp_path / out}")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def test_every_option_is_a_config_key(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: default for key, (_, default, _) in cli._OPTIONS.items()}))

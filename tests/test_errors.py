@@ -8,14 +8,9 @@ import pytest
 
 from ltpsid.errors import ConfigError, _integer, _real
 from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
-from ltpsid.model import (
-    aliased_impulse_response_true,
-    impulse_response,
-    impulse_table,
-)
 from ltpsid.signal import Ensemble, collect_ensemble
 from ltpsid.subspace import assemble_aliased, build_hankels, estimate_B, identify, svd_order
-from oracles import true_lifted_frequency_response
+from oracles import aliased_impulse_response_true, true_lifted_frequency_response
 
 N = 8
 
@@ -49,12 +44,8 @@ COUNTS = {
         m, [N, 2 * N], MonteCarloConfig(J=4, N=N, sigma=0.1, trials=1, q=3, r=3, n_x=2, seed=0),
         jobs=v)),
     "estimate_B N": ("N", lambda m, e, h, v: estimate_B(m.A, m.C, np.zeros((2, 8, 1, 1)), v)),
-    "impulse_table N": ("N", lambda m, e, h, v: impulse_table(m, 5, v)),
-    "aliased_impulse_response_true N": (
-        "N", lambda m, e, h, v: aliased_impulse_response_true(m, v)),
     "true_lifted_frequency_response N": (
         "N", lambda m, e, h, v: true_lifted_frequency_response(m, v)),
-    "impulse_response r": ("lag r", lambda m, e, h, v: impulse_response(m, 0, v)),
     "assemble_aliased P": (
         "period P", lambda m, e, h, v: assemble_aliased(np.zeros((N, 2, 2)), v, N)),
 }

@@ -14,9 +14,7 @@ from ltpsid.errors import (
 from ltpsid.fileio import export_frequency_response
 from ltpsid.model import (
     LtpModel,
-    aliased_impulse_response_true,
     dc_gain,
-    impulse_response,
     impulse_table,
     is_stable,
     lift_model,
@@ -25,7 +23,7 @@ from ltpsid.model import (
 )
 from ltpsid.signal import simulate_steady_state
 from ltpsid.subspace import estimate_B
-from oracles import monodromy, true_lifted_frequency_response
+from oracles import aliased_impulse_response_true, monodromy, true_lifted_frequency_response
 
 
 def test_validate_example1_ok(example1):
@@ -182,34 +180,13 @@ def test_stability_verdict_rejects_radius_exactly_one(factors, k, kb, kc):
 
 def test_impulse_response_example2_first_lag(example2):
     # g at tag 0, lag 1 is C_0 B_{-1} = C_0 B_2 = [1 0] @ [1; 2] = 1.
-    np.testing.assert_allclose(impulse_response(example2, 0, 1), [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(impulse_table(example2, 1)[0, 0], [[1.0]], atol=1e-15)
 
 
 def test_impulse_response_zero_input_map():
     m = random_stable_model(7)
     zeroed = LtpModel(A=m.A, B=tuple(np.zeros_like(b) for b in m.B), C=m.C)
-    for t in range(zeroed.P):
-        for r in (1, 3, 8):
-            assert np.all(impulse_response(zeroed, t, r) == 0)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    t=st.integers(-6, 6),
-    r=st.integers(1, 12),
-    k=st.integers(-3, 3),
-)
-@settings(max_examples=60, deadline=None)
-def test_impulse_response_periodic_in_t(seed, t, r, k):
-    m = random_stable_model(seed)
-    np.testing.assert_array_equal(
-        impulse_response(m, t, r), impulse_response(m, t + k * m.P, r)
-    )
-
-
-def test_impulse_response_lag_must_be_positive(example1):
-    with pytest.raises(ConfigError):
-        impulse_response(example1, 0, 0)
+    assert np.all(impulse_table(zeroed, 8) == 0)
 
 
 def _aliased_series_oracle(model, N, K):
@@ -264,9 +241,7 @@ def test_impulse_table_matches_per_entry_response(seed, P, nx, nu, ny):
     # The batched kernel against the per-entry product it replaces.
     m = random_stable_model(seed, P=P, nx=nx, nu=nu, ny=ny, rho_max=0.9)
     n_g = 3 * P + 2
-    reference = np.array(
-        [[impulse_response(m, t, r) for r in range(1, n_g + 1)] for t in range(P)]
-    )
+    reference = np.array([impulse_series_oracle(m, t, n_g) for t in range(P)])
     scale = max(np.max(np.abs(reference)), 1e-300)
     np.testing.assert_allclose(impulse_table(m, n_g), reference, rtol=0, atol=1e-13 * scale)
 
@@ -283,25 +258,19 @@ def test_markov_rows_period_edges_match_per_entry_product(seed, P, nx, ny, N):
     # The kernel steps lag by lag over the first period and a whole period at
     # a time after it; check every edge of that split against per-entry
     # products: fewer lags than P, exactly P, a multiple of P, one past it,
-    # and a partial last period, plain and aliased over N periods.
+    # and a partial last period, started from C_t and, as the B fit starts
+    # it, from the aliasing resolvent C_t (I - Psi_t^N)^{-1}.
     m = random_stable_model(seed, P=P, nx=nx, ny=ny, nu=1, rho_max=0.9)
     eye = np.eye(nx)
     state = LtpModel(A=m.A, B=(eye,) * P, C=(eye,) * P)
-    resolvent = [
-        np.linalg.inv(eye - np.linalg.matrix_power(monodromy(m, t), N)) for t in range(P)
-    ]
+    resolvent = np.stack(
+        [np.linalg.inv(eye - np.linalg.matrix_power(monodromy(m, t), N)) for t in range(P)]
+    )
     for max_lag in sorted({max(P - 1, 1), P, P + 1, 3 * P, 3 * P + 2, N * P}):
-        transitions = [
-            [impulse_response(state, t, r) for r in range(1, max_lag + 1)] for t in range(P)
-        ]
-        for aliased in (False, True):
-            reference = np.array(
-                [
-                    [m.C[t] @ (resolvent[t] if aliased else eye) @ M for M in transitions[t]]
-                    for t in range(P)
-                ]
-            )
-            rows = markov_rows(m.A, m.C, max_lag, N if aliased else None)
+        transitions = [impulse_series_oracle(state, t, max_lag) for t in range(P)]
+        for C in (np.stack(m.C), np.stack(m.C) @ resolvent):
+            reference = np.array([[C[t] @ M for M in transitions[t]] for t in range(P)])
+            rows = markov_rows(m.A, C, max_lag)
             assert rows.shape == (P, max_lag, ny, nx)
             scale = max(np.max(np.abs(reference)), 1e-300)
             np.testing.assert_allclose(rows, reference, rtol=0, atol=1e-13 * scale)
@@ -343,7 +312,7 @@ def test_lift_p1_is_identity():
 def test_lift_example1_feedthrough_blocks(example1):
     lifted = lift_model(example1)
     np.testing.assert_allclose(
-        lifted.D[1:2, 0:1], impulse_response(example1, 1, 1), atol=1e-15
+        lifted.D[1:2, 0:1], impulse_series_oracle(example1, 1, 1)[0], atol=1e-15
     )
     assert np.all(lifted.D[0:1, 0:1] == 0)
     assert np.all(lifted.D[1:2, 1:2] == 0)
@@ -371,7 +340,7 @@ def test_lift_markov_parameters_are_impulse_blocks(seed, k):
             block = markov[l * m.ny : (l + 1) * m.ny, mm * m.nu : (mm + 1) * m.nu]
             if lag >= 1:
                 np.testing.assert_allclose(
-                    block, impulse_response(m, l, lag), atol=1e-12
+                    block, impulse_series_oracle(m, l, lag)[lag - 1], atol=1e-12
                 )
             else:
                 np.testing.assert_allclose(block, 0, atol=1e-15)

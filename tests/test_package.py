@@ -26,12 +26,19 @@ def _traced_functions():
     return spans.TRACED_FUNCTIONS
 
 
+# Traced functions the package has deleted on purpose. The benchmark keeps
+# tracing them, so its per-layer metrics stay comparable with older commits.
+RETIRED = ("model.aliased_impulse_response_true", "model.impulse_response")
+
+
 @pytest.mark.parametrize("target", _traced_functions())
 def test_traced_function_exists(target):
     # The benchmark tracer skips a function the package no longer defines, so
-    # a rename or deletion would silently report 0 calls for its layer.
+    # a rename or deletion would silently report 0 calls for its layer: only
+    # a retired name may be missing, and it must be.
     module, name = target.split(".")
-    assert callable(getattr(importlib.import_module(f"ltpsid.{module}"), name, None))
+    found = getattr(importlib.import_module(f"ltpsid.{module}"), name, None)
+    assert found is None if target in RETIRED else callable(found)
 
 
 @pytest.mark.parametrize("module", EXPORTING, ids=lambda mod: mod.__name__)
@@ -60,4 +67,4 @@ def test_source_line_budget():
     lines = sum(
         len(path.read_text().splitlines()) for path in Path(ltpsid.__file__).parent.rglob("*.py")
     )
-    assert lines < 2239
+    assert lines < 2227

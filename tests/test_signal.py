@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stable_model
+from conftest import impulse_series_oracle, random_stable_model
 from ltpsid.errors import ConfigError, DataError, LengthNotDivisible, SingularMatrix
-from ltpsid.model import LiftedFrequencyResponse, LtpModel, impulse_response, is_stable
+from ltpsid.model import LiftedFrequencyResponse, LtpModel, is_stable
 from ltpsid.signal import (
     Ensemble,
     LiftedSpectra,
@@ -46,7 +46,7 @@ def test_simulate_impulse_gives_impulse_response(example1):
     assert y[0, 0] == 0.0
     for t in range(1, 12):
         np.testing.assert_allclose(
-            y[t : t + 1].T, impulse_response(example1, t, t), atol=1e-13
+            y[t : t + 1].T, impulse_series_oracle(example1, t, t)[t - 1], atol=1e-13
         )
 
 
@@ -534,6 +534,16 @@ def test_ensemble_seeds_one_per_experiment():
     assert ens.input_seeds == ens.noise_seeds == (None, None)
     with pytest.raises(ConfigError, match="expected J=2"):
         Ensemble(u=np.ones((2, 4, 1)), y=np.ones((2, 4, 1)), P=2, N=2, input_seeds=(1,))
+
+
+@pytest.mark.parametrize(
+    "u_shape, y_shape", [((0, 4, 1), (0, 4, 1)), ((6, 4, 0), (6, 4, 1)), ((6, 4, 1), (6, 4, 0))],
+    ids=["J-0", "nu-0", "ny-0"],
+)
+def test_ensemble_refuses_an_empty_dimension(u_shape, y_shape):
+    # As a model refuses an empty matrix: a CSV cannot hold zero channels either.
+    with pytest.raises(ConfigError, match="u and y must have no empty dimension"):
+        Ensemble(u=np.ones(u_shape), y=np.ones(y_shape), P=2, N=2)
 
 
 def test_ensemble_rejects_mixed_lengths(example1):
