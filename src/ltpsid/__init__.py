@@ -40,7 +40,6 @@ from .subspace import (
     estimate_AC,
     estimate_B,
     identify,
-    idft_blocks,
     svd_order,
 )
 

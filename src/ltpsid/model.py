@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     NumericalError,
     SingularMatrix,
+    _integer,
 )
 
 __all__ = [
@@ -191,9 +192,11 @@ def markov_rows(A, C, max_lag: int) -> np.ndarray:
     ``A`` and ``C`` hold the P state and output matrices; entry ``[t, r-1]``
     of the (P, max_lag, n_y, n_x) result is tag t, lag r. Batched over tag
     times, the product steps one lag at a time over the first period and
-    then one period at a time, by the monodromy ``Psi_{t-r+1}``.
+    then one period at a time, by the monodromy ``Psi_{t-r+1}``. ``max_lag``
+    must be an integer >= 1.
     """
     A, C = (np.asarray(x, dtype=np.float64) for x in (A, C))
+    max_lag = _integer("max_lag", max_lag, 1)
     P = A.shape[0]
     rows = np.empty((max_lag, P, C.shape[1], A.shape[1]))
     rows[:1] = C
@@ -274,6 +277,8 @@ class LiftedFrequencyResponse:
     ``2*pi*k/N`` for k = 0..N//2. The response of real data is conjugate
     symmetric, ``G[N-k] = conj(G[k])``, so the rest of the N-point grid is
     not stored; only ``fileio.export_frequency_response`` writes it out.
+    It owns the rules of its sizes: P, N, n_y and n_u are integers >= 1 and
+    G has the shape they give, so ``subspace.assemble_aliased`` reads them unchecked.
     """
 
     P: int
@@ -283,13 +288,13 @@ class LiftedFrequencyResponse:
     G: np.ndarray = field(repr=False)  # (N//2+1, P*ny, P*nu) complex
 
     def __post_init__(self) -> None:
+        for name in ("P", "N", "ny", "nu"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         arr = np.asarray(self.G, dtype=np.complex128)
         expected = (self.N // 2 + 1, self.P * self.ny, self.P * self.nu)
         if arr.shape != expected:
-            raise ConfigError(
-                f"frequency response must have shape (N//2+1, P*ny, P*nu) = {expected}, "
-                f"got {arr.shape}"
-            )
+            raise ConfigError(f"frequency response must have shape (N//2+1, P*ny, P*nu) = "
+                              f"{expected}, got {arr.shape}")
         object.__setattr__(self, "G", arr)
 
 

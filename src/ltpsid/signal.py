@@ -263,6 +263,8 @@ class LiftedSpectra:
     Y: np.ndarray = field(repr=False)  # (N//2+1, P*ny, J) complex
 
     def __post_init__(self) -> None:
+        for name in ("P", "N"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         U = np.asarray(self.U, dtype=np.complex128)
         Y = np.asarray(self.Y, dtype=np.complex128)
         half = self.N // 2 + 1

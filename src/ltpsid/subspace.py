@@ -2,22 +2,20 @@
 
 The pipeline runs in fixed stages:
 
-1. real inverse DFT of every (output slot, input slot) block of the
-   half-grid response of real data,
-2. rearrangement of the blocks into the time-aliased periodic impulse
-   response, a plain (P, N*P, n_y, n_u) array with tag time t and lag r
-   at entry ``[t, r-1]``,
-3. periodic block-Hankel assembly, a (P, q*n_y, r*n_u) stack with one
+1. the time-aliased periodic impulse response, read block by block off the
+   real inverse DFT of the half-grid response of real data: a plain
+   (P, N*P, n_y, n_u) array with tag time t and lag r at entry ``[t, r-1]``,
+2. periodic block-Hankel assembly, a (P, q*n_y, r*n_u) stack with one
    matrix per starting tag time,
-4. SVD of the Hankel stack; the leading left singular vectors span the
+3. SVD of the Hankel stack; the leading left singular vectors span the
    extended observability matrix up to an unknown coordinate change,
-5. shift-invariance recovery of the (P, n_x, n_x) A and (P, n_y, n_x) C,
-6. least-squares fit of the (P, n_x, n_u) B to the aliased impulse response,
+4. shift-invariance recovery of the (P, n_x, n_x) A and (P, n_y, n_x) C,
+5. least-squares fit of the (P, n_x, n_u) B to the aliased impulse response,
    one problem per input time, from a Q-less QR of regressors and targets.
 
-Stages 2 and 3 are single fancy-index gathers, stages 2 and 6 indexing by
-``model._input_times``. Stages 4 and 5 run one batched SVD each with no
-loop; stage 6 runs one batched QR and one batched SVD of its n_x-by-n_x
+Stages 1 and 2 are single fancy-index gathers, stages 1 and 5 indexing by
+``model._input_times``. Stages 3 and 4 run one batched SVD each with no
+loop; stage 5 runs one batched QR and one batched SVD of its n_x-by-n_x
 triangular blocks. Its regressors are one period of ``model.markov_rows``,
 the one periodic Markov kernel, started from the aliasing resolvent
 ``C_t (I - Psi_t^N)^{-1}`` and carried to N periods by powers of the
@@ -58,7 +56,6 @@ from .signal import Ensemble, assemble_spectra
 
 __all__ = [
     "IdentificationResult",
-    "idft_blocks",
     "assemble_aliased",
     "build_hankels",
     "svd_order",
@@ -70,35 +67,28 @@ __all__ = [
 REGRESSOR_COND_LIMIT = 1e12
 
 
-def idft_blocks(response: LiftedFrequencyResponse) -> np.ndarray:
-    """Inverse DFT of a half-grid response over the N-point frequency grid.
+def assemble_aliased(response: LiftedFrequencyResponse) -> np.ndarray:
+    """The time-aliased periodic impulse response, read off the inverse DFT of ``response``.
 
-    Returns the real (N, P*n_y, P*n_u) array w with
-    ``w[n] = (1/N) * sum_k G[k] * exp(2j*pi*n*k/N)``, k = 0..N-1, where the
-    unstored ``G[N-k]`` is ``conj(G[k])``.
+    The real inverse DFT ``w[n] = (1/N) sum_k G[k] exp(2j*pi*n*k/N)`` over the N-point
+    grid, with ``G[N-k] = conj(G[k])``, holds (t, m) blocks. Tag time t meets input slot
+    ``m = (t - r) mod P`` at lag r (``model._input_times``), and block (t, m) holds that
+    lag at index ``n = ((r - t + m) mod N*P) / P``, so one gather fills the
+    (P, N*P, n_y, n_u) table. All sizes come from the response.
     """
-    return np.fft.irfft(response.G, n=response.N, axis=0)
-
-
-def assemble_aliased(blocks: np.ndarray, P: int, N: int) -> np.ndarray:
-    """Rearrange real IDFT blocks into the time-aliased periodic impulse response.
-
-    Tag time t meets input slot ``m = (t - r) mod P`` at lag r (``model._input_times``),
-    and block (t, m) holds that lag at IDFT index ``n = ((r - t + m) mod N*P) / P``, so
-    one gather fills the (P, N*P, n_y, n_u) table. P must be an integer >= 1.
-    """
-    blocks = np.asarray(blocks)
-    P = _integer("period P", P, 1)
-    if np.iscomplexobj(blocks):
-        raise ConfigError("blocks must be real; take them from idft_blocks")
-    if blocks.ndim != 3 or blocks.shape[0] != N:
-        raise ConfigError(f"blocks must have shape (N={N}, P*ny, P*nu), got {blocks.shape}")
-    if blocks.shape[1] % P or blocks.shape[2] % P:
-        raise ConfigError(f"block array height/width {blocks.shape[1:]} not divisible by P={P}")
-    ny, nu = blocks.shape[1] // P, blocks.shape[2] // P
+    P, N, ny, nu = response.P, response.N, response.ny, response.nu
+    blocks = np.fft.irfft(response.G, n=N, axis=0)
     t, r, m = np.arange(P)[:, None], np.arange(1, N * P + 1), _input_times(P, N * P)
     n = ((r - t + m) % (N * P)) // P
     return blocks.reshape(N, P, ny, P, nu)[n, t, :, m]
+
+
+def _block_counts(q, r, lags: int) -> tuple[int, int]:
+    """The Hankel block counts q, r as integers >= 1 with q+r-1 <= ``lags``, the N*P lags."""
+    q, r = _integer("q", q, 1), _integer("r", r, 1)
+    if q + r - 1 > lags:
+        raise BlockRangeExceeded(f"q+r-1 = {q + r - 1} exceeds record length N*P = {lags}")
+    return q, r
 
 
 def build_hankels(h: np.ndarray, q: int, r: int) -> np.ndarray:
@@ -108,12 +98,8 @@ def build_hankels(h: np.ndarray, q: int, r: int) -> np.ndarray:
     ``tau`` of the (P, q*n_y, r*n_u) result has block (i, j) equal to the
     response at tag time ``tau + i`` (cyclic) and lag ``i + j + 1``.
     """
-    q, r = _integer("q", q, 1), _integer("r", r, 1)
     P, max_lag, ny, nu = h.shape
-    if q + r - 1 > max_lag:
-        raise BlockRangeExceeded(
-            f"q+r-1 = {q + r - 1} exceeds available lags N*P = {max_lag}"
-        )
+    q, r = _block_counts(q, r, max_lag)
     tau, i, j = np.ix_(np.arange(P), np.arange(q), np.arange(r))
     return h[(tau + i) % P, i + j].transpose(0, 1, 3, 2, 4).reshape(P, q * ny, r * nu)
 
@@ -172,27 +158,27 @@ def estimate_AC(bases: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_B(
-    A_est: np.ndarray, C_est: np.ndarray, h: np.ndarray, N: int
+    A_est: np.ndarray, C_est: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Least-squares fit of the input matrices to the aliased impulse response.
 
-    ``h`` is the (P, N*P, n_y, n_u) aliased response. Each (tag time, lag)
-    coefficient is linear in exactly one B matrix, the one at time index
-    ``beta = tag - lag`` mod P, so the objective splits into P independent
-    least-squares problems. The regressor of B_beta holds the aliased
-    Markov rows that meet input time beta. Its first period is one period
-    of ``markov_rows`` started from ``C_t (I - Psi_t^N)^{-1}``, and period j
-    is that one times ``Psi_{beta+1}^j``, filled in by repeated squaring in
-    ceil(log2 N) batched products; one monodromy stack serves the stability
-    check, the resolvent and the powers. Regressors and targets go into one
-    column-major stack whose Q-less QR gives R = [[R11, R12], [0, R22]].
-    R11 has the singular values of the regressor, so one SVD of it serves
-    both the condition check and the solve of R11 B = R12 (Golub & Van
-    Loan, *Matrix Computations*, 4th ed., sec. 5.3). Returns the
-    (P, n_x, n_u) B stack, the total squared residual, and the fitted
-    aliased response in the layout of ``h``. A, C and ``h`` whose P, n_x
-    or n_y disagree, or with n_x = 0, raise ``DimensionMismatch``; ``N`` must
-    be an integer >= 1.
+    ``h`` is the (P, N*P, n_y, n_u) aliased response; its lag count fixes N.
+    Each (tag time, lag) coefficient is linear in exactly one B matrix, the
+    one at time index ``beta = tag - lag`` mod P, so the objective splits
+    into P independent least-squares problems. The regressor of B_beta holds
+    the aliased Markov rows that meet input time beta. Its first period is
+    one period of ``markov_rows`` started from ``C_t (I - Psi_t^N)^{-1}``,
+    and period j is that one times ``Psi_{beta+1}^j``, filled in by repeated
+    squaring in ceil(log2 N) batched products; one monodromy stack serves
+    the stability check, the resolvent and the powers. Regressors and
+    targets go into one column-major stack whose Q-less QR gives
+    R = [[R11, R12], [0, R22]]. R11 has the singular values of the regressor,
+    so one SVD of it serves both the condition check and the solve of
+    R11 B = R12 (Golub & Van Loan, *Matrix Computations*, 4th ed., sec. 5.3). Returns
+    the (P, n_x, n_u) B stack, the total squared residual, and the fitted
+    aliased response in the layout of ``h``. A, C and ``h`` whose P, n_x or
+    n_y disagree, with n_x = 0, or whose lag count is not a positive
+    multiple of P raise ``DimensionMismatch``.
 
     An estimated monodromy Psi of spectral radius >= 1 raises
     ``UnstableEstimate`` rather than a warning: the resolvent
@@ -203,18 +189,16 @@ def estimate_B(
     """
     A, C, h = (np.asarray(x, dtype=np.float64) for x in (A_est, C_est, h))
     if (A.ndim, C.ndim, h.ndim) != (3, 3, 4) or not (
-        A.shape[0] == C.shape[0] == h.shape[0]
+        0 < A.shape[0] == C.shape[0] == h.shape[0] <= h.shape[1]
         and 1 <= A.shape[1] == A.shape[2] == C.shape[2]
-        and C.shape[1] == h.shape[2]
+        and C.shape[1] == h.shape[2] and h.shape[1] % h.shape[0] == 0
     ):
         raise DimensionMismatch(
             f"estimate_B needs A (P, n_x, n_x), C (P, n_y, n_x) and h (P, N*P, n_y, n_u) "
-            f"of one P, n_x >= 1 and n_y; got {A.shape}, {C.shape} and {h.shape}"
+            f"of one P, N >= 1, n_x >= 1 and n_y; got {A.shape}, {C.shape} and {h.shape}"
         )
-    P, _, ny, nu = h.shape
-    nx, N = A.shape[1], _integer("N", N, 1)
-    if h.shape[1] != N * P:
-        raise ConfigError(f"aliased response must hold N*P = {N * P} lags, got {h.shape[1]}")
+    P, lags, ny, nu = h.shape
+    nx, N = A.shape[1], lags // P
     psi = _monodromies(A)
     _stability(psi, UnstableEstimate, "estimated monodromy has spectral radius {rho:.4f} >= 1; "
                "cannot form the aliasing resolvent")
@@ -291,13 +275,9 @@ def identify(
     error, such as the ``OrderTooLarge`` of an order above (q-1)*n_y,
     propagates as it is.
     """
-    balanced = (ensemble.N * ensemble.P + 1) // 2
-    q = balanced if q is None else _integer("q", q, 1)
-    r = balanced if r is None else _integer("r", r, 1)
-    if q + r - 1 > ensemble.N * ensemble.P:
-        raise BlockRangeExceeded(
-            f"q+r-1 = {q + r - 1} exceeds record length N*P = {ensemble.N * ensemble.P}"
-        )
+    lags = ensemble.N * ensemble.P
+    balanced = (lags + 1) // 2
+    q, r = _block_counts(balanced if q is None else q, balanced if r is None else r, lags)
 
     def run(stage: str, fn, *args):
         try:
@@ -307,12 +287,11 @@ def identify(
 
     spectra = run("assemble_spectra", assemble_spectra, ensemble)
     response = run("etfe", etfe, spectra)
-    blocks = run("idft_blocks", idft_blocks, response)
-    h_est = run("assemble_aliased", assemble_aliased, blocks, ensemble.P, ensemble.N)
+    h_est = run("assemble_aliased", assemble_aliased, response)
     hankels = run("build_hankels", build_hankels, h_est, q, r)
     bases, svals, counts = run("svd_order", svd_order, hankels, n_x, order_threshold)
     A_est, C_est = run("estimate_AC", estimate_AC, bases, ensemble.ny)
-    B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est, ensemble.N)
+    B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est)
     return IdentificationResult(
         model=LtpModel(A=A_est, B=B_est, C=C_est),
         singular_values=svals,

@@ -44,6 +44,15 @@ def test_readme_command_line_example_runs(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "score" / "fit.json").read_text())["W"] > 90
 
 
+def test_readme_library_quick_start_runs(capsys):
+    # The README's Library quick start block, run as written: its one print is W.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) > 95
+
+
 def test_simulate_rejects_small_J(tmp_path, capsys):
     code = run(
         ["simulate", "--model", "example1", "--N", 8, "--J", 1, "--sigma", 0,

@@ -8,8 +8,9 @@ import pytest
 
 from ltpsid.errors import ConfigError, _integer, _real
 from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
-from ltpsid.signal import Ensemble, collect_ensemble
-from ltpsid.subspace import assemble_aliased, build_hankels, estimate_B, identify, svd_order
+from ltpsid.model import LiftedFrequencyResponse, impulse_table, markov_rows
+from ltpsid.signal import Ensemble, LiftedSpectra, collect_ensemble
+from ltpsid.subspace import build_hankels, identify, svd_order
 from oracles import aliased_impulse_response_true, true_lifted_frequency_response
 
 N = 8
@@ -22,6 +23,9 @@ def setting(example1_norm):
     hankels = build_hankels(aliased_impulse_response_true(example1_norm, N), 3, 3)
     return example1_norm, ens, hankels
 
+
+# A half-grid array that fits P = 2, N = 8 spectra of J = 2 and a P = 2 SISO response.
+SPECTRUM = np.zeros((N // 2 + 1, 2, 2), dtype=complex)
 
 # Each entry point with one argument replaced by ``v``, and the name its message gives.
 COUNTS = {
@@ -43,11 +47,20 @@ COUNTS = {
     "consistency_sweep jobs": ("jobs", lambda m, e, h, v: consistency_sweep(
         m, [N, 2 * N], MonteCarloConfig(J=4, N=N, sigma=0.1, trials=1, q=3, r=3, n_x=2, seed=0),
         jobs=v)),
-    "estimate_B N": ("N", lambda m, e, h, v: estimate_B(m.A, m.C, np.zeros((2, 8, 1, 1)), v)),
     "true_lifted_frequency_response N": (
         "N", lambda m, e, h, v: true_lifted_frequency_response(m, v)),
-    "assemble_aliased P": (
-        "period P", lambda m, e, h, v: assemble_aliased(np.zeros((N, 2, 2)), v, N)),
+    "markov_rows max_lag": ("max_lag", lambda m, e, h, v: markov_rows(m.A, m.C, v)),
+    "impulse_table max_lag": ("max_lag", lambda m, e, h, v: impulse_table(m, v)),
+    "LiftedSpectra P": ("P", lambda m, e, h, v: LiftedSpectra(v, N, SPECTRUM, SPECTRUM)),
+    "LiftedSpectra N": ("N", lambda m, e, h, v: LiftedSpectra(2, v, SPECTRUM, SPECTRUM)),
+    "LiftedFrequencyResponse P": (
+        "P", lambda m, e, h, v: LiftedFrequencyResponse(v, N, 1, 1, SPECTRUM)),
+    "LiftedFrequencyResponse N": (
+        "N", lambda m, e, h, v: LiftedFrequencyResponse(2, v, 1, 1, SPECTRUM)),
+    "LiftedFrequencyResponse ny": (
+        "ny", lambda m, e, h, v: LiftedFrequencyResponse(2, N, v, 1, SPECTRUM)),
+    "LiftedFrequencyResponse nu": (
+        "nu", lambda m, e, h, v: LiftedFrequencyResponse(2, N, 1, v, SPECTRUM)),
 }
 BAD_COUNTS = [2.0, 2.5, True, np.True_, "2", math.nan, math.inf, np.float64(3), 0, -1]
 

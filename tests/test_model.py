@@ -125,7 +125,7 @@ def _verdicts(A, B, C) -> tuple[bool, bool, bool]:
         simulated = False
     try:
         h = np.zeros((model.P, 4 * model.P, model.ny, model.nu))
-        estimate_B(np.asarray(model.A), np.asarray(model.C), h, 4)
+        estimate_B(np.asarray(model.A), np.asarray(model.C), h)
         fitted = True
     except UnstableEstimate:
         fitted = False

@@ -39,7 +39,6 @@ from ltpsid.subspace import (
     estimate_AC,
     estimate_B,
     identify,
-    idft_blocks,
     svd_order,
 )
 from oracles import (
@@ -74,12 +73,23 @@ def _extended_controllability(model, tau, r):
 # ---------------------------------------------------------------------------
 
 
+def _idft_blocks(h):
+    """The (N, P*n_y, P*n_u) IDFT blocks an aliased table was gathered from, put back
+    through ``_input_times``: block (t, m) holds lag r at index ((r - t + m) mod N*P) / P.
+    A block entry the table does not fill stays NaN."""
+    P, lags, ny, nu = h.shape
+    t, r, m = np.arange(P)[:, None], np.arange(1, lags + 1), _input_times(P, lags)
+    w = np.full((lags // P, P, ny, P, nu), np.nan)
+    w[((r - t + m) % lags) // P, t, :, m] = h
+    return w.reshape(lags // P, P * ny, P * nu)
+
+
 def test_idft_inverts_dft_of_random_blocks():
     rng = np.random.default_rng(4)
     w_true = rng.standard_normal((8, 2, 2))
     G = np.fft.fft(w_true, axis=0)[: 8 // 2 + 1]
     resp = LiftedFrequencyResponse(P=2, N=8, ny=1, nu=1, G=G)
-    w = idft_blocks(resp)
+    w = _idft_blocks(assemble_aliased(resp))
     assert w.dtype == np.float64
     np.testing.assert_allclose(w, w_true, atol=1e-10)
 
@@ -90,7 +100,7 @@ def test_idft_half_grid_matches_full_inverse(N, example2_norm):
     # conjugate mirror of the ETFE, at odd and even N.
     ens = collect_ensemble(example2_norm, J=6, N=N, sigma=1.0, master_seed=3)
     resp = etfe(assemble_spectra(ens))
-    w = idft_blocks(resp)
+    w = _idft_blocks(assemble_aliased(resp))
     G = np.concatenate([resp.G, resp.G[1 : (N + 1) // 2][::-1].conj()])
     full = np.fft.ifft(G, axis=0)
     assert w.dtype == np.float64 and w.shape == full.shape
@@ -100,7 +110,7 @@ def test_idft_half_grid_matches_full_inverse(N, example2_norm):
 def test_idft_constant_response_all_in_first_block():
     G0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     resp = LiftedFrequencyResponse(P=2, N=5, ny=1, nu=1, G=np.tile(G0, (5 // 2 + 1, 1, 1)))
-    w = idft_blocks(resp)
+    w = _idft_blocks(assemble_aliased(resp))
     np.testing.assert_allclose(w[0], G0, atol=1e-12)
     np.testing.assert_allclose(w[1:], 0, atol=1e-12)
 
@@ -111,7 +121,7 @@ def test_idft_example1_matches_folded_series(example1_norm):
     N = 8
     m = example1_norm
     resp = true_lifted_frequency_response(m, N)
-    w = idft_blocks(resp)
+    w = _idft_blocks(assemble_aliased(resp))
     K = 200
     for l in range(m.P):
         g = impulse_series_oracle(m, l, (K + 2) * N * m.P)
@@ -131,12 +141,20 @@ def test_idft_example1_matches_folded_series(example1_norm):
 # ---------------------------------------------------------------------------
 
 
+def _response(blocks, P):
+    """The response whose real inverse DFT is the (N, P*n_y, P*n_u) array ``blocks``."""
+    N, height, width = blocks.shape
+    return LiftedFrequencyResponse(P, N, height // P, width // P, G=np.fft.rfft(blocks, axis=0))
+
+
 def test_assemble_p1_reduces_to_lti_map():
-    # For P=1 the lag is n for n > 0 and N for n = 0.
+    # For P=1 the lag is n for n > 0 and N for n = 0; the integer markers
+    # come back from the DFT round trip within rounding.
     N = 6
     blocks = np.arange(N, dtype=float).reshape(N, 1, 1)
-    table = assemble_aliased(blocks, P=1, N=N)
+    table = assemble_aliased(_response(blocks, 1))
     assert table.shape == (1, N, 1, 1) and table.dtype == np.float64
+    table = np.round(table)
     for n in range(1, N):
         assert table[0, n - 1, 0, 0] == n
     assert table[0, N - 1, 0, 0] == 0.0  # block at n=0 lands at lag N
@@ -147,7 +165,7 @@ def test_assemble_index_arithmetic_p2_marker():
     P, N = 2, 3
     blocks = np.zeros((N, 2, 2))
     blocks[0, 0, 1] = 42.0
-    table = assemble_aliased(blocks, P=P, N=N)
+    table = np.round(assemble_aliased(_response(blocks, P)))
     assert table[0, 4, 0, 0] == 42.0
 
 
@@ -165,7 +183,7 @@ def test_assemble_bijection_exhaustive(P, N):
         for l in range(P):
             for m in range(P):
                 blocks[n, l, m] = 1 + n * P * P + l * P + m
-    table = assemble_aliased(blocks, P=P, N=N)
+    table = np.round(assemble_aliased(_response(blocks, P)))
     seen = set()
     for l in range(P):
         for m in range(P):
@@ -184,36 +202,33 @@ def test_assemble_bijection_exhaustive(P, N):
 @pytest.mark.parametrize("P", [1, 2, 3, 12])
 @pytest.mark.parametrize("N", [1, 4, 50])
 def test_assemble_gather_equals_the_old_scatter(P, N):
-    # Reference: the scatter through the (n, l, m) -> lag map the gather replaced.
+    # Reference: the scatter of the response's real inverse DFT through the
+    # (n, l, m) -> lag map the gather replaced.
     ny, nu = 2, 3
-    blocks = np.random.default_rng(100 * P + N).standard_normal((N, P * ny, P * nu))
+    response = _response(
+        np.random.default_rng(100 * P + N).standard_normal((N, P * ny, P * nu)), P
+    )
+    blocks = np.fft.irfft(response.G, n=N, axis=0)
     scattered = np.empty((P, N * P, ny, nu))
     scattered[np.arange(P)[:, None, None], _aliased_lags(P, N) - 1] = (
         blocks.reshape(N, P, ny, P, nu).transpose(1, 0, 3, 2, 4)
     )
-    assert np.array_equal(assemble_aliased(blocks, P=P, N=N), scattered)
+    assert np.array_equal(assemble_aliased(response), scattered)
 
 
 @pytest.mark.parametrize("P", [0, -1])
 def test_assemble_rejects_period_below_one(P):
-    with pytest.raises(ConfigError, match=f"period P must be >= 1, got {P}"):
-        assemble_aliased(np.zeros((4, 2, 2)), P=P, N=4)
+    # The response owns the period rule, so no such response reaches the assembly.
+    with pytest.raises(ConfigError, match=f"^P must be >= 1, got {P}"):
+        assemble_aliased(LiftedFrequencyResponse(P, 4, 1, 1, G=np.zeros((3, 2, 2))))
 
 
 def test_assemble_pipeline_matches_closed_form(example1_norm):
     N = 12
     resp = true_lifted_frequency_response(example1_norm, N)
-    assembled = assemble_aliased(idft_blocks(resp), P=example1_norm.P, N=N)
+    assembled = assemble_aliased(resp)
     expected = aliased_impulse_response_true(example1_norm, N)
     np.testing.assert_allclose(assembled, expected, atol=1e-7)
-
-
-def test_assemble_rejects_complex_blocks():
-    # Blocks come real from idft_blocks; a complex array, even one with a
-    # zero imaginary part, is a caller error.
-    for blocks in (np.full((4, 1, 1), 1.0 + 1e-3j), np.zeros((4, 1, 1), dtype=complex)):
-        with pytest.raises(ConfigError):
-            assemble_aliased(blocks, P=1, N=4)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +269,9 @@ def test_hankel_factorization_against_direct_product(fixture, request):
 
 
 def test_hankel_block_range_guard(example1_norm):
+    # Same rule and message as identify's check on the record length.
     h = aliased_impulse_response_true(example1_norm, 3)  # max lag 6
-    with pytest.raises(BlockRangeExceeded):
+    with pytest.raises(BlockRangeExceeded, match=r"^q\+r-1 = 7 exceeds record length N\*P = 6$"):
         build_hankels(h, q=4, r=4)
 
 
@@ -439,7 +455,7 @@ def test_estimate_B_exact_inputs(fixture, request):
     model = request.getfixturevalue(fixture)
     N = 10
     h = aliased_impulse_response_true(model, N)
-    B_est, residual, _ = estimate_B(list(model.A), list(model.C), h, N)
+    B_est, residual, _ = estimate_B(list(model.A), list(model.C), h)
     for tau in range(model.P):
         np.testing.assert_allclose(B_est[tau], model.B[tau], atol=1e-8)
     assert residual < 1e-16
@@ -449,7 +465,7 @@ def test_estimate_B_zero_target(example2_norm):
     model = example2_norm
     N = 6
     zero = np.zeros((model.P, N * model.P, model.ny, model.nu))
-    B_est, residual, _ = estimate_B(list(model.A), list(model.C), zero, N)
+    B_est, residual, _ = estimate_B(list(model.A), list(model.C), zero)
     for b in B_est:
         np.testing.assert_allclose(b, 0, atol=1e-12)
     assert residual == 0.0
@@ -458,7 +474,7 @@ def test_estimate_B_zero_target(example2_norm):
 def test_estimate_B_unstable_estimate():
     h = np.zeros((1, 4, 1, 1))
     with pytest.raises(UnstableEstimate):
-        estimate_B([np.array([[1.1]])], [np.array([[1.0]])], h, 4)
+        estimate_B([np.array([[1.1]])], [np.array([[1.0]])], h)
 
 
 def test_estimate_B_eigensolver_failure_is_numerical_error():
@@ -466,19 +482,20 @@ def test_estimate_B_eigensolver_failure_is_numerical_error():
     # package's own error, as in every other stability check.
     h = np.zeros((1, 4, 1, 1))
     with pytest.raises(NumericalError, match="eigensolver"):
-        estimate_B([np.array([[np.nan]])], [np.array([[1.0]])], h, 4)
+        estimate_B([np.array([[np.nan]])], [np.array([[1.0]])], h)
 
 
-def test_estimate_B_rejects_response_of_other_record_length():
-    h = np.zeros((1, 8, 1, 1))
-    with pytest.raises(ConfigError, match="N\\*P = 4 lags, got 8"):
-        estimate_B([np.array([[0.5]])], [np.array([[1.0]])], h, 4)
+def test_estimate_B_rejects_a_lag_count_that_is_not_a_positive_multiple_of_P():
+    # The lag count fixes N = lags / P, so no lags, or a part period, is no record.
+    for lags in (0, 7):
+        with pytest.raises(DimensionMismatch, match="estimate_B needs A"):
+            estimate_B([[[0.5]]] * 2, [[[1.0]]] * 2, np.zeros((2, lags, 1, 1)))
 
 
 def test_estimate_B_ill_conditioned_zero_output_map():
     h = np.zeros((1, 4, 1, 1))
     with pytest.raises(IllConditioned):
-        estimate_B([np.array([[0.5]])], [np.array([[0.0]])], h, 4)
+        estimate_B([np.array([[0.5]])], [np.array([[0.0]])], h)
 
 
 def test_estimate_B_names_first_ill_conditioned_beta():
@@ -487,7 +504,7 @@ def test_estimate_B_names_first_ill_conditioned_beta():
     A = [np.zeros((1, 1))] * 3
     C = [np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1))]
     with pytest.raises(IllConditioned, match="at time 1 "):
-        estimate_B(A, C, np.zeros((3, 12, 1, 1)), 4)
+        estimate_B(A, C, np.zeros((3, 12, 1, 1)))
 
 
 @pytest.mark.parametrize("eps, raises", [(1e-11, False), (1e-13, True)])
@@ -499,9 +516,9 @@ def test_estimate_B_condition_verdict_at_the_limit(eps, raises):
     h = np.random.default_rng(0).standard_normal((3, 12, 2, 1))
     if raises:
         with pytest.raises(IllConditioned, match="at time 1 "):
-            estimate_B(A, C, h, 4)
+            estimate_B(A, C, h)
     else:
-        assert np.all(np.isfinite(estimate_B(A, C, h, 4)[0]))
+        assert np.all(np.isfinite(estimate_B(A, C, h)[0]))
 
 
 @pytest.mark.parametrize(
@@ -516,7 +533,7 @@ def test_estimate_B_condition_verdict_at_the_limit(eps, raises):
 )
 def test_estimate_B_rejects_shapes_that_disagree(A, C, h):
     with pytest.raises(DimensionMismatch, match="estimate_B needs A"):
-        estimate_B(A, C, h, 4)
+        estimate_B(A, C, h)
 
 
 @pytest.mark.parametrize("P", [1, 2, 3, 12])
@@ -572,7 +589,7 @@ def test_estimate_B_matches_per_beta_lstsq(fixture, N, request):
     else:
         model = request.getfixturevalue(fixture)
     h = _noisy_aliased_response(model, N, 5)
-    B, residual, fitted = estimate_B(model.A, model.C, h, N)
+    B, residual, fitted = estimate_B(model.A, model.C, h)
     B_ref, residual_ref = _estimate_B_per_beta(model.A, model.C, h, N)
     assert B.shape == (model.P, model.nx, model.nu)
     np.testing.assert_allclose(B, B_ref, rtol=0, atol=1e-12 * np.max(np.abs(B_ref)))
@@ -761,7 +778,7 @@ def test_identify_reconstruction_error_from_fitted_model(fixture, request):
     N = 20
     ens = collect_ensemble(model, J=10 * model.P, N=N, sigma=0.3, master_seed=9)
     result = identify(ens, q=8, r=8, n_x=2)
-    h_est = assemble_aliased(idft_blocks(result.response), model.P, N)
+    h_est = assemble_aliased(result.response)
     expected = np.linalg.norm(
         aliased_impulse_response_true(result.model, N) - h_est,
         axis=(2, 3),
@@ -791,8 +808,8 @@ def test_identify_invariant_under_similarity_transform(example1_norm):
     ens_a = collect_ensemble(example1_norm, **kwargs)
     ens_b = collect_ensemble(transformed, **kwargs)
     # The assembled aliased response is already transform invariant.
-    h_a = assemble_aliased(idft_blocks(etfe(assemble_spectra(ens_a))), P=2, N=16)
-    h_b = assemble_aliased(idft_blocks(etfe(assemble_spectra(ens_b))), P=2, N=16)
+    h_a = assemble_aliased(etfe(assemble_spectra(ens_a)))
+    h_b = assemble_aliased(etfe(assemble_spectra(ens_b)))
     np.testing.assert_allclose(h_a, h_b, atol=1e-8)
     res_a = identify(ens_a, q=8, r=8, n_x=2)
     res_b = identify(ens_b, q=8, r=8, n_x=2)
@@ -810,9 +827,7 @@ def test_p1_pipeline_reduces_to_lti_algorithm():
     m = LtpModel(A=(np.array([[0.5]]),), B=(np.array([[1.0]]),), C=(np.array([[1.0]]),))
     N = 16
     ens = collect_ensemble(m, J=3, N=N, sigma=0.0, master_seed=1)
-    h_est = assemble_aliased(
-        idft_blocks(etfe(assemble_spectra(ens))), P=1, N=N
-    )
+    h_est = assemble_aliased(etfe(assemble_spectra(ens)))
     for r in range(1, N + 1):
         np.testing.assert_allclose(
             h_est[0, r - 1], [[0.5 ** (r - 1) / (1 - 0.5**N)]], atol=1e-9
