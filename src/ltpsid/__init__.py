@@ -26,13 +26,7 @@ from .model import (
     lift_model,
     normalize_gain,
 )
-from .signal import (
-    Ensemble,
-    LiftedSpectra,
-    assemble_spectra,
-    collect_ensemble,
-    simulate_steady_state,
-)
+from .signal import Ensemble, collect_ensemble, simulate_steady_state
 from .subspace import (
     IdentificationResult,
     assemble_aliased,

@@ -147,22 +147,16 @@ class Stability(NamedTuple):
     spectral_radius: float
 
 
-def _spectral_radius(psi: np.ndarray) -> float:
-    """Spectral radius of ``psi[0]``, the first of a (P, n, n) monodromy stack."""
-    try:
-        eigs = np.linalg.eigvals(psi[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed on monodromy matrix: {exc}")
-    return float(np.max(np.abs(eigs)))
-
-
 def _stability(psi, error: type[Exception] | None = None, message: str = "") -> Stability:
     """The one stability rule, spectral radius < 1 (so NaN fails), for the monodromy stack ``psi``.
 
     Every monodromy of one model has the same eigenvalues, so ``psi[0]`` decides.
     With ``error`` given, failing it raises ``error(message.format(rho=rho))``.
     """
-    rho = _spectral_radius(psi)
+    try:
+        rho = float(np.max(np.abs(np.linalg.eigvals(psi[0]))))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed on monodromy matrix: {exc}")
     verdict = Stability(stable=rho < 1.0, spectral_radius=rho)
     if error is not None and not verdict.stable:
         raise error(message.format(rho=rho))

@@ -1,13 +1,12 @@
-"""Excitation, steady-state simulation, and spectral preprocessing of periodic experiments.
+"""Excitation and steady-state simulation of periodic experiments.
 
 An experiment drives the system with a periodic input of length ``N*P``
 (N periods of the system's period P) and records one full repetition of
 the steady-state response plus i.i.d. Gaussian measurement noise; the
 steady state is computed exactly from the periodic fixed point of the state.
 Ensembles stack J such experiments in two arrays and check their own
-values, in memory as in a manifest; ``assemble_spectra`` lifts them over
-one period and runs one stacked real DFT to give the half-grid data
-matrices consumed by the frequency-response estimator.
+values, in memory as in a manifest; the frequency-response estimator
+``etfe`` reads them as they are.
 
 All randomized operations are pure functions of their seeds. Seeds and generators
 come from one batched pass of the SeedSequence hash, equal bit for bit to numpy's.
@@ -24,11 +23,9 @@ from .model import LtpModel, _inverse_of_identity_minus, _stability, lift_model
 
 __all__ = [
     "Ensemble",
-    "LiftedSpectra",
     "derive_seed",
     "simulate_steady_state",
     "collect_ensemble",
-    "assemble_spectra",
 ]
 
 # Last index of an experiment's seed: which of its two random streams it drives.
@@ -245,48 +242,3 @@ def collect_ensemble(
     for i in range(J if sigma else 0):
         y[i] += sigma * rngs[2 * i + NOISE_STREAM].standard_normal(y[i].shape)
     return Ensemble(u, y, model.P, N, *map(tuple, seeds.T.tolist()), sigma)
-
-
-@dataclass(frozen=True)
-class LiftedSpectra:
-    """Per-frequency data matrices of a lifted ensemble on the half grid.
-
-    ``U[k]`` is (P*n_u, J) and ``Y[k]`` is (P*n_y, J): column i holds
-    experiment i's lifted input/output spectrum at grid frequency
-    ``2*pi*k/N`` for k = 0..N//2; the rest of the grid of real data is the
-    conjugate mirror ``U[N-k] = conj(U[k])`` and is not stored.
-    """
-
-    P: int
-    N: int
-    U: np.ndarray = field(repr=False)  # (N//2+1, P*nu, J) complex
-    Y: np.ndarray = field(repr=False)  # (N//2+1, P*ny, J) complex
-
-    def __post_init__(self) -> None:
-        for name in ("P", "N"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
-        U = np.asarray(self.U, dtype=np.complex128)
-        Y = np.asarray(self.Y, dtype=np.complex128)
-        half = self.N // 2 + 1
-        if U.ndim != 3 or Y.ndim != 3 or U.shape[2] != Y.shape[2] or {len(U), len(Y)} != {half}:
-            raise ConfigError(
-                f"spectra shapes incompatible with N={self.N}: U {U.shape}, Y {Y.shape}; "
-                "expected (N//2+1, P*nu, J) and (N//2+1, P*ny, J)"
-            )
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "Y", Y)
-
-
-def assemble_spectra(ensemble: Ensemble) -> LiftedSpectra:
-    """Lift every experiment over one period and DFT it, one real transform per signal.
-
-    Lifted sample n of an experiment stacks its samples ``nP .. nP+P-1``;
-    ``U[k]`` holds, column per experiment, the unnormalized DFT
-    ``sum_n u_lifted[n] * exp(-2j*pi*n*k/N)`` for k = 0..N//2, and likewise ``Y[k]``.
-    """
-    J, N = ensemble.J, ensemble.N
-
-    def spectra(signals: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(signals.reshape(J, N, -1), axis=1).transpose(1, 2, 0)
-
-    return LiftedSpectra(P=ensemble.P, N=N, U=spectra(ensemble.u), Y=spectra(ensemble.y))

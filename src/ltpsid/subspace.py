@@ -1,6 +1,7 @@
 """Subspace realization of an LTP model from the lifted frequency response.
 
-The pipeline runs in fixed stages:
+``identify`` estimates that response from an ensemble of experiments with
+``etfe.etfe``; the realization then runs in fixed stages:
 
 1. the time-aliased periodic impulse response, read block by block off the
    real inverse DFT of the half-grid response of real data: a plain
@@ -19,8 +20,8 @@ loop; stage 5 runs one batched QR and one batched SVD of its n_x-by-n_x
 triangular blocks. Its regressors are one period of ``model.markov_rows``,
 the one periodic Markov kernel, started from the aliasing resolvent
 ``C_t (I - Psi_t^N)^{-1}`` and carried to N periods by powers of the
-monodromy. ``identify`` chains the stages from an ensemble of experiments
-and tags any numerical stage failure with the stage name.
+monodromy. ``identify`` chains ``etfe`` and the stages and tags any
+numerical failure with the stage name.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .model import (
     _stability,
     markov_rows,
 )
-from .signal import Ensemble, assemble_spectra
+from .signal import Ensemble
 
 __all__ = [
     "IdentificationResult",
@@ -266,8 +267,8 @@ def identify(
 ) -> IdentificationResult:
     """Full identification pipeline from an ensemble of periodic experiments.
 
-    Stages: lift and transform the data, estimate the lifted frequency
-    response, invert it to the aliased impulse response, build the periodic
+    Stages: estimate the lifted frequency response of the ensemble
+    (``etfe``), invert it to the aliased impulse response, build the periodic
     Hankel stack (integer q, r >= 1; q = r = floor((N*P + 1)/2) by default),
     select the order, and recover A, C by shift invariance and B by least
     squares. A numerical stage failure (a ``NumericalPipelineError`` or
@@ -285,8 +286,7 @@ def identify(
         except (NumericalPipelineError, np.linalg.LinAlgError) as exc:
             raise PipelineError(stage, exc) from exc
 
-    spectra = run("assemble_spectra", assemble_spectra, ensemble)
-    response = run("etfe", etfe, spectra)
+    response = run("etfe", etfe, ensemble)
     h_est = run("assemble_aliased", assemble_aliased, response)
     hankels = run("build_hankels", build_hankels, h_est, q, r)
     bases, svals, counts = run("svd_order", svd_order, hankels, n_x, order_threshold)

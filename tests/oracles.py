@@ -29,7 +29,7 @@ from ltpsid.model import (
     lift_model,
     markov_rows,
 )
-from ltpsid.signal import Ensemble, assemble_spectra, collect_ensemble, derive_seed
+from ltpsid.signal import Ensemble, collect_ensemble, derive_seed
 
 
 def simulate(model: LtpModel, u: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
@@ -201,7 +201,7 @@ def etfe_error_stats(
     errors = np.empty((trials, *G_true.shape), dtype=np.complex128)
     for t in range(trials):
         ensemble = ma_ensemble(model, J, N, sigma, derive_seed(seed, t), ma_theta)
-        errors[t] = etfe(assemble_spectra(ensemble)).G - G_true
+        errors[t] = etfe(ensemble).G - G_true
 
     bias = errors.mean(axis=0)
     centered = errors - bias

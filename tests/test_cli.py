@@ -3,7 +3,6 @@ import json
 import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import assert_export_conjugate_symmetric, with_shared_input

@@ -9,7 +9,7 @@ import pytest
 from ltpsid.errors import ConfigError, _integer, _real
 from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
 from ltpsid.model import LiftedFrequencyResponse, impulse_table, markov_rows
-from ltpsid.signal import Ensemble, LiftedSpectra, collect_ensemble
+from ltpsid.signal import Ensemble, collect_ensemble
 from ltpsid.subspace import build_hankels, identify, svd_order
 from oracles import aliased_impulse_response_true, true_lifted_frequency_response
 
@@ -24,7 +24,7 @@ def setting(example1_norm):
     return example1_norm, ens, hankels
 
 
-# A half-grid array that fits P = 2, N = 8 spectra of J = 2 and a P = 2 SISO response.
+# A half-grid array that fits a P = 2, N = 8 SISO response.
 SPECTRUM = np.zeros((N // 2 + 1, 2, 2), dtype=complex)
 
 # Each entry point with one argument replaced by ``v``, and the name its message gives.
@@ -51,8 +51,6 @@ COUNTS = {
         "N", lambda m, e, h, v: true_lifted_frequency_response(m, v)),
     "markov_rows max_lag": ("max_lag", lambda m, e, h, v: markov_rows(m.A, m.C, v)),
     "impulse_table max_lag": ("max_lag", lambda m, e, h, v: impulse_table(m, v)),
-    "LiftedSpectra P": ("P", lambda m, e, h, v: LiftedSpectra(v, N, SPECTRUM, SPECTRUM)),
-    "LiftedSpectra N": ("N", lambda m, e, h, v: LiftedSpectra(2, v, SPECTRUM, SPECTRUM)),
     "LiftedFrequencyResponse P": (
         "P", lambda m, e, h, v: LiftedFrequencyResponse(v, N, 1, 1, SPECTRUM)),
     "LiftedFrequencyResponse N": (

@@ -17,7 +17,6 @@ from ltpsid.evaluation import (
     monte_carlo,
 )
 from ltpsid.model import LtpModel
-from ltpsid.signal import collect_ensemble
 from oracles import _pooled_correlation, etfe_error_stats
 
 

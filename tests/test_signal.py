@@ -8,8 +8,6 @@ from ltpsid.errors import ConfigError, DataError, LengthNotDivisible, SingularMa
 from ltpsid.model import LiftedFrequencyResponse, LtpModel, is_stable
 from ltpsid.signal import (
     Ensemble,
-    LiftedSpectra,
-    assemble_spectra,
     collect_ensemble,
     INPUT_STREAM,
     NOISE_STREAM,
@@ -377,125 +375,8 @@ def test_derive_seed_roles_and_indices_distinct():
     assert derive_seed(0, 3, INPUT_STREAM) == derive_seed(0, 3, INPUT_STREAM)
 
 
-def _spectra(u, P, y=None):
-    """``assemble_spectra`` of experiments with inputs u[i] and outputs y[i] (default u)."""
-    u = np.asarray(u, dtype=float)
-    y = u if y is None else y
-    return assemble_spectra(Ensemble(u=u, y=y, P=P, N=u.shape[1] // P))
-
-
-def test_lift_p1_identity():
-    # With P=1 the lifted signal is the signal itself: plain per-experiment
-    # DFTs, kept on the half grid k = 0..N//2.
-    x = np.random.default_rng(5).standard_normal((2, 8, 2))
-    spectra = _spectra(x, P=1)
-    for i in range(2):
-        np.testing.assert_allclose(
-            spectra.U[:, :, i], np.fft.fft(x[i], axis=0)[: 8 // 2 + 1], atol=1e-12
-        )
-
-
-def test_lift_p2_scalar_example():
-    # Samples 1, 2, 3, 4 lift to [1, 2], [3, 4], whose two-point DFT is
-    # [4, 6] at k=0 and [-2, -2] at k=1.
-    x = np.array([[1.0], [2.0], [3.0], [4.0]])
-    spectra = _spectra([x, 10 * x], P=2)
-    np.testing.assert_array_equal(spectra.U[:, :, 0], [[4.0, 6.0], [-2.0, -2.0]])
-    np.testing.assert_array_equal(spectra.U[:, :, 1], [[40.0, 60.0], [-20.0, -20.0]])
-
-
-def test_dft_constant_sequence():
-    c = np.array([2.5, -1.0])
-    x = np.tile(c, 6).reshape(12, 1)  # lifted over P=2: c in every sample
-    spectra = _spectra([x, -x], P=2)
-    np.testing.assert_allclose(spectra.U[0, :, 0], 6 * c, atol=1e-12)
-    np.testing.assert_allclose(spectra.U[0, :, 1], -6 * c, atol=1e-12)
-    np.testing.assert_allclose(spectra.U[1:], 0, atol=1e-12)
-
-
-def test_dft_unit_sample_flat_spectrum():
-    x = np.zeros((1, 5, 1))
-    x[0, 0] = 3.0
-    np.testing.assert_allclose(_spectra(x, P=1).U, 3.0, atol=1e-13)
-
-
-def test_dft_matches_naive_summation():
-    # Oracle: lift by hand (sample n stacks samples nP..nP+P-1, channels
-    # innermost) and sum exp(-2j*pi*n*k/N) directly, one experiment at a time.
-    P, N, J = 2, 8, 4
-    rng = np.random.default_rng(17)
-    u = rng.standard_normal((J, N * P, 2))
-    y = rng.standard_normal((J, N * P, 3))
-    spectra = _spectra(u, P, y)
-    for x, X in ((u, spectra.U), (y, spectra.Y)):
-        n_c = x.shape[2]
-        assert X.shape == (N // 2 + 1, P * n_c, J)
-        for i in range(J):
-            lifted = np.array([np.concatenate(x[i, n * P : (n + 1) * P]) for n in range(N)])
-            naive = np.zeros((N, P * n_c), dtype=complex)
-            for k in range(N):
-                for n in range(N):
-                    naive[k] += lifted[n] * np.exp(-2j * np.pi * n * k / N)
-            np.testing.assert_allclose(X[:, :, i], naive[: N // 2 + 1], atol=1e-10)
-
-
-def test_dft_inverse_recovers_input():
-    P, N = 3, 16
-    rng = np.random.default_rng(23)
-    u = rng.standard_normal((3, N * P, 1))
-    y = rng.standard_normal((3, N * P, 2))
-    spectra = _spectra(u, P, y)
-    recovered = np.fft.irfft(spectra.Y, n=N, axis=0)
-    for i in range(3):
-        np.testing.assert_allclose(recovered[:, :, i], y[i].reshape(N, P * 2), atol=1e-10)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_dft_parseval(seed):
-    x = np.random.default_rng(seed).standard_normal((4, 24, 2))
-    spectra = _spectra(x, P=2)
-    energy_time = np.sum(x**2)
-    # N = 12 is even: k = 0 and N/2 are their own mirrors, every other
-    # half-grid point stands for itself and its conjugate at N - k.
-    weight = np.full(spectra.N // 2 + 1, 2.0)
-    weight[[0, -1]] = 1.0
-    energy_freq = np.sum(weight[:, None, None] * np.abs(spectra.U) ** 2) / spectra.N
-    np.testing.assert_allclose(energy_freq, energy_time, rtol=1e-8)
-
-
-def test_assemble_spectra_siso_single_experiment():
-    m = random_stable_model(2, P=1, nx=1, ny=1, nu=1)
-    ens = collect_ensemble(m, J=1, N=8, sigma=0.0, master_seed=4)
-    spectra = assemble_spectra(ens)
-    assert spectra.N == 8
-    assert spectra.U.shape == (5, 1, 1)
-    assert spectra.Y.shape == (5, 1, 1)
-
-
-def test_assemble_spectra_example1_shapes(example1_norm):
-    ens = collect_ensemble(example1_norm, J=20, N=50, sigma=1.0, master_seed=7)
-    spectra = assemble_spectra(ens)
-    assert spectra.N == 50
-    assert spectra.U.shape == (26, 2, 20)
-    assert spectra.Y.shape == (26, 2, 20)
-
-
-def test_lifted_spectra_rejects_inconsistent_grids():
-    # N = 8 and N = 9 both have 5 half-grid points; N = 10 has 6.
-    U = np.zeros((5, 2, 3), dtype=complex)
-    for N in (8, 9):
-        assert LiftedSpectra(P=2, N=N, U=U, Y=np.zeros((5, 4, 3))).N == N
-    with pytest.raises(ConfigError, match="incompatible with N=10"):
-        LiftedSpectra(P=2, N=10, U=U, Y=np.zeros((5, 4, 3)))
-    with pytest.raises(ConfigError, match="incompatible with N=8"):
-        LiftedSpectra(P=2, N=8, U=U, Y=np.zeros((6, 4, 3)))
-    with pytest.raises(ConfigError, match="incompatible with N=8"):
-        LiftedSpectra(P=2, N=8, U=U, Y=np.zeros((5, 4, 2)))
-
-
 def test_lifted_frequency_response_rejects_wrong_grid_length():
-    # The response is held on the same half grid as the spectra.
+    # The response is held on the half grid k = 0..N//2 of the lifted spectra.
     G = np.zeros((5, 4, 2), dtype=complex)
     for N in (8, 9):
         assert LiftedFrequencyResponse(P=2, N=N, ny=2, nu=1, G=G).N == N
@@ -504,22 +385,6 @@ def test_lifted_frequency_response_rejects_wrong_grid_length():
             LiftedFrequencyResponse(P=2, N=N, ny=2, nu=1, G=G)
     with pytest.raises(ConfigError, match=r"got \(5, 4, 2\)"):
         LiftedFrequencyResponse(P=2, N=8, ny=1, nu=1, G=G)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=15, deadline=None)
-def test_assemble_spectra_conjugate_symmetry(seed):
-    # The half grid is the full DFT's k = 0..N//2; the full DFT of the real
-    # data is conjugate symmetric, so the mirrored points carry nothing new.
-    m = random_stable_model(seed, P=2, nx=2, ny=1, nu=1)
-    ens = collect_ensemble(m, J=2, N=6, sigma=0.3, master_seed=seed)
-    spectra = assemble_spectra(ens)
-    N = spectra.N
-    for x, X in ((ens.u, spectra.U), (ens.y, spectra.Y)):
-        full = np.fft.fft(x.reshape(2, N, -1), axis=1).transpose(1, 2, 0)
-        np.testing.assert_allclose(X, full[: N // 2 + 1], atol=1e-9)
-        for k in range(N):
-            np.testing.assert_allclose(full[k], np.conj(full[(N - k) % N]), atol=1e-9)
 
 
 def test_experiment_rejects_non_finite_samples():

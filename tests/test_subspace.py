@@ -28,11 +28,7 @@ from ltpsid.model import (
     impulse_table,
     markov_rows,
 )
-from ltpsid.signal import (
-    Ensemble,
-    assemble_spectra,
-    collect_ensemble,
-)
+from ltpsid.signal import Ensemble, collect_ensemble
 from ltpsid.subspace import (
     assemble_aliased,
     build_hankels,
@@ -99,7 +95,7 @@ def test_idft_half_grid_matches_full_inverse(N, example2_norm):
     # The real half-grid inverse against the full complex inverse of the
     # conjugate mirror of the ETFE, at odd and even N.
     ens = collect_ensemble(example2_norm, J=6, N=N, sigma=1.0, master_seed=3)
-    resp = etfe(assemble_spectra(ens))
+    resp = etfe(ens)
     w = _idft_blocks(assemble_aliased(resp))
     G = np.concatenate([resp.G, resp.G[1 : (N + 1) // 2][::-1].conj()])
     full = np.fft.ifft(G, axis=0)
@@ -808,8 +804,8 @@ def test_identify_invariant_under_similarity_transform(example1_norm):
     ens_a = collect_ensemble(example1_norm, **kwargs)
     ens_b = collect_ensemble(transformed, **kwargs)
     # The assembled aliased response is already transform invariant.
-    h_a = assemble_aliased(etfe(assemble_spectra(ens_a)))
-    h_b = assemble_aliased(etfe(assemble_spectra(ens_b)))
+    h_a = assemble_aliased(etfe(ens_a))
+    h_b = assemble_aliased(etfe(ens_b))
     np.testing.assert_allclose(h_a, h_b, atol=1e-8)
     res_a = identify(ens_a, q=8, r=8, n_x=2)
     res_b = identify(ens_b, q=8, r=8, n_x=2)
@@ -827,7 +823,7 @@ def test_p1_pipeline_reduces_to_lti_algorithm():
     m = LtpModel(A=(np.array([[0.5]]),), B=(np.array([[1.0]]),), C=(np.array([[1.0]]),))
     N = 16
     ens = collect_ensemble(m, J=3, N=N, sigma=0.0, master_seed=1)
-    h_est = assemble_aliased(etfe(assemble_spectra(ens)))
+    h_est = assemble_aliased(etfe(ens))
     for r in range(1, N + 1):
         np.testing.assert_allclose(
             h_est[0, r - 1], [[0.5 ** (r - 1) / (1 - 0.5**N)]], atol=1e-9
@@ -885,13 +881,13 @@ def test_estimates_covariant_under_signal_scaling(seed, k, shared):
     for u_scale, y_scale in ((c, 1.0), (1.0, c)):
         scaled = Ensemble(u=u_scale * ens.u, y=y_scale * ens.y, P=ens.P, N=ens.N)
         try:
-            G = etfe(assemble_spectra(ens)).G * (y_scale / u_scale)
+            G = etfe(ens).G * (y_scale / u_scale)
         except RankDeficient as exc:
             with pytest.raises(RankDeficient) as scaled_exc:
-                etfe(assemble_spectra(scaled))
+                etfe(scaled)
             assert scaled_exc.value.frequency_index == exc.frequency_index
             continue
-        G_scaled = etfe(assemble_spectra(scaled)).G
+        G_scaled = etfe(scaled).G
         assert np.max(np.abs(G_scaled - G)) <= 1e-9 * np.max(np.abs(G))
         truth = LtpModel(
             A=m.A, B=tuple(b / u_scale for b in m.B), C=tuple(y_scale * C for C in m.C)
