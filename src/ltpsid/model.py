@@ -21,6 +21,9 @@ of the lifted realization comes from one kernel, ``markov_rows``; only
 ``C_t (I - Psi_t^N)^{-1}``. Impulse-response tables are bare
 (P, max_lag, n_y, n_u) float arrays whose entry ``[t, r-1]`` is tag time t,
 lag r.
+A model memoizes what depends on it alone: ``lift_model``, the steady-state
+resolvent ``(I - A_L^N)^{-1}`` per N and ``impulse_table`` per lag, whose
+arrays are shared by every caller and read-only.
 """
 
 from __future__ import annotations
@@ -75,11 +78,14 @@ class LtpModel:
         A: P state matrices, each (n_x, n_x).
         B: P input matrices, each (n_x, n_u).
         C: P output matrices, each (n_y, n_x).
+        _memo: private; ``lift_model``, the stability-checked steady-state resolvent per
+            N and ``impulse_table`` per lag, shared, read-only and empty in a new model.
     """
 
     A: tuple[np.ndarray, ...]
     B: tuple[np.ndarray, ...]
     C: tuple[np.ndarray, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Freeze the matrices and check them all, so n_x, n_y and n_u are >= 1.
@@ -127,6 +133,16 @@ class LtpModel:
         return self.C[0].shape[0]
 
 
+def _memoized(model: LtpModel, key, compute):
+    """``compute()`` once per model and key, its arrays made read-only; a raise stores nothing."""
+    if key not in model._memo:
+        value = compute()
+        for arr in vars(value).values() if isinstance(value, LiftedLtiModel) else (value,):
+            arr.flags.writeable = False
+        model._memo[key] = value
+    return model._memo[key]
+
+
 def _shifted(A: np.ndarray) -> np.ndarray:
     """``out[j, t] = A_{t-j}`` (cyclic) from the (P, n, n) stack ``A``."""
     P = A.shape[0]
@@ -169,15 +185,21 @@ def is_stable(model: LtpModel) -> Stability:
 
 
 def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
-    """Invert (I - M) for one matrix or a stack, raising ``SingularMatrix`` if singular."""
+    """Invert I - M (a matrix or a stack); ``SingularMatrix`` unless its 1-norm cond <= 1e14."""
     resolvent = np.eye(M.shape[-1]) - M
-    cond = float(np.max(np.linalg.cond(resolvent)))
-    if not np.isfinite(cond) or cond > 1e14:
+    try:
+        inverse = np.linalg.inv(resolvent)
+        with np.errstate(all="ignore"):
+            cond = float(np.max(np.linalg.norm(resolvent, 1, (-2, -1))
+                                * np.linalg.norm(inverse, 1, (-2, -1))))
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond <= 1e14:
         raise SingularMatrix(
             f"I - monodromy^N has condition number {cond:.3e}: an eigenvalue of "
             "the monodromy power is within rounding of 1"
         )
-    return np.linalg.inv(resolvent)
+    return inverse
 
 
 def markov_rows(A, C, max_lag: int) -> np.ndarray:
@@ -218,8 +240,11 @@ def _with_inputs(rows: np.ndarray, B) -> np.ndarray:
 
 
 def impulse_table(model: LtpModel, max_lag: int) -> np.ndarray:
-    """(P, max_lag, n_y, n_u) table of ``C_t A_{t-1} ... A_{t-r+1} B_{t-r}`` at tag t, lag r."""
-    return _with_inputs(markov_rows(model.A, model.C, max_lag), model.B)
+    """(P, max_lag, n_y, n_u) table of ``C_t A_{t-1} ... A_{t-r+1} B_{t-r}`` at tag t, lag r,
+    memoized per lag on the model: shared and read-only."""
+    max_lag = _integer("max_lag", max_lag, 1)
+    return _memoized(model, ("impulse_table", max_lag),
+                     lambda: _with_inputs(markov_rows(model.A, model.C, max_lag), model.B))
 
 
 @dataclass(frozen=True)
@@ -245,22 +270,24 @@ def lift_model(model: LtpModel) -> LiftedLtiModel:
     Every block comes from ``markov_rows`` over one period: output block l
     of C is the row at tag l, lag l + 1; input block m of B is the state
     row (C = I) at tag 0, lag P - m, times ``B_m``; feedthrough block
-    (l, m) is the impulse response at tag l, lag l - m.
+    (l, m) is the impulse response at tag l, lag l - m; one shared, read-only object per model.
     """
-    P, nx, nu, ny = model.P, model.nx, model.nu, model.ny
-    slot = np.arange(P)
-    rows = markov_rows(model.A, model.C, P)
-    state_rows = markov_rows(model.A, np.broadcast_to(np.eye(nx), (P, nx, nx)), P)
-    B_blocks = _with_inputs(state_rows, model.B)[0, ::-1]
-    D_blocks = np.zeros((P, P, ny, nu))
-    l, m = np.tril_indices(P, -1)
-    D_blocks[l, m] = _with_inputs(rows, model.B)[l, l - m - 1]
-    return LiftedLtiModel(
-        A=_monodromies(np.asarray(model.A))[0],
-        B=B_blocks.transpose(1, 0, 2).reshape(nx, P * nu),
-        C=rows[slot, slot].reshape(P * ny, nx),
-        D=D_blocks.transpose(0, 2, 1, 3).reshape(P * ny, P * nu),
-    )
+    def lift() -> LiftedLtiModel:
+        P, nx, nu, ny = model.P, model.nx, model.nu, model.ny
+        slot = np.arange(P)
+        rows = markov_rows(model.A, model.C, P)
+        state_rows = markov_rows(model.A, np.broadcast_to(np.eye(nx), (P, nx, nx)), P)
+        B_blocks = _with_inputs(state_rows, model.B)[0, ::-1]
+        D_blocks = np.zeros((P, P, ny, nu))
+        l, m = np.tril_indices(P, -1)
+        D_blocks[l, m] = _with_inputs(rows, model.B)[l, l - m - 1]
+        return LiftedLtiModel(
+            A=_monodromies(np.asarray(model.A))[0],
+            B=B_blocks.transpose(1, 0, 2).reshape(nx, P * nu),
+            C=rows[slot, slot].reshape(P * ny, nx),
+            D=D_blocks.transpose(0, 2, 1, 3).reshape(P * ny, P * nu),
+        )
+    return _memoized(model, "lift_model", lift)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ Ensembles stack J such experiments in two arrays and check their own
 values, in memory as in a manifest; the frequency-response estimator
 ``etfe`` reads them as they are.
 
-All randomized operations are pure functions of their seeds. Seeds and generators
-come from one batched pass of the SeedSequence hash, equal bit for bit to numpy's.
+All randomized operations are pure functions of their seeds. A batch of seeds or generators
+comes from one batched pass of numpy's SeedSequence hash, equal to it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, LengthNotDivisible, _integer, _real
-from .model import LtpModel, _inverse_of_identity_minus, _stability, lift_model
+from .model import LtpModel, _inverse_of_identity_minus, _memoized, _stability, lift_model
 
 __all__ = [
     "Ensemble",
@@ -92,7 +92,9 @@ def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
     entropy = np.empty((*shape, len(words) + len(index)), dtype=np.uint32)
     for k, column in enumerate(words + index):
         entropy[..., k] = column
-    seeds = _seed_state(entropy.reshape(-1, entropy.shape[-1]), 1)[:, 0]
+    rows = entropy.reshape(-1, entropy.shape[-1])
+    seeds = (_seed_state(rows, 1)[:, 0] if len(rows) != 1  # numpy's hash is quicker for one
+             else np.random.SeedSequence(rows[0].tolist()).generate_state(1, np.uint64))
     return int(seeds[0]) if shape == () else seeds.reshape(shape)
 
 
@@ -189,6 +191,7 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     step from the zero state ends in ``x_N``, the periodic fixed point is
     ``x0 = (I - A_L^N)^{-1} x_N``, and a pass from ``x0`` records the N
     period-start states that give the (T, n_y) or (J, T, n_y) outputs.
+    The resolvent is memoized per N on a model that passed the stability check.
     """
     u = np.asarray(patterns, dtype=np.float64)
     if u.ndim not in (2, 3):
@@ -199,16 +202,18 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
         raise ConfigError(f"patterns must hold at least one sample, got shape {u.shape}")
     if u.shape[-2] % model.P != 0:
         raise LengthNotDivisible(f"pattern length {u.shape[-2]} not divisible by P={model.P}")
-    lifted = lift_model(model)
-    _stability(lifted.A[None], ConfigError, "model is not stable (spectral radius {rho:.4f}); "
-               "steady-state data collection requires stability")
-    N = u.shape[-2] // model.P
+    lifted, N = lift_model(model), u.shape[-2] // model.P
+    def resolvent() -> np.ndarray:
+        _stability(lifted.A[None], ConfigError, "model is not stable (spectral radius {rho:.4f}); "
+                   "steady-state data collection requires stability")
+        return _inverse_of_identity_minus(np.linalg.matrix_power(lifted.A, N))
+    to_fixed_point = _memoized(model, ("resolvent", N), resolvent).T
     u_lifted = u.reshape(u.shape[:-2] + (N, -1))
     drive = u_lifted @ lifted.B.T
     x = np.zeros(drive.shape[:-2] + (model.nx,))
     for n in range(N):
         x = x @ lifted.A.T + drive[..., n, :]
-    x = x @ _inverse_of_identity_minus(np.linalg.matrix_power(lifted.A, N)).T
+    x = x @ to_fixed_point
     X = np.empty(drive.shape)
     for n in range(N):
         X[..., n, :] = x
@@ -239,6 +244,9 @@ def collect_ensemble(
     for i in range(J):
         rngs[2 * i + INPUT_STREAM].standard_normal(out=u[i])
     y = simulate_steady_state(model, u)
-    for i in range(J if sigma else 0):
-        y[i] += sigma * rngs[2 * i + NOISE_STREAM].standard_normal(y[i].shape)
+    if sigma:
+        noise = np.empty_like(y)
+        for i in range(J):
+            rngs[2 * i + NOISE_STREAM].standard_normal(out=noise[i])
+        y += sigma * noise
     return Ensemble(u, y, model.P, N, *map(tuple, seeds.T.tolist()), sigma)

@@ -47,6 +47,18 @@ def test_fit_metric_dimension_mismatch(example1_norm, example2_norm):
         fit_metric(example1_norm, example2_norm, n_g=5)
 
 
+def test_fit_metric_on_a_warm_model_equals_a_fresh_one(example2_norm):
+    # The true model's impulse table comes from its memo after the first call.
+    est = LtpModel(A=example2_norm.A, B=tuple(1.1 * b for b in example2_norm.B), C=example2_norm.C)
+    warm = fit_metric(example2_norm, est)
+    assert ("impulse_table", 50) in example2_norm._memo
+    fresh = LtpModel(A=example2_norm.A, B=example2_norm.B, C=example2_norm.C)
+    for true in (example2_norm, fresh):
+        report = fit_metric(true, est)
+        assert (report.W, report.mse) == (warm.W, warm.mse)
+        np.testing.assert_array_equal(report.errors, warm.errors)
+
+
 def test_fit_metric_perfect(example1_norm):
     report = fit_metric(example1_norm, example1_norm, n_g=50)
     assert report.W == 100.0
@@ -140,8 +152,11 @@ def test_monte_carlo_deterministic(example1_norm):
 def test_monte_carlo_parallel_matches_sequential(example1_norm):
     cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=4, q=6, r=6, n_x=2, seed=5)
     seq = monte_carlo(example1_norm, cfg, jobs=1)
+    # The model is now warm, and the workers receive its memo with it.
+    assert ("resolvent", cfg.N) in example1_norm._memo
     par = monte_carlo(example1_norm, cfg, jobs=2)
     np.testing.assert_array_equal(seq.W_values, par.W_values)
+    np.testing.assert_array_equal(seq.mse_values, par.mse_values)
 
 
 def test_monte_carlo_records_failures(example2_norm):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ltpsid.errors import (
 from ltpsid.fileio import export_frequency_response
 from ltpsid.model import (
     LtpModel,
+    _inverse_of_identity_minus,
     dc_gain,
     impulse_table,
     is_stable,
@@ -422,6 +425,37 @@ def test_frequency_response_unit_delay():
     resp = true_lifted_frequency_response(m, 8)
     omega = 2 * np.pi * np.arange(8 // 2 + 1) / 8
     np.testing.assert_allclose(resp.G[:, 0, 0], np.exp(-1j * omega), atol=1e-13)
+
+
+def test_memo_results_are_shared_read_only_and_pickled(example2):
+    model = LtpModel(A=example2.A, B=example2.B, C=example2.C)
+    lifted, table = lift_model(model), impulse_table(model, 7)
+    simulate_steady_state(model, np.ones((3 * model.P, model.nu)))
+    assert lift_model(model) is lifted and impulse_table(model, 7) is table
+    assert model._memo.keys() == {"lift_model", ("impulse_table", 7), ("resolvent", 3)}
+    for arr in (*vars(lifted).values(), table, model._memo[("resolvent", 3)]):
+        assert not arr.flags.writeable
+    assert "_memo" not in repr(model)
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy._memo.keys() == model._memo.keys()
+    np.testing.assert_array_equal(copy._memo[("impulse_table", 7)], table)
+
+
+def test_normalize_gain_starts_an_empty_memo(example2):
+    model = LtpModel(A=example2.A, B=example2.B, C=example2.C)
+    normalize_gain(model)  # reads the lifted model of `model`, filling its memo
+    assert "lift_model" in model._memo and normalize_gain(model)._memo == {}
+
+
+@pytest.mark.parametrize("M", [np.eye(2), np.stack([0.5 * np.eye(2), np.eye(2)])])
+def test_inverse_of_identity_minus_identity_is_singular(M):
+    with pytest.raises(SingularMatrix, match="condition number inf: .* within rounding of 1"):
+        _inverse_of_identity_minus(M)
+
+
+def test_inverse_of_identity_minus_is_the_lu_inverse():
+    M = np.random.default_rng(3).uniform(-0.4, 0.4, (5, 3, 3))
+    np.testing.assert_array_equal(_inverse_of_identity_minus(M), np.linalg.inv(np.eye(3) - M))
 
 
 def test_normalize_gain_idempotent(example2):

@@ -155,9 +155,12 @@ def test_steady_state_near_unit_root_exactly_periodic():
 
 
 def test_steady_state_unstable_model_rejected():
+    # On every call: a failed stability check leaves nothing in the model's memo.
     m = LtpModel(A=(np.array([[1.5]]),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
-    with pytest.raises(ConfigError, match="not stable"):
-        simulate_steady_state(m, np.ones((4, 1)))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="not stable"):
+            simulate_steady_state(m, np.ones((4, 1)))
+    assert ("resolvent", 4) not in m._memo
 
 
 def test_steady_state_near_unit_eigenvalue_message():
@@ -259,14 +262,21 @@ def test_collect_ensemble_noise_free_outputs_periodic(example1_norm):
 
 def test_collect_ensemble_unstable_model_rejected():
     m = LtpModel(A=(2 * np.eye(1),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
-    with pytest.raises(ConfigError, match="stable"):
-        collect_ensemble(m, J=1, N=4, sigma=0.0, master_seed=0)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="stable"):
+            collect_ensemble(m, J=1, N=4, sigma=0.0, master_seed=0)
 
 
 def test_collect_ensemble_deterministic(example2_norm):
-    a = collect_ensemble(example2_norm, J=3, N=4, sigma=0.5, master_seed=9)
-    b = collect_ensemble(example2_norm, J=3, N=4, sigma=0.5, master_seed=9)
-    np.testing.assert_array_equal(a.y, b.y)
+    # The first call on a newly built model fills its memo; a later call reads it.
+    # Both give the ensemble of the shared fixture, bit for bit.
+    model = LtpModel(A=example2_norm.A, B=example2_norm.B, C=example2_norm.C)
+    a = collect_ensemble(model, J=3, N=4, sigma=0.5, master_seed=9)
+    assert {"lift_model", ("resolvent", 4)} <= model._memo.keys()
+    for other in (model, example2_norm):
+        b = collect_ensemble(other, J=3, N=4, sigma=0.5, master_seed=9)
+        np.testing.assert_array_equal(a.u, b.u)
+        np.testing.assert_array_equal(a.y, b.y)
 
 
 _MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100, 2**200 + 7] + [
@@ -287,6 +297,17 @@ def test_derive_seed_equals_seed_sequence_bit_for_bit():
         assert grid.shape == (5, 2) and grid.dtype == np.uint64
         expected = [[_seed_sequence(master, i, s) for s in (0, 1)] for i in range(5)]
         assert grid.tolist() == expected
+
+
+def test_derive_seed_single_entry_batch_keeps_its_array_type():
+    # A batch of one skips the batched hash; it still returns a uint64 array of its shape.
+    for master in _MASTERS[:20]:
+        for indices in [(np.arange(1),), (np.array([[7]]),), ([3], [NOISE_STREAM])]:
+            seeds = derive_seed(master, *indices)
+            assert type(seeds) is np.ndarray and seeds.dtype == np.uint64
+            assert seeds.shape == np.broadcast_shapes(*(np.shape(i) for i in indices))
+            expected = [_seed_sequence(master, *(int(np.ravel(i)[0]) for i in indices))]
+            assert seeds.ravel().tolist() == expected
 
 
 @pytest.mark.parametrize(
