@@ -109,7 +109,7 @@ _OPTIONS = {
                   "relative singular-value threshold in [0, 1) for --order auto"),
     "n_g": (_COUNT, DEFAULT_N_G, "lag horizon of the fit score"),
     "trials": (_COUNT, 100, "noise realizations per study point"),
-    "seed": (_read(_integer, int, 0), 0, "master seed"),
+    "seed": (_read(_integer, int, 0, np.inf), 0, "master seed"),
     "jobs": (_COUNT, 1, "parallel trial workers"),
     "out": (_text("a directory path"), None, "output directory (default $LTPSID_OUT/<command>)"),
 }

@@ -12,6 +12,7 @@ naming the file.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral, Real
 
 
@@ -104,12 +105,14 @@ class PipelineError(NumericalPipelineError):
         super().__init__(f"stage '{stage}': {cause}")
 
 
-def _integer(name: str, value, minimum: int) -> int:
-    """``value`` as an int: a Python or numpy integer >= ``minimum``, not a bool."""
+def _integer(name: str, value, minimum: int, maximum: float = sys.maxsize) -> int:
+    """``value`` as an int from minimum to maximum (by default numpy's index range), not a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
 
 

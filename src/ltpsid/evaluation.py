@@ -15,8 +15,8 @@ are recorded as failed trials; any other library error stops the study.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         for name in ("J", "N", "trials", "q", "r", "n_x", "n_g"):
             _integer(name, getattr(self, name), 1)
-        _integer("master seed", self.seed, 0)
+        _integer("master seed", self.seed, 0, np.inf)
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,8 @@ class MonteCarloResult:
         return out
 
 
-def _run_one_trial(
-    model: LtpModel, config: MonteCarloConfig, trial: int, seed: int
-) -> TrialRecord:
+def _run_one_trial(task: tuple[LtpModel, MonteCarloConfig, int, int]) -> TrialRecord:
+    model, config, trial, seed = task
     try:
         ensemble = collect_ensemble(
             model, J=config.J, N=config.N, sigma=config.sigma, master_seed=seed
@@ -176,9 +175,23 @@ def _run_one_trial(
         return TrialRecord(trial, seed, None, str(exc))
 
 
-def monte_carlo(
-    model: LtpModel, config: MonteCarloConfig, jobs: int = 1
-) -> MonteCarloResult:
+def _run_trials(model: LtpModel, configs: list[MonteCarloConfig], jobs: int):
+    """The ``TrialRecord`` of each trial of each config in turn, run in process as it is read.
+
+    With ``jobs > 1`` one pool, imported only then, of min(jobs, trials) workers runs them all
+    first, one contiguous chunk each, so the model and its memo are pickled once per chunk.
+    """
+    tasks = [(model, cfg, t, seed) for cfg in configs
+             for t, seed in enumerate(derive_seed(cfg.seed, np.arange(cfg.trials)).tolist())]
+    if jobs == 1:
+        return map(_run_one_trial, tasks)
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one_trial, tasks, chunksize=-(-len(tasks) // workers)))
+
+
+def monte_carlo(model: LtpModel, config: MonteCarloConfig, jobs: int = 1) -> MonteCarloResult:
     """Repeat collect-identify-score under independently derived seeds.
 
     A trial that fails numerically (an unstable estimate, a rank-deficient
@@ -188,15 +201,7 @@ def monte_carlo(
     worker processes; results are identical to the sequential run because
     every trial's seed is derived up front. ``jobs`` must be an integer >= 1.
     """
-    jobs = _integer("jobs", jobs, 1)
-    seeds = derive_seed(config.seed, np.arange(config.trials)).tolist()
-    args = ([model] * len(seeds), [config] * len(seeds), range(len(seeds)), seeds)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = tuple(pool.map(_run_one_trial, *args))
-    else:
-        records = tuple(map(_run_one_trial, *args))
-    return MonteCarloResult(trials=records, config=config)
+    return MonteCarloResult(tuple(_run_trials(model, [config], _integer("jobs", jobs, 1))), config)
 
 
 @dataclass(frozen=True)
@@ -233,13 +238,13 @@ def consistency_sweep(
     N_grid = tuple(_integer("N_grid entry", n, 1) for n in N_grid)
     if len(N_grid) < 2 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise ConfigError(f"N grid must be two or more increasing lengths, got {N_grid}")
-    results = []
-    for N in N_grid:
-        cfg_N = replace(config, N=N, seed=derive_seed(config.seed, N))
-        result = monte_carlo(model, cfg_N, jobs=jobs)
+    configs = [replace(config, N=N, seed=derive_seed(config.seed, N)) for N in N_grid]
+    records, results = iter(_run_trials(model, configs, jobs)), []
+    for cfg in configs:
+        result = MonteCarloResult(trials=tuple(islice(records, cfg.trials)), config=cfg)
         if not result.reports:
             raise NumericalPipelineError(
-                f"all {len(result.failures)} trials failed at N={N}; cannot fit a slope; "
+                f"all {len(result.failures)} trials failed at N={cfg.N}; cannot fit a slope; "
                 f"trial {result.failures[0].trial}: {result.failures[0].error}"
             )
         results.append(result)

@@ -169,11 +169,11 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
     try:
         J = _integer("J", J, 1)
-        seeds = manifest.get("seeds", [{}] * J)
         if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
             raise DataError(f"{manifest_path}: 'files' must be a list of file names")
         if len(files) != J:
             raise DataError(f"{manifest_path}: manifest lists {len(files)} files but J={J}")
+        seeds = manifest.get("seeds", [{}] * J)
         if not (isinstance(seeds, list) and len(seeds) == J
                 and all(isinstance(entry, dict) for entry in seeds)):
             raise DataError(f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})")

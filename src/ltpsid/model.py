@@ -116,6 +116,12 @@ class LtpModel:
                         f"{name}[{i}] has shape {m.shape}, expected {expected}"
                     )
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle read-only, as ``pickle`` drops numpy's flag: rebuild, then refill the memo."""
+        self.__init__(state["A"], state["B"], state["C"])
+        for key, value in state["_memo"].items():
+            _memoized(self, key, lambda: value)
+
     @property
     def P(self) -> int:
         return len(self.A)

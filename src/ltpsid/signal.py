@@ -80,7 +80,7 @@ def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
     and ``(i, NOISE_STREAM)``, and trial t of a study runs on the master
     ``derive_seed(master, t)``.
     """
-    master = _integer("master seed", master_seed, 0)
+    master = _integer("master seed", master_seed, 0, np.inf)
     index = [np.asarray(i) for i in indices]
     if any(i.dtype.kind not in "iu" for i in index):
         raise ConfigError(f"seed indices must be integers, got {indices}")
@@ -163,8 +163,8 @@ class Ensemble:
             seeds = (None,) * self.J if seeds is None else tuple(seeds)
             if len(seeds) != self.J:
                 raise ConfigError(f"{name} holds {len(seeds)} entries, expected J={self.J}")
-            object.__setattr__(self, name, tuple(
-                s if s is None else _integer(f"{name}[{i}]", s, 0) for i, s in enumerate(seeds)))
+            object.__setattr__(self, name, tuple(s if s is None else _integer(
+                f"{name}[{i}]", s, 0, np.inf) for i, s in enumerate(seeds)))
         if self.J < self.P * self.nu:
             raise ConfigError(f"need J >= P*n_u = {self.P * self.nu} experiments, got J={self.J}; "
                               "full row-rank excitation needs that many")

@@ -1,12 +1,16 @@
 """The count rule ``_integer`` and the number rule ``_real`` at every public entry point."""
 
+import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from ltpsid.cli import main
 from ltpsid.errors import ConfigError, _integer, _real
+from ltpsid.fileio import save_ensemble
 from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
 from ltpsid.model import LiftedFrequencyResponse, impulse_table, markov_rows
 from ltpsid.signal import Ensemble, collect_ensemble
@@ -60,7 +64,8 @@ COUNTS = {
     "LiftedFrequencyResponse nu": (
         "nu", lambda m, e, h, v: LiftedFrequencyResponse(2, N, 1, v, SPECTRUM)),
 }
-BAD_COUNTS = [2.0, 2.5, True, np.True_, "2", math.nan, math.inf, np.float64(3), 0, -1]
+# 2**70 is past numpy's index range: refused before numpy sees it, not met as a numpy error.
+BAD_COUNTS = [2.0, 2.5, True, np.True_, "2", math.nan, math.inf, np.float64(3), 0, -1, 2**70]
 
 # As COUNTS, with the bound a number's message states past ">= 0".
 NUMBERS = {
@@ -104,3 +109,40 @@ def test_valid_values_pass_whatever_their_numeric_type(setting):
     np.testing.assert_array_equal(again.y, ens.y)
     assert identify(ens, q=np.int64(5), r=np.int8(5), n_x=2).q == 5
 
+
+
+# Each count flag, as a flag and as a config key, with the rest of a command that
+# would run; ``--trials 1`` keeps any pool a broken bound could open to one worker.
+_MC = ["montecarlo", "--model", "example1", "--nx", "2", "--trials", "1"]
+CLI_COUNTS = [
+    (["simulate", "--model", "example1"], "N"),
+    (["simulate", "--model", "example1"], "J"),
+    (["montecarlo", "--model", "example1", "--nx", "2"], "trials"),
+    (_MC, "jobs"),
+    (["evaluate", "--true", "example1", "--est", "example1"], "n_g"),
+]
+
+
+@pytest.mark.parametrize("as_flag", [True, False], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, key", CLI_COUNTS, ids=[key for _, key in CLI_COUNTS])
+def test_a_count_past_numpys_index_range_exits_2(tmp_path, capsys, argv, key, as_flag):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 2**70}))
+    value = ["--" + key.replace("_", "-"), str(2**70)] if as_flag else ["--config", str(config)]
+    assert main(argv + value + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be <= {sys.maxsize}, got {2**70}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_sweep_length_past_numpys_index_range_exits_2(tmp_path, capsys):
+    argv = _MC[1:] + ["--Ns", f"50,{2**70}", "--out", str(tmp_path / "o")]
+    assert main(["sweep"] + argv) == 2
+    assert capsys.readouterr().err == f"error: Ns entry must be <= {sys.maxsize}, got {2**70}\n"
+
+
+def test_a_manifest_J_past_numpys_index_range_exits_3(tmp_path, capsys, example1_norm):
+    manifest = save_ensemble(collect_ensemble(example1_norm, 2, 4, 0.0, 1), tmp_path / "ens")
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "J": 2**70}))
+    assert main(["identify", str(manifest), "--order", "2", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: J must be <= {sys.maxsize}, got {2**70}\n"

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from ltpsid.evaluation import (
     fit_metric,
     monte_carlo,
 )
+from ltpsid.fileio import write_montecarlo_csv, write_sweep_csv
 from ltpsid.model import LtpModel
 from oracles import _pooled_correlation, etfe_error_stats
 
@@ -159,6 +162,48 @@ def test_monte_carlo_parallel_matches_sequential(example1_norm):
     np.testing.assert_array_equal(seq.mse_values, par.mse_values)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every process pool a study opens, in order."""
+    opened = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return opened
+
+
+def test_monte_carlo_opens_no_more_workers_than_trials(example1_norm, pools, tmp_path):
+    cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=6, r=6, n_x=2, seed=5)
+    seq = monte_carlo(example1_norm, cfg, jobs=1)
+    assert pools == []  # jobs=1 runs in process
+    par = monte_carlo(example1_norm, cfg, jobs=3)
+    assert pools == [2]
+    assert par.summary() == seq.summary()
+    paths = [write_montecarlo_csv(r, tmp_path / f"{i}.csv") for i, r in enumerate((seq, par))]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_consistency_sweep_parallel_matches_sequential(example2_norm, pools, tmp_path, jobs):
+    # Both lengths' 16 trials go through one pool (3 workers split them 6/6/4,
+    # across the N boundary); trial 1 fails at N=40 and trial 7 at N=50.
+    cfg = MonteCarloConfig(J=30, N=50, sigma=1.0, trials=8, q=10, r=10, n_x=2, seed=15)
+    seq = consistency_sweep(example2_norm, [40, 50], cfg, jobs=1)
+    par = consistency_sweep(example2_norm, [40, 50], cfg, jobs=jobs)
+    assert pools == [jobs]
+    assert par.slope == seq.slope
+    failures = [[(t.trial, t.seed, t.error) for t in result.failures]
+                for result in (*seq.results, *par.results)]
+    assert [[t[0] for t in f] for f in failures] == [[1], [7], [1], [7]]
+    assert failures[:2] == failures[2:]
+    paths = [write_sweep_csv(s, tmp_path / f"{i}.csv") for i, s in enumerate((seq, par))]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_monte_carlo_records_failures(example2_norm):
     # A numerical failure is recorded in its trial without aborting the study:
     # of these 24 trials only trial 23 gets an unstable estimate.
@@ -194,7 +239,7 @@ def test_consistency_sweep_requires_increasing_grid(example1_norm, monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the grid was checked")
 
-    monkeypatch.setattr(evaluation, "monte_carlo", no_trials)
+    monkeypatch.setattr(evaluation, "_run_one_trial", no_trials)
     cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=6, r=6, n_x=2, seed=0)
     for grid in ([16, 16], [32, 16], [16], []):
         with pytest.raises(ConfigError, match="two or more increasing lengths"):
@@ -204,7 +249,7 @@ def test_consistency_sweep_requires_increasing_grid(example1_norm, monkeypatch):
 def test_consistency_sweep_rejects_a_length_that_is_not_an_integer(example1_norm, monkeypatch):
     # 25.5 is not rounded to a length: the sweep stops before its first study.
     studies = []
-    monkeypatch.setattr(evaluation, "monte_carlo", lambda *args, **kw: studies.append(args))
+    monkeypatch.setattr(evaluation, "_run_one_trial", studies.append)
     cfg = MonteCarloConfig(J=8, N=16, sigma=1.0, trials=2, q=10, r=10, n_x=2, seed=0)
     with pytest.raises(ConfigError, match="^N_grid entry must be an integer, got 25.5$"):
         consistency_sweep(example1_norm, [25.5, 50], config=cfg)

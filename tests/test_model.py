@@ -441,6 +441,25 @@ def test_memo_results_are_shared_read_only_and_pickled(example2):
     np.testing.assert_array_equal(copy._memo[("impulse_table", 7)], table)
 
 
+def test_an_unpickled_model_and_its_memo_stay_read_only(example2):
+    # pickle drops numpy's read-only flag; a study's worker gets exactly such a copy.
+    model = LtpModel(A=example2.A, B=example2.B, C=example2.C)
+    lift_model(model), impulse_table(model, 7)
+    simulate_steady_state(model, np.ones((3 * model.P, model.nu)))
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy._memo.keys() == model._memo.keys()
+
+    def arrays(m):
+        memo = m._memo
+        return [*m.A, *m.B, *m.C, *vars(memo["lift_model"]).values(),
+                memo[("impulse_table", 7)], memo[("resolvent", 3)]]
+
+    for arr, original in zip(arrays(copy), arrays(model), strict=True):
+        np.testing.assert_array_equal(arr, original)
+        assert not arr.flags.writeable
+    assert lift_model(copy) is copy._memo["lift_model"]
+
+
 def test_normalize_gain_starts_an_empty_memo(example2):
     model = LtpModel(A=example2.A, B=example2.B, C=example2.C)
     normalize_gain(model)  # reads the lifted model of `model`, filling its memo

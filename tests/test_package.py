@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -91,3 +94,15 @@ def test_no_unused_imports():
                            for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in read]
     assert unused == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # Only a study run with jobs > 1 pays for concurrent.futures and what it
+    # pulls in; importing the package or its command line loads none of it.
+    src = Path(ltpsid.__file__).resolve().parents[1]
+    code = ("import sys, ltpsid, ltpsid.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'subprocess')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
