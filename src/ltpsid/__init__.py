@@ -10,7 +10,7 @@ order-revealing periodic block-Hankel decomposition.
 from types import ModuleType as _ModuleType
 
 from .errors import LtpsidError
-from .etfe import etfe, residual_energy
+from .etfe import etfe
 from .evaluation import (
     FitReport,
     MonteCarloConfig,

@@ -1,12 +1,12 @@
-"""Exception types raised across the identification pipeline, and the two value rules.
+"""Exception types raised across the identification pipeline, and the value rules.
 
 Every failure mode surfaced by the library is a subclass of ``LtpsidError``
 so callers (and the CLI) can map them onto exit codes: configuration and
 validation problems, data-format problems, and numerical failures. Every
 count passes ``_integer`` and every bounded number ``_real``, library argument,
 file value, flag or config value alike; no other module has a value rule.
-Both raise ``ConfigError``; a file loader turns it into a ``DataError``
-naming the file.
+``_array_fits`` bounds the bytes of the float64 array its counts shape. All
+raise ``ConfigError``; a file loader turns it into a ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -114,6 +114,11 @@ def _integer(name: str, value, minimum: int, maximum: float = sys.maxsize) -> in
     if value > maximum:
         raise ConfigError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
+
+
+def _array_fits(what: str, *counts: int) -> None:
+    if 8 * math.prod(counts) > sys.maxsize:
+        raise ConfigError(f"{what} = {counts} needs more than {sys.maxsize} bytes of float64")
 
 
 def _real(name: str, value, low: float, high: float = math.inf) -> float:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, RankDeficient
+from .errors import RankDeficient
 from .model import LiftedFrequencyResponse
 from .signal import Ensemble
 
-__all__ = ["etfe", "residual_energy"]
+__all__ = ["etfe"]
 
 RANK_TOL = 1e-10  # a grid point with s_min <= RANK_TOL * s_max is rank-deficient
 
@@ -62,17 +62,3 @@ def etfe(ensemble: Ensemble) -> LiftedFrequencyResponse:
     G = (Y @ Q) @ R_inv.conj().swapaxes(-1, -2)
     return LiftedFrequencyResponse(P=ensemble.P, N=ensemble.N, ny=ensemble.ny, nu=ensemble.nu, G=G)
 
-
-def residual_energy(ensemble: Ensemble, response: LiftedFrequencyResponse) -> np.ndarray:
-    """Frobenius norm of Y_tilde - G_hat @ U_tilde at each half-grid point k = 0..N//2.
-
-    The response must have the ensemble's P, N, n_y and n_u, else ``ConfigError``.
-    Zero (to rounding) whenever the equations are consistent, in
-    particular for J = P*n_u and for noise-free steady-state data.
-    """
-    sizes = [(x.P, x.N, x.ny, x.nu) for x in (response, ensemble)]
-    if sizes[0] != sizes[1]:
-        raise ConfigError("sizes differ: response (P, N, ny, nu) = {}, "
-                          "ensemble (P, N, ny, nu) = {}".format(*sizes))
-    U, Y = _lifted_spectra(ensemble)
-    return np.linalg.norm(Y - response.G @ U, axis=(1, 2))

@@ -93,8 +93,9 @@ class MonteCarloConfig:
     n_g: int = DEFAULT_N_G
 
     def __post_init__(self) -> None:
-        for name in ("J", "N", "trials", "q", "r", "n_x", "n_g"):
+        for name in ("J", "N", "q", "r", "n_x", "n_g"):
             _integer(name, getattr(self, name), 1)
+        _integer("trials", self.trials, 1, 2**32)  # trial t runs on seed index t
         _integer("master seed", self.seed, 0, np.inf)
 
 
@@ -128,21 +129,13 @@ class MonteCarloResult:
         return np.array([rep.W for rep in self.reports])
 
     @property
-    def mse_values(self) -> np.ndarray:
-        return np.array([rep.mse for rep in self.reports])
-
-    @property
     def mse_median(self) -> float:
-        return float(np.median(self.mse_values))
-
-    @property
-    def failure_rate(self) -> float:
-        return len(self.failures) / len(self.trials)
+        return float(np.median([rep.mse for rep in self.reports]))
 
     @property
     def config_failed(self) -> bool:
         """True when more than 10% of the trials failed."""
-        return self.failure_rate > FAILURE_RATE_LIMIT
+        return len(self.failures) / len(self.trials) > FAILURE_RATE_LIMIT
 
     def summary(self) -> dict:
         W = self.W_values
@@ -179,7 +172,8 @@ def _run_trials(model: LtpModel, configs: list[MonteCarloConfig], jobs: int):
     """The ``TrialRecord`` of each trial of each config in turn, run in process as it is read.
 
     With ``jobs > 1`` one pool, imported only then, of min(jobs, trials) workers runs them all
-    first, one contiguous chunk each, so the model and its memo are pickled once per chunk.
+    first, one contiguous chunk each, so the model is pickled once per chunk and each chunk
+    rebuilds its memo from empty.
     """
     tasks = [(model, cfg, t, seed) for cfg in configs
              for t, seed in enumerate(derive_seed(cfg.seed, np.arange(cfg.trials)).tolist())]
@@ -229,13 +223,13 @@ def consistency_sweep(
     """Measure how the impulse-response MSE decays with the record length.
 
     Runs ``config.trials`` noisy identifications at every N of the grid, two
-    or more increasing integers >= 1 (the Hankel block counts stay fixed at config.q,
+    or more increasing integers in 1..2**32-1 (the Hankel block counts stay fixed at config.q,
     config.r), and fits the least-squares slope of log median MSE against log N.
     A configuration error stops the sweep at its first trial, as in ``monte_carlo``;
     all trials at one N failing numerically raise ``NumericalPipelineError``.
     """
     jobs = _integer("jobs", jobs, 1)
-    N_grid = tuple(_integer("N_grid entry", n, 1) for n in N_grid)
+    N_grid = tuple(_integer("N_grid entry", n, 1, 2**32 - 1) for n in N_grid)  # a seed index
     if len(N_grid) < 2 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise ConfigError(f"N grid must be two or more increasing lengths, got {N_grid}")
     configs = [replace(config, N=N, seed=derive_seed(config.seed, N)) for N in N_grid]

@@ -28,7 +28,6 @@ from .subspace import IdentificationResult
 __all__ = [
     "save_model",
     "load_model",
-    "model_to_dict",
     "model_from_dict",
     "save_ensemble",
     "load_ensemble",
@@ -86,22 +85,6 @@ def read_file(path: str | Path, what: str, parse):
         raise DataError(f"{path}: cannot read {what}: {exc}") from exc
 
 
-def _matrix_list(mats) -> list:
-    return [[[float(v) for v in row] for row in m] for m in mats]
-
-
-def model_to_dict(model: LtpModel) -> dict:
-    return {
-        "P": model.P,
-        "nx": model.nx,
-        "ny": model.ny,
-        "nu": model.nu,
-        "A": _matrix_list(model.A),
-        "B": _matrix_list(model.B),
-        "C": _matrix_list(model.C),
-    }
-
-
 def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
     try:
         P = _integer("P", data["P"], 1)
@@ -125,7 +108,9 @@ def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
 
 
 def save_model(model: LtpModel, path: str | Path) -> Path:
-    return _write(path, json.dumps(model_to_dict(model), indent=2) + "\n")
+    data = {"P": model.P, "nx": model.nx, "ny": model.ny, "nu": model.nu,
+            **{name: [m.tolist() for m in getattr(model, name)] for name in "ABC"}}
+    return _write(path, json.dumps(data, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> LtpModel:

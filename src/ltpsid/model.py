@@ -15,15 +15,16 @@ matrices obey in memory and in a model file, plus the quantities the
 identification pipeline is checked against: the one stability rule on the
 monodromy matrix, periodic impulse-response tables, the lifted LTI
 realization, and the type that holds a lifted frequency response.
-Every product ``C_t A_{t-1} ... A_{t-r+1}`` in the package and every block
-of the lifted realization comes from one kernel, ``markov_rows``; only
-``subspace.estimate_B`` starts it from the aliasing resolvent
-``C_t (I - Psi_t^N)^{-1}``. Impulse-response tables are bare
+Every block of the lifted realization and every impulse-response table
+comes from one kernel, ``markov_rows``. ``subspace.estimate_B`` takes one
+period of it started from the aliasing resolvent ``C_t (I - Psi_t^N)^{-1}``
+and carries that period to N periods by its own repeated squaring of the
+monodromy. Impulse-response tables are bare
 (P, max_lag, n_y, n_u) float arrays whose entry ``[t, r-1]`` is tag time t,
 lag r.
 A model memoizes what depends on it alone: ``lift_model``, the steady-state
 resolvent ``(I - A_L^N)^{-1}`` per N and ``impulse_table`` per lag, whose
-arrays are shared by every caller and read-only.
+arrays are shared by every caller and read-only; a pickled copy starts empty.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     DimensionMismatch,
     NumericalError,
     SingularMatrix,
+    _array_fits,
     _integer,
 )
 
@@ -116,11 +118,9 @@ class LtpModel:
                         f"{name}[{i}] has shape {m.shape}, expected {expected}"
                     )
 
-    def __setstate__(self, state: dict) -> None:
-        """Unpickle read-only, as ``pickle`` drops numpy's flag: rebuild, then refill the memo."""
-        self.__init__(state["A"], state["B"], state["C"])
-        for key, value in state["_memo"].items():
-            _memoized(self, key, lambda: value)
+    def __reduce__(self):
+        """Pickle as a constructor call: a copy is checked, read-only and starts an empty memo."""
+        return (LtpModel, (self.A, self.B, self.C))
 
     @property
     def P(self) -> int:
@@ -215,11 +215,12 @@ def markov_rows(A, C, max_lag: int) -> np.ndarray:
     of the (P, max_lag, n_y, n_x) result is tag t, lag r. Batched over tag
     times, the product steps one lag at a time over the first period and
     then one period at a time, by the monodromy ``Psi_{t-r+1}``. ``max_lag``
-    must be an integer >= 1.
+    must be an integer >= 1, and the result must fit numpy's byte limit.
     """
     A, C = (np.asarray(x, dtype=np.float64) for x in (A, C))
     max_lag = _integer("max_lag", max_lag, 1)
     P = A.shape[0]
+    _array_fits("Markov rows (max_lag, P, n_y, n_x)", max_lag, P, C.shape[1], A.shape[1])
     rows = np.empty((max_lag, P, C.shape[1], A.shape[1]))
     rows[:1] = C
     shifted = _shifted(A)

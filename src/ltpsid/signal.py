@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LengthNotDivisible, _integer, _real
+from .errors import ConfigError, DataError, LengthNotDivisible, _array_fits, _integer, _real
 from .model import LtpModel, _inverse_of_identity_minus, _memoized, _stability, lift_model
 
 __all__ = [
@@ -234,10 +234,11 @@ def collect_ensemble(
     ``default_rng(input_seeds[i]).standard_normal((N*P, n_u))`` and its
     noise ``sigma * default_rng(noise_seeds[i]).standard_normal((N*P, n_y))``.
     J and N are integers >= 1 and sigma a finite number >= 0, else ``ConfigError``;
-    ``Ensemble`` checks ``J >= P*n_u``.
+    ``Ensemble`` checks ``J >= P*n_u``, and ``_array_fits`` that numpy can hold the samples.
     """
     sigma = _real("sigma", sigma, 0)
     J, N = _integer("J", J, 1), _integer("N", N, 1)
+    _array_fits("ensemble (J, N, P, channels)", J, N, model.P, max(model.nu, model.ny))
     seeds = derive_seed(master_seed, np.arange(J)[:, None], [INPUT_STREAM, NOISE_STREAM])
     rngs = _generators(seeds.ravel())
     u = np.empty((J, N * model.P, model.nu))

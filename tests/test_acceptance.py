@@ -271,7 +271,7 @@ def test_criterion_8_monte_carlo_study(example1_norm, example2_norm, tmp_path):
         write_json(result.summary(), tmp_path / f"{name}_summary.json")
         summary = result.summary()
         base = baselines[name]
-        ok &= result.failure_rate <= 0.10
+        ok &= not result.config_failed
         ok &= (tmp_path / f"{name}_trials.csv").exists()
         ok &= abs(summary["W_median"] - base["W_median"]) < 1.0
         details.append(

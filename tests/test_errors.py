@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ltpsid.cli import main
-from ltpsid.errors import ConfigError, _integer, _real
+from ltpsid.errors import ConfigError, _array_fits, _integer, _real
 from ltpsid.fileio import save_ensemble
 from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
 from ltpsid.model import LiftedFrequencyResponse, impulse_table, markov_rows
@@ -146,3 +146,75 @@ def test_a_manifest_J_past_numpys_index_range_exits_3(tmp_path, capsys, example1
     assert main(["identify", str(manifest), "--order", "2", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {manifest}: J must be <= {sys.maxsize}, got {2**70}\n"
+
+
+# Trial t of a study runs on seed index t and a sweep length is itself a seed index, and
+# seed indices lie in 0..2**32-1. Every value below is past that bound and is refused
+# before any array is made.
+def test_a_trial_count_past_the_seed_indices_raises_config_error():
+    config = dict(J=4, N=N, sigma=0.1, q=3, r=3, n_x=2, seed=0)
+    assert MonteCarloConfig(trials=2**32, **config).trials == 2**32  # built, never run
+    for trials in (2**32 + 1, 2**62):
+        with pytest.raises(ConfigError, match=f"^trials must be <= {2**32}, got {trials}$"):
+            MonteCarloConfig(trials=trials, **config)
+
+
+def test_a_sweep_length_past_the_seed_indices_raises_config_error(example1_norm):
+    config = MonteCarloConfig(J=4, N=N, sigma=0.1, trials=1, q=3, r=3, n_x=2, seed=0)
+    for length in (2**32, 2**62):
+        with pytest.raises(ConfigError,
+                           match=f"^N_grid entry must be <= {2**32 - 1}, got {length}$"):
+            consistency_sweep(example1_norm, [N, length], config)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--Ns", f"5,{2**62}"], f"N_grid entry must be <= {2**32 - 1}, got {2**62}"),
+    (["montecarlo", "--trials", str(2**62)], f"trials must be <= {2**32}, got {2**62}"),
+], ids=["sweep Ns", "montecarlo trials"])
+def test_a_count_past_the_seed_indices_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--model", "example1", "--nx", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_array_fits_refuses_only_past_the_byte_limit():
+    # Pure arithmetic on the counts: nothing is allocated either side of the bound.
+    _array_fits("array (n,)", sys.maxsize // 8)
+    with pytest.raises(ConfigError, match=re.escape(f"array (n, m) = ({sys.maxsize // 8 + 1}, 1) "
+                                                    f"needs more than {sys.maxsize} bytes")):
+        _array_fits("array (n, m)", sys.maxsize // 8 + 1, 1)
+
+
+# Counts inside numpy's index range whose product with the other sizes is not: each is
+# refused as ConfigError naming the counts, before the seeds or any array.
+ARRAY_COUNTS = {
+    "collect_ensemble J": (rf"ensemble \(J, N, P, channels\) = \({2**62}, 8, 2, 1\)",
+                           lambda m: collect_ensemble(m, 2**62, N, 0.1, 0)),
+    "collect_ensemble N": (rf"ensemble \(J, N, P, channels\) = \(4, {2**62}, 2, 1\)",
+                           lambda m: collect_ensemble(m, 4, 2**62, 0.1, 0)),
+    "markov_rows max_lag": (rf"Markov rows \(max_lag, P, n_y, n_x\) = \({2**62}, 2, 1, 2\)",
+                            lambda m: markov_rows(m.A, m.C, 2**62)),
+    "fit_metric n_g": (rf"Markov rows .* = \({2**62}, 2, 1, 2\)",
+                       lambda m: fit_metric(m, m, 2**62)),
+}
+
+
+@pytest.mark.parametrize("entry", ARRAY_COUNTS)
+def test_counts_past_numpys_array_size_raise_config_error(example1_norm, entry):
+    shape, call = ARRAY_COUNTS[entry]
+    with pytest.raises(ConfigError, match=f"^{shape} needs more than {sys.maxsize} bytes"):
+        call(example1_norm)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "example1", "--N", str(2**62)],
+    ["simulate", "--model", "example1", "--J", str(2**62)],
+    ["evaluate", "--true", "example1", "--est", "example1", "--n-g", str(2**62)],
+], ids=["simulate N", "simulate J", "evaluate n_g"])
+def test_counts_past_numpys_array_size_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: .* = \(.*{2**62}.*\) needs more than {sys.maxsize} bytes "
+                        r"of float64\n", err)
+    assert not (tmp_path / "o").exists()

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_stable_model, with_shared_input
-from ltpsid.errors import ConfigError, RankDeficient
-from ltpsid.etfe import etfe, residual_energy
+from ltpsid.errors import RankDeficient
+from ltpsid.etfe import etfe
 from ltpsid.signal import Ensemble, collect_ensemble
 from oracles import true_lifted_frequency_response
 
@@ -190,23 +190,28 @@ def test_etfe_well_excited_data_needs_no_svd(example2_norm, monkeypatch):
     assert calls == []
 
 
+def _residual(ens):
+    """Frobenius norm of Y_tilde_k - G_hat_k U_tilde_k at each half-grid point k = 0..N//2."""
+    G = etfe(ens).G
+    U, Y = _full_grid(ens.u, ens.N)[: len(G)], _full_grid(ens.y, ens.N)[: len(G)]
+    return np.linalg.norm(Y - G @ U, axis=(1, 2))
+
+
 def test_residual_zero_when_exactly_determined(example1_norm):
     ens = _noise_free(example1_norm, J=2, N=12)  # J = P*n_u
-    res = residual_energy(ens, etfe(ens))
-    assert np.max(res) < 1e-10
+    assert np.max(_residual(ens)) < 1e-10
 
 
 def test_residual_zero_when_overdetermined_noise_free(example2_norm):
     ens = _noise_free(example2_norm, J=9, N=12)
-    res = residual_energy(ens, etfe(ens))
-    assert np.max(res) < 1e-8
+    assert np.max(_residual(ens)) < 1e-8
 
 
 def test_residual_grows_with_noise(example1_norm):
     res = {}
     for sigma in (0.1, 1.0):
         ens = collect_ensemble(example1_norm, J=8, N=16, sigma=sigma, master_seed=11)
-        res[sigma] = float(np.sum(residual_energy(ens, etfe(ens))))
+        res[sigma] = float(np.sum(_residual(ens)))
     assert 0 < res[0.1] < res[1.0]
 
 
@@ -223,38 +228,6 @@ def test_etfe_half_grid_matches_per_frequency_pinv(example2_norm, N):
         reference = Y[k] @ np.linalg.pinv(U[k], rcond=1e-10)
         scale = np.max(np.abs(reference))
         np.testing.assert_allclose(G[k], reference, rtol=0, atol=1e-12 * scale)
-
-
-def test_residual_energy_matches_per_frequency_norm(example1_norm):
-    ens = collect_ensemble(example1_norm, J=8, N=16, sigma=1.0, master_seed=11)
-    response = etfe(ens)
-    U, Y = _full_grid(ens.u, 16), _full_grid(ens.y, 16)
-    reference = [
-        np.linalg.norm(Y[k] - response.G[k] @ U[k], "fro") for k in range(16 // 2 + 1)
-    ]
-    np.testing.assert_allclose(
-        residual_energy(ens, response), reference, rtol=1e-14
-    )
-
-
-def test_residual_energy_rejects_mismatched_grid(example1_norm):
-    ens = collect_ensemble(example1_norm, J=4, N=8, sigma=0.0, master_seed=1)
-    for N_other in (6, 9):  # N = 9 has as many half-grid points as N = 8
-        other = etfe(collect_ensemble(example1_norm, J=4, N=N_other, sigma=0.0, master_seed=1))
-        with pytest.raises(ConfigError, match=r"sizes differ: response \(P, N, ny, nu\) = "
-                                              rf"\(2, {N_other}, 1, 1\), ensemble .* \(2, 8, 1, 1\)"):
-            residual_energy(ens, other)
-
-
-def test_residual_energy_rejects_other_period_and_channels():
-    # A P = 2 SISO response and a P = 1 2x2 ensemble of the same N share the
-    # shape of G_hat @ U_tilde, so only the size check tells them apart.
-    response = etfe(_noise_free(random_stable_model(3, P=2, nx=2, ny=1, nu=1), J=2, N=8))
-    ens = _noise_free(random_stable_model(4, P=1, nx=2, ny=2, nu=2), J=2, N=8)
-    assert response.G.shape[1:] == (2, 2)
-    with pytest.raises(ConfigError, match=r"response \(P, N, ny, nu\) = \(2, 8, 1, 1\), "
-                                          r"ensemble \(P, N, ny, nu\) = \(1, 8, 2, 2\)"):
-        residual_energy(ens, response)
 
 
 def _spectra(u, P, y=None):
