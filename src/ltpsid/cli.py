@@ -57,6 +57,7 @@ def _read(rule, kind, *bounds):
 
 
 _COUNT = _read(_integer, int, 1)
+_LENGTH = _read(_integer, int, 1, 2**32 - 1)  # a sweep's record length is also a seed index
 
 
 def _switch(name: str, value) -> bool:
@@ -84,7 +85,7 @@ def _lengths(name: str, value) -> list[int]:
         value = [s for s in value.split(",") if s.strip()]
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a comma-separated string or a list, got {value!r}")
-    return [_COUNT(f"{name} entry", n) for n in value]
+    return [_LENGTH(f"{name} entry", n) for n in value]
 
 
 # Each option a flag or config key can set: (check, built-in default, help).

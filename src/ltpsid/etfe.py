@@ -24,16 +24,13 @@ __all__ = ["etfe"]
 RANK_TOL = 1e-10  # a grid point with s_min <= RANK_TOL * s_max is rank-deficient
 
 
-def _lifted_spectra(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Half-grid data matrices ``(U_tilde, Y_tilde)``, one real transform per signal.
+def _lifted_spectrum(x: np.ndarray, N: int) -> np.ndarray:
+    """Half-grid data matrix of one stacked (J, N*P, channels) signal, one real transform.
 
-    ``U[k]`` is (P*n_u, J) and holds, column per experiment, the unnormalized
-    DFT ``sum_n u_lifted[n] * exp(-2j*pi*n*k/N)`` for k = 0..N//2; likewise
-    ``Y[k]``, (P*n_y, J).
+    Entry k is (P*channels, J) and holds, column per experiment, the unnormalized
+    DFT ``sum_n x_lifted[n] * exp(-2j*pi*n*k/N)`` for k = 0..N//2.
     """
-    J, N = ensemble.J, ensemble.N
-    return tuple(np.fft.rfft(x.reshape(J, N, -1), axis=1).transpose(1, 2, 0)
-                 for x in (ensemble.u, ensemble.y))
+    return np.fft.rfft(x.reshape(len(x), N, -1), axis=1).transpose(1, 2, 0)
 
 
 def etfe(ensemble: Ensemble) -> LiftedFrequencyResponse:
@@ -45,9 +42,15 @@ def etfe(ensemble: Ensemble) -> LiftedFrequencyResponse:
     when s_min <= ``RANK_TOL``*s_max for the singular values of R (those of
     U_tilde). As s_min >= 1/||R^{-1}||_F and s_max <= ||R||_F, the SVD of R
     runs only if some point fails 1/||R^{-1}||_F > RANK_TOL*||R||_F.
+
+    No spectrum-sized array outlives its last use: U_tilde is conjugated in
+    place and dropped once the QR returns, and Y_tilde is transformed only
+    then, so the peak holds three such arrays, U_tilde^H, numpy's copy of it
+    inside the QR and Q.
     """
-    U, Y = _lifted_spectra(ensemble)
-    Q, R = np.linalg.qr(U.conj().swapaxes(-1, -2))
+    U = _lifted_spectrum(ensemble.u, ensemble.N)
+    Q, R = np.linalg.qr(np.conjugate(U, out=U).swapaxes(-1, -2))
+    del U
     R_inv = np.broadcast_to(np.eye(R.shape[-1], dtype=R.dtype), R.shape).copy()
     with np.errstate(all="ignore"):  # an exactly singular R gives inf and NaN
         for i in range(R.shape[-1] - 1, -1, -1):
@@ -59,6 +62,6 @@ def etfe(ensemble: Ensemble) -> LiftedFrequencyResponse:
         deficient = np.flatnonzero(s[:, -1] <= RANK_TOL * s[:, 0])
         if deficient.size:
             raise RankDeficient(int(deficient[0]), float(s[deficient[0], -1]))
-    G = (Y @ Q) @ R_inv.conj().swapaxes(-1, -2)
+    G = (_lifted_spectrum(ensemble.y, ensemble.N) @ Q) @ R_inv.conj().swapaxes(-1, -2)
     return LiftedFrequencyResponse(P=ensemble.P, N=ensemble.N, ny=ensemble.ny, nu=ensemble.nu, G=G)
 

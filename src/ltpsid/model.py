@@ -72,7 +72,7 @@ def _as_matrix_tuple(name: str, mats: Sequence[np.ndarray]) -> tuple[np.ndarray,
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtpModel:
     """Strictly causal LTP state-space model with period ``len(A)``.
 
@@ -87,7 +87,7 @@ class LtpModel:
     A: tuple[np.ndarray, ...]
     B: tuple[np.ndarray, ...]
     C: tuple[np.ndarray, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         """Freeze the matrices and check them all, so n_x, n_y and n_u are >= 1.

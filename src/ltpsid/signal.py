@@ -117,7 +117,7 @@ def _generators(seeds) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_State(row))) for row in state]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """J experiments sharing the same period P and record length N*P, stacked.
 
@@ -249,5 +249,6 @@ def collect_ensemble(
         noise = np.empty_like(y)
         for i in range(J):
             rngs[2 * i + NOISE_STREAM].standard_normal(out=noise[i])
-        y += sigma * noise
+        noise *= sigma
+        y += noise
     return Ensemble(u, y, model.P, N, *map(tuple, seeds.T.tolist()), sigma)

@@ -137,7 +137,7 @@ def test_a_count_past_numpys_index_range_exits_2(tmp_path, capsys, argv, key, as
 def test_a_sweep_length_past_numpys_index_range_exits_2(tmp_path, capsys):
     argv = _MC[1:] + ["--Ns", f"50,{2**70}", "--out", str(tmp_path / "o")]
     assert main(["sweep"] + argv) == 2
-    assert capsys.readouterr().err == f"error: Ns entry must be <= {sys.maxsize}, got {2**70}\n"
+    assert capsys.readouterr().err == f"error: Ns entry must be <= {2**32 - 1}, got {2**70}\n"
 
 
 def test_a_manifest_J_past_numpys_index_range_exits_3(tmp_path, capsys, example1_norm):
@@ -167,11 +167,16 @@ def test_a_sweep_length_past_the_seed_indices_raises_config_error(example1_norm)
             consistency_sweep(example1_norm, [N, length], config)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["sweep", "--Ns", f"5,{2**62}"], f"N_grid entry must be <= {2**32 - 1}, got {2**62}"),
-    (["montecarlo", "--trials", str(2**62)], f"trials must be <= {2**32}, got {2**62}"),
-], ids=["sweep Ns", "montecarlo trials"])
-def test_a_count_past_the_seed_indices_exits_2(tmp_path, capsys, argv, message):
+# The flag and the config key of a sweep length name the option, Ns, not the library's N_grid.
+@pytest.mark.parametrize("argv, config, message", [
+    (["sweep", "--Ns", f"5,{2**62}"], None, f"Ns entry must be <= {2**32 - 1}, got {2**62}"),
+    (["sweep"], {"Ns": [5, 2**32]}, f"Ns entry must be <= {2**32 - 1}, got {2**32}"),
+    (["montecarlo", "--trials", str(2**62)], None, f"trials must be <= {2**32}, got {2**62}"),
+], ids=["sweep Ns", "sweep Ns config", "montecarlo trials"])
+def test_a_count_past_the_seed_indices_exits_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "config.json")]
     out = tmp_path / "o"
     assert main(argv + ["--model", "example1", "--nx", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -190,6 +191,22 @@ def test_etfe_well_excited_data_needs_no_svd(example2_norm, monkeypatch):
     assert calls == []
 
 
+def test_etfe_peak_memory_holds_at_most_four_input_spectra():
+    # U_tilde^H, numpy's copy of it inside the QR and Q are alive at the peak; one
+    # more input spectrum's worth covers the small arrays, and Y_tilde comes later.
+    P, n_u, J, N = 12, 2, 48, 200
+    ens = collect_ensemble(random_stable_model(3, P=P, nx=6, ny=2, nu=n_u), J=J, N=N,
+                           sigma=1.0, master_seed=5)
+    tracemalloc.start()
+    try:
+        etfe(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    spectrum = (N // 2 + 1) * J * P * n_u * 16
+    assert peak <= 4 * spectrum, peak / spectrum
+
+
 def _residual(ens):
     """Frobenius norm of Y_tilde_k - G_hat_k U_tilde_k at each half-grid point k = 0..N//2."""
     G = etfe(ens).G
@@ -233,8 +250,8 @@ def test_etfe_half_grid_matches_per_frequency_pinv(example2_norm, N):
 def _spectra(u, P, y=None):
     """``(U, Y)`` of experiments with inputs u[i] and outputs y[i] (default u)."""
     u = np.asarray(u, dtype=float)
-    y = u if y is None else y
-    return etfe_module._lifted_spectra(Ensemble(u=u, y=y, P=P, N=u.shape[1] // P))
+    y = u if y is None else np.asarray(y, dtype=float)
+    return tuple(etfe_module._lifted_spectrum(x, u.shape[1] // P) for x in (u, y))
 
 
 def test_lift_p1_identity():
@@ -320,14 +337,14 @@ def test_dft_parseval(seed):
 def test_lifted_spectra_siso_single_experiment():
     m = random_stable_model(2, P=1, nx=1, ny=1, nu=1)
     ens = collect_ensemble(m, J=1, N=8, sigma=0.0, master_seed=4)
-    U, Y = etfe_module._lifted_spectra(ens)
+    U, Y = (etfe_module._lifted_spectrum(x, ens.N) for x in (ens.u, ens.y))
     assert U.shape == (5, 1, 1)
     assert Y.shape == (5, 1, 1)
 
 
 def test_lifted_spectra_example1_shapes(example1_norm):
     ens = collect_ensemble(example1_norm, J=20, N=50, sigma=1.0, master_seed=7)
-    U, Y = etfe_module._lifted_spectra(ens)
+    U, Y = (etfe_module._lifted_spectrum(x, ens.N) for x in (ens.u, ens.y))
     assert U.shape == (26, 2, 20)
     assert Y.shape == (26, 2, 20)
 
@@ -340,7 +357,8 @@ def test_lifted_spectra_conjugate_symmetry(seed):
     m = random_stable_model(seed, P=2, nx=2, ny=1, nu=1)
     ens = collect_ensemble(m, J=2, N=6, sigma=0.3, master_seed=seed)
     N = ens.N
-    for x, X in zip((ens.u, ens.y), etfe_module._lifted_spectra(ens)):
+    for x in (ens.u, ens.y):
+        X = etfe_module._lifted_spectrum(x, N)
         full = np.fft.fft(x.reshape(2, N, -1), axis=1).transpose(1, 2, 0)
         np.testing.assert_allclose(X, full[: N // 2 + 1], atol=1e-9)
         for k in range(N):

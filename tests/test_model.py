@@ -24,7 +24,7 @@ from ltpsid.model import (
     markov_rows,
     normalize_gain,
 )
-from ltpsid.signal import simulate_steady_state
+from ltpsid.signal import collect_ensemble, simulate_steady_state
 from ltpsid.subspace import estimate_B
 from oracles import aliased_impulse_response_true, monodromy, true_lifted_frequency_response
 
@@ -455,6 +455,16 @@ def test_an_unpickled_model_and_its_memo_stay_read_only(example2):
     for name, arr in vars(lift_model(copy)).items():
         assert arr.tobytes() == getattr(lifted, name).tobytes() and not arr.flags.writeable
     assert lift_model(copy) is copy._memo["lift_model"]
+
+
+def test_models_and_ensembles_compare_by_identity(example2):
+    # Their fields hold arrays, which compare element-wise; each object equals only itself.
+    ens = collect_ensemble(example2, J=3, N=4, sigma=0.1, master_seed=0)
+    for obj in (example2, ens):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert obj == obj and not obj != obj
+        assert copy != obj and not copy == obj
+        assert len({obj, copy, obj}) == 2
 
 
 def test_normalize_gain_starts_an_empty_memo(example2):
