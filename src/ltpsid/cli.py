@@ -182,7 +182,7 @@ def _cmd_identify(args) -> int:
     if args.export_response:
         fileio.export_frequency_response(result.response, out / "response.csv")
     print(
-        f"identified order {result.order_used} model "
+        f"identified order {result.model.nx} model "
         f"(q={result.q}, r={result.r}); wrote {out / 'model.json'}"
     )
     return _EXIT_OK
@@ -194,7 +194,7 @@ def _cmd_evaluate(args) -> int:
     report = fit_metric(true_model, est_model, n_g=args.n_g)
     out = _out_dir(args)
     fileio.write_json(
-        {"W": report.W, "mse": report.mse, "n_g": report.n_g,
+        {"W": report.W, "mse": report.mse, "n_g": args.n_g,
          "max_error": float(np.max(report.errors))},
         out / "fit.json",
     )

@@ -41,13 +41,12 @@ FAILURE_RATE_LIMIT = 0.10
 DEFAULT_N_G = 50  # lag horizon of the fit score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
-    """Fit score W, impulse-response errors, and their mean square."""
+    """Fit score W, impulse-response errors over lags 1..n_g (``errors.shape[1]``), mean square."""
 
     W: float
     errors: np.ndarray = field(repr=False)  # (P, n_g) Frobenius errors
-    n_g: int
     mse: float
 
 
@@ -75,7 +74,7 @@ def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = DEFAULT_N_G
             "true impulse response is constant; fit score undefined"
         )
     W = 100.0 * (1.0 - np.sqrt(num / den))
-    return FitReport(W=float(W), errors=errors, n_g=n_g, mse=num / g_true.size)
+    return FitReport(W=float(W), errors=errors, mse=num / g_true.size)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 Floats are written with Python's shortest round-trip representation so
 repeated runs with the same seed produce byte-identical files on any
-platform. Every writer creates the file's directory. Malformed inputs
-raise ``DataError`` with the offending file and location. A loader checks
-only what a file adds: its keys, the number of matrices or file names, and
-declared dimensions or counts. ``LtpModel`` and ``Ensemble`` check the
-values; each loader turns their ``ConfigError`` into one ``DataError``
-naming the file.
+platform. The csv module writes ``trials.csv`` (its messages may need
+quoting); the numeric tables are joined in the same CRLF format. Every
+writer creates the file's directory. Malformed inputs raise ``DataError``
+with the offending file and location. A loader checks only what a file
+adds: its keys, the number of matrices or file names, and declared
+dimensions or counts. ``LtpModel`` and ``Ensemble`` check the values; each
+loader turns their ``ConfigError`` into one ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .subspace import IdentificationResult
 __all__ = [
     "save_model",
     "load_model",
-    "model_from_dict",
     "save_ensemble",
     "load_ensemble",
     "read_file",
@@ -48,13 +48,6 @@ def _number_rows(rows: list) -> str:
     or a float holds no ``[``, ``]`` or ``, ``.
     """
     return repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",")
-
-
-def _text_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes a field: quoted if it holds ``,``, ``"`` or a line end."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _write(path: str | Path, text: str) -> Path:
@@ -85,28 +78,6 @@ def read_file(path: str | Path, what: str, parse):
         raise DataError(f"{path}: cannot read {what}: {exc}") from exc
 
 
-def model_from_dict(data: dict, source: str = "<dict>") -> LtpModel:
-    try:
-        P = _integer("P", data["P"], 1)
-        mats = {name: data[name] for name in "ABC"}
-        for name, seq in mats.items():
-            if len(seq) != P:
-                raise DataError(f"{source}: P={P} needs P {name}-matrices, got {len(seq)}")
-        model = LtpModel(**mats)
-        shape = {"nx": model.nx, "ny": model.ny, "nu": model.nu}
-        declared = {key: _integer(key, data.get(key, n), 1) for key, n in shape.items()}
-    except ConfigError as exc:
-        raise DataError(f"{source}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{source}: malformed model document: {exc}") from exc
-    if declared != shape:
-        raise DataError(
-            f"{source}: declared dimensions {tuple(declared.values())} do not match matrices "
-            f"{tuple(shape.values())}"
-        )
-    return model
-
-
 def save_model(model: LtpModel, path: str | Path) -> Path:
     data = {"P": model.P, "nx": model.nx, "ny": model.ny, "nu": model.nu,
             **{name: [m.tolist() for m in getattr(model, name)] for name in "ABC"}}
@@ -114,7 +85,26 @@ def save_model(model: LtpModel, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> LtpModel:
-    return model_from_dict(read_file(path, "model JSON", json.loads), source=str(path))
+    data = read_file(path, "model JSON", json.loads)
+    try:
+        P = _integer("P", data["P"], 1)
+        mats = {name: data[name] for name in "ABC"}
+        for name, seq in mats.items():
+            if len(seq) != P:
+                raise DataError(f"{path}: P={P} needs P {name}-matrices, got {len(seq)}")
+        model = LtpModel(**mats)
+        shape = {"nx": model.nx, "ny": model.ny, "nu": model.nu}
+        declared = {key: _integer(key, data.get(key, n), 1) for key, n in shape.items()}
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model document: {exc}") from exc
+    if declared != shape:
+        raise DataError(
+            f"{path}: declared dimensions {tuple(declared.values())} do not match matrices "
+            f"{tuple(shape.values())}"
+        )
+    return model
 
 
 def save_ensemble(ensemble: Ensemble, directory: str | Path) -> Path:
@@ -243,7 +233,7 @@ def save_identification_result(
     """Write the estimated model JSON and a diagnostics JSON side by side."""
     save_model(result.model, model_path)
     diagnostics = {
-        "order_used": result.order_used,
+        "order_used": result.model.nx,
         "q": result.q,
         "r": result.r,
         "singular_values": result.singular_values.tolist(),
@@ -258,14 +248,15 @@ def save_identification_result(
 
 
 def write_montecarlo_csv(result: MonteCarloResult, path: str | Path) -> Path:
-    """One row per trial: seed, W, MSE, failed flag (empty metrics on failure)."""
-    lines = [
-        f"{rec.trial},{rec.seed},,,1,{_text_field(rec.error or '')}"
-        if rec.report is None
-        else f"{rec.trial},{rec.seed},{float(rec.report.W)!r},{float(rec.report.mse)!r},0,"
-        for rec in result.trials
-    ]
-    return _write_csv(path, ["trial", "seed", "W", "mse", "failed", "error"], "\r\n".join(lines))
+    """One row per trial: seed, W, MSE, failed flag (empty metrics on failure), error message."""
+    text = io.StringIO()
+    csv.writer(text).writerows([
+        ["trial", "seed", "W", "mse", "failed", "error"],
+        *([rec.trial, rec.seed, "", "", 1, rec.error] if rec.report is None
+          else [rec.trial, rec.seed, float(rec.report.W), float(rec.report.mse), 0, ""]
+          for rec in result.trials),
+    ])
+    return _write(path, text.getvalue())
 
 
 def write_sweep_csv(sweep: SweepResult, path: str | Path) -> Path:

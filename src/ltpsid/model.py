@@ -254,7 +254,7 @@ def impulse_table(model: LtpModel, max_lag: int) -> np.ndarray:
                      lambda: _with_inputs(markov_rows(model.A, model.C, max_lag), model.B))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedLtiModel:
     """LTI realization whose inputs/outputs stack one period of the LTP signals.
 
@@ -297,7 +297,7 @@ def lift_model(model: LtpModel) -> LiftedLtiModel:
     return _memoized(model, "lift_model", lift)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedFrequencyResponse:
     """Frequency response of the lifted system of real data on the half grid.
 

@@ -98,7 +98,7 @@ def derive_seed(master_seed: int, *indices) -> int | np.ndarray:
     return int(seeds[0]) if shape == () else seeds.reshape(shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class _State(np.random.bit_generator.ISeedSequence):
     """One seed's precomputed SeedSequence state, handed to PCG64 to seed itself."""
 

@@ -234,22 +234,21 @@ def estimate_B(
     return B, float(np.sum((h - h_fit) ** 2)), h_fit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentificationResult:
     """Estimated model plus the order-revealing diagnostics.
 
-    ``singular_values`` is the (P, min(q*n_y, r*n_u)) array whose row tau is
-    the descending Hankel spectrum at starting tag time tau, and
-    ``threshold_counts`` the (P,) counts above the order threshold (None at
-    a fixed order). ``h_reconstruction_error[t, r-1]`` is the Frobenius
-    distance between the assembled aliased response and the one implied by
-    the estimated model. ``response`` is the estimated lifted frequency
-    response the model was realized from.
+    The order used is ``model.nx``. ``singular_values`` is the (P, min(q*n_y,
+    r*n_u)) array whose row tau is the descending Hankel spectrum at starting
+    tag time tau, and ``threshold_counts`` the (P,) counts above the order
+    threshold (None at a fixed order). ``h_reconstruction_error[t, r-1]`` is
+    the Frobenius distance between the assembled aliased response and the one
+    implied by the estimated model. ``response`` is the estimated lifted
+    frequency response the model was realized from.
     """
 
     model: LtpModel
     singular_values: np.ndarray
-    order_used: int
     q: int
     r: int
     b_residual: float
@@ -295,7 +294,6 @@ def identify(
     return IdentificationResult(
         model=LtpModel(A=A_est, B=B_est, C=C_est),
         singular_values=svals,
-        order_used=bases.shape[-1],
         q=q,
         r=r,
         b_residual=b_residual,

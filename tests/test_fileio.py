@@ -23,7 +23,6 @@ from ltpsid.fileio import (
     export_frequency_response,
     load_ensemble,
     load_model,
-    model_from_dict,
     save_ensemble,
     save_identification_result,
     save_model,
@@ -71,8 +70,10 @@ def test_model_json_declared_dims_checked(tmp_path):
         ("B", [[[float("inf")]]], "m.json: B[0] has a non-finite entry"),
         ("C", [[[-float("inf")]]], "m.json: C[0] has a non-finite entry"),
     ]:
-        with pytest.raises(DataError, match=re.escape(needle)):
-            model_from_dict({**doc, key: value}, source="m.json")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(DataError, match=re.escape(needle.replace("m.json", str(path)))):
+            load_model(path)
 
 
 def test_model_json_wrong_matrix_count(tmp_path):
@@ -82,8 +83,10 @@ def test_model_json_wrong_matrix_count(tmp_path):
         ("B", [], "P=2 needs P B-matrices, got 0"),
         ("C", [[[1.0]]] * 3, "P=2 needs P C-matrices, got 3"),
     ]:
-        with pytest.raises(DataError, match=re.escape(needle)):
-            model_from_dict({**doc, key: value})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {needle}")):
+            load_model(path)
 
 
 def test_model_json_inconsistent_shapes_is_data_error(tmp_path):
@@ -460,7 +463,7 @@ def test_study_csv_bytes_match_csv_writer(tmp_path):
     # Error messages holding commas, quotes and line ends are quoted as the
     # csv module quotes them.
     errors = np.array([[0.5, -0.0, 5e-324], [1e300, 1.0, -1.5e-05]])
-    report = FitReport(W=97.25, errors=errors, n_g=3, mse=1e-300)
+    report = FitReport(W=97.25, errors=errors, mse=1e-300)
     cfg = MonteCarloConfig(J=8, N=16, sigma=0.5, trials=5, q=6, r=6, n_x=2, seed=0)
     messages = ["need J >= 6, got J=2", 'bad "value"', "two\nlines", "plain; no quotes"]
     result = MonteCarloResult(
@@ -479,7 +482,7 @@ def test_study_csv_bytes_match_csv_writer(tmp_path):
         return MonteCarloResult(
             trials=tuple(
                 TrialRecord(t, t, None, "failed") if mse is None
-                else TrialRecord(t, t, FitReport(W=97.25, errors=errors, n_g=3, mse=mse))
+                else TrialRecord(t, t, FitReport(W=97.25, errors=errors, mse=mse))
                 for t, mse in enumerate(mses)
             ),
             config=replace(cfg, N=N),

@@ -13,6 +13,7 @@ from ltpsid.errors import (
     SingularMatrix,
     UnstableEstimate,
 )
+from ltpsid.evaluation import fit_metric
 from ltpsid.fileio import export_frequency_response
 from ltpsid.model import (
     LtpModel,
@@ -25,7 +26,7 @@ from ltpsid.model import (
     normalize_gain,
 )
 from ltpsid.signal import collect_ensemble, simulate_steady_state
-from ltpsid.subspace import estimate_B
+from ltpsid.subspace import estimate_B, identify
 from oracles import aliased_impulse_response_true, monodromy, true_lifted_frequency_response
 
 
@@ -458,9 +459,12 @@ def test_an_unpickled_model_and_its_memo_stay_read_only(example2):
 
 
 def test_models_and_ensembles_compare_by_identity(example2):
-    # Their fields hold arrays, which compare element-wise; each object equals only itself.
-    ens = collect_ensemble(example2, J=3, N=4, sigma=0.1, master_seed=0)
-    for obj in (example2, ens):
+    # Their fields, and those of the results built from them, hold arrays, which
+    # compare element-wise; each object equals only itself, and hashes.
+    ens = collect_ensemble(example2, J=9, N=8, sigma=0.1, master_seed=0)
+    result = identify(ens, q=4, r=4, n_x=2)
+    report = fit_metric(example2, result.model, n_g=5)
+    for obj in (example2, ens, result, result.response, lift_model(example2), report):
         copy = pickle.loads(pickle.dumps(obj))
         assert obj == obj and not obj != obj
         assert copy != obj and not copy == obj

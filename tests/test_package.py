@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -13,13 +14,10 @@ import pytest
 import ltpsid
 import oracles
 
+MODULES = [importlib.import_module(f"ltpsid.{m.name}")
+           for m in pkgutil.iter_modules(ltpsid.__path__)]
 # The package and every submodule that declares __all__.
-EXPORTING = [
-    mod
-    for mod in [ltpsid, *(importlib.import_module(f"ltpsid.{m.name}")
-                          for m in pkgutil.iter_modules(ltpsid.__path__))]
-    if hasattr(mod, "__all__")
-]
+EXPORTING = [mod for mod in [ltpsid, *MODULES] if hasattr(mod, "__all__")]
 
 
 def _traced_functions():
@@ -59,6 +57,17 @@ def test_no_module_is_exported(module):
     # which would shadow the standard-library module in the caller.
     assert [name for name in module.__all__
             if isinstance(getattr(module, name), types.ModuleType)] == []
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    # A generated __eq__ compares arrays element-wise and raises on any of more
+    # than one entry, so a dataclass with an ndarray field must not generate it.
+    holding = {cls.__name__: cls for mod in MODULES for cls in vars(mod).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__module__ == mod.__name__
+               and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    assert {"FitReport", "IdentificationResult", "LtpModel", "_State"} <= holding.keys()
+    assert sorted(name for name, cls in holding.items() if cls.__dataclass_params__.eq) == []
 
 
 def test_oracles_are_not_exported():

@@ -615,7 +615,7 @@ def test_identify_noise_free_recovery(fixture, request):
             impulse_series_oracle(model, t, 50),
             atol=1e-6,
         )
-    assert result.order_used == 2
+    assert result.model.nx == 2
     assert np.max(result.h_reconstruction_error) < 1e-8
 
 
