@@ -13,7 +13,7 @@ command is reproducible: the same inputs and seed produce byte-identical
 output files. Outputs go to ``out``, which defaults to a per-command
 directory under ``$LTPSID_OUT`` (or the working directory). A path that
 cannot become a directory is refused before the command starts its work;
-the directory is created only once the command has results to write.
+``fileio`` creates it as it writes the first result, and a failed write exits 2.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 data error,
 4 numerical pipeline error.
@@ -126,14 +126,6 @@ def _out_path(args) -> Path:
     return path
 
 
-def _out_dir(args) -> Path:
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror}") from exc
-    return args.out
-
-
 def _load_config_file(path: str | None) -> dict:
     """Every non-null value of the JSON config file at ``path``, checked."""
     if path is None:
@@ -141,9 +133,7 @@ def _load_config_file(path: str | None) -> dict:
     data = fileio.read_file(path, "config file", json.loads)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
-    unknown = set(data) - set(_OPTIONS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    fileio.check_keys(path, "config", data, _OPTIONS, ConfigError)
     return {key: _OPTIONS[key][0](key, value) for key, value in data.items() if value is not None}
 
 
@@ -167,7 +157,7 @@ def _cmd_simulate(args) -> int:
     ensemble = collect_ensemble(
         model, J=args.J or 10 * model.P, N=args.N, sigma=args.sigma, master_seed=args.seed
     )
-    manifest = fileio.save_ensemble(ensemble, _out_dir(args))
+    manifest = fileio.save_ensemble(ensemble, args.out)
     print(f"wrote {ensemble.J} experiments and manifest to {manifest}")
     return _EXIT_OK
 
@@ -177,13 +167,13 @@ def _cmd_identify(args) -> int:
     auto = args.order == "auto"
     result = identify(ensemble, q=args.q, r=args.r, n_x=None if auto else args.order,
                       order_threshold=args.order_tol if auto else None)
-    out = _out_dir(args)
-    fileio.save_identification_result(result, out / "model.json", out / "diagnostics.json")
+    fileio.save_identification_result(
+        result, args.out / "model.json", args.out / "diagnostics.json")
     if args.export_response:
-        fileio.export_frequency_response(result.response, out / "response.csv")
+        fileio.export_frequency_response(result.response, args.out / "response.csv")
     print(
         f"identified order {result.model.nx} model "
-        f"(q={result.q}, r={result.r}); wrote {out / 'model.json'}"
+        f"(q={result.q}, r={result.r}); wrote {args.out / 'model.json'}"
     )
     return _EXIT_OK
 
@@ -192,14 +182,13 @@ def _cmd_evaluate(args) -> int:
     true_model = fixtures.resolve_model(args.true, normalize=args.normalize)
     est_model = fixtures.resolve_model(args.est)
     report = fit_metric(true_model, est_model, n_g=args.n_g)
-    out = _out_dir(args)
     fileio.write_json(
         {"W": report.W, "mse": report.mse, "n_g": args.n_g,
          "max_error": float(np.max(report.errors))},
-        out / "fit.json",
+        args.out / "fit.json",
     )
-    fileio.write_errors_csv(report.errors, out / "errors.csv")
-    print(f"W = {report.W!r}, mse = {report.mse!r}; wrote {out / 'fit.json'}")
+    fileio.write_errors_csv(report.errors, args.out / "errors.csv")
+    print(f"W = {report.W!r}, mse = {report.mse!r}; wrote {args.out / 'fit.json'}")
     return _EXIT_OK
 
 
@@ -207,12 +196,11 @@ def _cmd_montecarlo(args) -> int:
     model = _get_model(args)
     config = _study_config(args, model, args.N)
     result = monte_carlo(model, config, jobs=args.jobs)
-    out = _out_dir(args)
-    fileio.write_montecarlo_csv(result, out / "trials.csv")
-    fileio.write_json(result.summary(), out / "summary.json")
+    fileio.write_montecarlo_csv(result, args.out / "trials.csv")
+    fileio.write_json(result.summary(), args.out / "summary.json")
     print(
         f"{len(result.reports)}/{config.trials} trials succeeded; "
-        f"summary in {out / 'summary.json'}"
+        f"summary in {args.out / 'summary.json'}"
     )
     return _EXIT_OK
 
@@ -223,8 +211,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --Ns, a comma-separated list of record lengths")
     config = _study_config(args, model, args.Ns[0])
     sweep = consistency_sweep(model, args.Ns, config, jobs=args.jobs)
-    out = _out_dir(args)
-    fileio.write_sweep_csv(sweep, out / "sweep.csv")
+    fileio.write_sweep_csv(sweep, args.out / "sweep.csv")
     fileio.write_json(
         {
             "N_grid": list(sweep.N_grid),
@@ -232,19 +219,18 @@ def _cmd_sweep(args) -> int:
             "slope": sweep.slope,
             "failures": sum(len(result.failures) for result in sweep.results),
         },
-        out / "summary.json",
+        args.out / "summary.json",
     )
-    print(f"slope = {sweep.slope!r}; wrote {out / 'sweep.csv'}")
+    print(f"slope = {sweep.slope!r}; wrote {args.out / 'sweep.csv'}")
     return _EXIT_OK
 
 
 def _cmd_fixtures(args) -> int:
-    out = _out_dir(args)
     for name in fixtures.FIXTURE_NAMES:
         for normalized in (False, True):
             model = fixtures.resolve_model(name, normalize=normalized)
             suffix = "_normalized" if normalized else ""
-            fileio.save_model(model, out / f"{name}{suffix}.json")
+            fileio.save_model(model, args.out / f"{name}{suffix}.json")
             stab = is_stable(model)
             print(
                 f"{name}{suffix}: P={model.P} nx={model.nx} ny={model.ny} "

@@ -3,12 +3,14 @@
 Floats are written with Python's shortest round-trip representation so
 repeated runs with the same seed produce byte-identical files on any
 platform. The csv module writes ``trials.csv`` (its messages may need
-quoting); the numeric tables are joined in the same CRLF format. Every
-writer creates the file's directory. Malformed inputs raise ``DataError``
-with the offending file and location. A loader checks only what a file
-adds: its keys, the number of matrices or file names, and declared
-dimensions or counts. ``LtpModel`` and ``Ensemble`` check the values; each
-loader turns their ``ConfigError`` into one ``DataError`` naming the file.
+quoting); the numeric tables are joined in the same CRLF format. Only
+``_write`` creates directories; a failed write raises ``ConfigError``.
+Malformed inputs raise ``DataError`` with the offending file and location.
+A loader checks only what a file adds: its keys (``check_keys``), the
+experiment header (``_header``) and a ``t`` column counting rows from 0,
+the number of matrices or file names, and declared dimensions or counts.
+``LtpModel`` and ``Ensemble`` check the values; each loader turns their
+``ConfigError`` into one ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "save_ensemble",
     "load_ensemble",
     "read_file",
+    "check_keys",
     "export_frequency_response",
     "save_identification_result",
     "write_montecarlo_csv",
@@ -51,11 +54,14 @@ def _number_rows(rows: list) -> str:
 
 
 def _write(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` as it is, line ends untranslated, creating its directory."""
+    """Write ``text`` to ``path`` unchanged, creating its directory; OSError becomes ConfigError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
     return path
 
 
@@ -78,6 +84,12 @@ def read_file(path: str | Path, what: str, parse):
         raise DataError(f"{path}: cannot read {what}: {exc}") from exc
 
 
+def check_keys(path, what: str, data: dict, allowed, error=DataError) -> None:
+    """Raise ``error`` naming ``path`` and the keys of the ``what`` object ``data`` not allowed."""
+    if unknown := sorted(set(data) - set(allowed)):
+        raise error(f"{path}: unknown {what} keys: {unknown}")
+
+
 def save_model(model: LtpModel, path: str | Path) -> Path:
     data = {"P": model.P, "nx": model.nx, "ny": model.ny, "nu": model.nu,
             **{name: [m.tolist() for m in getattr(model, name)] for name in "ABC"}}
@@ -88,6 +100,9 @@ def load_model(path: str | Path) -> LtpModel:
     data = read_file(path, "model JSON", json.loads)
     try:
         P = _integer("P", data["P"], 1)
+        if "D" in data:
+            raise DataError(f"{path}: unknown model key 'D': the model has no feedthrough term")
+        check_keys(path, "model", data, ("P", "nx", "ny", "nu", "A", "B", "C"))
         mats = {name: data[name] for name in "ABC"}
         for name, seq in mats.items():
             if len(seq) != P:
@@ -110,11 +125,7 @@ def load_model(path: str | Path) -> LtpModel:
 def save_ensemble(ensemble: Ensemble, directory: str | Path) -> Path:
     """Write one CSV per experiment plus ``manifest.json``; returns the manifest path."""
     directory = Path(directory)
-    header = (
-        ["t"]
-        + [f"u_{j + 1}" for j in range(ensemble.nu)]
-        + [f"y_{j + 1}" for j in range(ensemble.ny)]
-    )
+    header = _header(ensemble.nu, ensemble.ny)
     files = [f"experiment_{i:04d}.csv" for i in range(ensemble.J)]
     for name, samples in zip(files, np.concatenate([ensemble.u, ensemble.y], axis=2)):
         rows = samples.tolist()
@@ -142,16 +153,19 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         P, N, J, files = (manifest[key] for key in ("P", "N", "J", "files"))
     except (KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    check_keys(manifest_path, "manifest", manifest, ("P", "N", "J", "sigma", "seeds", "files"))
     try:
         J = _integer("J", J, 1)
-        if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
-            raise DataError(f"{manifest_path}: 'files' must be a list of file names")
+        if not (isinstance(files, list) and all(isinstance(name, str) for name in files)
+                and len(set(map(Path, files))) == len(files)):
+            raise DataError(f"{manifest_path}: 'files' must be a list of file names, none twice")
         if len(files) != J:
             raise DataError(f"{manifest_path}: manifest lists {len(files)} files but J={J}")
         seeds = manifest.get("seeds", [{}] * J)
         if not (isinstance(seeds, list) and len(seeds) == J
                 and all(isinstance(entry, dict) for entry in seeds)):
             raise DataError(f"{manifest_path}: 'seeds' must hold one object per experiment (J={J})")
+        check_keys(manifest_path, "seed", set().union(*seeds), ("input", "noise"))
         records = [_read_experiment_csv(manifest_path.parent / name) for name in files]
         try:
             u, y = (np.stack(signals) for signals in zip(*records))
@@ -165,37 +179,39 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
         raise DataError(f"{manifest_path}: {exc}") from exc
 
 
+def _header(nu: int, ny: int) -> list[str]:
+    """The header of an experiment CSV with ``nu`` inputs and ``ny`` outputs."""
+    return ["t", *(f"u_{j}" for j in range(1, nu + 1)), *(f"y_{j}" for j in range(1, ny + 1))]
+
+
 def _read_experiment_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Inputs (N*P, n_u) and outputs (N*P, n_y) of one experiment CSV, parsed by the csv module.
 
-    Every sample field is converted in one numpy call; only when that fails
-    are the rows scanned to name the file:line of the first fault.
+    Every field, ``t`` too, is converted in one numpy call; only when that
+    fails are the rows scanned to name the file:line of the first fault.
     """
-    rows = read_file(
+    header, *body = read_file(
         path, "experiment CSV", lambda text: list(csv.reader(io.StringIO(text, newline="")))
-    )
-    header, *body = rows or [None]
-    if not header or header[0] != "t":
-        raise DataError(f"{path}:1: expected header starting with 't'")
-    nu, ny = (sum(h.startswith(prefix) for h in header) for prefix in ("u_", "y_"))
-    if not (nu and ny and len(header) == 1 + nu + ny):
+    ) or [[]]
+    nu = sum(h.startswith("u_") for h in header)
+    if not (nu and len(header) > 1 + nu and header == _header(nu, len(header) - 1 - nu)):
         raise DataError(f"{path}:1: header must be t, u_1..u_nu, y_1..y_ny")
     try:
         # Rows of another field count make the array ragged or the reshape fail.
-        data = np.array([row[1:] for row in body], dtype=float).reshape(len(body), nu + ny)
+        data = np.array(body, dtype=float).reshape(len(body), len(header))
     except ValueError:
         for lineno, row in enumerate(body, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                list(map(float, row[1:]))
+                list(map(float, row))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
         raise
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1) | (data[:, 0] != np.arange(len(body))))
     if bad.size:
-        raise DataError(f"{path}:{bad[0] + 2}: non-finite sample")
-    return data[:, :nu], data[:, nu:]
+        raise DataError(f"{path}:{bad[0] + 2}: non-finite sample or t other than {bad[0]}")
+    return data[:, 1 : nu + 1], data[:, nu + 1 :]
 
 
 def export_frequency_response(

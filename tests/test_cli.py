@@ -267,6 +267,10 @@ _SWEEP = ["sweep", "--model", "example1", "--normalize", "--Ns", "25,50", "--tri
         (_SWEEP + ["--Ns", "5,10"], "q+r-1 = 19 exceeds record length N*P = 10"),
         (_SWEEP + ["--nx", 30], "order 30 outside 1..min(q*ny, r*nu) = 10"),
         (_SWEEP + ["--J", 1, "--jobs", 2], "need J >= P*n_u = 2 experiments, got J=1"),
+        (["montecarlo", "--model", "example1", "--trials", 3],
+         "studies need a known order; pass --nx"),
+        (["sweep", "--model", "example1", "--trials", 3, "--nx", 2],
+         "sweep needs --Ns, a comma-separated list of record lengths"),
     ],
 )
 def test_study_config_the_pipeline_rejects_exits_2_and_writes_nothing(tmp_path, capsys, argv, needle):
@@ -305,6 +309,7 @@ def test_sweep_malformed_record_length_exits_2(tmp_path, capsys):
         # An output directory that a file stands in the way of.
         ("fixtures", {"out": "file"}, "error: cannot create output directory"),
         ("fixtures", {"out": "file/sub"}, "error: cannot create output directory"),
+        ("simulate", {"Ns": 5}, "error: Ns must be a comma-separated string or a list, got 5\n"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, example1_norm, command, config, needle):
@@ -417,6 +422,41 @@ def test_out_blocked_by_a_file_exits_2_before_any_trial(tmp_path, monkeypatch, c
                 "--nx", 2, "--seed", 2024, "--out", tmp_path / out])
     _assert_config_exit(code, capsys, f"error: cannot create output directory {tmp_path / out}")
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["identify", "MANIFEST", "--order", 2], "model.json"),
+    (["evaluate", "--true", "example1", "--est", "example1", "--n-g", 5], "fit.json"),
+    (["montecarlo", "--model", "example1", "--normalize", "--N", 8, "--J", 4, "--trials", 2,
+      "--q", 3, "--r", 3, "--nx", 2], "trials.csv"),
+])
+def test_output_file_held_by_a_directory_exits_2(tmp_path, capsys, example1_norm, argv, name):
+    # The output directory exists, but a directory stands where a file goes.
+    manifest = save_ensemble(collect_ensemble(example1_norm, J=4, N=10, sigma=0.0, master_seed=2),
+                             tmp_path)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    capsys.readouterr()
+    code = run([manifest if a == "MANIFEST" else a for a in argv] + ["--out", tmp_path / "out"])
+    _assert_config_exit(code, capsys, f"error: cannot write {tmp_path / 'out' / name}: ")
+
+
+@pytest.mark.parametrize("header", ["t,y_1,u_1", "x,u_1,y_1"])
+def test_ensemble_header_not_as_written_exits_3(tmp_path, capsys, header):
+    # Each column keeps its values under its own name, but in another order
+    # (or with another name for t): the header is not the one simulate writes.
+    assert run(["simulate", "--model", "example1", "--normalize", "--sigma", 0, "--seed", 7,
+                "--out", tmp_path / "data"]) == 0
+    for path in (tmp_path / "data").glob("experiment_*.csv"):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        order = [rows[0].index("t" if name == "x" else name) for name in header.split(",")]
+        path.write_text("\n".join([header] + [",".join(row[i] for i in order) for row in rows[1:]]))
+    capsys.readouterr()
+    code = run(["identify", tmp_path / "data" / "manifest.json", "--order", 2,
+                "--out", tmp_path / "fit"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.count("\n") == 1
+    assert "experiment_0000.csv:1: header must be t, u_1..u_nu, y_1..y_ny" in err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_every_option_is_a_config_key(tmp_path):

@@ -54,7 +54,8 @@ def test_model_json_declared_dims_checked(tmp_path):
         "A": [[[0.5]]], "B": [[[1.0]]], "C": [[[1.0]]],
     }
     # A count that is not a JSON integer is named, never truncated or read as 1,
-    # and so is a matrix that holds NaN or an infinity.
+    # and so is a matrix that holds NaN or an infinity, and a key the model does
+    # not have (a D is no feedthrough term).
     for key, value, needle in [
         ("nx", 3, "declared dimensions"),
         ("P", 1.5, "m.json: P must be an integer, got 1.5"),
@@ -69,6 +70,8 @@ def test_model_json_declared_dims_checked(tmp_path):
         ("A", [[[float("nan")]]], "m.json: A[0] has a non-finite entry"),
         ("B", [[[float("inf")]]], "m.json: B[0] has a non-finite entry"),
         ("C", [[[-float("inf")]]], "m.json: C[0] has a non-finite entry"),
+        ("D", [[[0.0]]], "m.json: unknown model key 'D': the model has no feedthrough term"),
+        ("Q", 1, "m.json: unknown model keys: ['Q']"),
     ]:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({**doc, key: value}))
@@ -148,9 +151,10 @@ def test_ensemble_field_counts_checked_per_line(example1_norm, tmp_path):
 
 
 def test_ensemble_loader_matches_csv_reader(example2_norm, tmp_path):
-    # Files with LF or CR line ends, quoted numbers, or a quoted field that
-    # runs over two lines load as the csv module parses them; a lone CR
-    # inside a line ends the record there, as it does for the csv module.
+    # Files with LF or CR line ends or quoted numbers load as the csv module
+    # parses them. A quoted field that runs over two lines joins two records,
+    # as it does for the csv module, and its t field is then no number; a lone
+    # CR inside a line ends the record there.
     ens = collect_ensemble(example2_norm, J=3, N=4, sigma=0.7, master_seed=11)
     manifest = save_ensemble(ens, tmp_path / "ens")
     lf, quoted, cr = (tmp_path / "ens" / f"experiment_{i:04d}.csv" for i in range(3))
@@ -167,6 +171,10 @@ def test_ensemble_loader_matches_csv_reader(example2_norm, tmp_path):
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
         data = np.array([[float(v) for v in row[1:]] for row in rows])
+        if path == spanning:  # the joined record's t field holds text, not a row index
+            with pytest.raises(DataError, match=r"spanning\.csv:3: bad number"):
+                fileio._read_experiment_csv(path)
+            continue
         u, y = fileio._read_experiment_csv(path)
         np.testing.assert_array_equal(u, data[:, :1])
         np.testing.assert_array_equal(y, data[:, 1:])
@@ -204,7 +212,9 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
     doc = json.loads(manifest.read_text())
     # Counts must be JSON integers, seeds integers >= 0 or null, and sigma a
     # finite number >= 0: nothing is truncated, and a bool is not a count.
-    # A string of J characters is no list of J file names.
+    # A string of J characters is no list of J file names, and no file is
+    # listed twice. A manifest holds only P, N, J, sigma, seeds and files, a
+    # seed entry only input and noise.
     for key, value, needle in [
         ("J", 5, "manifest lists 2 files but J=5"),
         ("P", 2.9, "P must be an integer, got 2.9"),
@@ -225,6 +235,11 @@ def test_ensemble_manifest_mismatch(example1_norm, tmp_path):
         ("files", 5, "'files' must be a list of file names"),
         ("files", [{"a": 1}, {}], "'files' must be a list of file names"),
         ("files", "ab", "'files' must be a list of file names"),
+        ("files", [doc["files"][0]] * 2, "'files' must be a list of file names, none twice"),
+        ("files", [doc["files"][0], "./" + doc["files"][0]],
+         "'files' must be a list of file names, none twice"),
+        ("Sigma", 0.5, "unknown manifest keys: ['Sigma']"),
+        ("seeds", [{"input": 1, "Input": 1}, {}], "unknown seed keys: ['Input']"),
     ]:
         manifest.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(DataError, match=re.escape(f"manifest.json: {needle}")):
@@ -239,6 +254,53 @@ def test_ensemble_manifest_bad_seed_list(example1_norm, tmp_path):
         manifest.write_text(json.dumps({**doc, "seeds": seeds}))
         with pytest.raises(DataError, match="'seeds' must hold one object"):
             load_ensemble(manifest)
+
+
+@pytest.mark.parametrize("header", [
+    "t,y_1,u_1", "x,u_1,y_1", "u_1,t,y_1", "t,u_1", "t,y_1", "t,u_1,y_1,z", "t,u_1,y_2",
+    "t,u_2,y_1", "T,u_1,y_1", "t,u_1,y_1,y_1", "t, u_1,y_1", "t,u_1,u_1,y_1", "", "t",
+])
+def test_experiment_csv_header_is_exactly_the_written_one(tmp_path, header):
+    path = tmp_path / "e.csv"
+    path.write_text(header + "\r\n" + ",".join(["0"] * (header.count(",") + 1)) + "\r\n",
+                    newline="")
+    with pytest.raises(DataError, match=r"e\.csv:1: header must be t, u_1\.\.u_nu, y_1\.\.y_ny"):
+        fileio._read_experiment_csv(path)
+
+
+def test_experiment_csv_header_of_two_by_three_channels(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("t,u_1,u_2,y_1,y_2,y_3\r\n0,1,2,3,4,5\r\n1,6,7,8,9,10\r\n", newline="")
+    u, y = fileio._read_experiment_csv(path)
+    np.testing.assert_array_equal(u, [[1, 2], [6, 7]])
+    np.testing.assert_array_equal(y, [[3, 4, 5], [8, 9, 10]])
+    assert fileio._header(2, 3) == ["t", "u_1", "u_2", "y_1", "y_2", "y_3"]
+
+
+def test_experiment_csv_time_column_counts_the_rows(example1_norm, tmp_path):
+    # t must read 0, 1, ..., N*P - 1; the first row that breaks the count is named.
+    ens = collect_ensemble(example1_norm, J=2, N=3, sigma=0.5, master_seed=1)
+    save_ensemble(ens, tmp_path)
+    path = tmp_path / "experiment_0000.csv"
+    header, *rows = path.read_bytes().decode().split("\r\n")[:-1]
+    for body, needle in [
+        (rows[::-1], ":2: non-finite sample or t other than 0"),
+        ([rows[0], rows[2], rows[1], *rows[3:]], ":3: non-finite sample or t other than 1"),
+        (rows[1:], ":2: non-finite sample or t other than 0"),
+        ([*rows[:4], "4.5" + rows[4][1:], rows[5]],
+         ":6: non-finite sample or t other than 4"),
+        ([*rows[:5], "nan" + rows[5][1:]], ":7: non-finite sample or t other than 5"),
+        ([*rows[:2], "abc" + rows[2][1:], *rows[3:]], ":4: bad number: .*'abc'"),
+    ]:
+        path.write_text("\r\n".join([header, *body, ""]), newline="")
+        with pytest.raises(DataError, match=re.escape(path.name) + needle):
+            fileio._read_experiment_csv(path)
+    # The same values in another spelling still count.
+    path.write_text("\r\n".join([header, "0.0" + rows[0][1:], "1e0" + rows[1][1:], *rows[2:], ""]),
+                    newline="")
+    u, y = fileio._read_experiment_csv(path)
+    np.testing.assert_array_equal(u, ens.u[0])
+    np.testing.assert_array_equal(y, ens.y[0])
 
 
 def test_frequency_response_export(example1_norm, tmp_path):

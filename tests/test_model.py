@@ -55,6 +55,11 @@ def test_validate_zero_state_order_refused():
         LtpModel(A=(np.zeros((0, 0)),), B=(np.zeros((0, 1)),), C=(np.zeros((1, 0)),))
 
 
+def test_validate_empty_sequences_refused():
+    with pytest.raises(ConfigError, match=r"model needs at least one set of matrices \(P >= 1\)"):
+        LtpModel(A=(), B=(), C=())
+
+
 def test_validate_unequal_sequence_lengths():
     with pytest.raises(ConfigError, match="length"):
         LtpModel(A=(np.eye(1), np.eye(1)), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))

@@ -154,6 +154,13 @@ def test_steady_state_near_unit_root_exactly_periodic():
     np.testing.assert_allclose(again, 1.0 / (1.0 - a), rtol=1e-12)
 
 
+def test_steady_state_refuses_patterns_of_the_wrong_shape(example1):
+    with pytest.raises(ConfigError, match=r"patterns must have shape \(T, n_u\) or \(J, T, n_u\)"):
+        simulate_steady_state(example1, np.ones(4))
+    with pytest.raises(ConfigError, match="input has 2 channels, model expects 1"):
+        simulate_steady_state(example1, np.ones((4, 2)))
+
+
 def test_steady_state_unstable_model_rejected():
     # On every call: a failed stability check leaves nothing in the model's memo.
     m = LtpModel(A=(np.array([[1.5]]),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))

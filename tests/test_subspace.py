@@ -295,6 +295,12 @@ def test_svd_order_threshold_finds_two(example1_norm):
     assert counts.tolist() == [2, 2]
 
 
+def test_svd_order_takes_exactly_one_of_order_and_threshold():
+    for kwargs in ({"n_x": 1, "threshold": 1e-8}, {}):
+        with pytest.raises(ConfigError, match="specify exactly one of n_x or threshold"):
+            svd_order(np.ones((1, 3, 2)), **kwargs)
+
+
 def test_svd_order_bases_orthonormal(example2_norm):
     h = aliased_impulse_response_true(example2_norm, 8)
     bases, svals, _ = svd_order(build_hankels(h, q=5, r=5), n_x=2)
