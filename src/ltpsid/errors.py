@@ -107,7 +107,7 @@ class PipelineError(NumericalPipelineError):
 
 def _integer(name: str, value, minimum: int, maximum: float = sys.maxsize) -> int:
     """``value`` as an int from minimum to maximum (by default numpy's index range), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")

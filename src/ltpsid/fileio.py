@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +158,7 @@ def load_ensemble(manifest_path: str | Path) -> Ensemble:
     try:
         J = _integer("J", J, 1)
         if not (isinstance(files, list) and all(isinstance(name, str) for name in files)
-                and len(set(map(Path, files))) == len(files)):
+                and len(set(map(os.path.normpath, files))) == len(files)):
             raise DataError(f"{manifest_path}: 'files' must be a list of file names, none twice")
         if len(files) != J:
             raise DataError(f"{manifest_path}: manifest lists {len(files)} files but J={J}")

@@ -16,12 +16,12 @@
 
 Stages 1 and 2 are single fancy-index gathers, stages 1 and 5 indexing by
 ``model._input_times``. Stages 3 and 4 run one batched SVD each with no
-loop; stage 5 runs one batched QR and one batched SVD of its n_x-by-n_x
-triangular blocks. Its regressors are one period of ``model.markov_rows``,
-the one periodic Markov kernel, started from the aliasing resolvent
-``C_t (I - Psi_t^N)^{-1}`` and carried to N periods by powers of the
-monodromy. ``identify`` chains ``etfe`` and the stages and tags any
-numerical failure with the stage name.
+loop; stage 5 runs one QR per input time and one batched SVD of its
+n_x-by-n_x triangular blocks. Its regressors are one period of
+``model.markov_rows``, the one periodic Markov kernel, started from the
+aliasing resolvent ``C_t (I - Psi_t^N)^{-1}`` and carried to N periods by
+powers of the monodromy. ``identify`` chains ``etfe`` and the stages and
+tags any numerical failure with the stage name.
 """
 
 from __future__ import annotations
@@ -172,14 +172,15 @@ def estimate_B(
     and period j is that one times ``Psi_{beta+1}^j``, filled in by repeated
     squaring in ceil(log2 N) batched products; one monodromy stack serves
     the stability check, the resolvent and the powers. Regressors and
-    targets go into one column-major stack whose Q-less QR gives
-    R = [[R11, R12], [0, R22]]. R11 has the singular values of the regressor,
-    so one SVD of it serves both the condition check and the solve of
-    R11 B = R12 (Golub & Van Loan, *Matrix Computations*, 4th ed., sec. 5.3). Returns
-    the (P, n_x, n_u) B stack, the total squared residual, and the fitted
-    aliased response in the layout of ``h``. A, C and ``h`` whose P, n_x or
-    n_y disagree, with n_x = 0, or whose lag count is not a positive
-    multiple of P raise ``DimensionMismatch``.
+    targets go into one column-major stack; the Q-less QR of each input
+    time's slice gives R = [[R11, R12], [0, R22]], and R11 has the singular
+    values of the regressor, so one SVD of it serves both the condition check
+    and the solve of R11 B = R12 (Golub & Van Loan, *Matrix Computations*,
+    4th ed., sec. 5.3). Its peak holds the stack and numpy's copy of one
+    slice inside its QR. Returns the (P, n_x, n_u) B stack, the total
+    squared residual, and the fitted aliased response in the layout of ``h``.
+    A, C and ``h`` whose P, n_x or n_y disagree, with n_x = 0, or whose lag
+    count is not a positive multiple of P raise ``DimensionMismatch``.
 
     An estimated monodromy Psi of spectral radius >= 1 raises
     ``UnstableEstimate`` rather than a warning: the resolvent
@@ -219,7 +220,7 @@ def estimate_B(
         done += step
         if done < N:
             power = power @ power
-    R = np.linalg.qr(stack.swapaxes(1, 2), mode="r")
+    R = np.stack([np.linalg.qr(problem.T, mode="r") for problem in stack])
     u, s, vt = np.linalg.svd(R[:, :nx, :nx], full_matrices=False)
     bad = (s[:, -1] <= 0) | (s[:, 0] > REGRESSOR_COND_LIMIT * s[:, -1])
     if bad.any():
@@ -229,9 +230,12 @@ def estimate_B(
         )
     B = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ R[:, :nx, nx:]) / s[..., None])
     fit = (B.swapaxes(1, 2) @ G).reshape(P, nu, N, ny, P)
+    del stack, G, R
     h_fit = np.empty(h.shape)
     h_fit.reshape(P, N, P, ny, nu)[tag, :, slot] = fit.transpose(0, 4, 2, 3, 1)
-    return B, float(np.sum((h - h_fit) ** 2)), h_fit
+    del fit
+    d = h - h_fit
+    return B, float(np.sum(np.multiply(d, d, out=d))), h_fit
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ltpsid import fixtures
 from ltpsid.model import LtpModel, normalize_gain
-from ltpsid.signal import Ensemble
+from ltpsid.signal import Ensemble, collect_ensemble
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +26,24 @@ def example1_norm():
 @pytest.fixture(scope="session")
 def example2_norm():
     return normalize_gain(fixtures.example2())
+
+
+@pytest.fixture(scope="session")
+def mimo_ensemble():
+    """A 2x2 MIMO ensemble of period 12 at J = 48 and N = 200, for the memory tests."""
+    model = random_stable_model(3, P=12, nx=6, ny=2, nu=2)
+    return collect_ensemble(model, J=48, N=200, sigma=1.0, master_seed=5)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while ``fn(*args)`` runs, above the traced bytes at its start."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
 
 
 def random_stable_model(

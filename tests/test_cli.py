@@ -134,6 +134,24 @@ def test_manifest_disagreeing_with_its_files_exits_3(tmp_path, capsys, example1_
     assert not (tmp_path / "id").exists()
 
 
+@pytest.mark.parametrize("spelling", ["x/../{}", "./x/../{}", "./{}"])
+def test_manifest_naming_one_file_twice_in_two_spellings_exits_3(
+    tmp_path, capsys, example1_norm, spelling
+):
+    # Names are compared after lexical normalization, so ".." and "." hide no duplicate.
+    manifest = save_ensemble(
+        collect_ensemble(example1_norm, J=2, N=4, sigma=0.0, master_seed=1), tmp_path / "ens"
+    )
+    (tmp_path / "ens" / "x").mkdir()
+    doc = json.loads(manifest.read_text())
+    first = doc["files"][0]
+    manifest.write_text(json.dumps({**doc, "files": [first, spelling.format(first)]}))
+    code = run(["identify", manifest, "--order", 2, "--out", tmp_path / "id"])
+    assert code == 3
+    assert "'files' must be a list of file names, none twice" in capsys.readouterr().err
+    assert not (tmp_path / "id").exists()
+
+
 @pytest.mark.parametrize("reader", ["model", "manifest", "experiment", "config", "csv-field"])
 def test_non_utf8_file_exits_3_naming_it(tmp_path, capsys, example1_norm, reader):
     # Byte 0xE9 (Latin-1 "e acute") is not UTF-8; every reader reports bad data, not a

@@ -1,5 +1,4 @@
 import importlib
-import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stable_model, with_shared_input
+from conftest import random_stable_model, traced_peak, with_shared_input
 from ltpsid.errors import RankDeficient
 from ltpsid.etfe import etfe
 from ltpsid.signal import Ensemble, collect_ensemble
@@ -191,19 +190,12 @@ def test_etfe_well_excited_data_needs_no_svd(example2_norm, monkeypatch):
     assert calls == []
 
 
-def test_etfe_peak_memory_holds_at_most_four_input_spectra():
+def test_etfe_peak_memory_holds_at_most_four_input_spectra(mimo_ensemble):
     # U_tilde^H, numpy's copy of it inside the QR and Q are alive at the peak; one
     # more input spectrum's worth covers the small arrays, and Y_tilde comes later.
-    P, n_u, J, N = 12, 2, 48, 200
-    ens = collect_ensemble(random_stable_model(3, P=P, nx=6, ny=2, nu=n_u), J=J, N=N,
-                           sigma=1.0, master_seed=5)
-    tracemalloc.start()
-    try:
-        etfe(ens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    spectrum = (N // 2 + 1) * J * P * n_u * 16
+    ens = mimo_ensemble
+    peak = traced_peak(etfe, ens)
+    spectrum = (ens.N // 2 + 1) * ens.J * ens.P * ens.nu * 16
     assert peak <= 4 * spectrum, peak / spectrum
 
 

@@ -13,7 +13,10 @@ from ltpsid.errors import (
     NumericalPipelineError,
 )
 from ltpsid.evaluation import (
+    FitReport,
     MonteCarloConfig,
+    MonteCarloResult,
+    TrialRecord,
     consistency_sweep,
     fit_metric,
     monte_carlo,
@@ -213,6 +216,18 @@ def test_monte_carlo_records_failures(example2_norm):
     error = result.failures[0].error
     assert error.startswith("stage 'estimate_B': ") and "spectral radius" in error
     assert len(result.reports) == 23 and not result.config_failed
+
+
+@pytest.mark.parametrize("failed, verdict", [(10, False), (11, True)])
+def test_config_failed_only_above_ten_percent_of_trials(failed, verdict):
+    cfg = MonteCarloConfig(J=30, N=50, sigma=1.0, trials=100, q=10, r=10, n_x=2, seed=1)
+    report = FitReport(W=90.0, errors=np.zeros((2, 50)), mse=0.1)
+    trials = tuple(
+        TrialRecord(t, t, None, "stage 'estimate_B': unstable") if t < failed
+        else TrialRecord(t, t, report)
+        for t in range(100)
+    )
+    assert MonteCarloResult(trials, cfg).config_failed is verdict
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

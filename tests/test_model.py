@@ -539,6 +539,21 @@ def test_normalize_gain_degenerate():
             normalize_gain(cancelling)
 
 
+@pytest.mark.parametrize("ratio, raises", [(1e-13, True), (1e-11, False)])
+def test_normalize_gain_verdict_a_decade_either_side_of_1e_12(ratio, raises):
+    # Gains (2, -2, 2*delta): their mean is 2*delta/3 and their mean magnitude
+    # (4 + 2*delta)/3, so the mean gain is delta/2 of the mean magnitude.
+    delta = 2 * ratio
+    m = LtpModel(A=(np.array([[0.5]]),), B=(np.array([[1.0, -1.0, delta]]),),
+                 C=(np.array([[1.0]]),))
+    np.testing.assert_allclose(dc_gain(m) / (4 / 3), ratio, rtol=1e-12)
+    if raises:
+        with pytest.raises(DegenerateGain):
+            normalize_gain(m)
+    else:
+        np.testing.assert_allclose(dc_gain(normalize_gain(m)), 1.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("fixture", ["example1", "example2"])
 def test_normalize_gain_invariant_to_units(fixture, request):
     model = request.getfixturevalue(fixture)

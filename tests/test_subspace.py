@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import impulse_series_oracle, random_stable_model, with_shared_input
+from conftest import impulse_series_oracle, random_stable_model, traced_peak, with_shared_input
 from ltpsid import subspace
 from ltpsid.errors import (
     BlockRangeExceeded,
@@ -447,6 +447,21 @@ def test_estimate_AC_names_first_deficient_tag():
     assert excinfo.value.tag == 1
 
 
+@pytest.mark.parametrize("s_min, raises", [(1e-13, True), (1e-11, False)])
+def test_estimate_AC_shift_rank_verdict_a_decade_either_side_of_1e_12(s_min, raises):
+    # Orthonormal bases whose shifted block is diag(1, s_min); tag 1 reads basis 2.
+    good = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    near = np.array([[1.0, 0.0], [0.0, s_min], [0.0, np.sqrt(1 - s_min**2)]])
+    bases = np.stack([good, good, near])
+    assert np.linalg.svd(near[:-1], compute_uv=False)[-1] == s_min
+    if raises:
+        with pytest.raises(ShiftRankDeficient, match="at tag time 1;") as excinfo:
+            estimate_AC(bases, ny=1)
+        assert excinfo.value.tag == 1
+    else:
+        assert np.isfinite(estimate_AC(bases, ny=1)[0]).all()
+
+
 # ---------------------------------------------------------------------------
 # B recovery
 # ---------------------------------------------------------------------------
@@ -601,6 +616,23 @@ def test_estimate_B_matches_per_beta_lstsq(fixture, N, request):
     np.testing.assert_allclose(
         fitted, fitted_ref, rtol=0, atol=1e-12 * np.max(np.abs(fitted_ref))
     )
+
+
+def test_estimate_B_peak_memory_holds_at_most_one_and_a_half_regressor_stacks(mimo_ensemble):
+    # The stack of regressors and targets and numpy's copy of one input time's slice
+    # inside its QR are alive at the peak; the fitted response comes after the stack.
+    result = identify(mimo_ensemble, q=10, r=10, n_x=6)
+    h = assemble_aliased(result.response)
+    P, lags, ny, nu = h.shape
+    stack = P * (result.model.nx + nu) * lags * ny * 8
+    peak = traced_peak(estimate_B, result.model.A, result.model.C, h)
+    assert peak <= 1.5 * stack, peak / stack
+
+
+def test_identify_peak_memory_is_set_by_etfe(mimo_ensemble):
+    peak = traced_peak(identify, mimo_ensemble, 10, 10, 6)
+    etfe_peak = traced_peak(etfe, mimo_ensemble)
+    assert peak <= 1.1 * etfe_peak, peak / etfe_peak
 
 
 # ---------------------------------------------------------------------------
