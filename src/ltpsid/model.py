@@ -15,8 +15,8 @@ matrices obey in memory and in a model file, plus the quantities the
 identification pipeline is checked against: the one stability rule on the
 monodromy matrix, periodic impulse-response tables, the lifted LTI
 realization, and the type that holds a lifted frequency response.
-Every block of the lifted realization and every impulse-response table
-comes from one kernel, ``markov_rows``. ``subspace.estimate_B`` takes one
+Every lifted block, every monodromy and every impulse-response table comes
+from one lag-by-lag loop, ``markov_rows``. ``subspace.estimate_B`` takes one
 period of it started from the aliasing resolvent ``C_t (I - Psi_t^N)^{-1}``
 and carries that period to N periods by its own repeated squaring of the
 monodromy. Impulse-response tables are bare
@@ -149,19 +149,9 @@ def _memoized(model: LtpModel, key, compute):
     return model._memo[key]
 
 
-def _shifted(A: np.ndarray) -> np.ndarray:
-    """``out[j, t] = A_{t-j}`` (cyclic) from the (P, n, n) stack ``A``."""
-    P = A.shape[0]
-    return A[(np.arange(P)[None, :] - np.arange(P)[:, None]) % P]
-
-
 def _monodromies(A: np.ndarray) -> np.ndarray:
-    """Monodromy matrices ``Psi_t = A_{t-1} ... A_{t-P}`` for t = 0..P-1, stacked."""
-    shifted = _shifted(A)
-    psi = np.broadcast_to(np.eye(A.shape[1]), A.shape)
-    for s in range(1, A.shape[0] + 1):
-        psi = psi @ shifted[s % A.shape[0]]
-    return psi
+    """Monodromies ``Psi_t = A_{t-1} ... A_{t-P}``: the state rows of ``markov_rows`` at lag P+1."""
+    return markov_rows(A, np.broadcast_to(np.eye(A.shape[1]), A.shape), len(A) + 1)[:, -1]
 
 
 class Stability(NamedTuple):
@@ -213,9 +203,9 @@ def markov_rows(A, C, max_lag: int) -> np.ndarray:
 
     ``A`` and ``C`` hold the P state and output matrices; entry ``[t, r-1]``
     of the (P, max_lag, n_y, n_x) result is tag t, lag r. Batched over tag
-    times, the product steps one lag at a time over the first period and
-    then one period at a time, by the monodromy ``Psi_{t-r+1}``. ``max_lag``
-    must be an integer >= 1, and the result must fit numpy's byte limit.
+    times, row r is row r-1 times ``A_{t-r}`` at every lag: the one loop that
+    multiplies by one A_t at a time, behind every impulse table, monodromy and
+    lift block. ``max_lag`` must be an integer >= 1 and the result fit numpy's byte limit.
     """
     A, C = (np.asarray(x, dtype=np.float64) for x in (A, C))
     max_lag = _integer("max_lag", max_lag, 1)
@@ -223,14 +213,9 @@ def markov_rows(A, C, max_lag: int) -> np.ndarray:
     _array_fits("Markov rows (max_lag, P, n_y, n_x)", max_lag, P, C.shape[1], A.shape[1])
     rows = np.empty((max_lag, P, C.shape[1], A.shape[1]))
     rows[:1] = C
-    shifted = _shifted(A)
-    for r in range(1, min(P, max_lag)):
-        np.matmul(rows[r - 1], shifted[r], out=rows[r])
-    # Entry [j, t] of _shifted(psi) is Psi_{t-j}, so rows[i + P] = rows[i] @ Psi_{t-i}.
-    psi_lag = _shifted(_monodromies(A)) if max_lag > P else None
-    for start in range(P, max_lag, P):
-        stop = min(start + P, max_lag)
-        np.matmul(rows[start - P : stop - P], psi_lag[: stop - start], out=rows[start:stop])
+    shifted = A[(np.arange(P)[None, :] - np.arange(P)[:, None]) % P]  # [j, t] is A_{t-j}
+    for r in range(1, max_lag):
+        np.matmul(rows[r - 1], shifted[r % P], out=rows[r])
     return rows.swapaxes(0, 1)
 
 
@@ -274,22 +259,22 @@ def lift_model(model: LtpModel) -> LiftedLtiModel:
 
     The lifted state is the LTP state sampled at the start of each period
     (time 0 mod P), so the lifted state matrix is the monodromy at t=0.
-    Every block comes from ``markov_rows`` over one period: output block l
-    of C is the row at tag l, lag l + 1; input block m of B is the state
-    row (C = I) at tag 0, lag P - m, times ``B_m``; feedthrough block
+    Every block comes from ``markov_rows``: A and input block m of B are the
+    state rows (C = I) of one call at tag 0, lags P + 1 and P - m (times ``B_m``);
+    output block l of C is the row at tag l, lag l + 1; feedthrough block
     (l, m) is the impulse response at tag l, lag l - m; one shared, read-only object per model.
     """
     def lift() -> LiftedLtiModel:
         P, nx, nu, ny = model.P, model.nx, model.nu, model.ny
         slot = np.arange(P)
         rows = markov_rows(model.A, model.C, P)
-        state_rows = markov_rows(model.A, np.broadcast_to(np.eye(nx), (P, nx, nx)), P)
-        B_blocks = _with_inputs(state_rows, model.B)[0, ::-1]
+        state_rows = markov_rows(model.A, np.broadcast_to(np.eye(nx), (P, nx, nx)), P + 1)
+        B_blocks = _with_inputs(state_rows[:, :P], model.B)[0, ::-1]
         D_blocks = np.zeros((P, P, ny, nu))
         l, m = np.tril_indices(P, -1)
         D_blocks[l, m] = _with_inputs(rows, model.B)[l, l - m - 1]
         return LiftedLtiModel(
-            A=_monodromies(np.asarray(model.A))[0],
+            A=state_rows[0, P],
             B=B_blocks.transpose(1, 0, 2).reshape(nx, P * nu),
             C=rows[slot, slot].reshape(P * ny, nx),
             D=D_blocks.transpose(0, 2, 1, 3).reshape(P * ny, P * nu),

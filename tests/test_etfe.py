@@ -164,6 +164,23 @@ def test_etfe_rank_verdict_matches_svd_of_input_spectrum(seed, m, extra, N, eps,
             assert np.all(np.isfinite(etfe(ens).G))
 
 
+@pytest.mark.parametrize("ratio, raises", [(1e-11, True), (1e-9, False)])
+def test_etfe_rank_verdict_a_decade_either_side_of_1e_10(ratio, raises):
+    # P = 1, n_u = J = 2, N = 5: the input spectrum is the identity at k = 0
+    # and 2 and diag(1, ratio) at k = 1, so only k = 1 meets the rank guard.
+    U = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
+    U[1, 1, 1] = ratio
+    ens = _ensemble_from_spectra(U, np.ones((3, 1, 2)), P=1, N=5)
+    s = np.linalg.svd(_input_spectrum(ens), compute_uv=False)
+    np.testing.assert_allclose(s[:, -1] / s[:, 0], [1, ratio, 1], rtol=1e-3)
+    if raises:
+        with pytest.raises(RankDeficient) as excinfo:
+            etfe(ens)
+        assert excinfo.value.frequency_index == 1
+    else:
+        assert np.all(np.isfinite(etfe(ens).G))
+
+
 def test_etfe_zero_input_channel_is_rank_deficient_without_warning():
     # A channel that is zero in every experiment leaves R exactly singular:
     # its inverse holds inf and NaN, which must neither warn nor pass.

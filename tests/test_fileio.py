@@ -278,7 +278,8 @@ def test_experiment_csv_header_of_two_by_three_channels(tmp_path):
 
 
 def test_experiment_csv_time_column_counts_the_rows(example1_norm, tmp_path):
-    # t must read 0, 1, ..., N*P - 1; the first row that breaks the count is named.
+    # t must read 0, 1, ..., N*P - 1 and every sample be finite; the first row
+    # that breaks either is named.
     ens = collect_ensemble(example1_norm, J=2, N=3, sigma=0.5, master_seed=1)
     save_ensemble(ens, tmp_path)
     path = tmp_path / "experiment_0000.csv"
@@ -290,6 +291,8 @@ def test_experiment_csv_time_column_counts_the_rows(example1_norm, tmp_path):
         ([*rows[:4], "4.5" + rows[4][1:], rows[5]],
          ":6: non-finite sample or t other than 4"),
         ([*rows[:5], "nan" + rows[5][1:]], ":7: non-finite sample or t other than 5"),
+        ([*rows[:3], rows[3].rsplit(",", 1)[0] + ",inf", *rows[4:]],
+         ":5: non-finite sample or t other than 3"),
         ([*rows[:2], "abc" + rows[2][1:], *rows[3:]], ":4: bad number: .*'abc'"),
     ]:
         path.write_text("\r\n".join([header, *body, ""]), newline="")

@@ -264,11 +264,11 @@ def test_impulse_table_matches_per_entry_response(seed, P, nx, nu, ny):
 )
 @settings(max_examples=30, deadline=None)
 def test_markov_rows_period_edges_match_per_entry_product(seed, P, nx, ny, N):
-    # The kernel steps lag by lag over the first period and a whole period at
-    # a time after it; check every edge of that split against per-entry
-    # products: fewer lags than P, exactly P, a multiple of P, one past it,
-    # and a partial last period, started from C_t and, as the B fit starts
-    # it, from the aliasing resolvent C_t (I - Psi_t^N)^{-1}.
+    # The kernel steps lag by lag through every period; check it at each
+    # period edge against per-entry products: fewer lags than P, exactly P,
+    # a multiple of P, one past it, and a partial last period, started from
+    # C_t and, as the B fit starts it, from the aliasing resolvent
+    # C_t (I - Psi_t^N)^{-1}.
     m = random_stable_model(seed, P=P, nx=nx, ny=ny, nu=1, rho_max=0.9)
     eye = np.eye(nx)
     state = LtpModel(A=m.A, B=(eye,) * P, C=(eye,) * P)
@@ -283,6 +283,22 @@ def test_markov_rows_period_edges_match_per_entry_product(seed, P, nx, ny, N):
             assert rows.shape == (P, max_lag, ny, nx)
             scale = max(np.max(np.abs(reference)), 1e-300)
             np.testing.assert_allclose(rows, reference, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_markov_rows_is_its_lag_recursion_bit_for_bit(seed):
+    # The kernel's defining recursion, exactly and past every period edge:
+    # entry 0 is C_t and lag r is lag r-1 times A_{t-r}, batched over tags,
+    # started from C_t and from the aliasing resolvent C_t (I - Psi_t^N)^{-1}.
+    m = random_stable_model(seed, P=2 + seed % 4)
+    A, P, N, t = np.stack(m.A), m.P, 1 + seed % 3, np.arange(m.P)
+    resolvent = np.stack([np.linalg.inv(np.eye(m.nx) - np.linalg.matrix_power(monodromy(m, tag), N))
+                          for tag in range(P)])
+    for C in (np.stack(m.C), np.stack(m.C) @ resolvent):
+        rows = markov_rows(A, C, 3 * P + 2)
+        assert np.array_equal(rows[:, 0], C)
+        for r in range(1, 3 * P + 2):
+            assert np.array_equal(rows[:, r], rows[:, r - 1] @ A[(t - r) % P]), r
 
 
 def test_aliased_zero_input_map(example2):

@@ -184,6 +184,20 @@ def test_steady_state_near_unit_eigenvalue_message():
     assert "condition number" in message and "within rounding of 1" in message
 
 
+@pytest.mark.parametrize("a, raises", [(1e-13, False), (1e-15, True)])
+def test_steady_state_resolvent_verdict_a_decade_either_side_of_cond_1e14(a, raises):
+    # P = N = 1 and A = diag(1 - a, 0): I - Psi^N = diag(~a, 1) has 1-norm
+    # condition number ~1/a, and the model is stable, so only the bound decides.
+    m = LtpModel(A=(np.diag([1.0 - a, 0.0]),), B=(np.ones((2, 1)),), C=(np.ones((1, 2)),))
+    assert is_stable(m).stable
+    np.testing.assert_allclose(np.linalg.cond(np.eye(2) - m.A[0], 1), 1 / a, rtol=0.2)
+    if raises:
+        with pytest.raises(SingularMatrix, match="condition number"):
+            simulate_steady_state(m, np.ones((1, 1)))
+    else:
+        assert np.all(np.isfinite(simulate_steady_state(m, np.ones((1, 1)))))
+
+
 def test_steady_state_rejects_bad_length(example1):
     with pytest.raises(LengthNotDivisible):
         simulate_steady_state(example1, np.ones((5, 1)))
