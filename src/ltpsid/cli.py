@@ -152,17 +152,16 @@ def _study_config(args, model, N: int) -> MonteCarloConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     model = _get_model(args)
     ensemble = collect_ensemble(
         model, J=args.J or 10 * model.P, N=args.N, sigma=args.sigma, master_seed=args.seed
     )
     manifest = fileio.save_ensemble(ensemble, args.out)
     print(f"wrote {ensemble.J} experiments and manifest to {manifest}")
-    return _EXIT_OK
 
 
-def _cmd_identify(args) -> int:
+def _cmd_identify(args) -> None:
     ensemble = fileio.load_ensemble(args.manifest)
     auto = args.order == "auto"
     result = identify(ensemble, q=args.q, r=args.r, n_x=None if auto else args.order,
@@ -175,10 +174,9 @@ def _cmd_identify(args) -> int:
         f"identified order {result.model.nx} model "
         f"(q={result.q}, r={result.r}); wrote {args.out / 'model.json'}"
     )
-    return _EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     true_model = fixtures.resolve_model(args.true, normalize=args.normalize)
     est_model = fixtures.resolve_model(args.est)
     report = fit_metric(true_model, est_model, n_g=args.n_g)
@@ -189,10 +187,9 @@ def _cmd_evaluate(args) -> int:
     )
     fileio.write_errors_csv(report.errors, args.out / "errors.csv")
     print(f"W = {report.W!r}, mse = {report.mse!r}; wrote {args.out / 'fit.json'}")
-    return _EXIT_OK
 
 
-def _cmd_montecarlo(args) -> int:
+def _cmd_montecarlo(args) -> None:
     model = _get_model(args)
     config = _study_config(args, model, args.N)
     result = monte_carlo(model, config, jobs=args.jobs)
@@ -202,10 +199,9 @@ def _cmd_montecarlo(args) -> int:
         f"{len(result.reports)}/{config.trials} trials succeeded; "
         f"summary in {args.out / 'summary.json'}"
     )
-    return _EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     model = _get_model(args)
     if not args.Ns:
         raise ConfigError("sweep needs --Ns, a comma-separated list of record lengths")
@@ -222,10 +218,9 @@ def _cmd_sweep(args) -> int:
         args.out / "summary.json",
     )
     print(f"slope = {sweep.slope!r}; wrote {args.out / 'sweep.csv'}")
-    return _EXIT_OK
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args) -> None:
     for name in fixtures.FIXTURE_NAMES:
         for normalized in (False, True):
             model = fixtures.resolve_model(name, normalize=normalized)
@@ -236,7 +231,6 @@ def _cmd_fixtures(args) -> int:
                 f"{name}{suffix}: P={model.P} nx={model.nx} ny={model.ny} "
                 f"nu={model.nu} rho={stab.spectral_radius!r} gain={dc_gain(model)!r}"
             )
-    return _EXIT_OK
 
 
 def _add_options(parser: argparse.ArgumentParser, *keys: str) -> None:
@@ -304,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
                 flag = getattr(args, key)
                 setattr(args, key, config.get(key, default) if flag is None else check(key, flag))
         args.out = _out_path(args)
-        return args.func(args)
+        args.func(args)
     except LtpsidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DataError):
@@ -312,6 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, NumericalPipelineError):
             return _EXIT_NUMERICAL
         return _EXIT_CONFIG
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

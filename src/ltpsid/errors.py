@@ -1,11 +1,10 @@
 """Exception types raised across the identification pipeline, and the value rules.
 
-Every failure mode surfaced by the library is a subclass of ``LtpsidError``
-so callers (and the CLI) can map them onto exit codes: configuration and
-validation problems, data-format problems, and numerical failures. Every
-count passes ``_integer`` and every bounded number ``_real``, library argument,
-file value, flag or config value alike; no other module has a value rule.
-``_array_fits`` bounds the bytes of the float64 array its counts shape. All
+Every failure mode surfaced by the library is a subclass of ``LtpsidError`` so callers (and the
+CLI) can map them onto exit codes: configuration and validation problems, data-format problems,
+and numerical failures. Every count passes ``_integer``, every bounded number ``_real`` and every
+array ``_real_array``, library argument, file value, flag or config value alike; no other module
+has a value rule. ``_array_fits`` bounds the bytes of the float64 array its counts shape. All
 raise ``ConfigError``; a file loader turns it into a ``DataError`` naming the file.
 """
 
@@ -14,6 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class LtpsidError(Exception):
@@ -127,3 +128,14 @@ def _real(name: str, value, low: float, high: float = math.inf) -> float:
         bound = f" and < {high}" if high < math.inf else ""
         raise ConfigError(f"{name} must be a finite number >= {low}{bound}, got {value!r}")
     return float(value)
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, no copy if it is one; bool, complex, text or ragged fails."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError):  # a ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be an array of real numbers")
+    return arr.astype(np.float64, copy=False)

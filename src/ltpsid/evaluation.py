@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import (ConfigError, DegenerateReference, DimensionMismatch, NumericalPipelineError,
-                     _integer)
+                     _integer, _real)
 from .model import LtpModel, impulse_table
 from .signal import collect_ensemble, derive_seed
 from .subspace import identify
@@ -64,10 +64,10 @@ def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = DEFAULT_N_G
     if dims[0] != dims[1]:
         raise DimensionMismatch(f"models have incompatible (P, ny, nu): {dims[0]} vs {dims[1]}")
     g_true = impulse_table(true_model, n_g)
-    g_est = impulse_table(est_model, n_g)
-    errors = np.linalg.norm(g_true - g_est, axis=(2, 3))
+    diff = g_true - impulse_table(est_model, n_g)
+    errors = np.linalg.norm(diff, axis=(2, 3))
     g_bar = float(np.mean(g_true))
-    num = float(np.sum((g_true - g_est) ** 2))
+    num = float(np.sum(diff * diff))
     den = float(np.sum((g_true - g_bar) ** 2))
     if den <= 1e-30 * float(np.sum(g_true**2)):
         raise DegenerateReference(
@@ -79,7 +79,7 @@ def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = DEFAULT_N_G
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Parameters of one repeated-identification study."""
+    """Parameters of one repeated-identification study, each checked as it is built."""
 
     J: int
     N: int
@@ -96,6 +96,7 @@ class MonteCarloConfig:
             _integer(name, getattr(self, name), 1)
         _integer("trials", self.trials, 1, 2**32)  # trial t runs on seed index t
         _integer("master seed", self.seed, 0, np.inf)
+        _real("sigma", self.sigma, 0)
 
 
 @dataclass(frozen=True)

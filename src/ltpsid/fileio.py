@@ -45,15 +45,6 @@ __all__ = [
 ]
 
 
-def _number_rows(rows: list) -> str:
-    """CSV lines of rows of Python ints and floats, joined by CRLF.
-
-    One ``repr`` of the whole list builds the text; the ``repr`` of an int
-    or a float holds no ``[``, ``]`` or ``, ``.
-    """
-    return repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",")
-
-
 def _write(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` unchanged, creating its directory; OSError becomes ConfigError."""
     path = Path(path)
@@ -66,8 +57,12 @@ def _write(path: str | Path, text: str) -> Path:
     return path
 
 
-def _write_csv(path: str | Path, header: list[str], body: str) -> Path:
-    """Write ``header`` and the CRLF-joined rows ``body`` in one write, as ``csv.writer`` would."""
+def _write_csv(path: str | Path, header: list[str], rows: list) -> Path:
+    """Write ``header`` and rows of Python ints and floats as ``csv.writer`` would, in one write.
+
+    One ``repr`` of all ``rows`` builds the CRLF-joined lines: the ``repr`` of an int or a
+    float holds no ``[``, ``]`` or ``, ``."""
+    body = repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",")
     return _write(path, ",".join(header) + "\r\n" + (body and body + "\r\n"))
 
 
@@ -132,7 +127,7 @@ def save_ensemble(ensemble: Ensemble, directory: str | Path) -> Path:
         rows = samples.tolist()
         for t, row in enumerate(rows):
             row.insert(0, t)
-        _write_csv(directory / name, header, _number_rows(rows))
+        _write_csv(directory / name, header, rows)
     manifest = {
         "P": ensemble.P,
         "N": ensemble.N,
@@ -238,10 +233,7 @@ def export_frequency_response(
         for (k, l, m, a, b), g in zip(index, blocks.ravel().tolist())
     ]
     return _write_csv(
-        path,
-        ["k", "omega", "block_row", "block_col", "out_row", "in_col", "real", "imag"],
-        _number_rows(rows),
-    )
+        path, ["k", "omega", "block_row", "block_col", "out_row", "in_col", "real", "imag"], rows)
 
 
 def save_identification_result(
@@ -282,13 +274,13 @@ def write_sweep_csv(sweep: SweepResult, path: str | Path) -> Path:
         [int(result.config.N), rec.trial, float(rec.report.mse)]
         for result in sweep.results for rec in result.trials if rec.report is not None
     ]
-    return _write_csv(path, ["N", "trial", "mse"], _number_rows(rows))
+    return _write_csv(path, ["N", "trial", "mse"], rows)
 
 
 def write_errors_csv(errors: np.ndarray, path: str | Path) -> Path:
     """One row per (tag tau, lag r) of the (P, n_g) impulse-response errors of ``fit_metric``."""
     rows = [[tau, r, e] for tau, row in enumerate(errors.tolist()) for r, e in enumerate(row, 1)]
-    return _write_csv(path, ["tau", "r", "error"], _number_rows(rows))
+    return _write_csv(path, ["tau", "r", "error"], rows)
 
 
 def write_json(data: dict, path: str | Path) -> Path:

@@ -16,10 +16,11 @@ identification pipeline is checked against: the one stability rule on the
 monodromy matrix, periodic impulse-response tables, the lifted LTI
 realization, and the type that holds a lifted frequency response.
 Every lifted block, every monodromy and every impulse-response table comes
-from one lag-by-lag loop, ``markov_rows``. ``subspace.estimate_B`` takes one
-period of it started from the aliasing resolvent ``C_t (I - Psi_t^N)^{-1}``
-and carries that period to N periods by its own repeated squaring of the
-monodromy. Impulse-response tables are bare
+from one lag-by-lag loop, ``markov_rows``. ``_aliasing_resolvent`` owns
+``(I - Psi^N)^{-1}`` behind its stability guard: the steady-state fixed point of
+``signal`` and the start ``C_t (I - Psi_t^N)^{-1}`` of ``subspace.estimate_B``'s
+regressors, which that fit carries to N periods by its own repeated squaring
+of the monodromy. Impulse-response tables are bare
 (P, max_lag, n_y, n_u) float arrays whose entry ``[t, r-1]`` is tag time t,
 lag r.
 A model memoizes what depends on it alone: ``lift_model``, the steady-state
@@ -42,6 +43,7 @@ from .errors import (
     SingularMatrix,
     _array_fits,
     _integer,
+    _real_array,
 )
 
 __all__ = [
@@ -58,10 +60,10 @@ __all__ = [
 
 
 def _as_matrix_tuple(name: str, mats: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Read-only float copies of ``mats``, each 2-D with no empty dimension and finite."""
+    """Read-only float copies of ``mats``, each real, 2-D with no empty dimension and finite."""
     out = []
     for i, m in enumerate(mats):
-        arr = np.array(m, dtype=np.float64)
+        arr = _real_array(f"{name}[{i}]", m).copy()
         if arr.ndim != 2 or 0 in arr.shape:
             raise DimensionMismatch(f"{name}[{i}] must be a 2-D matrix with no empty "
                                     f"dimension, got shape {arr.shape}")
@@ -159,20 +161,17 @@ class Stability(NamedTuple):
     spectral_radius: float
 
 
-def _stability(psi, error: type[Exception] | None = None, message: str = "") -> Stability:
+def _stability(psi) -> Stability:
     """The one stability rule, spectral radius < 1 (so NaN fails), for the monodromy stack ``psi``.
 
-    Every monodromy of one model has the same eigenvalues, so ``psi[0]`` decides.
-    With ``error`` given, failing it raises ``error(message.format(rho=rho))``.
+    Every monodromy of one model has the same eigenvalues, so ``psi[0]`` decides. It gives
+    the verdict only: ``is_stable`` reports it and ``_aliasing_resolvent`` raises on it.
     """
     try:
         rho = float(np.max(np.abs(np.linalg.eigvals(psi[0]))))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on monodromy matrix: {exc}")
-    verdict = Stability(stable=rho < 1.0, spectral_radius=rho)
-    if error is not None and not verdict.stable:
-        raise error(message.format(rho=rho))
-    return verdict
+    return Stability(stable=rho < 1.0, spectral_radius=rho)
 
 
 def is_stable(model: LtpModel) -> Stability:
@@ -196,6 +195,16 @@ def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
             "the monodromy power is within rounding of 1"
         )
     return inverse
+
+
+def _aliasing_resolvent(psi, N: int, error: type[Exception], message: str) -> np.ndarray:
+    """``(I - Psi^N)^{-1}`` of the monodromy stack ``psi``, the one owner of the aliasing
+    resolvent: the steady-state fixed point and the aliased sum of the impulse response. A
+    stack failing the stability rule raises the caller's ``error(message.format(rho=rho))``."""
+    verdict = _stability(psi)
+    if not verdict.stable:
+        raise error(message.format(rho=verdict.spectral_radius))
+    return _inverse_of_identity_minus(np.linalg.matrix_power(psi, N))
 
 
 def markov_rows(A, C, max_lag: int) -> np.ndarray:

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LengthNotDivisible, _array_fits, _integer, _real
-from .model import LtpModel, _inverse_of_identity_minus, _memoized, _stability, lift_model
+from .errors import (ConfigError, DataError, LengthNotDivisible, _array_fits, _integer, _real,
+                     _real_array)
+from .model import LtpModel, _aliasing_resolvent, _memoized, lift_model
 
 __all__ = [
     "Ensemble",
@@ -143,8 +144,7 @@ class Ensemble:
         object.__setattr__(self, "P", _integer("P", self.P, 1))
         object.__setattr__(self, "N", _integer("N", self.N, 1))
         object.__setattr__(self, "sigma", _real("sigma", self.sigma, 0))
-        u = np.asarray(self.u, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        u, y = _real_array("u", self.u), _real_array("y", self.y)
         if u.ndim != 3 or y.ndim != 3 or u.shape[:2] != y.shape[:2]:
             raise ConfigError(
                 f"u and y must have shapes (J, N*P, n_u) and (J, N*P, n_y), "
@@ -191,9 +191,9 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     step from the zero state ends in ``x_N``, the periodic fixed point is
     ``x0 = (I - A_L^N)^{-1} x_N``, and a pass from ``x0`` records the N
     period-start states that give the (T, n_y) or (J, T, n_y) outputs.
-    The resolvent is memoized per N on a model that passed the stability check.
+    ``model._aliasing_resolvent`` checks stability and gives the resolvent, memoized per N.
     """
-    u = np.asarray(patterns, dtype=np.float64)
+    u = _real_array("patterns", patterns)
     if u.ndim not in (2, 3):
         raise ConfigError(f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}")
     if u.shape[-1] != model.nu:
@@ -203,11 +203,9 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     if u.shape[-2] % model.P != 0:
         raise LengthNotDivisible(f"pattern length {u.shape[-2]} not divisible by P={model.P}")
     lifted, N = lift_model(model), u.shape[-2] // model.P
-    def resolvent() -> np.ndarray:
-        _stability(lifted.A[None], ConfigError, "model is not stable (spectral radius {rho:.4f}); "
-                   "steady-state data collection requires stability")
-        return _inverse_of_identity_minus(np.linalg.matrix_power(lifted.A, N))
-    to_fixed_point = _memoized(model, ("resolvent", N), resolvent).T
+    to_fixed_point = _memoized(model, ("resolvent", N), lambda: _aliasing_resolvent(
+        lifted.A[None], N, ConfigError, "model is not stable (spectral radius {rho:.4f}); "
+        "steady-state data collection requires stability")[0]).T
     u_lifted = u.reshape(u.shape[:-2] + (N, -1))
     drive = u_lifted @ lifted.B.T
     x = np.zeros(drive.shape[:-2] + (model.nx,))

@@ -18,10 +18,11 @@ Stages 1 and 2 are single fancy-index gathers, stages 1 and 5 indexing by
 ``model._input_times``. Stages 3 and 4 run one batched SVD each with no
 loop; stage 5 runs one QR per input time and one batched SVD of its
 n_x-by-n_x triangular blocks. Its regressors are one period of
-``model.markov_rows``, the one periodic Markov kernel, started from the
-aliasing resolvent ``C_t (I - Psi_t^N)^{-1}`` and carried to N periods by
-powers of the monodromy. ``identify`` chains ``etfe`` and the stages and
-tags any numerical failure with the stage name.
+``model.markov_rows``, the one periodic Markov kernel, started from
+``C_t (I - Psi_t^N)^{-1}`` of ``model._aliasing_resolvent`` and carried to N
+periods by powers of the monodromy; it returns the residual of the fit, off which
+``identify`` reads both fit diagnostics. ``identify`` chains ``etfe`` and the
+stages and tags any numerical failure with the stage name.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ from .etfe import etfe
 from .model import (
     LiftedFrequencyResponse,
     LtpModel,
+    _aliasing_resolvent,
     _input_times,
-    _inverse_of_identity_minus,
     _monodromies,
-    _stability,
     markov_rows,
 )
 from .signal import Ensemble
@@ -160,7 +160,7 @@ def estimate_AC(bases: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_B(
     A_est: np.ndarray, C_est: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of the input matrices to the aliased impulse response.
 
     ``h`` is the (P, N*P, n_y, n_u) aliased response; its lag count fixes N.
@@ -171,14 +171,14 @@ def estimate_B(
     one period of ``markov_rows`` started from ``C_t (I - Psi_t^N)^{-1}``,
     and period j is that one times ``Psi_{beta+1}^j``, filled in by repeated
     squaring in ceil(log2 N) batched products; one monodromy stack serves
-    the stability check, the resolvent and the powers. Regressors and
+    ``model._aliasing_resolvent`` and the powers. Regressors and
     targets go into one column-major stack; the Q-less QR of each input
     time's slice gives R = [[R11, R12], [0, R22]], and R11 has the singular
     values of the regressor, so one SVD of it serves both the condition check
     and the solve of R11 B = R12 (Golub & Van Loan, *Matrix Computations*,
     4th ed., sec. 5.3). Its peak holds the stack and numpy's copy of one
-    slice inside its QR. Returns the (P, n_x, n_u) B stack, the total
-    squared residual, and the fitted aliased response in the layout of ``h``.
+    slice inside its QR. Returns the (P, n_x, n_u) B stack and the residual
+    ``h`` less the fitted aliased response, in the layout of ``h``.
     A, C and ``h`` whose P, n_x or n_y disagree, with n_x = 0, or whose lag
     count is not a positive multiple of P raise ``DimensionMismatch``.
 
@@ -202,9 +202,9 @@ def estimate_B(
     P, lags, ny, nu = h.shape
     nx, N = A.shape[1], lags // P
     psi = _monodromies(A)
-    _stability(psi, UnstableEstimate, "estimated monodromy has spectral radius {rho:.4f} >= 1; "
-               "cannot form the aliasing resolvent")
-    rows = markov_rows(A, C @ _inverse_of_identity_minus(np.linalg.matrix_power(psi, N)), P)
+    rows = markov_rows(A, C @ _aliasing_resolvent(
+        psi, N, UnstableEstimate, "estimated monodromy has spectral radius {rho:.4f} >= 1; "
+        "cannot form the aliasing resolvent"), P)
     # Index [beta, t]: the lag offset at which tag t meets input time beta.
     tag, slot = np.arange(P), _input_times(P, P).argsort(axis=1).T
     # Row (j, y, t) of problem beta: period j, output y, tag t; G is stored transposed.
@@ -231,11 +231,9 @@ def estimate_B(
     B = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ R[:, :nx, nx:]) / s[..., None])
     fit = (B.swapaxes(1, 2) @ G).reshape(P, nu, N, ny, P)
     del stack, G, R
-    h_fit = np.empty(h.shape)
-    h_fit.reshape(P, N, P, ny, nu)[tag, :, slot] = fit.transpose(0, 4, 2, 3, 1)
-    del fit
-    d = h - h_fit
-    return B, float(np.sum(np.multiply(d, d, out=d))), h_fit
+    residual = h.copy()
+    residual.reshape(P, N, P, ny, nu)[tag, :, slot] -= fit.transpose(0, 4, 2, 3, 1)
+    return B, residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +243,10 @@ class IdentificationResult:
     The order used is ``model.nx``. ``singular_values`` is the (P, min(q*n_y,
     r*n_u)) array whose row tau is the descending Hankel spectrum at starting
     tag time tau, and ``threshold_counts`` the (P,) counts above the order
-    threshold (None at a fixed order). ``h_reconstruction_error[t, r-1]`` is
-    the Frobenius distance between the assembled aliased response and the one
-    implied by the estimated model. ``response`` is the estimated lifted
+    threshold (None at a fixed order). ``b_residual`` is the sum of squares of
+    ``estimate_B``'s residual, and ``h_reconstruction_error[t, r-1]`` its Frobenius
+    norm at tag t, lag r: the distance between the assembled aliased response and the
+    one implied by the estimated model. ``response`` is the estimated lifted
     frequency response the model was realized from.
     """
 
@@ -270,14 +269,14 @@ def identify(
 ) -> IdentificationResult:
     """Full identification pipeline from an ensemble of periodic experiments.
 
-    Stages: estimate the lifted frequency response of the ensemble
-    (``etfe``), invert it to the aliased impulse response, build the periodic
-    Hankel stack (integer q, r >= 1; q = r = floor((N*P + 1)/2) by default),
-    select the order, and recover A, C by shift invariance and B by least
-    squares. A numerical stage failure (a ``NumericalPipelineError`` or
-    ``LinAlgError``) becomes a ``PipelineError`` naming the stage; any other
-    error, such as the ``OrderTooLarge`` of an order above (q-1)*n_y,
-    propagates as it is.
+    Stages: estimate the lifted frequency response of the ensemble (``etfe``), invert
+    it to the aliased impulse response, build the periodic Hankel stack (integer q,
+    r >= 1; q = r = floor((N*P + 1)/2) by default), select the order, and recover A, C
+    by shift invariance and B by least squares, whose one residual array gives
+    ``b_residual`` and ``h_reconstruction_error``. A numerical stage failure (a
+    ``NumericalPipelineError`` or ``LinAlgError``) becomes a ``PipelineError`` naming
+    the stage; any other error, such as the ``OrderTooLarge`` of an order above
+    (q-1)*n_y, propagates as it is.
     """
     lags = ensemble.N * ensemble.P
     balanced = (lags + 1) // 2
@@ -294,14 +293,14 @@ def identify(
     hankels = run("build_hankels", build_hankels, h_est, q, r)
     bases, svals, counts = run("svd_order", svd_order, hankels, n_x, order_threshold)
     A_est, C_est = run("estimate_AC", estimate_AC, bases, ensemble.ny)
-    B_est, b_residual, h_fit = run("estimate_B", estimate_B, A_est, C_est, h_est)
+    B_est, residual = run("estimate_B", estimate_B, A_est, C_est, h_est)
     return IdentificationResult(
         model=LtpModel(A=A_est, B=B_est, C=C_est),
         singular_values=svals,
         q=q,
         r=r,
-        b_residual=b_residual,
-        h_reconstruction_error=np.linalg.norm(h_fit - h_est, axis=(2, 3)),
+        b_residual=float(np.sum(residual * residual)),
+        h_reconstruction_error=np.linalg.norm(residual, axis=(2, 3)),
         response=response,
         threshold_counts=counts,
     )

@@ -1,4 +1,5 @@
-"""The count rule ``_integer`` and the number rule ``_real`` at every public entry point."""
+"""The count rule ``_integer``, the number rule ``_real`` and the array rule ``_real_array``
+at every public entry point."""
 
 import json
 import math
@@ -12,8 +13,8 @@ from ltpsid.cli import main
 from ltpsid.errors import ConfigError, _array_fits, _integer, _real
 from ltpsid.fileio import save_ensemble
 from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric, monte_carlo
-from ltpsid.model import LiftedFrequencyResponse, impulse_table, markov_rows
-from ltpsid.signal import Ensemble, collect_ensemble
+from ltpsid.model import LiftedFrequencyResponse, LtpModel, impulse_table, markov_rows
+from ltpsid.signal import Ensemble, collect_ensemble, simulate_steady_state
 from ltpsid.subspace import build_hankels, identify, svd_order
 from oracles import aliased_impulse_response_true, true_lifted_frequency_response
 
@@ -71,6 +72,8 @@ BAD_COUNTS = [2.0, 2.5, True, np.True_, "2", math.nan, math.inf, np.float64(3), 
 NUMBERS = {
     "collect_ensemble sigma": ("sigma", "", lambda m, e, h, v: collect_ensemble(m, 4, N, v, 0)),
     "Ensemble sigma": ("sigma", "", lambda m, e, h, v: Ensemble(e.u, e.y, e.P, e.N, sigma=v)),
+    "MonteCarloConfig sigma": ("sigma", "", lambda m, e, h, v: MonteCarloConfig(
+        J=4, N=N, sigma=v, trials=1, q=3, r=3, n_x=2, seed=0)),
     "identify order_threshold": ("order threshold", " and < 1",
                                  lambda m, e, h, v: identify(e, q=3, r=3, order_threshold=v)),
     "svd_order threshold": ("order threshold", " and < 1",
@@ -97,6 +100,49 @@ def test_a_bad_number_raises_config_error_naming_it(setting, entry, value):
     message = f"{name} must be a finite number >= 0{bound}, got {value!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call(*setting, value)
+
+
+# Each array entry point: the name its message gives, its valid value, and the call
+# with that value replaced by ``v``.
+ARRAYS = {
+    "LtpModel A[0]": ("A[0]", lambda m, e: m.A[0],
+                      lambda m, e, v: LtpModel(A=(v, *m.A[1:]), B=m.B, C=m.C)),
+    "LtpModel B[0]": ("B[0]", lambda m, e: m.B[0],
+                      lambda m, e, v: LtpModel(A=m.A, B=(v, *m.B[1:]), C=m.C)),
+    "LtpModel C[0]": ("C[0]", lambda m, e: m.C[0],
+                      lambda m, e, v: LtpModel(A=m.A, B=m.B, C=(v, *m.C[1:]))),
+    "Ensemble u": ("u", lambda m, e: e.u, lambda m, e, v: Ensemble(v, e.y, e.P, e.N)),
+    "Ensemble y": ("y", lambda m, e: e.y, lambda m, e, v: Ensemble(e.u, v, e.P, e.N)),
+    "simulate_steady_state patterns": ("patterns", lambda m, e: e.u,
+                                       lambda m, e, v: simulate_steady_state(m, v)),
+}
+# A valid array made complex, text (numerals numpy would parse), ragged or bool.
+BAD_ARRAYS = {
+    "complex": lambda a: a + 0.5j,
+    "text": lambda a: a.astype(str),
+    "ragged": lambda a: [*a.tolist(), []],
+    "bool": lambda a: a > 0,
+}
+
+
+@pytest.mark.parametrize("kind", BAD_ARRAYS)
+@pytest.mark.parametrize("entry", ARRAYS)
+def test_a_bad_array_raises_config_error_naming_it(setting, entry, kind):
+    # None is cast (a complex part dropped, text parsed) or left to fail inside numpy.
+    model, ens, _ = setting
+    name, valid, call = ARRAYS[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an array of real numbers$"):
+        call(model, ens, BAD_ARRAYS[kind](valid(model, ens)))
+
+
+def test_a_model_file_with_a_text_entry_exits_3(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    doc = {"P": 2, "A": [[["0.5", 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]],
+           "B": [[[1.0], [0.0]]] * 2, "C": [[[1.0, 0.0]]] * 2}
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--true", str(path), "--est", "example1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"error: {path}: A[0] must be an array of real numbers\n"
 
 
 def test_valid_values_pass_whatever_their_numeric_type(setting):

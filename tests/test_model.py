@@ -141,6 +141,19 @@ def _verdicts(A, B, C) -> tuple[bool, bool, bool]:
     return is_stable(model).stable, simulated, fitted
 
 
+def test_the_aliasing_resolvent_raises_each_callers_error_and_message():
+    # One resolvent owner serves the steady-state simulation and the B fit; each keeps
+    # its own error class and message, and a refused model memoizes no resolvent.
+    model = LtpModel(A=(np.array([[2.0]]),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
+    with pytest.raises(ConfigError, match=r"^model is not stable \(spectral radius 2\.0000\); "
+                       r"steady-state data collection requires stability$"):
+        simulate_steady_state(model, np.zeros((1, 1)))
+    assert ("resolvent", 1) not in model._memo
+    with pytest.raises(UnstableEstimate, match=r"^estimated monodromy has spectral radius "
+                       r"2\.0000 >= 1; cannot form the aliasing resolvent$"):
+        estimate_B(np.asarray(model.A), np.asarray(model.C), np.zeros((1, 4, 1, 1)))
+
+
 def _transformed(A, B, C, T, kb, kc):
     """The stacks under A_t -> T_{t+1} A_t T_t^-1, and with B, C rescaled by 10^kb, 10^kc."""
     T_next, T_inv = np.roll(T, -1, axis=0), np.linalg.inv(T)

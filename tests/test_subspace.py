@@ -472,20 +472,20 @@ def test_estimate_B_exact_inputs(fixture, request):
     model = request.getfixturevalue(fixture)
     N = 10
     h = aliased_impulse_response_true(model, N)
-    B_est, residual, _ = estimate_B(list(model.A), list(model.C), h)
+    B_est, residual = estimate_B(list(model.A), list(model.C), h)
     for tau in range(model.P):
         np.testing.assert_allclose(B_est[tau], model.B[tau], atol=1e-8)
-    assert residual < 1e-16
+    assert np.sum(residual**2) < 1e-16
 
 
 def test_estimate_B_zero_target(example2_norm):
     model = example2_norm
     N = 6
     zero = np.zeros((model.P, N * model.P, model.ny, model.nu))
-    B_est, residual, _ = estimate_B(list(model.A), list(model.C), zero)
+    B_est, residual = estimate_B(list(model.A), list(model.C), zero)
     for b in B_est:
         np.testing.assert_allclose(b, 0, atol=1e-12)
-    assert residual == 0.0
+    assert np.sum(residual**2) == 0.0
 
 
 def test_estimate_B_unstable_estimate():
@@ -606,16 +606,15 @@ def test_estimate_B_matches_per_beta_lstsq(fixture, N, request):
     else:
         model = request.getfixturevalue(fixture)
     h = _noisy_aliased_response(model, N, 5)
-    B, residual, fitted = estimate_B(model.A, model.C, h)
+    B, residual = estimate_B(model.A, model.C, h)
     B_ref, residual_ref = _estimate_B_per_beta(model.A, model.C, h, N)
     assert B.shape == (model.P, model.nx, model.nu)
     np.testing.assert_allclose(B, B_ref, rtol=0, atol=1e-12 * np.max(np.abs(B_ref)))
-    assert residual > 0
-    np.testing.assert_allclose(residual, residual_ref, rtol=1e-12)
-    fitted_ref = aliased_impulse_response_true(LtpModel(A=model.A, B=tuple(B_ref), C=model.C), N)
-    np.testing.assert_allclose(
-        fitted, fitted_ref, rtol=0, atol=1e-12 * np.max(np.abs(fitted_ref))
-    )
+    assert residual.shape == h.shape and np.sum(residual**2) > 0
+    np.testing.assert_allclose(np.sum(residual**2), residual_ref, rtol=1e-12)
+    # The residual is h less the aliased table of the fitted model, entry by entry.
+    fitted = aliased_impulse_response_true(LtpModel(A=model.A, B=tuple(B), C=model.C), N)
+    np.testing.assert_allclose(residual, h - fitted, rtol=0, atol=1e-12 * np.max(np.abs(fitted)))
 
 
 def test_estimate_B_peak_memory_holds_at_most_one_and_a_half_regressor_stacks(mimo_ensemble):
@@ -627,6 +626,17 @@ def test_estimate_B_peak_memory_holds_at_most_one_and_a_half_regressor_stacks(mi
     stack = P * (result.model.nx + nu) * lags * ny * 8
     peak = traced_peak(estimate_B, result.model.A, result.model.C, h)
     assert peak <= 1.5 * stack, peak / stack
+
+
+def test_identify_reads_its_fit_diagnostics_off_the_B_residual(mimo_ensemble):
+    # b_residual and h_reconstruction_error are the sum of squares and the per-(tag, lag)
+    # Frobenius norm of the one residual array estimate_B returns, bit for bit.
+    result = identify(mimo_ensemble, q=10, r=10, n_x=6)
+    B, residual = estimate_B(result.model.A, result.model.C, assemble_aliased(result.response))
+    np.testing.assert_array_equal(B, result.model.B)
+    assert result.b_residual == np.sum(residual * residual)
+    np.testing.assert_array_equal(result.h_reconstruction_error,
+                                  np.linalg.norm(residual, axis=(2, 3)))
 
 
 def test_identify_peak_memory_is_set_by_etfe(mimo_ensemble):
