@@ -180,11 +180,7 @@ def _cmd_evaluate(args) -> None:
     true_model = fixtures.resolve_model(args.true, normalize=args.normalize)
     est_model = fixtures.resolve_model(args.est)
     report = fit_metric(true_model, est_model, n_g=args.n_g)
-    fileio.write_json(
-        {"W": report.W, "mse": report.mse, "n_g": args.n_g,
-         "max_error": float(np.max(report.errors))},
-        args.out / "fit.json",
-    )
+    fileio.write_json(report.summary(), args.out / "fit.json")
     fileio.write_errors_csv(report.errors, args.out / "errors.csv")
     print(f"W = {report.W!r}, mse = {report.mse!r}; wrote {args.out / 'fit.json'}")
 
@@ -208,15 +204,7 @@ def _cmd_sweep(args) -> None:
     config = _study_config(args, model, args.Ns[0])
     sweep = consistency_sweep(model, args.Ns, config, jobs=args.jobs)
     fileio.write_sweep_csv(sweep, args.out / "sweep.csv")
-    fileio.write_json(
-        {
-            "N_grid": list(sweep.N_grid),
-            "median_mse": list(sweep.median_mse),
-            "slope": sweep.slope,
-            "failures": sum(len(result.failures) for result in sweep.results),
-        },
-        args.out / "summary.json",
-    )
+    fileio.write_json(sweep.summary(), args.out / "summary.json")
     print(f"slope = {sweep.slope!r}; wrote {args.out / 'sweep.csv'}")
 
 

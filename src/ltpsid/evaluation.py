@@ -43,11 +43,16 @@ DEFAULT_N_G = 50  # lag horizon of the fit score
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """Fit score W, impulse-response errors over lags 1..n_g (``errors.shape[1]``), mean square."""
+    """Fit score W, impulse-response errors over lags 1..n_g (``errors.shape[1]``), mean square;
+    ``summary`` is the JSON report of ``ltpsid evaluate``."""
 
     W: float
     errors: np.ndarray = field(repr=False)  # (P, n_g) Frobenius errors
     mse: float
+
+    def summary(self) -> dict:
+        return {"W": self.W, "mse": self.mse, "n_g": self.errors.shape[1],
+                "max_error": float(np.max(self.errors))}
 
 
 def fit_metric(true_model: LtpModel, est_model: LtpModel, n_g: int = DEFAULT_N_G) -> FitReport:
@@ -200,18 +205,19 @@ def monte_carlo(model: LtpModel, config: MonteCarloConfig, jobs: int = 1) -> Mon
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The ``monte_carlo`` study at each record length; ``slope`` fits log median MSE on log N."""
+    """The ``monte_carlo`` study at each record length; ``slope`` fits log median MSE on log N.
+    ``summary`` is the JSON report of ``ltpsid sweep``."""
 
     results: tuple[MonteCarloResult, ...]
     slope: float
 
     @property
-    def N_grid(self) -> tuple[int, ...]:
-        return tuple(result.config.N for result in self.results)
-
-    @property
     def median_mse(self) -> tuple[float, ...]:
         return tuple(result.mse_median for result in self.results)
+
+    def summary(self) -> dict:
+        return {"N_grid": [r.config.N for r in self.results], "median_mse": list(self.median_mse),
+                "slope": self.slope, "failures": sum(len(r.failures) for r in self.results)}
 
 
 def consistency_sweep(

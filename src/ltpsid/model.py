@@ -18,11 +18,11 @@ realization, and the type that holds a lifted frequency response.
 Every lifted block, every monodromy and every impulse-response table comes
 from one lag-by-lag loop, ``markov_rows``. ``_aliasing_resolvent`` owns
 ``(I - Psi^N)^{-1}`` behind its stability guard: the steady-state fixed point of
-``signal`` and the start ``C_t (I - Psi_t^N)^{-1}`` of ``subspace.estimate_B``'s
+``signal``, the start ``C_t (I - Psi_t^N)^{-1}`` of ``subspace.estimate_B``'s
 regressors, which that fit carries to N periods by its own repeated squaring
-of the monodromy. Impulse-response tables are bare
-(P, max_lag, n_y, n_u) float arrays whose entry ``[t, r-1]`` is tag time t,
-lag r.
+of the monodromy, and at N = 1 the lifted gain of ``dc_gain`` and ``normalize_gain``.
+Impulse-response tables are bare (P, max_lag, n_y, n_u) float arrays whose entry
+``[t, r-1]`` is tag time t, lag r.
 A model memoizes what depends on it alone: ``lift_model``, the steady-state
 resolvent ``(I - A_L^N)^{-1}`` per N and ``impulse_table`` per lag, whose
 arrays are shared by every caller and read-only; a pickled copy starts empty.
@@ -179,32 +179,22 @@ def is_stable(model: LtpModel) -> Stability:
     return _stability(_monodromies(np.asarray(model.A)))
 
 
-def _inverse_of_identity_minus(M: np.ndarray) -> np.ndarray:
-    """Invert I - M (a matrix or a stack); ``SingularMatrix`` unless its 1-norm cond <= 1e14."""
-    resolvent = np.eye(M.shape[-1]) - M
-    try:
-        inverse = np.linalg.inv(resolvent)
-        with np.errstate(all="ignore"):
-            cond = float(np.max(np.linalg.norm(resolvent, 1, (-2, -1))
-                                * np.linalg.norm(inverse, 1, (-2, -1))))
-    except np.linalg.LinAlgError:
-        cond = np.inf
+def _aliasing_resolvent(psi, N: int, error: type[Exception], message: str) -> np.ndarray:
+    """``(I - Psi^N)^{-1}`` of the monodromy stack ``psi``, the one owner of the aliasing
+    resolvent: the steady-state fixed point, the aliased sum of the impulse response and, at
+    N = 1, the lifted response at z = 1. A stack failing the stability rule raises the caller's
+    ``error(message.format(rho=rho))``; ``SingularMatrix`` unless every 1-norm cond <= 1e14."""
+    verdict = _stability(psi)
+    if not verdict.stable:
+        raise error(message.format(rho=verdict.spectral_radius))
+    resolvent = np.eye(psi.shape[-1]) - np.linalg.matrix_power(psi, N)
+    cond = float(np.max(np.linalg.cond(resolvent, 1)))  # inf when singular
     if not cond <= 1e14:
         raise SingularMatrix(
             f"I - monodromy^N has condition number {cond:.3e}: an eigenvalue of "
             "the monodromy power is within rounding of 1"
         )
-    return inverse
-
-
-def _aliasing_resolvent(psi, N: int, error: type[Exception], message: str) -> np.ndarray:
-    """``(I - Psi^N)^{-1}`` of the monodromy stack ``psi``, the one owner of the aliasing
-    resolvent: the steady-state fixed point and the aliased sum of the impulse response. A
-    stack failing the stability rule raises the caller's ``error(message.format(rho=rho))``."""
-    verdict = _stability(psi)
-    if not verdict.stable:
-        raise error(message.format(rho=verdict.spectral_radius))
-    return _inverse_of_identity_minus(np.linalg.matrix_power(psi, N))
+    return np.linalg.inv(resolvent)
 
 
 def markov_rows(A, C, max_lag: int) -> np.ndarray:
@@ -323,22 +313,24 @@ class LiftedFrequencyResponse:
 def _lifted_dc_response(model: LtpModel) -> np.ndarray:
     """Lifted frequency response at z=1, the steady-state gain of each slot pair."""
     lifted = lift_model(model)
-    return lifted.C @ _inverse_of_identity_minus(lifted.A) @ lifted.B + lifted.D
+    return lifted.C @ _aliasing_resolvent(lifted.A[None], 1, ConfigError, (
+        "model is not stable (spectral radius {rho:.4f}); its steady-state gain requires "
+        "stability"))[0] @ lifted.B + lifted.D
 
 
 def dc_gain(model: LtpModel) -> float:
-    """Average steady-state gain: mean of all entries of the lifted response at z=1."""
+    """Average steady-state gain of a stable model: mean entry of the lifted response at z=1."""
     return float(np.mean(_lifted_dc_response(model)))
 
 
 def normalize_gain(model: LtpModel) -> LtpModel:
     """Rescale every input matrix so the average steady-state gain is 1.
 
-    The gain is the arithmetic mean of all entries of the lifted response
-    at z=1; it is linear in B, so dividing each ``B_t`` by it is an
-    idempotent normalization. The gain counts as zero when it is below
-    1e-12 of the mean entry magnitude, so the verdict does not depend on
-    the units of B.
+    The gain is the arithmetic mean of all entries of the lifted response at z=1; it is
+    linear in B, so dividing each ``B_t`` by it is an idempotent normalization. The gain
+    counts as zero when it is below 1e-12 of the mean entry magnitude, so the verdict does
+    not depend on the units of B. Only a stable model has a gain: an unstable one raises
+    ``ConfigError`` naming its spectral radius, as ``dc_gain`` does.
     """
     G0 = _lifted_dc_response(model)
     gamma = float(np.mean(G0))

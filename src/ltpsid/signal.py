@@ -194,6 +194,8 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     ``model._aliasing_resolvent`` checks stability and gives the resolvent, memoized per N.
     """
     u = _real_array("patterns", patterns)
+    if not np.isfinite(u).all():
+        raise ConfigError("patterns has a non-finite entry")
     if u.ndim not in (2, 3):
         raise ConfigError(f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}")
     if u.shape[-1] != model.nu:

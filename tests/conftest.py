@@ -1,11 +1,20 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ltpsid import fixtures
 from ltpsid.model import LtpModel, normalize_gain
 from ltpsid.signal import Ensemble, collect_ensemble
+
+# The property tests draw the same examples on every run and machine and replay no stored
+# failure, so a tree's verdict does not depend on the draw. HYPOTHESIS_PROFILE=explore
+# restores hypothesis's own defaults: fresh random examples and a database of failures.
+settings.register_profile("explore", settings.get_profile("default"))
+settings.register_profile("default", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

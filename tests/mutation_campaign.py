@@ -29,7 +29,6 @@ MUTANTS = [
     # Guard thresholds, each a decade off or with its comparison flipped.
     ("etfe RANK_TOL 1e-10 -> 1e-13", "etfe.py", "RANK_TOL = 1e-10", "RANK_TOL = 1e-13"),
     ("etfe RANK_TOL 1e-10 -> 1e-8", "etfe.py", "RANK_TOL = 1e-10", "RANK_TOL = 1e-8"),
-    # Near-equivalent: it differs from the original only where s_min equals RANK_TOL*s_max.
     ("etfe rank verdict <= -> <", "etfe.py",
      "s[:, -1] <= RANK_TOL * s[:, 0]", "s[:, -1] < RANK_TOL * s[:, 0]"),
     ("estimate_AC shift rank 1e-12 -> 0", "subspace.py",
@@ -99,10 +98,26 @@ MUTANTS = [
      "residual = h.copy()", "residual = np.zeros_like(h)"),
     ("CSV row join CRLF -> LF", "fileio.py",
      'replace("], [", "\\r\\n")', 'replace("], [", "\\n")'),
+    ("simulate_steady_state non-finite check deleted", "signal.py",
+     "if not np.isfinite(u).all():", "if False:"),
+    ("aliasing resolvent cond 1-norm -> 2-norm", "model.py",
+     "np.linalg.cond(resolvent, 1)", "np.linalg.cond(resolvent, 2)"),
+    # The JSON report each result type builds.
+    ("fit.json n_g -> 0", "evaluation.py", '"n_g": self.errors.shape[1],', '"n_g": 0,'),
+    ("fit.json max_error -> min", "evaluation.py",
+     '"max_error": float(np.max(self.errors))', '"max_error": float(np.min(self.errors))'),
+    ("Monte Carlo W_q1 quantile 0.25 -> 0.3", "evaluation.py",
+     "W_q1=float(np.quantile(W, 0.25))", "W_q1=float(np.quantile(W, 0.3))"),
+    ("sweep failures -> 0", "evaluation.py",
+     '"failures": sum(len(r.failures) for r in self.results)', '"failures": 0'),
+    ("sweep N_grid reversed", "evaluation.py",
+     '"N_grid": [r.config.N for r in self.results]',
+     '"N_grid": [r.config.N for r in self.results][::-1]'),
+    ("sweep median_mse key dropped", "evaluation.py", ' "median_mse": list(self.median_mse),', ""),
 ]
 # Mutants that differ from the original only on inputs no test can reach; their survival is
 # expected and does not fail the campaign.
-NEAR_EQUIVALENT = {"etfe rank verdict <= -> <"}
+NEAR_EQUIVALENT: set[str] = set()
 
 
 def run_suite(tree: Path) -> tuple[bool, str]:

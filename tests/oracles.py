@@ -23,7 +23,6 @@ from ltpsid.etfe import etfe
 from ltpsid.model import (
     LiftedFrequencyResponse,
     LtpModel,
-    _inverse_of_identity_minus,
     _monodromies,
     _with_inputs,
     lift_model,
@@ -66,10 +65,14 @@ def aliased_impulse_response_true(model: LtpModel, N: int) -> np.ndarray:
     Entry ``[t, r-1]`` of the (P, N*P, n_y, n_u) result is the sum of the
     impulse response at tag time t over all lags congruent to ``r`` modulo
     ``N*P``: ``C_t (I - Psi_t^N)^{-1} A_{t-1} ... A_{t-r+1} B_{t-r}`` for a
-    stable model with monodromy ``Psi_t``.
+    stable model with monodromy ``Psi_t``. It inverts by its own guard, not the
+    package's resolvent: ``SingularMatrix`` unless every 2-norm cond is <= 1e14.
     """
-    psi = _monodromies(np.asarray(model.A))
-    C = np.asarray(model.C) @ _inverse_of_identity_minus(np.linalg.matrix_power(psi, N))
+    resolvent = np.eye(model.nx) - np.linalg.matrix_power(_monodromies(np.asarray(model.A)), N)
+    if not np.linalg.cond(resolvent).max() <= 1e14:  # true for nan as well
+        raise SingularMatrix("I - monodromy^N is singular: the monodromy power has an "
+                             "eigenvalue on or near 1")
+    C = np.asarray(model.C) @ np.linalg.inv(resolvent)
     return _with_inputs(markov_rows(model.A, C, N * model.P), model.B)
 
 

@@ -1,14 +1,18 @@
+import csv
 import hashlib
 import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import assert_export_conjugate_symmetric, with_shared_input
 from ltpsid import cli
 from ltpsid.cli import main
+from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric
 from ltpsid.fileio import load_model, save_ensemble, save_model
+from ltpsid.model import LtpModel
 from ltpsid.signal import collect_ensemble
 
 
@@ -536,6 +540,19 @@ def test_evaluate_same_fixture_scores_perfect(tmp_path):
     assert fit["W"] == 100.0
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--true", "MODEL", "--est", "MODEL"],
+                                     ["simulate", "--model", "MODEL", "--N", 4, "--J", 2]])
+def test_normalizing_an_unstable_model_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # A = 2 has no steady-state gain to normalize by, though I - A = -1 would invert.
+    path = save_model(LtpModel(A=(np.array([[2.0]]),), B=(np.ones((1, 1)),),
+                               C=(np.ones((1, 1)),)), tmp_path / "unstable.json")
+    code = run([path if a == "MODEL" else a for a in command]
+               + ["--normalize", "--out", tmp_path / "out"])
+    _assert_config_exit(code, capsys, "error: model is not stable (spectral radius 2.0000); "
+                        "its steady-state gain requires stability\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_mismatched_period_exits_2(tmp_path, capsys):
     code = run(["evaluate", "--true", "example1", "--est", "example2",
                 "--out", tmp_path])
@@ -570,6 +587,57 @@ def test_sweep_writes_slope(tmp_path):
     rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert rows[0] == "N,trial,mse"
     assert len(rows) == 1 + 2 * 2
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _json(path):
+    return json.loads(path.read_text())
+
+
+def test_fit_json_is_the_fit_report_of_the_two_models(tmp_path, example1, example1_norm):
+    # The unnormalized estimate is off by the gain, so its errors vary over the lags.
+    assert run(["evaluate", "--true", "example1", "--normalize", "--est", "example1",
+                "--n-g", 7, "--out", tmp_path]) == 0
+    report = fit_metric(example1_norm, example1, n_g=7)
+    assert np.ptp(report.errors) > 0
+    assert _json(tmp_path / "fit.json") == {
+        "W": report.W, "mse": report.mse, "n_g": 7, "max_error": float(np.max(report.errors))}
+
+
+# A small noisy example2 study in which some trials, not all, fail at each length.
+_STUDY = ["--model", "example2", "--normalize", "--J", 6, "--sigma", 2, "--q", 4, "--r", 4,
+          "--nx", 2, "--trials", 6, "--seed", 0]
+
+
+def test_montecarlo_summary_is_read_off_the_trials_csv(tmp_path):
+    assert run(["montecarlo", *_STUDY, "--N", 8, "--out", tmp_path]) == 0
+    rows = _csv_rows(tmp_path / "trials.csv")
+    ok = [row for row in rows if row["failed"] == "0"]
+    W = np.array([float(row["W"]) for row in ok])
+    assert (len(rows), len(ok)) == (6, 4)
+    assert _json(tmp_path / "summary.json") == {
+        "trials": 6, "failures": 2, "config_failed": True,
+        "W_median": float(np.median(W)), "W_q1": float(np.quantile(W, 0.25)),
+        "W_q3": float(np.quantile(W, 0.75)), "W_min": float(np.min(W)),
+        "W_max": float(np.max(W)), "mse_median": float(np.median([float(row["mse"]) for row in ok])),
+    }
+
+
+def test_sweep_summary_is_read_off_the_sweep_csv_and_the_library_result(tmp_path, example2_norm):
+    assert run(["sweep", *_STUDY, "--Ns", "8,16", "--out", tmp_path]) == 0
+    sweep = consistency_sweep(example2_norm, [8, 16], MonteCarloConfig(
+        J=6, N=8, sigma=2.0, trials=6, q=4, r=4, n_x=2, seed=0))
+    rows = _csv_rows(tmp_path / "sweep.csv")
+    mse = {N: [float(row["mse"]) for row in rows if row["N"] == str(N)] for N in (8, 16)}
+    assert (len(mse[8]), len(mse[16])) == (5, 3)
+    assert _json(tmp_path / "summary.json") == {
+        "N_grid": [8, 16], "median_mse": [float(np.median(mse[8])), float(np.median(mse[16]))],
+        "slope": sweep.slope, "failures": 4,
+    }
 
 
 # SHA-256 of each model file ``ltpsid fixtures`` writes; the exported

@@ -135,6 +135,23 @@ def test_a_bad_array_raises_config_error_naming_it(setting, entry, kind):
         call(model, ens, BAD_ARRAYS[kind](valid(model, ens)))
 
 
+# A valid array with one entry made NaN, inf or -inf.
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("entry", ["LtpModel A[0]", "LtpModel B[0]", "LtpModel C[0]",
+                                   "simulate_steady_state patterns"])
+def test_a_non_finite_array_entry_raises_config_error_naming_it(setting, entry, bad):
+    # A non-finite pattern would give an all-NaN steady state, not an error.
+    model, ens, _ = setting
+    name, valid, call = ARRAYS[entry]
+    value = valid(model, ens).copy()
+    value.flat[-1] = NON_FINITE[bad]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} has a non-finite entry$"):
+        call(model, ens, value)
+
+
 def test_a_model_file_with_a_text_entry_exits_3(tmp_path, capsys):
     path = tmp_path / "model.json"
     doc = {"P": 2, "A": [[["0.5", 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]],

@@ -164,6 +164,14 @@ def test_etfe_rank_verdict_matches_svd_of_input_spectrum(seed, m, extra, N, eps,
             assert np.all(np.isfinite(etfe(ens).G))
 
 
+def test_etfe_an_all_zero_grid_point_is_rank_deficient():
+    # Two constant inputs at P = 1 have no spectrum at k = 1 and 2: s_min = s_max = 0 sits on
+    # the verdict's edge, which "<=" refuses; with "<" etfe would return NaN there.
+    with pytest.raises(RankDeficient) as excinfo:
+        etfe(Ensemble(np.ones((2, 4, 1)), np.ones((2, 4, 1)), 1, 4))
+    assert (excinfo.value.frequency_index, excinfo.value.smallest_singular_value) == (1, 0.0)
+
+
 @pytest.mark.parametrize("ratio, raises", [(1e-11, True), (1e-9, False)])
 def test_etfe_rank_verdict_a_decade_either_side_of_1e_10(ratio, raises):
     # P = 1, n_u = J = 2, N = 5: the input spectrum is the identity at k = 0

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ltpsid.evaluation import fit_metric
 from ltpsid.fileio import export_frequency_response
 from ltpsid.model import (
     LtpModel,
-    _inverse_of_identity_minus,
+    _aliasing_resolvent,
     dc_gain,
     impulse_table,
     is_stable,
@@ -123,8 +124,8 @@ def test_is_stable_scaled_identity_unstable(P):
     np.testing.assert_allclose(verdict.spectral_radius, 2.0**P, rtol=1e-12)
 
 
-def _verdicts(A, B, C) -> tuple[bool, bool, bool]:
-    """Whether is_stable, simulate_steady_state and estimate_B each accept the stacks."""
+def _verdicts(A, B, C) -> tuple[bool, bool, bool, bool]:
+    """Whether is_stable, simulate_steady_state, estimate_B and dc_gain each accept the stacks."""
     model = LtpModel(A=tuple(A), B=tuple(B), C=tuple(C))
     try:
         simulate_steady_state(model, np.zeros((model.P, model.nu)))
@@ -138,12 +139,19 @@ def _verdicts(A, B, C) -> tuple[bool, bool, bool]:
         fitted = True
     except UnstableEstimate:
         fitted = False
-    return is_stable(model).stable, simulated, fitted
+    try:
+        dc_gain(model)
+        gained = True
+    except ConfigError as exc:
+        assert "its steady-state gain requires stability" in str(exc)
+        gained = False
+    return is_stable(model).stable, simulated, fitted, gained
 
 
 def test_the_aliasing_resolvent_raises_each_callers_error_and_message():
-    # One resolvent owner serves the steady-state simulation and the B fit; each keeps
-    # its own error class and message, and a refused model memoizes no resolvent.
+    # One resolvent owner serves the steady-state simulation, the B fit and the gain at
+    # z = 1 (though I - A = -1 would invert); each keeps its own error class and message,
+    # and a refused model memoizes no resolvent.
     model = LtpModel(A=(np.array([[2.0]]),), B=(np.ones((1, 1)),), C=(np.ones((1, 1)),))
     with pytest.raises(ConfigError, match=r"^model is not stable \(spectral radius 2\.0000\); "
                        r"steady-state data collection requires stability$"):
@@ -152,6 +160,10 @@ def test_the_aliasing_resolvent_raises_each_callers_error_and_message():
     with pytest.raises(UnstableEstimate, match=r"^estimated monodromy has spectral radius "
                        r"2\.0000 >= 1; cannot form the aliasing resolvent$"):
         estimate_B(np.asarray(model.A), np.asarray(model.C), np.zeros((1, 4, 1, 1)))
+    for gain in (dc_gain, normalize_gain):
+        with pytest.raises(ConfigError, match=r"^model is not stable \(spectral radius "
+                           r"2\.0000\); its steady-state gain requires stability$"):
+            gain(model)
 
 
 def _transformed(A, B, C, T, kb, kc):
@@ -168,7 +180,7 @@ def _transformed(A, B, C, T, kb, kc):
 )
 @settings(max_examples=40, deadline=None)
 def test_stability_verdict_shared_and_invariant(seed, rho, kb, kc):
-    # The three stability checks agree, and a periodic similarity or a change
+    # The four stability checks agree, and a periodic similarity or a change
     # of the units of u and y leaves the verdict alone.
     rng = np.random.default_rng(seed)
     P, nx, ny, nu = (int(v) for v in rng.integers(1, 4, size=4))
@@ -182,7 +194,7 @@ def test_stability_verdict_shared_and_invariant(seed, rho, kb, kc):
     # Orthogonal times a diagonal scaling: condition number at most 100.
     T = np.linalg.qr(rng.standard_normal((P, nx, nx)))[0] * 10.0 ** rng.uniform(-1, 1, (P, 1, nx))
     for stacks in [(A, B, C), *_transformed(A, B, C, T, kb, kc)]:
-        assert _verdicts(*stacks) == (rho < 1,) * 3
+        assert _verdicts(*stacks) == (rho < 1,) * 4
 
 
 @pytest.mark.parametrize("factors", [(1.0,), (2.0, 0.5), (4.0, 0.25, 1.0)])
@@ -191,13 +203,13 @@ def test_stability_verdict_shared_and_invariant(seed, rho, kb, kc):
 @settings(max_examples=10, deadline=None)
 def test_stability_verdict_rejects_radius_exactly_one(factors, k, kb, kc):
     # Scalar stacks whose monodromy is exactly 1; a power-of-two similarity
-    # keeps it exactly 1. All three checks reject them.
+    # keeps it exactly 1. All four checks reject them.
     P = len(factors)
     A = np.array(factors).reshape(P, 1, 1)
     B, C = np.ones((P, 1, 1)), np.ones((P, 1, 1))
     T = 2.0 ** np.array(k[:P], dtype=float).reshape(P, 1, 1)
     for stacks in [(A, B, C), *_transformed(A, B, C, T, kb, kc)]:
-        assert _verdicts(*stacks) == (False, False, False)
+        assert _verdicts(*stacks) == (False,) * 4
 
 
 def test_impulse_response_example2_first_lag(example2):
@@ -511,15 +523,35 @@ def test_normalize_gain_starts_an_empty_memo(example2):
     assert "lift_model" in model._memo and normalize_gain(model)._memo == {}
 
 
-@pytest.mark.parametrize("M", [np.eye(2), np.stack([0.5 * np.eye(2), np.eye(2)])])
-def test_inverse_of_identity_minus_identity_is_singular(M):
-    with pytest.raises(SingularMatrix, match="condition number inf: .* within rounding of 1"):
-        _inverse_of_identity_minus(M)
+def _near_unit_monodromy(a):
+    """A stable monodromy, eigenvalues 1 - a, 0.5, 0.5, whose I - Psi has 1-norm cond about 3/a."""
+    return np.array([[[1 - a, 1, 1], [0, 0.5, 0], [0, 0, 0.5]]])
 
 
-def test_inverse_of_identity_minus_is_the_lu_inverse():
+@pytest.mark.parametrize("psi, cond", [
+    (_near_unit_monodromy(1e-15), "3.002e+15"),  # the 2-norm would read 4.504e+15
+    (np.stack([0.5 * np.eye(2), np.eye(2)]), "inf"),  # every monodromy of the stack counts
+])
+def test_aliasing_resolvent_refuses_an_eigenvalue_within_rounding_of_1(psi, cond):
+    # The stability rule passes on psi[0]; the 1-norm condition number refuses.
+    with pytest.raises(SingularMatrix, match=rf"^I - monodromy\^N has condition number "
+                       rf"{re.escape(cond)}: an eigenvalue of the monodromy power is within "
+                       r"rounding of 1$"):
+        _aliasing_resolvent(psi, 1, ConfigError, "unused")
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_aliasing_resolvent_is_the_lu_inverse(N):
     M = np.random.default_rng(3).uniform(-0.4, 0.4, (5, 3, 3))
-    np.testing.assert_array_equal(_inverse_of_identity_minus(M), np.linalg.inv(np.eye(3) - M))
+    np.testing.assert_array_equal(_aliasing_resolvent(M, N, ConfigError, "unused"),
+                                  np.linalg.inv(np.eye(3) - np.linalg.matrix_power(M, N)))
+
+
+def test_aliasing_resolvent_reads_the_1_norm_condition_number():
+    # The 1-norm condition number 7.5e13 passes where the 2-norm, 1.13e14, would refuse.
+    psi = _near_unit_monodromy(4e-14)
+    np.testing.assert_array_equal(_aliasing_resolvent(psi, 1, ConfigError, "unused"),
+                                  np.linalg.inv(np.eye(3) - psi))
 
 
 def test_normalize_gain_idempotent(example2):
