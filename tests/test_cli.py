@@ -11,9 +11,10 @@ from conftest import assert_export_conjugate_symmetric, with_shared_input
 from ltpsid import cli
 from ltpsid.cli import main
 from ltpsid.evaluation import MonteCarloConfig, consistency_sweep, fit_metric
-from ltpsid.fileio import load_model, save_ensemble, save_model
+from ltpsid.fileio import load_ensemble, load_model, save_ensemble, save_model
 from ltpsid.model import LtpModel
 from ltpsid.signal import collect_ensemble
+from ltpsid.subspace import identify
 
 
 def run(argv):
@@ -606,6 +607,27 @@ def test_fit_json_is_the_fit_report_of_the_two_models(tmp_path, example1, exampl
     assert np.ptp(report.errors) > 0
     assert _json(tmp_path / "fit.json") == {
         "W": report.W, "mse": report.mse, "n_g": 7, "max_error": float(np.max(report.errors))}
+
+
+@pytest.mark.parametrize("order", ["2", "auto"])
+def test_diagnostics_json_is_the_identification_summary(tmp_path, example1_norm, order):
+    # q != r, so a report that swaps them differs; "auto" on noise-free data gives counts.
+    manifest = save_ensemble(
+        collect_ensemble(example1_norm, J=4, N=20, sigma=0.0, master_seed=3), tmp_path / "ens")
+    assert run(["identify", manifest, "--q", 6, "--r", 5, "--order", order,
+                "--out", tmp_path]) == 0
+    result = identify(load_ensemble(manifest), q=6, r=5, n_x=None if order == "auto" else 2,
+                      order_threshold=1e-8 if order == "auto" else None)
+    counts = result.threshold_counts
+    assert (counts is None) == (order != "auto")
+    expected = {
+        "order_used": 2, "q": 6, "r": 5, "singular_values": result.singular_values.tolist(),
+        "threshold_counts": None if counts is None else counts.tolist(),
+        "b_residual": result.b_residual,
+        "h_reconstruction_error_max": float(np.max(result.h_reconstruction_error)),
+        "h_reconstruction_error": result.h_reconstruction_error.tolist(),
+    }
+    assert (tmp_path / "diagnostics.json").read_text() == json.dumps(expected, indent=2) + "\n"
 
 
 # A small noisy example2 study in which some trials, not all, fail at each length.
