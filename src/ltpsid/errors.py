@@ -3,9 +3,10 @@
 Every failure mode surfaced by the library is a subclass of ``LtpsidError`` so callers (and the
 CLI) can map them onto exit codes: configuration and validation problems, data-format problems,
 and numerical failures. Every count passes ``_integer``, every bounded number ``_real`` and every
-array ``_real_array``, library argument, file value, flag or config value alike; no other module
-has a value rule. ``_array_fits`` bounds the bytes of the float64 array its counts shape. All
-raise ``ConfigError``; a file loader turns it into a ``DataError`` naming the file.
+array ``_real_array`` (real and finite), library argument, file value, flag or config value alike;
+no other module has a value rule (``fileio`` scans experiment samples only to name a bad line).
+``_array_fits`` bounds the bytes of the float64 array its counts shape. All raise ``ConfigError``;
+a file loader turns it into a ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -131,11 +132,15 @@ def _real(name: str, value, low: float, high: float = math.inf) -> float:
 
 
 def _real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array, no copy if it is one; bool, complex, text or ragged fails."""
+    """``value`` as a float64 array, no copy if it is one: bool, complex, text or ragged fails,
+    and so does a NaN or infinite entry."""
     try:
         arr = np.asarray(value)
     except (ValueError, TypeError):  # a ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf":
         raise ConfigError(f"{name} must be an array of real numbers")
-    return arr.astype(np.float64, copy=False)
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} has a non-finite entry")
+    return arr

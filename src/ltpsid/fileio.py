@@ -10,7 +10,9 @@ A loader checks only what a file adds: its keys (``check_keys``), the
 experiment header (``_header``) and a ``t`` column counting rows from 0,
 the number of matrices or file names, and declared dimensions or counts.
 ``LtpModel`` and ``Ensemble`` check the values; each loader turns their
-``ConfigError`` into one ``DataError`` naming the file.
+``ConfigError`` into one ``DataError`` naming the file; only a non-finite
+experiment sample is refused here too, to name its line. Each report is a
+result's ``summary()``, written as it is.
 """
 
 from __future__ import annotations
@@ -239,21 +241,9 @@ def export_frequency_response(
 def save_identification_result(
     result: IdentificationResult, model_path: str | Path, diagnostics_path: str | Path
 ) -> None:
-    """Write the estimated model JSON and a diagnostics JSON side by side."""
+    """Write the estimated model JSON and, beside it, the result's summary() in its key order."""
     save_model(result.model, model_path)
-    diagnostics = {
-        "order_used": result.model.nx,
-        "q": result.q,
-        "r": result.r,
-        "singular_values": result.singular_values.tolist(),
-        "threshold_counts": None
-        if result.threshold_counts is None
-        else result.threshold_counts.tolist(),
-        "b_residual": float(result.b_residual),
-        "h_reconstruction_error_max": float(np.max(result.h_reconstruction_error)),
-        "h_reconstruction_error": result.h_reconstruction_error.tolist(),
-    }
-    _write(diagnostics_path, json.dumps(diagnostics, indent=2) + "\n")
+    _write(diagnostics_path, json.dumps(result.summary(), indent=2) + "\n")
 
 
 def write_montecarlo_csv(result: MonteCarloResult, path: str | Path) -> Path:

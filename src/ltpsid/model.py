@@ -67,8 +67,6 @@ def _as_matrix_tuple(name: str, mats: Sequence[np.ndarray]) -> tuple[np.ndarray,
         if arr.ndim != 2 or 0 in arr.shape:
             raise DimensionMismatch(f"{name}[{i}] must be a 2-D matrix with no empty "
                                     f"dimension, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{name}[{i}] has a non-finite entry")
         arr.flags.writeable = False
         out.append(arr)
     return tuple(out)
@@ -94,9 +92,9 @@ class LtpModel:
     def __post_init__(self) -> None:
         """Freeze the matrices and check them all, so n_x, n_y and n_u are >= 1.
 
-        The first matrix that is not 2-D or has an empty dimension raises
-        ``DimensionMismatch``, and the first with a NaN or infinite entry
-        ``ConfigError``, naming it; so do empty or unequal-length sequences
+        The first matrix that is not a finite real array raises ``ConfigError``
+        (``_real_array``), and the first not 2-D or with an empty dimension
+        ``DimensionMismatch``, naming it; so do empty or unequal-length sequences
         (``ConfigError``) and the first disagreeing shape (``DimensionMismatch``).
         """
         for name in ("A", "B", "C"):

@@ -5,8 +5,9 @@ An experiment drives the system with a periodic input of length ``N*P``
 the steady-state response plus i.i.d. Gaussian measurement noise; the
 steady state is computed exactly from the periodic fixed point of the state.
 Ensembles stack J such experiments in two arrays and check their own
-values, in memory as in a manifest; the frequency-response estimator
-``etfe`` reads them as they are.
+values by the rules of ``errors`` (a NaN or infinite sample is a
+``ConfigError`` naming ``u`` or ``y``), in memory as in a manifest; the
+frequency-response estimator ``etfe`` reads them as they are.
 
 All randomized operations are pure functions of their seeds. A batch of seeds or generators
 comes from one batched pass of numpy's SeedSequence hash, equal to it bit for bit.
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, LengthNotDivisible, _array_fits, _integer, _real,
-                     _real_array)
+from .errors import ConfigError, LengthNotDivisible, _array_fits, _integer, _real, _real_array
 from .model import LtpModel, _aliasing_resolvent, _memoized, lift_model
 
 __all__ = [
@@ -154,8 +154,6 @@ class Ensemble:
             raise ConfigError(f"u and y must have no empty dimension, got {u.shape} and {y.shape}")
         if u.shape[1] != self.N * self.P:
             raise ConfigError(f"records have length {u.shape[1]}, expected N*P={self.N * self.P}")
-        if not (np.isfinite(u).all() and np.isfinite(y).all()):
-            raise DataError("experiment holds non-finite samples")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
         for name in ("input_seeds", "noise_seeds"):
@@ -194,8 +192,6 @@ def simulate_steady_state(model: LtpModel, patterns: np.ndarray) -> np.ndarray:
     ``model._aliasing_resolvent`` checks stability and gives the resolvent, memoized per N.
     """
     u = _real_array("patterns", patterns)
-    if not np.isfinite(u).all():
-        raise ConfigError("patterns has a non-finite entry")
     if u.ndim not in (2, 3):
         raise ConfigError(f"patterns must have shape (T, n_u) or (J, T, n_u), got {u.shape}")
     if u.shape[-1] != model.nu:

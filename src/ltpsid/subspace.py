@@ -247,7 +247,7 @@ class IdentificationResult:
     ``estimate_B``'s residual, and ``h_reconstruction_error[t, r-1]`` its Frobenius
     norm at tag t, lag r: the distance between the assembled aliased response and the
     one implied by the estimated model. ``response`` is the estimated lifted
-    frequency response the model was realized from.
+    frequency response the model was realized from; ``summary()`` is its diagnostics report.
     """
 
     model: LtpModel
@@ -258,6 +258,15 @@ class IdentificationResult:
     h_reconstruction_error: np.ndarray = field(repr=False)
     response: LiftedFrequencyResponse = field(repr=False)
     threshold_counts: np.ndarray | None = None
+
+    def summary(self) -> dict:
+        counts, errors = self.threshold_counts, self.h_reconstruction_error
+        return {"order_used": self.model.nx, "q": self.q, "r": self.r,
+                "singular_values": self.singular_values.tolist(),
+                "threshold_counts": None if counts is None else counts.tolist(),
+                "b_residual": float(self.b_residual),
+                "h_reconstruction_error_max": float(np.max(errors)),
+                "h_reconstruction_error": errors.tolist()}
 
 
 def identify(

@@ -87,7 +87,8 @@ MUTANTS = [
     ("lift_model A one lag short", "model.py", "A=state_rows[0, P],", "A=state_rows[0, P - 1],"),
     ("lift_model B blocks one lag late", "model.py",
      "_with_inputs(state_rows[:, :P], model.B)", "_with_inputs(state_rows[:, 1:], model.B)"),
-    # The one owner of each shared job: the aliasing resolvent, the B-fit residual, CSV text.
+    # The one owner of each shared job: the aliasing resolvent, the B-fit residual, CSV text
+    # and the finite-array rule.
     ("aliasing resolvent stability raise deleted", "model.py",
      "    if not verdict.stable:\n        raise error(", "    if False:\n        raise error("),
     ("aliasing resolvent power N -> 1", "model.py",
@@ -98,8 +99,8 @@ MUTANTS = [
      "residual = h.copy()", "residual = np.zeros_like(h)"),
     ("CSV row join CRLF -> LF", "fileio.py",
      'replace("], [", "\\r\\n")', 'replace("], [", "\\n")'),
-    ("simulate_steady_state non-finite check deleted", "signal.py",
-     "if not np.isfinite(u).all():", "if False:"),
+    ("_real_array non-finite check deleted", "errors.py",
+     "if not np.isfinite(arr).all():", "if False:"),
     ("aliasing resolvent cond 1-norm -> 2-norm", "model.py",
      "np.linalg.cond(resolvent, 1)", "np.linalg.cond(resolvent, 2)"),
     # The JSON report each result type builds.
@@ -114,6 +115,10 @@ MUTANTS = [
      '"N_grid": [r.config.N for r in self.results]',
      '"N_grid": [r.config.N for r in self.results][::-1]'),
     ("sweep median_mse key dropped", "evaluation.py", ' "median_mse": list(self.median_mse),', ""),
+    ("diagnostics q -> r", "subspace.py", '"q": self.q,', '"q": self.r,'),
+    ("diagnostics.json keys sorted", "fileio.py",
+     "json.dumps(result.summary(), indent=2)",
+     "json.dumps(result.summary(), indent=2, sort_keys=True)"),
 ]
 # Mutants that differ from the original only on inputs no test can reach; their survival is
 # expected and does not fail the campaign.

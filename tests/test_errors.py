@@ -140,8 +140,7 @@ NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
-@pytest.mark.parametrize("entry", ["LtpModel A[0]", "LtpModel B[0]", "LtpModel C[0]",
-                                   "simulate_steady_state patterns"])
+@pytest.mark.parametrize("entry", ARRAYS)
 def test_a_non_finite_array_entry_raises_config_error_naming_it(setting, entry, bad):
     # A non-finite pattern would give an all-NaN steady state, not an error.
     model, ens, _ = setting

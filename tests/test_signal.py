@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import impulse_series_oracle, random_stable_model
-from ltpsid.errors import ConfigError, DataError, LengthNotDivisible, SingularMatrix
+from ltpsid.errors import ConfigError, LengthNotDivisible, SingularMatrix
 from ltpsid.model import LiftedFrequencyResponse, LtpModel, is_stable
 from ltpsid.signal import (
     Ensemble,
@@ -430,9 +430,9 @@ def test_lifted_frequency_response_rejects_wrong_grid_length():
 
 
 def test_experiment_rejects_non_finite_samples():
-    with pytest.raises(DataError, match="non-finite"):
+    with pytest.raises(ConfigError, match="^y has a non-finite entry$"):
         Ensemble(u=np.ones((1, 4, 1)), y=np.array([[[0.0], [np.inf], [1.0], [2.0]]]), P=1, N=4)
-    with pytest.raises(DataError, match="non-finite"):
+    with pytest.raises(ConfigError, match="^u has a non-finite entry$"):
         Ensemble(u=np.array([[[np.nan], [0.0]]]), y=np.ones((1, 2, 1)), P=1, N=2)
 
 
